@@ -184,14 +184,14 @@ def audit_update(
     """TVD of the combined-update symbol under two update-value hypotheses."""
     fp = _observer_fp(q)
     _require_tvd_power(q, samples, threshold)
-    alpha = fp.alphas[0]
+    alphas = fp.alphas  # the one observing database
     counts = {}
     for label, delta in (("a", delta_a % q), ("b", delta_b % q)):
         rng = random.Random(derive_seed(seed, f"hypothesis-{label}"))
         c = [0] * q
         for _ in range(samples):
             noise = [0] if disable_noise else [rng.randrange(q)]
-            c[combine_update(fp.field, [delta], [1], alpha, noise)] += 1
+            c[combine_update(fp.field, [delta], [1], alphas, noise)[0]] += 1
         counts[label] = c
     value = _tvd(counts["a"], counts["b"], samples)
     return AuditResult(

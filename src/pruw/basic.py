@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, DomainError
 from .field import FieldParams, seeded_uniform
-from .poly import DecodeSystem, combine_update, decode_row, solve_decode
+from .poly import apply_rows, combine_update, decode_inverse
 from .storage import DatabaseState
 
 
@@ -157,12 +157,8 @@ def decode_answers(fp: FieldParams, params: BasicParams, answers: list[int]) -> 
     if len(answers) != fp.n_databases:
         raise DomainError("need one answer per database")
     ell = params.ell
-    rows = [
-        decode_row(fp.field, fp.alpha(n), fp.fs[:ell], params.t_storage + params.t_query)
-        for n in range(1, fp.n_databases + 1)
-    ]
-    sol = solve_decode(fp.field, DecodeSystem(rows=rows, rhs=list(answers)))
-    return sol[:ell]
+    inverse = decode_inverse(fp.field, fp.alphas, fp.fs[:ell], params.t_storage + params.t_query)
+    return apply_rows(fp.q, inverse, answers)
 
 
 def null_shaper_factor(fp: FieldParams, skip_set, k: int, n: int) -> int:
@@ -195,25 +191,23 @@ def build_write_symbols(
         if len(deltas) != ell:
             raise DomainError(f"expected {ell} deltas per subpacket")
         noise = [0] * params.t_update if disable_noise else seeded_uniform(rng, fp.q, params.t_update)
-        out.append([combine_update(fp.field, deltas, fs, fp.alpha(n), noise) for n in range(1, fp.n_databases + 1)])
+        out.append(combine_update(fp.field, deltas, fs, fp.alphas, noise))
     return out
 
 
-def apply_write(state: DatabaseState, query: ReadQuery, u_symbol: int, s: int) -> None:
+def apply_write(state: DatabaseState, query: ReadQuery, u_symbol: int, s: int,
+                factors: list[int]) -> None:
     """Database side: decompose one combined symbol into the increment for
-    subpacket s and fold it into storage."""
+    subpacket s and fold it into storage.  ``factors[k]`` is the database's
+    (f_k - a_n) times its null-shaper factor for bit k."""
     params = query.params
     if state.db_index in params.skip_set:
         raise DomainError("databases in the skip set receive no write payload")
-    fp = state.fp
-    q = fp.q
-    alpha = fp.alpha(state.db_index)
+    q = state.fp.q
     block = query.block(state.db_index)
     cells = state.cells[s]
     for k in range(params.ell):
-        scale = (fp.fs[k] - alpha) % q
-        shaper = null_shaper_factor(fp, params.skip_set, k + 1, state.db_index)
-        factor = scale * shaper % q * u_symbol % q
+        factor = factors[k] * u_symbol % q
         row = cells[k]
         qv = block[k]
         for m in range(state.m_count):
@@ -240,9 +234,15 @@ def write_round(
         raise DomainError("need one delta block per subpacket")
     symbols = build_write_symbols(deltas_by_subpacket, params, fp, rng, disable_noise)
     skip = set(params.skip_set)
-    for s, per_db in enumerate(symbols):
-        for st in states:
-            if st.db_index in skip:
-                continue
-            apply_write(st, query, per_db[st.db_index - 1], s)
+    for st in states:
+        if st.db_index in skip:
+            continue
+        # the decomposition factors depend only on the constants: once per round
+        alpha = fp.alpha(st.db_index)
+        factors = [
+            (fp.fs[k] - alpha) * null_shaper_factor(fp, params.skip_set, k + 1, st.db_index) % fp.q
+            for k in range(params.ell)
+        ]
+        for s, per_db in enumerate(symbols):
+            apply_write(st, query, per_db[st.db_index - 1], s, factors)
     return symbols

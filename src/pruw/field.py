@@ -23,8 +23,11 @@ from .errors import ConfigError, DomainError
 
 _U64 = (1 << 64) - 1
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses making Miller-Rabin deterministic for all n below MR_PROVEN_BOUND:
+# the first 13 primes.  The bound is psi_13 (OEIS A014233), the least odd
+# composite that every one of these bases passes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -56,6 +59,11 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
+        if q >= MR_PROVEN_BOUND:
+            raise ConfigError(
+                f"modulus {q} is not below {MR_PROVEN_BOUND}, the bound up to "
+                "which primality is proven"
+            )
         if not is_prime(q):
             raise ConfigError(f"modulus {q} is not prime")
         self.q = q
@@ -113,10 +121,6 @@ class PrimeField:
         for c in reversed(coeffs):
             acc = (acc * x + c) % self.q
         return acc
-
-    def uniform(self, rng: random.Random, count: int) -> list[int]:
-        q = self.q
-        return [rng.randrange(q) for _ in range(count)]
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,32 @@ def next_prime_above(x: int) -> int:
     return candidate
 
 
+def _first_mismatch(positions, expected, got) -> dict | None:
+    """First (position, expected, got) where two symbol sequences differ."""
+    for pos, want, have in zip(positions, expected, got):
+        if want != have:
+            return {"position": pos, "expected": want, "got": have}
+    return None
+
+
+def _write_mismatch(oracle: ModelPlain, plain: ModelPlain, offset: int = 0) -> dict | None:
+    """First (submodel, position, expected, got) where storage and oracle
+    differ; ``offset`` shifts region-local positions to model positions."""
+    for m, (want, got) in enumerate(zip(oracle.values, plain.values)):
+        hit = _first_mismatch(range(offset, offset + len(want)), want, got)
+        if hit is not None:
+            return {"submodel": m + 1, **hit}
+    return None
+
+
+def _explain(detail: dict, read_mismatch: dict | None, write_mismatch: dict | None) -> None:
+    """Name the first bad item of a failing check; passing runs add no keys."""
+    if read_mismatch is not None:
+        detail["read_mismatch"] = read_mismatch
+    if write_mismatch is not None:
+        detail["write_mismatch"] = write_mismatch
+
+
 class Session:
     """Initialized network for one scheme configuration."""
 
@@ -202,6 +228,8 @@ class Session:
             decoded_bits.extend(basic.decode_answers(fp, params, answers))
         expected = self.oracle.values[theta - 1]
         read_ok = decoded_bits[: self.length] == expected
+        read_mismatch = None if read_ok else _first_mismatch(range(self.length), expected,
+                                                             decoded_bits)
 
         update_rng = self._user_rng("update")
         padded = self.states[0].padded_length
@@ -222,8 +250,10 @@ class Session:
             self.oracle.values[theta - 1][pos] = (
                 self.oracle.values[theta - 1][pos] + flat[pos]
             ) % fp.q
-        write_ok = reconstruct_plain(self.states) == self.oracle
+        plain = reconstruct_plain(self.states)
+        write_ok = plain == self.oracle
         detail = {"read_ok": read_ok, "write_ok": write_ok, "skip_set": list(params.skip_set)}
+        _explain(detail, read_mismatch, None if write_ok else _write_mismatch(self.oracle, plain))
         return IterationResult(theta=theta, ledger=ledger, verdict=read_ok and write_ok,
                                detail=detail)
 
@@ -260,11 +290,14 @@ class Session:
                 self._record(ledger, wire.READ_A, wire.PHASE_READ, wire.DOWN, n, 1,
                              subpacket=v)
         read_ok = True
+        read_mismatch = None
         for true_s, bits in decoded.items():
             lo = (true_s - 1) * setup.ell
             expected = self.oracle.values[theta - 1][lo : lo + setup.ell]
             if bits != expected:
                 read_ok = False
+                read_mismatch = read_mismatch or _first_mismatch(range(lo, lo + setup.ell),
+                                                                 expected, bits)
 
         update_rng = self._user_rng("update")
         if cfg.scores is not None:
@@ -291,7 +324,8 @@ class Session:
                     self.oracle.values[theta - 1][lo + k] + deltas[s - 1][k]
                 ) % fp.q
         self.last_write_positions = list(result.positions)
-        write_ok = reconstruct_plain(self.states) == self.oracle
+        plain = reconstruct_plain(self.states)
+        write_ok = plain == self.oracle
         detail = {
             "read_ok": read_ok,
             "write_ok": write_ok,
@@ -301,6 +335,7 @@ class Session:
             "chosen_true": list(result.chosen_true),
             "position_symbols": clog,
         }
+        _explain(detail, read_mismatch, None if write_ok else _write_mismatch(self.oracle, plain))
         return IterationResult(theta=theta, ledger=ledger, verdict=read_ok and write_ok,
                                detail=detail)
 
@@ -334,6 +369,7 @@ class Session:
                                  spec.write_patterns * spec.ell_w * cfg.m,
                                  metered=False)
         read_ok = True
+        read_mismatch = None
         distorted_read = 0
         for idx, reg in enumerate(self.realized):
             spec = reg.spec
@@ -349,8 +385,11 @@ class Session:
             for pos, value in decoded.items():
                 if pos < reg.real_bits:
                     covered += 1
-                    if value != self.oracle.values[theta - 1][reg.start + pos]:
+                    expected = self.oracle.values[theta - 1][reg.start + pos]
+                    if value != expected:
                         read_ok = False
+                        read_mismatch = read_mismatch or {
+                            "position": reg.start + pos, "expected": expected, "got": value}
             distorted_read += reg.real_bits - covered
 
         update_rng = self._user_rng("update")
@@ -383,10 +422,14 @@ class Session:
                     ) % fp.q
             distorted_write += reg.real_bits - covered
 
-        write_ok = all(
-            reconstruct_plain(self.region_states[idx]) == self._oracle_region(idx)
-            for idx in range(len(self.realized))
-        )
+        write_ok, write_mismatch = True, None
+        for idx, reg in enumerate(self.realized):
+            oracle = self._oracle_region(idx)
+            plain = reconstruct_plain(self.region_states[idx])
+            if plain != oracle:
+                write_ok = False
+                write_mismatch = _write_mismatch(oracle, plain, reg.start)
+                break
         report = rs.DistortionReport(
             read_budget=self.plan.d_read,
             write_budget=self.plan.d_write,
@@ -409,6 +452,7 @@ class Session:
                 for reg in self.realized
             ],
         }
+        _explain(detail, read_mismatch, write_mismatch)
         return IterationResult(theta=theta, ledger=ledger,
                                verdict=read_ok and write_ok and report.within_budget,
                                detail=detail, distortion=report)

@@ -6,12 +6,18 @@ constant); the read paths invert square systems whose rows mix reciprocal
 terms ``1/(f_i - alpha_n)`` with plain powers of ``alpha_n``.
 
 Verification deliberately uses two independent code paths: the residual
-checks interpolate in Lagrange form, the decoder runs Gaussian elimination,
-so a shared bug cannot vouch for itself.
+checks and the storage oracle interpolate in Lagrange form, the decoder runs
+Gaussian elimination, so a shared bug cannot vouch for itself.  Both sides
+are fixed linear maps of the evaluation points, so each is built once per
+field and shape and then applied as N-term dot products: the oracle's map
+from :func:`lagrange_interpolate` on unit vectors, the decoder's inverse
+(:func:`decode_inverse`) from :func:`solve_decode` on unit right-hand sides.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -24,40 +30,43 @@ def delta_tilde(field: PrimeField, deltas, fs) -> list[int]:
         raise DomainError("deltas and bit constants must have equal length")
     if len(set(fs)) != len(fs):
         raise DomainError("bit constants must be distinct")
+    q = field.q
     out = []
     for i, d in enumerate(deltas):
+        fi = fs[i]
         denom = 1
         for j, fj in enumerate(fs):
             if j != i:
-                denom = denom * (fj - fs[i]) % field.q
-        out.append(field.div(d, denom))
+                denom = denom * (fj - fi) % q
+        out.append(d * field.inv(denom) % q)
     return out
 
 
-def combine_update(field: PrimeField, deltas, fs, alpha: int, noise) -> int:
-    """Single update symbol carrying all bits of one subpacket.
+def combine_update(field: PrimeField, deltas, fs, alphas, noise) -> list[int]:
+    """One update symbol per database constant, each carrying all bits of
+    one subpacket.
 
-    ``sum_i dtilde_i prod_{j != i}(f_j - alpha) + prod_j(f_j - alpha) * z(alpha)``
-    where ``z`` is a polynomial with the given noise coefficients.
+    At each ``alpha``: ``sum_i dtilde_i prod_{j != i}(f_j - alpha)
+    + prod_j(f_j - alpha) * z(alpha)``, where ``z`` is a polynomial with the
+    given noise coefficients.  The rescaled updates ``dtilde`` are computed
+    once for all of ``alphas``.
     """
-    if alpha in fs:
-        raise DomainError("database constant collides with a bit constant")
     if len(noise) < 1:
         raise DomainError("at least one masking symbol is required")
     q = field.q
     dtil = delta_tilde(field, deltas, fs)
-    acc = 0
-    for i in range(len(fs)):
-        term = dtil[i]
-        for j, fj in enumerate(fs):
-            if j != i:
-                term = term * (fj - alpha) % q
-        acc = (acc + term) % q
-    full = 1
-    for fj in fs:
-        full = full * (fj - alpha) % q
-    acc = (acc + full * field.poly_eval(noise, alpha)) % q
-    return acc
+    out = []
+    for alpha in alphas:
+        if alpha in fs:
+            raise DomainError("database constant collides with a bit constant")
+        # after bit i: acc = sum_{k <= i} dtilde_k prod_{j <= i, j != k}(f_j - alpha)
+        acc, full = 0, 1
+        for d, fj in zip(dtil, fs):
+            diff = fj - alpha
+            acc = (acc * diff + d * full) % q
+            full = full * diff % q
+        out.append((acc + full * field.poly_eval(noise, alpha)) % q)
+    return out
 
 
 def lagrange_interpolate(field: PrimeField, xs, ys) -> list[int]:
@@ -220,3 +229,29 @@ def solve_decode(field: PrimeField, system: DecodeSystem) -> list[int]:
                 a[r] = [(v - factor * w) % q for v, w in zip(a[r], a[col])]
                 b[r] = (b[r] - factor * b[col]) % q
     return b
+
+
+def unit_vectors(n: int) -> list[list[int]]:
+    """The n unit vectors of length n; linear maps are built column by column
+    from them."""
+    return [[int(i == k) for i in range(n)] for k in range(n)]
+
+
+@functools.lru_cache(maxsize=256)
+def decode_inverse(field: PrimeField, alphas: tuple, f_subset: tuple,
+                   power_count: int) -> tuple[tuple[int, ...], ...]:
+    """Leading rows of the inverse of the decode system, one per bit constant.
+
+    The system has one :func:`decode_row` per alpha.  Column c of the inverse
+    is :func:`solve_decode` on the c-th unit right-hand side, so row k dotted
+    with the answers (:func:`apply_rows`) gives exactly the k-th unknown that
+    solving the system itself would.  Built once per (field, shape).
+    """
+    rows = [decode_row(field, a, f_subset, power_count) for a in alphas]
+    cols = [solve_decode(field, DecodeSystem(rows=rows, rhs=e)) for e in unit_vectors(len(rows))]
+    return tuple(tuple(col[k] for col in cols) for k in range(len(f_subset)))
+
+
+def apply_rows(q: int, rows, vec) -> list[int]:
+    """Each row of a fixed linear map dotted with ``vec``, mod q."""
+    return [sum(map(operator.mul, row, vec)) % q for row in rows]

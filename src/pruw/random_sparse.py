@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, DomainError
 from .field import FieldParams, derive_seed, seeded_uniform
-from .poly import DecodeSystem, combine_update, solve_decode
+from .poly import apply_rows, combine_update, decode_inverse
 from .storage import DatabaseState, ModelPlain, init_random_sparse
 
 
@@ -395,10 +395,15 @@ def region_read(
     subpackets = realized.total_bits // spec.ell_r
     decoded: dict[int, int] = {}
     q = fp.q
+    alphas = tuple(fp.alpha(db) for db in dbs)
+    # one decode inverse per read pattern, fixed for the session
+    inverses = []
+    for t in range(1, spec.read_patterns + 1):
+        fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
+        f_subset = tuple(fs[i - 1] for i in j_read[t - 1])
+        inverses.append(decode_inverse(fp.field, alphas, f_subset, power_count))
     for s in range(1, subpackets + 1):
         t = (s - 1) % spec.read_patterns + 1
-        fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
-        jset = list(j_read[t - 1])
         answers = []
         for db in dbs:
             st = states[db - 1]
@@ -412,17 +417,8 @@ def region_read(
                 for m in range(st.m_count):
                     acc = (acc + row[m] * qv[m]) % q
             answers.append(acc)
-        rows = []
-        for db in dbs:
-            alpha = fp.alpha(db)
-            row = [fp.field.inv((fs[i - 1] - alpha) % q) for i in jset]
-            p = 1
-            for _ in range(power_count):
-                row.append(p)
-                p = p * alpha % q
-            rows.append(row)
-        sol = solve_decode(fp.field, DecodeSystem(rows=rows, rhs=answers))
-        for idx, i in enumerate(jset):
+        sol = apply_rows(q, inverses[t - 1], answers)
+        for idx, i in enumerate(j_read[t - 1]):
             decoded[(s - 1) * spec.ell_r + i - 1] = sol[idx]
     return decoded
 
@@ -451,28 +447,37 @@ def region_write(
     odd_excluded = n if (spec.case == 2 and n % 2 == 1) else None
     subpackets = realized.total_bits // spec.ell_w
     q = fp.q
+    alphas = [fp.alpha(db) for db in dbs]
+    # per write pattern: bit constants and each database's diagonal factors,
+    # which depend only on the constants
+    patterns = []
+    for t in range(1, spec.write_patterns + 1):
+        fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
+        if odd_excluded is None:
+            diags = [[1] * spec.ell_w for _ in dbs]
+        else:
+            alpha_r = fp.alpha(odd_excluded)
+            diags = [
+                [(alpha_r - alpha) * fp.field.inv((alpha_r - f) % q) % q for f in fs]
+                for alpha in alphas
+            ]
+        patterns.append((fs, diags))
     written: set[int] = set()
     for s in range(1, subpackets + 1):
         t = (s - 1) % spec.write_patterns + 1
-        fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
+        fs, diags = patterns[t - 1]
         jset = list(j_write[t - 1])
         sub_fs = [fs[i - 1] for i in jset]
         sub_deltas = [deltas[(s - 1) * spec.ell_w + i - 1] for i in jset]
         noise = [0] if disable_noise else seeded_uniform(rng, q, 1)
-        for db in dbs:
+        us = combine_update(fp.field, sub_deltas, sub_fs, alphas, noise)
+        for db, u, diag in zip(dbs, us, diags):
             st = states[db - 1]
-            alpha = fp.alpha(db)
-            u = combine_update(fp.field, sub_deltas, sub_fs, alpha, noise)
             block_q = queries[t - 1][db - 1]
             for i in range(1, spec.ell_w + 1):
                 pos = (s - 1) * spec.ell_w + i - 1
                 cell_block, j = divmod(pos, spec.y)
-                if odd_excluded is not None:
-                    alpha_r = fp.alpha(odd_excluded)
-                    diag = (alpha_r - alpha) * fp.field.inv((alpha_r - fs[i - 1]) % q) % q
-                else:
-                    diag = 1
-                factor = diag * u % q
+                factor = diag[i - 1] * u % q
                 row = st.cells[cell_block][j]
                 qv = block_q[i - 1]
                 for m in range(st.m_count):

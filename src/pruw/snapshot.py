@@ -62,6 +62,8 @@ def _rebuild_layout(kind, case, a, b, c, d):
 
 def save_snapshot(path: str, bundle: SnapshotBundle) -> None:
     fp = bundle.fp
+    if fp.q >= 1 << 64:
+        raise ConfigError(f"q={fp.q} does not fit the snapshot's u64 modulus and cell words")
     out = bytearray()
     out += MAGIC
     out += struct.pack("<B", _SCHEME_TAGS[bundle.scheme])

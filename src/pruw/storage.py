@@ -13,12 +13,14 @@ cell is reproducible without ever materializing the mask tensors.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError, DomainError, IntegrityError
 from .field import CounterNoise, FieldParams, derive_seed
-from .poly import lagrange_interpolate, poly_degree
+from .poly import lagrange_interpolate, unit_vectors
 
 KIND_BASIC = "basic"
 KIND_TOPR = "topr"
@@ -332,12 +334,43 @@ def init_random_sparse(
     return _build_states(model, fp, layout, seed, disable_noise)
 
 
+@functools.lru_cache(maxsize=256)
+def _oracle_map(fp: FieldParams, layout, j: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(evaluation weights, parity rows) taking bit j's N replicas to its
+    plain symbol.
+
+    Column n holds the Lagrange coefficients of the n-th unit vector over the
+    database constants, so the coefficients of any cell's interpolant are
+    the map applied to its replicas.  The weights evaluate that interpolant
+    at f_j; the parity rows are its coefficients above the mask degree,
+    which vanish on consistent storage.  The random layout's per-cell
+    (f_j - alpha_n) rescale is folded into column n.
+    """
+    q = fp.q
+    f_j = fp.fs[j]
+    cols = []
+    for alpha, e in zip(fp.alphas, unit_vectors(fp.n_databases)):
+        col = lagrange_interpolate(fp.field, fp.alphas, e)
+        if not layout.affine_mask:
+            col = [c * (f_j - alpha) % q for c in col]
+        cols.append(col)
+    weights = tuple(fp.field.poly_eval(col, f_j) for col in cols)
+    parity = tuple(
+        tuple(col[k] for col in cols) for k in range(layout.noise_terms + 1, fp.n_databases)
+    )
+    return weights, parity
+
+
 def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
     """Invert the masking across databases (test oracle, not a protocol step).
 
     Interpolates each cell across the database constants and reads the plain
-    symbol off at the bit constant; the leftover evaluation points act as a
-    consistency check, so any single corrupted cell raises IntegrityError.
+    symbol off at the bit constant; the coefficients above the mask degree
+    act as a consistency check, so any single corrupted cell raises
+    IntegrityError.  Interpolation is a fixed linear map per bit constant,
+    built from :func:`lagrange_interpolate` once per field and layout and
+    applied to every cell as N-term dot products; it never calls the
+    decoders' Gaussian elimination.
     """
     if not states:
         raise DomainError("no database states given")
@@ -350,27 +383,21 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
         if st.layout != layout or st.m_count != first.m_count or st.subpackets != first.subpackets:
             raise IntegrityError("database states disagree on shape")
     q = fp.q
+    mul = operator.mul
     width = layout.width
-    degree_bound = layout.noise_terms
+    maps = [_oracle_map(fp, layout, j) for j in range(width)]
     out = ModelPlain.zeros(first.m_count, first.length)
-    alphas = list(fp.alphas)
     for s in range(first.subpackets):
-        for j in range(width):
-            f_j = fp.fs[j]
+        blocks = [st.cells[s] for st in states]
+        for j, (weights, parity) in enumerate(maps):
             pos = s * width + j
-            for m in range(first.m_count):
-                ys = []
-                for st in states:
-                    v = st.cells[s][j][m]
-                    if not layout.affine_mask:
-                        v = v * (f_j - fp.alpha(st.db_index)) % q
-                    ys.append(v % q)
-                coeffs = lagrange_interpolate(fp.field, alphas, ys)
-                if poly_degree(coeffs) > degree_bound:
-                    raise IntegrityError(
-                        f"cell (s={s}, j={j}, m={m}) inconsistent across databases"
-                    )
-                w = fp.field.poly_eval(coeffs, f_j)
+            for m, ys in enumerate(zip(*[block[j] for block in blocks])):
+                for row in parity:
+                    if sum(map(mul, row, ys)) % q:
+                        raise IntegrityError(
+                            f"cell (s={s}, j={j}, m={m}) inconsistent across databases"
+                        )
+                w = sum(map(mul, weights, ys)) % q
                 if pos < first.length:
                     out.values[m][pos] = w
                 elif w != 0:

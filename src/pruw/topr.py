@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, DomainError, ProtocolError
 from .field import CounterNoise, FieldParams, seeded_uniform
-from .poly import DecodeSystem, combine_update, decode_row, solve_decode
+from .poly import apply_rows, combine_update, decode_inverse
 from .storage import DatabaseState, TopRLayout, topr_subpacketization
 
 
@@ -252,9 +252,9 @@ def decode_sparse(fp: FieldParams, case: int, ell: int, answers: list[int]) -> l
     power_count = (3 * ell + 2) if case == 1 else (ell + 4)
     if ell + power_count != n:
         raise ConfigError("database count does not match the case's decode shape")
-    rows = [decode_row(fp.field, fp.alpha(i), fp.fs[:ell], power_count) for i in range(1, n + 1)]
-    sol = solve_decode(fp.field, DecodeSystem(rows=rows, rhs=list(answers)))
-    return sol[:ell]
+    if len(answers) != n:
+        raise DomainError("need one answer per database")
+    return apply_rows(fp.q, decode_inverse(fp.field, fp.alphas, fp.fs[:ell], power_count), answers)
 
 
 def read_sparse(
@@ -323,10 +323,7 @@ def write_sparse(
         if len(deltas[s - 1]) != ell:
             raise DomainError(f"expected {ell} updates for subpacket {s}")
         noise = [0] if disable_noise else seeded_uniform(rng, fp.q, 1)
-        per_true[s] = [
-            combine_update(fp.field, deltas[s - 1], fs, fp.alpha(n), noise)
-            for n in range(1, fp.n_databases + 1)
-        ]
+        per_true[s] = combine_update(fp.field, deltas[s - 1], fs, fp.alphas, noise)
     pairs = sorted((setup.permuted_index(s), s) for s in chosen)
     positions = [pos for pos, _ in pairs]
     values = [per_true[s] for _, s in pairs]

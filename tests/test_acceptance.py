@@ -194,7 +194,7 @@ def test_criterion_5_residual_suites():
         field = fp.field
         deltas = [rng.randrange(field.q) for _ in range(ell)]
         noise = [rng.randrange(field.q) for _ in range(t_up)]
-        us = [combine_update(field, deltas, list(fp.fs), a, noise) for a in fp.alphas]
+        us = combine_update(field, deltas, list(fp.fs), fp.alphas, noise)
         k = rng.randint(1, ell)
         res = combined_update_residual(field, us, fp.alphas, fp.fs, k, deltas, t_up)
         ok &= res.ok

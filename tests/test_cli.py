@@ -173,6 +173,16 @@ class TestSnapshots:
         assert loaded.regions[0][0].cells == session.states[0].cells
         assert loaded.fp == session.fp
 
+    def test_modulus_beyond_u64_exit_2(self, tmp_path, capsys):
+        # 2^64 + 13 is the smallest prime above 2^64: a valid field whose
+        # cells do not fit the snapshot's u64 words
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"scheme=basic\nn=4\nm=1\nl=2\nq={2**64 + 13}\n")
+        snap = tmp_path / "snap.bin"
+        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 2
+        assert "u64" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_truncated_snapshot_detected(self, tmp_path, basic_cfg):
         snap = tmp_path / "snap.bin"
         main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)])

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 
 from pruw.errors import ConfigError, DomainError
 from pruw.field import (
+    MR_PROVEN_BOUND,
     CounterNoise,
     PrimeField,
     allocate_eval_points,
@@ -64,6 +65,29 @@ class TestArith:
     def test_is_prime_matches_trial_division(self, n):
         trial = all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_prime(n) == trial
+
+
+class TestPrimalityBound:
+    # psi_12 and psi_13 of OEIS A014233: the least odd composites that pass
+    # Miller-Rabin for every one of the first 12 and 13 prime bases
+    PSI_12 = 318665857834031151167461
+    PSI_13 = 3317044064679887385961981
+
+    def test_psi_12_is_composite(self):
+        assert self.PSI_12 == 399165290221 * 798330580441
+        assert not is_prime(self.PSI_12)
+        with pytest.raises(ConfigError):
+            PrimeField(self.PSI_12)
+
+    def test_fields_at_or_above_psi_13_rejected(self):
+        assert MR_PROVEN_BOUND == self.PSI_13
+        for q in (self.PSI_13, self.PSI_13 + 2):
+            with pytest.raises(ConfigError, match=str(self.PSI_13)):
+                PrimeField(q)
+
+    def test_large_primes_below_the_bound_accepted(self):
+        assert PrimeField(2**64 + 13).q == 2**64 + 13
+        assert PrimeField(2**61 - 1).q == 2**61 - 1
 
 
 class TestAllocation:

@@ -211,6 +211,79 @@ class TestDeterminism:
         assert parsed["iterations"][0]["ledger"]["c_read"] == "4"
 
 
+def shift_plain(states, s, j, m):
+    """Add one to the plain symbol of cell (s, j, m) consistently in every
+    replica, so the storage stays well formed but holds a wrong value."""
+    for st in states:
+        fp = st.fp
+        step = 1 if st.layout.affine_mask else fp.field.inv(fp.fs[j] - fp.alpha(st.db_index))
+        st.cells[s][j][m] = (st.cells[s][j][m] + step) % fp.q
+
+
+class TestFailureDetail:
+    """A failing check names its first bad item; a passing run adds no keys."""
+
+    def test_passing_iteration_adds_no_mismatch_keys(self):
+        for cfg in (
+            ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=127, seed=5),
+            ExperimentConfig(scheme="topr", n=10, m=2, p=5, q=127, case=2, seed=5),
+            ExperimentConfig(scheme="random", n=6, m=2, l=30, seed=5,
+                             d_read=Fraction(1, 3), d_write=Fraction(1, 5)),
+        ):
+            detail = run_session(cfg).iterations[0].detail
+            assert "read_mismatch" not in detail and "write_mismatch" not in detail
+
+    def test_basic_read_and_write_mismatch(self):
+        session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=127, seed=5))
+        before = session.oracle.values[0][3]
+        shift_plain(session.states, 1, 1, 0)  # ell = 2: position 3 of submodel 1
+        it = session.run_iteration(1)
+        assert not it.verdict
+        assert it.detail["read_mismatch"] == {"position": 3, "expected": before,
+                                              "got": (before + 1) % 127}
+        after = session.oracle.values[0][3]
+        assert it.detail["write_mismatch"] == {"submodel": 1, "position": 3,
+                                               "expected": after, "got": (after + 1) % 127}
+
+    def test_write_mismatch_outside_the_read_submodel(self):
+        session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=127, seed=5))
+        shift_plain(session.states, 2, 0, 1)
+        it = session.run_iteration(1)
+        assert it.detail["read_ok"] and "read_mismatch" not in it.detail
+        want = session.oracle.values[1][4]
+        assert it.detail["write_mismatch"] == {"submodel": 2, "position": 4,
+                                               "expected": want, "got": (want + 1) % 127}
+
+    def test_topr_read_mismatch_names_the_true_position(self):
+        cfg = ExperimentConfig(
+            scheme="topr", n=10, m=3, p=5, q=127, case=1,
+            r=Fraction(2, 5), r_prime=Fraction(2, 5),
+            perm=(2, 5, 1, 3, 4), v_tilde=(2, 3), scores=(10, 0, 0, 9, 0), seed=3,
+        )
+        session = Session(cfg)
+        before = session.oracle.values[0][1]
+        shift_plain(session.states, 0, 1, 0)  # true subpacket 1 is read, ell = 2
+        it = session.run_iteration(1)
+        assert it.detail["read_mismatch"] == {"position": 1, "expected": before,
+                                              "got": (before + 1) % 127}
+        after = session.oracle.values[0][1]
+        assert it.detail["write_mismatch"] == {"submodel": 1, "position": 1,
+                                               "expected": after, "got": (after + 1) % 127}
+
+    def test_random_write_mismatch_in_model_positions(self):
+        cfg = ExperimentConfig(scheme="random", n=6, m=2, l=30, seed=5,
+                               d_read=Fraction(1, 3), d_write=Fraction(1, 5))
+        session = Session(cfg)
+        q = session.fp.q
+        reg = session.realized[-1]  # region-local position 1 is model position start + 1
+        assert reg.start > 0 and reg.spec.y > 1
+        shift_plain(session.region_states[-1], 0, 1, 1)
+        it = session.run_iteration(1)
+        want = session.oracle.values[1][reg.start + 1]
+        assert it.detail["write_mismatch"] == {"submodel": 2, "position": reg.start + 1,
+                                               "expected": want, "got": (want + 1) % q}
+
+
 class TestVerifyCosts:
     def test_basic_sweep(self):
         rows = verify_costs([{"scheme": "basic", "n": n} for n in (4, 5, 6, 10)])

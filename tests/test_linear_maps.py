@@ -1,0 +1,195 @@
+"""The oracle and the decoders as fixed linear maps, against per-cell and
+per-subpacket references: interpolating every cell on its own, and solving
+every subpacket's own decode system."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pruw import basic, topr
+from pruw import random_sparse as rs
+from pruw.errors import IntegrityError
+from pruw.field import allocate_eval_points
+from pruw.poly import (
+    DecodeSystem,
+    apply_rows,
+    decode_inverse,
+    decode_row,
+    lagrange_interpolate,
+    poly_degree,
+    solve_decode,
+)
+from pruw.storage import ModelPlain, init_basic, init_random_sparse, init_topr, reconstruct_plain
+
+SMALL_PRIMES = (17, 31, 127, 2**31 - 1)
+
+
+def reference_reconstruct(states):
+    """Per-cell Lagrange interpolation, read off at the bit constant."""
+    fp, layout, first = states[0].fp, states[0].layout, states[0]
+    q, width = fp.q, layout.width
+    out = ModelPlain.zeros(first.m_count, first.length)
+    for s in range(first.subpackets):
+        for j in range(width):
+            f_j, pos = fp.fs[j], s * width + j
+            for m in range(first.m_count):
+                ys = []
+                for st_ in states:
+                    v = st_.cells[s][j][m]
+                    if not layout.affine_mask:
+                        v = v * (f_j - fp.alpha(st_.db_index)) % q
+                    ys.append(v % q)
+                coeffs = lagrange_interpolate(fp.field, list(fp.alphas), ys)
+                if poly_degree(coeffs) > layout.noise_terms:
+                    raise IntegrityError(f"cell (s={s}, j={j}, m={m}) inconsistent across databases")
+                w = fp.field.poly_eval(coeffs, f_j)
+                if pos < first.length:
+                    out.values[m][pos] = w
+                elif w != 0:
+                    raise IntegrityError("padding decoded to a nonzero symbol")
+    return out
+
+
+def outcome(fn, states):
+    """The reconstructed model, or the IntegrityError message."""
+    try:
+        return fn(states)
+    except IntegrityError as exc:
+        return f"IntegrityError: {exc}"
+
+
+@st.composite
+def storage_shapes(draw):
+    """Small valid storage for every layout, with an unaligned length."""
+    scheme = draw(st.sampled_from(["basic", "topr1", "topr2", "random"]))
+    if scheme == "basic":
+        n = draw(st.integers(4, 8))
+        t_storage = draw(st.integers((n + 1) // 2, n - 2))
+        width = n - t_storage - 1
+    elif scheme == "topr1":
+        width = draw(st.integers(1, 2))
+        n = 4 * width + 2
+    elif scheme == "topr2":
+        width = draw(st.integers(1, 3))
+        n = 2 * width + 4
+    else:
+        n = draw(st.integers(4, 9))
+        ell_r, ell_w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        case = 1 if ell_w > ell_r else 2
+        width = max(ell_r, ell_w)
+    q = draw(st.sampled_from([p for p in SMALL_PRIMES if p > n + width]))
+    m_count = draw(st.integers(1, 3))
+    # at least one padding symbol whenever the width allows it
+    length = draw(st.integers(1, 3)) * width - (draw(st.integers(1, width - 1)) if width > 1 else 0)
+    seed = draw(st.integers(0, 2**32))
+    fp = allocate_eval_points(n, width, q)
+    model = ModelPlain.random(m_count, length, q, random.Random(seed))
+    if scheme == "basic":
+        states = init_basic(model, fp, t_storage, 1, 1, seed)
+    elif scheme == "random":
+        states = init_random_sparse(model, fp, case, ell_r, ell_w, seed)
+    else:
+        states = init_topr(model, fp, int(scheme[-1]), seed)
+    return states, random.Random(seed)
+
+
+class TestOracleMap:
+    @given(storage_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_cell_interpolation(self, drawn):
+        states, rng = drawn
+        assert reconstruct_plain(states) == reference_reconstruct(states)
+
+        # one corrupted replica of one random cell: both name the same cell
+        fp = states[0].fp
+        s = rng.randrange(states[0].subpackets)
+        j = rng.randrange(states[0].layout.width)
+        m = rng.randrange(states[0].m_count)
+        cells = states[rng.randrange(fp.n_databases)].cells[s][j]
+        cells[m] = (cells[m] + rng.randrange(1, fp.q)) % fp.q
+        got = outcome(reconstruct_plain, states)
+        assert got == outcome(reference_reconstruct, states)
+        assert got == f"IntegrityError: cell (s={s}, j={j}, m={m}) inconsistent across databases"
+
+    @given(storage_shapes())
+    @settings(max_examples=30, deadline=None)
+    def test_nonzero_padding_raises(self, drawn):
+        states, rng = drawn
+        first = states[0]
+        width = first.layout.width
+        if first.padded_length == first.length:
+            return
+        pos = rng.randrange(first.length, first.padded_length)
+        s, j = divmod(pos, width)
+        m = rng.randrange(first.m_count)
+        for st_ in states:  # consistently, so only the padding check can fire
+            fp = st_.fp
+            step = 1 if st_.layout.affine_mask else fp.field.inv(fp.fs[j] - fp.alpha(st_.db_index))
+            st_.cells[s][j][m] = (st_.cells[s][j][m] + step) % fp.q
+        for fn in (reconstruct_plain, reference_reconstruct):
+            with pytest.raises(IntegrityError, match="padding"):
+                fn(states)
+
+
+def solve_own_system(fp, alphas, f_subset, power_count, answers):
+    rows = [decode_row(fp.field, a, f_subset, power_count) for a in alphas]
+    return solve_decode(fp.field, DecodeSystem(rows=rows, rhs=list(answers)))[: len(f_subset)]
+
+
+class TestDecoderMaps:
+    @given(st.integers(4, 10), st.sampled_from(SMALL_PRIMES[1:]), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_decoders_match_their_own_systems(self, n, q, seed):
+        rng = random.Random(seed)
+        params = basic.optimal_params(n)
+        fp = allocate_eval_points(n, max(params.ell, 3), q)
+        answers = [rng.randrange(q) for _ in range(n)]
+        assert basic.decode_answers(fp, params, answers) == solve_own_system(
+            fp, fp.alphas, fp.fs[: params.ell], params.t_storage + params.t_query, answers)
+        for case, ell, power_count in ((1, (n - 2) // 4, 3 * ((n - 2) // 4) + 2),
+                                       (2, (n - 4) // 2, (n - 4) // 2 + 4)):
+            if ell >= 1 and ell + power_count == n:
+                assert topr.decode_sparse(fp, case, ell, answers) == solve_own_system(
+                    fp, fp.alphas, fp.fs[:ell], power_count, answers)
+        # any subset of bit constants against any square system
+        k = rng.randint(1, min(3, n - 1))
+        f_subset = tuple(rng.sample(fp.fs, k))
+        inverse = decode_inverse(fp.field, fp.alphas, f_subset, n - k)
+        assert apply_rows(q, inverse, answers) == solve_own_system(
+            fp, fp.alphas, f_subset, n - k, answers)
+
+    @given(st.sampled_from([(6, 6, 8), (10, 6, 4), (9, 4, 5), (7, 3, 3)]),
+           st.integers(0, 2**32))
+    @settings(max_examples=12, deadline=None)
+    def test_region_read_matches_per_subpacket_solve(self, shape, seed):
+        n, ell_r, ell_w = shape
+        rng = random.Random(seed)
+        plan = rs.plan_from_subpacketizations(n, ell_r, ell_w)
+        spec = plan.regions[0]
+        fp = allocate_eval_points(n, spec.y, 127)
+        length = 2 * spec.period
+        model = ModelPlain.random(2, length, 127, rng)
+        realized = rs.realize_regions(plan, length)[0]
+        states = rs.init_region_states(model, fp, realized, seed, 0)
+        j_read = rs.draw_bit_sets(plan, seed)[0].read
+        queries = rs.build_read_queries(1, fp, spec, j_read, 2, rng)
+        decoded = rs.region_read(fp, realized, states, queries, j_read)
+
+        dbs = rs.read_databases(n, spec.case)
+        alphas = [fp.alpha(db) for db in dbs]
+        for s in range(length // ell_r):
+            t = s % spec.read_patterns
+            fs = rs._pattern_fs(fp, t + 1, ell_r, spec.y)
+            answers = []
+            for db in dbs:
+                acc = 0
+                for i in range(ell_r):
+                    cell_block, j = divmod(s * ell_r + i, spec.y)
+                    row = states[db - 1].cells[cell_block][j]
+                    acc += sum(c * v for c, v in zip(row, queries[t][db - 1][i]))
+                answers.append(acc % 127)
+            f_subset = [fs[i - 1] for i in j_read[t]]
+            want = solve_own_system(fp, alphas, f_subset, len(dbs) - len(f_subset), answers)
+            assert [decoded[s * ell_r + i - 1] for i in j_read[t]] == want

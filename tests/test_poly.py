@@ -66,18 +66,18 @@ class TestCombineUpdate:
     def test_worked_value(self):
         # frozen from the term-by-term oracle
         assert combine_oracle(F11, [4, 5], [1, 2], 3, [2]) == 10
-        assert combine_update(F11, [4, 5], [1, 2], 3, [2]) == 10
+        assert combine_update(F11, [4, 5], [1, 2], [3], [2]) == [10]
 
     def test_all_zero(self):
-        assert combine_update(F11, [0, 0], [1, 2], 3, [0]) == 0
+        assert combine_update(F11, [0, 0], [1, 2], [3], [0]) == [0]
 
     def test_single_bit_closed_form(self):
         d, f1, alpha, z = 7, 1, 4, 9
-        assert combine_update(F11, [d], [f1], alpha, [z]) == (d + (f1 - alpha) * z) % 11
+        assert combine_update(F11, [d], [f1], [alpha], [z]) == [(d + (f1 - alpha) * z) % 11]
 
     def test_alpha_collision_rejected(self):
         with pytest.raises(DomainError):
-            combine_update(F11, [1, 2], [1, 2], 2, [0])
+            combine_update(F11, [1, 2], [1, 2], [3, 2], [0])
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100)
@@ -87,12 +87,12 @@ class TestCombineUpdate:
         field = PrimeField(q)
         ell = rng.randint(1, 5)
         fs = list(range(1, ell + 1))
-        alpha = rng.randint(ell + 1, ell + 6)
+        alphas = rng.sample(range(ell + 1, ell + 7), rng.randint(1, 4))
         deltas = [rng.randrange(q) for _ in range(ell)]
         noise = [rng.randrange(q) for _ in range(rng.randint(1, 3))]
-        assert combine_update(field, deltas, fs, alpha, noise) == combine_oracle(
-            field, deltas, fs, alpha, noise
-        )
+        assert combine_update(field, deltas, fs, alphas, noise) == [
+            combine_oracle(field, deltas, fs, alpha, noise) for alpha in alphas
+        ]
 
     def test_noise_free_interpolates_updates_at_bit_constants(self):
         # the plain component of the combined symbol passes through each
@@ -104,7 +104,7 @@ class TestCombineUpdate:
         fs = list(range(1, ell + 1))
         deltas = [rng.randrange(q) for _ in range(ell)]
         alphas = list(range(ell + 1, ell + 1 + ell + 1))
-        values = [combine_update(field, deltas, fs, a, [0]) for a in alphas]
+        values = combine_update(field, deltas, fs, alphas, [0])
         coeffs = lagrange_interpolate(field, alphas, values)
         for k in range(ell):
             assert field.poly_eval(coeffs, fs[k]) == deltas[k]
@@ -125,7 +125,7 @@ class TestInterpolation:
 
 
 def build_update_symbols(field, fs, alphas, deltas, noise):
-    return [combine_update(field, deltas, fs, a, noise) for a in alphas]
+    return combine_update(field, deltas, fs, alphas, noise)
 
 
 class TestUpdateResidual:

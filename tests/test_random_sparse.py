@@ -169,7 +169,7 @@ class TestCase2Protocol:
         from pruw.poly import combine_update, delta_tilde
 
         d1, d3, z = 17, 42, 9
-        u = combine_update(fp.field, [d1, d3], [5, 1], fp.alpha(2), [z])
+        (u,) = combine_update(fp.field, [d1, d3], [5, 1], [fp.alpha(2)], [z])
         alpha = fp.alpha(2)
         dt = delta_tilde(fp.field, [d1, d3], [5, 1])
         manual = (dt[0] * (1 - alpha) + dt[1] * (5 - alpha)
