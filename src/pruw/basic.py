@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .errors import ConfigError, DomainError
 from .field import FieldParams, seeded_uniform
-from .poly import apply_rows, combine_update, decode_inverse
-from .storage import DatabaseState
+from .poly import apply_rows, build_query, combine_update, decode_inverse
+from .storage import DatabaseState, answer, fold
 
 
 @dataclass(frozen=True)
@@ -104,52 +104,19 @@ def build_read_query(
     rng: random.Random,
     disable_noise: bool = False,
 ) -> ReadQuery:
-    # disable_noise is for debug fixtures only: it reveals theta outright
-    if not 1 <= theta <= m_count:
-        raise DomainError(f"submodel index {theta} outside 1..{m_count}")
-    q = fp.q
-    ell = params.ell
-    # mask[k][i][m]: coefficient vectors, identical for every database
-    masks = [
-        [
-            [0] * m_count if disable_noise else seeded_uniform(rng, q, m_count)
-            for _ in range(params.t_query)
-        ]
-        for _ in range(ell)
-    ]
-    blocks = []
-    for n in range(1, fp.n_databases + 1):
-        alpha = fp.alpha(n)
-        block = []
-        for k in range(ell):
-            inv = fp.field.inv(fp.fs[k] - alpha)
-            vec = []
-            for m in range(m_count):
-                acc = inv if (m + 1) == theta else 0
-                p = 1
-                for i in range(params.t_query):
-                    acc = (acc + p * masks[k][i][m]) % q
-                    p = p * alpha % q
-                vec.append(acc)
-            block.append(vec)
-        blocks.append(block)
+    """Reciprocal query blocks with ``t_query`` mask terms per bit."""
+    blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, rng, disable_noise,
+                         terms=params.t_query)
     return ReadQuery(theta=theta, params=params, blocks=blocks)
 
 
 def answer_read(state: DatabaseState, query: ReadQuery, s: int) -> int:
     """One answer symbol: the inner product of subpacket s with the query."""
     block = query.block(state.db_index)
-    cells = state.cells[s]
-    if len(block) != len(cells) or any(len(v) != state.m_count for v in block):
+    ell = state.layout.width
+    if len(block) != ell or any(len(v) != state.m_count for v in block):
         raise DomainError("query shape does not match storage shape")
-    q = state.fp.q
-    acc = 0
-    for k in range(len(cells)):
-        row = cells[k]
-        qv = block[k]
-        for m in range(state.m_count):
-            acc = (acc + row[m] * qv[m]) % q
-    return acc
+    return answer(state.fp.q, state.rows(s * ell, ell), block)
 
 
 def decode_answers(fp: FieldParams, params: BasicParams, answers: list[int]) -> list[int]:
@@ -161,14 +128,15 @@ def decode_answers(fp: FieldParams, params: BasicParams, answers: list[int]) -> 
     return apply_rows(fp.q, inverse, answers)
 
 
-def null_shaper_factor(fp: FieldParams, skip_set, k: int, n: int) -> int:
-    """Diagonal factor prod_r (a_r - a_n) / prod_r (a_r - f_k); zero on the
-    skip set itself.  ``k`` and ``n`` are 1-based."""
+def null_shaper_factor(fp: FieldParams, skip_set, f: int, n: int) -> int:
+    """Diagonal factor prod_r (a_r - a_n) / prod_r (a_r - f) for the bit
+    constant value ``f``; zero on the skip set itself, 1 for an empty one.
+    ``n`` and the members of ``skip_set`` are 1-based database indices."""
     q = fp.q
     num, den = 1, 1
     for r in skip_set:
         num = num * (fp.alpha(r) - fp.alpha(n)) % q
-        den = den * (fp.alpha(r) - fp.f(k)) % q
+        den = den * (fp.alpha(r) - f) % q
     return num * fp.field.inv(den) % q
 
 
@@ -204,14 +172,9 @@ def apply_write(state: DatabaseState, query: ReadQuery, u_symbol: int, s: int,
     if state.db_index in params.skip_set:
         raise DomainError("databases in the skip set receive no write payload")
     q = state.fp.q
-    block = query.block(state.db_index)
-    cells = state.cells[s]
-    for k in range(params.ell):
-        factor = factors[k] * u_symbol % q
-        row = cells[k]
-        qv = block[k]
-        for m in range(state.m_count):
-            row[m] = (row[m] + factor * qv[m]) % q
+    ell = params.ell
+    fold(q, state.rows(s * ell, ell), query.block(state.db_index),
+         [f * u_symbol % q for f in factors])
 
 
 def write_round(
@@ -240,8 +203,8 @@ def write_round(
         # the decomposition factors depend only on the constants: once per round
         alpha = fp.alpha(st.db_index)
         factors = [
-            (fp.fs[k] - alpha) * null_shaper_factor(fp, params.skip_set, k + 1, st.db_index) % fp.q
-            for k in range(params.ell)
+            (f - alpha) * null_shaper_factor(fp, params.skip_set, f, st.db_index) % fp.q
+            for f in fp.fs[: params.ell]
         ]
         for s, per_db in enumerate(symbols):
             apply_write(st, query, per_db[st.db_index - 1], s, factors)

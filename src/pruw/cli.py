@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import audit as audit_mod
 from . import harness, snapshot
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InconclusiveError, PruwError
@@ -88,16 +87,21 @@ def cmd_cost_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    # imported here, not at module level: audit pulls in scipy.stats, which
+    # every other command would otherwise pay for at start-up
+    from . import audit
+
     if args.disable_noise:
         print(INSECURE_BANNER, file=sys.stderr)
+    threshold = audit.TVD_THRESHOLD if args.tvd_threshold is None else args.tvd_threshold
     try:
-        results = audit_mod.default_audit_suite(
+        results = audit.default_audit_suite(
             args.scheme,
             samples=args.samples,
             q=args.q,
             seed=args.seed if args.seed is not None else 0,
             disable_noise=args.disable_noise,
-            tvd_threshold=args.tvd_threshold,
+            tvd_threshold=threshold,
         )
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
@@ -175,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.add_argument("--samples", type=int, default=100_000)
     audit_p.add_argument("--q", type=int, default=5)
     audit_p.add_argument("--seed", type=int, default=0)
-    audit_p.add_argument("--tvd-threshold", type=float, default=audit_mod.TVD_THRESHOLD,
-                         dest="tvd_threshold",
-                         help="loosen when running fewer samples than the default")
+    audit_p.add_argument("--tvd-threshold", type=float, dest="tvd_threshold",
+                         help="loosen when running fewer samples than the default "
+                              "(default: pruw.audit.TVD_THRESHOLD)")
     audit_p.add_argument("--out", help="audits JSON path (stdout when omitted)")
     audit_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
     audit_p.set_defaults(func=cmd_audit)

@@ -77,43 +77,11 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat's little theorem."""
         if a % self.q == 0:
             raise DomainError("division by zero")
         return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a, e, self.q)
-
-    def arith(self, a: int, b: int, op: str) -> int:
-        """Dispatch form of the four basic operations."""
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "div":
-            return self.div(a, b)
-        raise DomainError(f"unknown operation {op!r}")
 
     def poly_eval(self, coeffs, x: int) -> int:
         """Evaluate a coefficient list (ascending powers) at x, Horner form."""

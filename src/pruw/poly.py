@@ -1,5 +1,13 @@
 """Polynomial kernels shared by all scheme variants.
 
+Every scheme's query comes from :func:`build_query`: at the wanted submodel
+either the reciprocal ``1/(f_k - alpha_n)`` or the indicator 1, plus a mask
+polynomial in ``alpha_n`` whose coefficients all databases share.  The
+indicator query is the reciprocal query scaled by ``(f_k - alpha_n)``.  The
+database side of every scheme is two kernels in :mod:`pruw.storage` over
+``DatabaseState.rows``: ``answer`` (the masked inner product a read returns)
+and ``fold`` (a write's scaled copy of the cached query, added in place).
+
 The write paths combine the per-bit updates of a subpacket into one symbol
 per database (a Lagrange-style combination evaluated at that database's
 constant); the read paths invert square systems whose rows mix reciprocal
@@ -21,7 +29,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import PrimeField
+from .field import FieldParams, PrimeField, seeded_uniform
 
 
 def delta_tilde(field: PrimeField, deltas, fs) -> list[int]:
@@ -69,6 +77,54 @@ def combine_update(field: PrimeField, deltas, fs, alphas, noise) -> list[int]:
     return out
 
 
+def build_query(
+    theta: int,
+    fp: FieldParams,
+    fs,
+    m_count: int,
+    rng,
+    disable_noise: bool = False,
+    reciprocal: bool = True,
+    terms: int = 1,
+    selected=None,
+) -> list[list[list[int]]]:
+    """Masked query blocks ``[n-1][k][m]`` for the bit constants ``fs``.
+
+    Reciprocal form at database n, bit k: ``1/(f_k - alpha_n)`` at
+    ``m = theta`` plus the mask ``sum_i mask_k[i] alpha_n^i`` with ``terms``
+    coefficient vectors per bit, shared across databases.  The indicator
+    form is the reciprocal form times ``(f_k - alpha_n)``: 1 at theta plus
+    ``(f_k - alpha_n)`` times the mask.  The theta entry sits only on the
+    bits in ``selected`` (1-based; all bits when None).  Each bit's masks
+    are one draw of ``m_count * terms`` symbols, in bit order, and
+    ``mask_k[i]`` is its i-th run of ``m_count``; ``disable_noise`` (debug
+    fixtures only) draws nothing and reveals theta outright.
+    """
+    if not 1 <= theta <= m_count:
+        raise DomainError(f"submodel index {theta} outside 1..{m_count}")
+    q = fp.q
+    size = m_count * terms
+    masks = [[0] * size if disable_noise else seeded_uniform(rng, q, size) for _ in fs]
+    hits = range(1, len(fs) + 1) if selected is None else selected
+    t = theta - 1
+    blocks = []
+    for alpha in fp.alphas:
+        block = []
+        for k, (f, mask) in enumerate(zip(fs, masks), 1):
+            # Horner over the mask terms, highest power first
+            vec = mask[size - m_count:]
+            for lo in range(size - 2 * m_count, -1, -m_count):
+                vec = [(v * alpha + c) % q for v, c in zip(vec, mask[lo:lo + m_count])]
+            if not reciprocal:
+                scale = f - alpha
+                vec = [v * scale % q for v in vec]
+            if k in hits:
+                vec[t] = (vec[t] + (fp.field.inv(f - alpha) if reciprocal else 1)) % q
+            block.append(vec)
+        blocks.append(block)
+    return blocks
+
+
 def lagrange_interpolate(field: PrimeField, xs, ys) -> list[int]:
     """Coefficients (ascending powers) of the unique poly through the points."""
     if len(xs) != len(ys):
@@ -91,7 +147,7 @@ def lagrange_interpolate(field: PrimeField, xs, ys) -> list[int]:
                 new[k + 1] = (new[k + 1] + c) % q
             basis = new
             denom = denom * (xs[i] - xs[j]) % q
-        scale = field.div(ys[i], denom)
+        scale = ys[i] * field.inv(denom) % q
         for k, c in enumerate(basis):
             coeffs[k] = (coeffs[k] + scale * c) % q
     return coeffs

@@ -22,10 +22,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
 from .field import FieldParams, derive_seed, seeded_uniform
-from .poly import apply_rows, combine_update, decode_inverse
-from .storage import DatabaseState, ModelPlain, init_random_sparse
+from .poly import apply_rows, build_query, combine_update, decode_inverse
+from .storage import DatabaseState, ModelPlain, answer, fold, init_random_sparse
 
 
 def g_index(x: int, y: int) -> int:
@@ -305,32 +306,14 @@ def build_read_queries(
     rng: random.Random,
     disable_noise: bool = False,
 ):
-    """One-time read queries: queries[t-1][n-1][i][m] over the patterns."""
-    if not 1 <= theta <= m_count:
-        raise DomainError(f"submodel index {theta} outside 1..{m_count}")
-    q = fp.q
-    out = []
-    for t in range(1, spec.read_patterns + 1):
-        fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
-        jset = set(j_read[t - 1])
-        masks = [
-            [0] * m_count if disable_noise else seeded_uniform(rng, q, m_count)
-            for _ in range(spec.ell_r)
-        ]
-        per_db = []
-        for n in range(1, fp.n_databases + 1):
-            alpha = fp.alpha(n)
-            block = [
-                [
-                    (((1 if (m + 1) == theta and i in jset else 0)
-                      + (fs[i - 1] - alpha) * masks[i - 1][m]) % q)
-                    for m in range(m_count)
-                ]
-                for i in range(1, spec.ell_r + 1)
-            ]
-            per_db.append(block)
-        out.append(per_db)
-    return out
+    """One-time read queries: queries[t-1][n-1][i][m] over the patterns.
+
+    Indicators on the J-set bits, masked by (f - alpha) times free noise."""
+    return [
+        build_query(theta, fp, _pattern_fs(fp, t, spec.ell_r, spec.y), m_count, rng,
+                    disable_noise, reciprocal=False, selected=j_read[t - 1])
+        for t in range(1, spec.read_patterns + 1)
+    ]
 
 
 def build_write_queries(
@@ -344,35 +327,14 @@ def build_write_queries(
 ):
     """One-time write queries: queries[t-1][n-1][i][m].
 
-    Reciprocal indicators masked by free noise; the reciprocal puts the
-    decomposed update directly into the storage shape.
+    Reciprocal indicators on the J-set bits masked by free noise; the
+    reciprocal puts the decomposed update directly into the storage shape.
     """
-    if not 1 <= theta <= m_count:
-        raise DomainError(f"submodel index {theta} outside 1..{m_count}")
-    q = fp.q
-    out = []
-    for t in range(1, spec.write_patterns + 1):
-        fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
-        jset = set(j_write[t - 1])
-        masks = [
-            [0] * m_count if disable_noise else seeded_uniform(rng, q, m_count)
-            for _ in range(spec.ell_w)
-        ]
-        per_db = []
-        for n in range(1, fp.n_databases + 1):
-            alpha = fp.alpha(n)
-            block = []
-            for i in range(1, spec.ell_w + 1):
-                inv = fp.field.inv(fs[i - 1] - alpha)
-                vec = [
-                    (((inv if (m + 1) == theta and i in jset else 0)
-                      + masks[i - 1][m]) % q)
-                    for m in range(m_count)
-                ]
-                block.append(vec)
-            per_db.append(block)
-        out.append(per_db)
-    return out
+    return [
+        build_query(theta, fp, _pattern_fs(fp, t, spec.ell_w, spec.y), m_count, rng,
+                    disable_noise, selected=j_write[t - 1])
+        for t in range(1, spec.write_patterns + 1)
+    ]
 
 
 def region_read(
@@ -404,22 +366,12 @@ def region_read(
         inverses.append(decode_inverse(fp.field, alphas, f_subset, power_count))
     for s in range(1, subpackets + 1):
         t = (s - 1) % spec.read_patterns + 1
-        answers = []
-        for db in dbs:
-            st = states[db - 1]
-            block = queries[t - 1][db - 1]
-            acc = 0
-            for i in range(1, spec.ell_r + 1):
-                pos = (s - 1) * spec.ell_r + i - 1
-                cell_block, j = divmod(pos, spec.y)
-                row = st.cells[cell_block][j]
-                qv = block[i - 1]
-                for m in range(st.m_count):
-                    acc = (acc + row[m] * qv[m]) % q
-            answers.append(acc)
+        lo = (s - 1) * spec.ell_r
+        answers = [answer(q, states[db - 1].rows(lo, spec.ell_r), queries[t - 1][db - 1])
+                   for db in dbs]
         sol = apply_rows(q, inverses[t - 1], answers)
         for idx, i in enumerate(j_read[t - 1]):
-            decoded[(s - 1) * spec.ell_r + i - 1] = sol[idx]
+            decoded[lo + i - 1] = sol[idx]
     return decoded
 
 
@@ -444,46 +396,33 @@ def region_write(
         raise DomainError("delta vector does not span the region")
     n = fp.n_databases
     dbs = write_databases(n, spec.case)
-    odd_excluded = n if (spec.case == 2 and n % 2 == 1) else None
+    # odd N, case 2: the excluded database is a one-element skip set
+    skip = (n,) if len(dbs) < n else ()
     subpackets = realized.total_bits // spec.ell_w
     q = fp.q
     alphas = [fp.alpha(db) for db in dbs]
-    # per write pattern: bit constants and each database's diagonal factors,
-    # which depend only on the constants
+    # per write pattern: bit constants and each database's null-shaper
+    # factors, which depend only on the constants
     patterns = []
     for t in range(1, spec.write_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
-        if odd_excluded is None:
-            diags = [[1] * spec.ell_w for _ in dbs]
-        else:
-            alpha_r = fp.alpha(odd_excluded)
-            diags = [
-                [(alpha_r - alpha) * fp.field.inv((alpha_r - f) % q) % q for f in fs]
-                for alpha in alphas
-            ]
+        diags = [[null_shaper_factor(fp, skip, f, db) for f in fs] for db in dbs]
         patterns.append((fs, diags))
     written: set[int] = set()
     for s in range(1, subpackets + 1):
         t = (s - 1) % spec.write_patterns + 1
         fs, diags = patterns[t - 1]
         jset = list(j_write[t - 1])
+        lo = (s - 1) * spec.ell_w
         sub_fs = [fs[i - 1] for i in jset]
-        sub_deltas = [deltas[(s - 1) * spec.ell_w + i - 1] for i in jset]
+        sub_deltas = [deltas[lo + i - 1] for i in jset]
         noise = [0] if disable_noise else seeded_uniform(rng, q, 1)
         us = combine_update(fp.field, sub_deltas, sub_fs, alphas, noise)
         for db, u, diag in zip(dbs, us, diags):
-            st = states[db - 1]
-            block_q = queries[t - 1][db - 1]
-            for i in range(1, spec.ell_w + 1):
-                pos = (s - 1) * spec.ell_w + i - 1
-                cell_block, j = divmod(pos, spec.y)
-                factor = diag[i - 1] * u % q
-                row = st.cells[cell_block][j]
-                qv = block_q[i - 1]
-                for m in range(st.m_count):
-                    row[m] = (row[m] + factor * qv[m]) % q
+            fold(q, states[db - 1].rows(lo, spec.ell_w), queries[t - 1][db - 1],
+                 [d * u % q for d in diag])
         for i in jset:
-            written.add((s - 1) * spec.ell_w + i - 1)
+            written.add(lo + i - 1)
     return written, subpackets * len(dbs)
 
 

@@ -64,6 +64,8 @@ def save_snapshot(path: str, bundle: SnapshotBundle) -> None:
     fp = bundle.fp
     if fp.q >= 1 << 64:
         raise ConfigError(f"q={fp.q} does not fit the snapshot's u64 modulus and cell words")
+    if not 0 <= bundle.seed < 1 << 64:
+        raise ConfigError(f"seed={bundle.seed} does not fit the snapshot's u64 seed word")
     out = bytearray()
     out += MAGIC
     out += struct.pack("<B", _SCHEME_TAGS[bundle.scheme])

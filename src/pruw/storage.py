@@ -185,6 +185,31 @@ class DatabaseState:
     def padded_length(self) -> int:
         return self.subpackets * self.layout.width
 
+    def rows(self, lo: int, count: int) -> list[list[int]]:
+        """The M-symbol cell rows at flat bit positions lo .. lo+count-1,
+        counted row-major over (subpacket, bit); the rows are the stored
+        lists, so :func:`fold` updates storage in place."""
+        width = self.layout.width
+        cells = self.cells
+        return [cells[p // width][p % width] for p in range(lo, lo + count)]
+
+
+def answer(q: int, rows, qvecs, coefs=None) -> int:
+    """A database's read answer: sum_k coefs[k] * <rows[k], qvecs[k]> mod q
+    (every coefficient 1 when ``coefs`` is None)."""
+    if coefs is None:
+        return sum(sum(map(operator.mul, row, qv)) for row, qv in zip(rows, qvecs)) % q
+    return sum(
+        c * sum(map(operator.mul, row, qv)) for c, row, qv in zip(coefs, rows, qvecs)
+    ) % q
+
+
+def fold(q: int, rows, qvecs, factors) -> None:
+    """A database's write: rows[k] += factors[k] * qvecs[k] mod q, in place."""
+    for row, qv, factor in zip(rows, qvecs, factors):
+        for m in range(len(row)):
+            row[m] = (row[m] + factor * qv[m]) % q
+
 
 def _padded(model: ModelPlain, width: int) -> tuple[list[list[int]], int]:
     pad = (-model.length) % width

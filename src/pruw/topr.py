@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .errors import ConfigError, DomainError, ProtocolError
 from .field import CounterNoise, FieldParams, seeded_uniform
-from .poly import apply_rows, combine_update, decode_inverse
-from .storage import DatabaseState, TopRLayout, topr_subpacketization
+from .poly import apply_rows, build_query, combine_update, decode_inverse
+from .storage import DatabaseState, TopRLayout, answer, fold, topr_subpacketization
 
 
 def round_half_up(x: Fraction) -> int:
@@ -149,42 +149,12 @@ def coordinator_setup(
 
 def build_query_case1(theta, fp, ell, m_count, rng, disable_noise=False):
     """Reciprocal query blocks with a single shared mask vector per bit."""
-    if not 1 <= theta <= m_count:
-        raise DomainError(f"submodel index {theta} outside 1..{m_count}")
-    q = fp.q
-    masks = [
-        [0] * m_count if disable_noise else seeded_uniform(rng, q, m_count)
-        for _ in range(ell)
-    ]
-    blocks = []
-    for n in range(1, fp.n_databases + 1):
-        inv = [fp.field.inv(fp.fs[k] - fp.alpha(n)) for k in range(ell)]
-        block = [
-            [((inv[k] if (m + 1) == theta else 0) + masks[k][m]) % q for m in range(m_count)]
-            for k in range(ell)
-        ]
-        blocks.append(block)
-    return blocks
+    return build_query(theta, fp, fp.fs[:ell], m_count, rng, disable_noise)
 
 
 def build_query_case2(theta, fp, ell, m_count, rng, disable_noise=False):
     """Indicator query blocks masked by (f_k - alpha) times a shared vector."""
-    if not 1 <= theta <= m_count:
-        raise DomainError(f"submodel index {theta} outside 1..{m_count}")
-    q = fp.q
-    masks = [
-        [0] * m_count if disable_noise else seeded_uniform(rng, q, m_count)
-        for _ in range(ell)
-    ]
-    blocks = []
-    for n in range(1, fp.n_databases + 1):
-        alpha = fp.alpha(n)
-        block = [
-            [((1 if (m + 1) == theta else 0) + (fp.fs[k] - alpha) * masks[k][m]) % q for m in range(m_count)]
-            for k in range(ell)
-        ]
-        blocks.append(block)
-    return blocks
+    return build_query(theta, fp, fp.fs[:ell], m_count, rng, disable_noise, reciprocal=False)
 
 
 def _check_states(setup: PermutationSetup, states: list[DatabaseState]) -> TopRLayout:
@@ -201,50 +171,23 @@ def _check_states(setup: PermutationSetup, states: list[DatabaseState]) -> TopRL
     return layout
 
 
+def column_weights(setup: PermutationSetup, n: int, v_perm: int) -> list[int]:
+    """Database n's un-permuting weights for permuted index v_perm, one per
+    (subpacket, bit) in storage order: column v_perm of the reversing matrix
+    repeated over the bits (case 1), or the sums over its block column
+    v_perm (case 2)."""
+    rev = setup.reversing_matrix(n)
+    ell = setup.ell
+    if setup.case == 1:
+        return [row[v_perm - 1] for row in rev for _ in range(ell)]
+    col0 = (v_perm - 1) * ell
+    return [sum(row[col0 : col0 + ell]) % setup.fp.q for row in rev]
+
+
 def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_perm: int) -> int:
     """Database-side answer for one permuted subpacket index."""
-    fp = state.fp
-    q = fp.q
-    ell = setup.ell
-    rev = setup.reversing_matrix(state.db_index)
-    acc = 0
-    if setup.case == 1:
-        col = v_perm - 1
-        for p_i in range(state.subpackets):
-            coef = rev[p_i][col]
-            if coef == 0:
-                continue
-            cells = state.cells[p_i]
-            for k in range(ell):
-                row = cells[k]
-                qv = query_block[k]
-                inner = 0
-                for m in range(state.m_count):
-                    inner = (inner + row[m] * qv[m]) % q
-                acc = (acc + coef * inner) % q
-    else:
-        size = state.subpackets * ell
-        col0 = (v_perm - 1) * ell
-        summed = [0] * size
-        for rr in range(size):
-            row = rev[rr]
-            t = 0
-            for j in range(ell):
-                t += row[col0 + j]
-            summed[rr] = t % q
-        for p_i in range(state.subpackets):
-            cells = state.cells[p_i]
-            for k in range(ell):
-                coef = summed[p_i * ell + k]
-                if coef == 0:
-                    continue
-                row = cells[k]
-                qv = query_block[k]
-                inner = 0
-                for m in range(state.m_count):
-                    inner = (inner + row[m] * qv[m]) % q
-                acc = (acc + coef * inner) % q
-    return acc
+    return answer(state.fp.q, state.rows(0, state.padded_length), query_block * state.subpackets,
+                  column_weights(setup, state.db_index, v_perm))
 
 
 def decode_sparse(fp: FieldParams, case: int, ell: int, answers: list[int]) -> list[int]:
@@ -350,44 +293,14 @@ def apply_sparse_write(
         raise ProtocolError("permuted position out of range")
     fp = state.fp
     q = fp.q
-    ell = setup.ell
     alpha = fp.alpha(state.db_index)
-    rev = setup.reversing_matrix(state.db_index)
-    p = state.subpackets
-    if setup.case == 1:
-        t_vec = [0] * p
-        for k_pos, u in zip(positions, symbols):
-            col = k_pos - 1
-            for row in range(p):
-                t_vec[row] = (t_vec[row] + rev[row][col] * u) % q
-        for s in range(p):
-            factor_base = t_vec[s]
-            cells = state.cells[s]
-            for k in range(ell):
-                factor = (fp.fs[k] - alpha) * factor_base % q
-                row = cells[k]
-                qv = query_block[k]
-                for m in range(state.m_count):
-                    row[m] = (row[m] + factor * qv[m]) % q
-    else:
-        size = p * ell
-        t_vec = [0] * size
-        for k_pos, u in zip(positions, symbols):
-            col0 = (k_pos - 1) * ell
-            for row in range(size):
-                rrow = rev[row]
-                t = 0
-                for j in range(ell):
-                    t += rrow[col0 + j]
-                t_vec[row] = (t_vec[row] + t * u) % q
-        for s in range(p):
-            cells = state.cells[s]
-            for k in range(ell):
-                factor = (fp.fs[k] - alpha) * t_vec[s * ell + k] % q
-                row = cells[k]
-                qv = query_block[k]
-                for m in range(state.m_count):
-                    row[m] = (row[m] + factor * qv[m]) % q
+    t_vec = [0] * state.padded_length
+    for v_perm, u in zip(positions, symbols):
+        weights = column_weights(setup, state.db_index, v_perm)
+        t_vec = [(t + w * u) % q for t, w in zip(t_vec, weights)]
+    scales = [f - alpha for f in fp.fs[: setup.ell]] * state.subpackets
+    fold(q, state.rows(0, state.padded_length), query_block * state.subpackets,
+         [c * t % q for c, t in zip(scales, t_vec)])
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,8 @@ class TestWriteRound:
         params, fp, _, _ = build_session(5, 127)
         assert params.skip_set == (1,)
         for k in range(1, params.ell + 1):
-            assert basic.null_shaper_factor(fp, params.skip_set, k, 1) == 0
-            assert basic.null_shaper_factor(fp, params.skip_set, k, 3) != 0
+            assert basic.null_shaper_factor(fp, params.skip_set, fp.f(k), 1) == 0
+            assert basic.null_shaper_factor(fp, params.skip_set, fp.f(k), 3) != 0
 
     def test_skipped_database_unchanged_but_updated(self):
         # odd N: database 1 gets no payload and its cells stay bit-identical,

@@ -183,6 +183,16 @@ class TestSnapshots:
         assert "u64" in capsys.readouterr().err
         assert not snap.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_beyond_u64_exit_2(self, tmp_path, capsys, seed):
+        # `pruw run` accepts any int seed; the snapshot stores it as a u64
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"scheme=basic\nn=4\nm=1\nl=2\nq=11\nseed={seed}\n")
+        snap = tmp_path / "snap.bin"
+        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 2
+        assert "u64" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_truncated_snapshot_detected(self, tmp_path, basic_cfg):
         snap = tmp_path / "snap.bin"
         main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)])
@@ -195,6 +205,16 @@ class TestSnapshots:
 
 
 class TestEntryPoint:
+    def test_import_leaves_scipy_out(self):
+        # only `pruw audit` needs scipy.stats; it is imported on that path alone
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pruw.cli; sys.exit('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_module_invocation(self, basic_cfg):
         proc = subprocess.run(
             [sys.executable, "-m", "pruw.cli", "run", "--config", basic_cfg],

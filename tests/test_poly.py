@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pruw.errors import DomainError
-from pruw.field import PrimeField, allocate_eval_points
+from pruw.field import PrimeField, allocate_eval_points, seeded_uniform
 from pruw.poly import (
     DecodeSystem,
+    build_query,
     combine_update,
     combined_update_residual,
     decode_row,
@@ -108,6 +109,44 @@ class TestCombineUpdate:
         coeffs = lagrange_interpolate(field, alphas, values)
         for k in range(ell):
             assert field.poly_eval(coeffs, fs[k]) == deltas[k]
+
+
+class TestBuildQuery:
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_entry_formula(self, seed, m_count, ell, terms, reciprocal, subset):
+        fp = allocate_eval_points(4, 4, 31)
+        fs = fp.fs[4 - ell:]
+        theta = seed % m_count + 1
+        selected = tuple(k for k in range(1, ell + 1) if k % 2) if subset else None
+        blocks = build_query(theta, fp, fs, m_count, random.Random(seed), reciprocal=reciprocal,
+                             terms=terms, selected=selected)
+        # each bit's masks are one draw of m_count * terms symbols, term-major
+        rng = random.Random(seed)
+        masks = [seeded_uniform(rng, 31, m_count * terms) for _ in fs]
+        for n, alpha in enumerate(fp.alphas):
+            for k, f in enumerate(fs):
+                for m in range(m_count):
+                    mask = sum(masks[k][i * m_count + m] * alpha**i for i in range(terms))
+                    hit = m + 1 == theta and (selected is None or k + 1 in selected)
+                    if reciprocal:
+                        want = (hit * fp.field.inv(f - alpha) + mask) % 31
+                    else:
+                        want = (hit + (f - alpha) * mask) % 31
+                    assert blocks[n][k][m] == want
+
+    def test_disable_noise_draws_nothing(self):
+        fp = allocate_eval_points(3, 2, 31)
+        rng = random.Random(5)
+        build_query(1, fp, fp.fs, 2, rng, disable_noise=True, terms=2)
+        assert rng.random() == random.Random(5).random()
+
+    def test_theta_out_of_range(self):
+        fp = allocate_eval_points(3, 2, 31)
+        for theta in (0, 3):
+            with pytest.raises(DomainError):
+                build_query(theta, fp, fp.fs, 2, random.Random(0))
 
 
 class TestInterpolation:
