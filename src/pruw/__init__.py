@@ -13,7 +13,7 @@ from .errors import (
     PruwError,
 )
 from .field import FieldParams, PrimeField, allocate_eval_points
-from .harness import Session, run_iteration, run_session, verify_costs
+from .harness import Session, run_session, verify_costs
 
 __all__ = [
     "ConfigError",
@@ -29,7 +29,6 @@ __all__ = [
     "allocate_eval_points",
     "load_config",
     "parse_config_text",
-    "run_iteration",
     "run_session",
     "verify_costs",
 ]

@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, seeded_uniform
+from .field import FieldParams, allocate_eval_points, seeded_uniform
 from .poly import apply_rows, build_query, combine_update, decode_inverse
-from .storage import DatabaseState, answer, fold
+from .storage import DatabaseState, answer, fold, init_basic
 
 
 @dataclass(frozen=True)
@@ -209,3 +210,67 @@ def write_round(
         for s, per_db in enumerate(symbols):
             apply_write(st, query, per_db[st.db_index - 1], s, factors)
     return symbols
+
+
+class BasicScheme:
+    """The basic scheme in a session: one storage block over the whole model,
+    a fresh read query per iteration, and a dense write that skips the skip
+    set.  Unset noise budgets follow the cost optimum."""
+
+    budget = None
+    perm_setup = None
+
+    def __init__(self, cfg, coordinator):
+        self.cfg = cfg
+        if cfg.t1 is None and cfg.t2 is None and cfg.t3 is None:
+            self.params = optimal_params(cfg.n)
+        else:
+            opt = optimal_params(cfg.n) if cfg.n >= 4 else None
+            self.params = BasicParams(
+                n=cfg.n,
+                t_storage=cfg.t1 if cfg.t1 is not None else (opt.t_storage if opt else 1),
+                t_query=cfg.t2 if cfg.t2 is not None else 1,
+                t_update=cfg.t3 if cfg.t3 is not None else 1,
+            )
+        self.fp = allocate_eval_points(cfg.n, self.params.ell, cfg.q)
+        self.length = cfg.l
+
+    def init_storage(self, model, seed: int) -> None:
+        p = self.params
+        self.states = init_basic(model, self.fp, p.t_storage, p.t_query, p.t_update, seed,
+                                 self.cfg.disable_noise)
+        self.storage = [(0, self.length, self.states)]
+
+    def read(self, theta, iteration, rng, record, detail):
+        cfg, params = self.cfg, self.params
+        self.query = build_read_query(theta, params, self.fp, cfg.m, rng, cfg.disable_noise)
+        for n in range(1, cfg.n + 1):
+            record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, params.ell * cfg.m)
+        decoded: list[int] = []
+        for s in range(self.states[0].subpackets):
+            answers = []
+            for st in self.states:
+                answers.append(answer_read(st, self.query, s))
+                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, 1, subpacket=s)
+            decoded.extend(decode_answers(self.fp, params, answers))
+        return list(enumerate(decoded[: self.length]))
+
+    def write(self, theta, rng, record, detail):
+        cfg, params = self.cfg, self.params
+        ell, subpackets = params.ell, self.states[0].subpackets
+        # padded tail positions must stay zero
+        flat = seeded_uniform(rng, self.fp.q, self.length)
+        flat += [0] * (self.states[0].padded_length - self.length)
+        write_round([flat[s * ell : (s + 1) * ell] for s in range(subpackets)], theta, params,
+                    self.fp, self.query, self.states, rng, cfg.disable_noise)
+        skip = params.skip_set
+        for s in range(subpackets):
+            for n in range(1, cfg.n + 1):
+                if n not in skip:
+                    record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, 1, subpacket=s)
+        detail["skip_set"] = list(skip)
+        return list(enumerate(flat[: self.length]))
+
+    def costs(self):
+        c_r, c_w, _ = costs_basic_general(self.params)
+        return c_r, c_w

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import harness, snapshot
+from . import snapshot
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InconclusiveError, PruwError
 from .harness import CSV_HEADER, Session, run_session, verify_costs
@@ -113,16 +113,10 @@ def cmd_audit(args) -> int:
 
 def cmd_save_snapshot(args) -> int:
     cfg = _load_cfg(args)
-    session = Session(cfg)
-    if cfg.scheme == "random":
-        regions = session.region_states
-        setup = None
-    else:
-        regions = [session.states]
-        setup = session.setup if cfg.scheme == "topr" else None
+    scheme = Session(cfg).scheme
     bundle = snapshot.SnapshotBundle(
-        scheme=cfg.scheme, fp=session.fp, seed=cfg.seed, regions=regions,
-        perm_setup=setup,
+        scheme=cfg.scheme, fp=scheme.fp, seed=cfg.seed,
+        regions=[states for _, _, states in scheme.storage], perm_setup=scheme.perm_setup,
     )
     snapshot.save_snapshot(args.out, bundle)
     print(f"saved {cfg.scheme} snapshot to {args.out}")

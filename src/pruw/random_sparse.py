@@ -22,9 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import wire
 from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
-from .field import FieldParams, derive_seed, seeded_uniform
+from .field import FieldParams, allocate_eval_points, derive_seed, seeded_uniform
 from .poly import apply_rows, build_query, combine_update, decode_inverse
 from .storage import DatabaseState, ModelPlain, answer, fold, init_random_sparse
 
@@ -74,10 +75,6 @@ class RegionSpec:
     @property
     def gamma_r(self) -> int:
         return self.period // self.ell_r
-
-    @property
-    def gamma_w(self) -> int:
-        return self.period // self.ell_w
 
 
 @dataclass(frozen=True)
@@ -460,3 +457,86 @@ def costs_random_closed_form(n: int, d_read, d_write) -> tuple[Fraction, Fractio
     if d_read < d_write:
         return loose * (1 - d_read), tight * (1 - d_write)
     return tight * (1 - d_read), loose * (1 - d_write)
+
+
+class RandomScheme:
+    """Random sparsification in a session: one storage block per realized
+    region, with the bit sets and the one-time queries fixed at set-up for
+    the configured theta."""
+
+    perm_setup = None
+
+    def __init__(self, cfg, coordinator):
+        self.cfg = cfg
+        self.plan = optimize_plan(cfg.n, cfg.d_read, cfg.d_write)
+        self.budget = (self.plan.d_read, self.plan.d_write)
+        self.realized = realize_regions(self.plan, cfg.l)
+        self.length = cfg.l
+        self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.realized), cfg.q)
+        self.bit_sets = draw_bit_sets(self.plan, cfg.seed)
+        validate_bit_sets(self.plan, self.bit_sets)
+        rng = random.Random(coordinator.scheme_seed("one-time-queries"))
+        self.read_queries, self.write_queries = [], []
+        for reg, sets in zip(self.realized, self.bit_sets):
+            self.read_queries.append(build_read_queries(cfg.theta, self.fp, reg.spec, sets.read,
+                                                        cfg.m, rng, cfg.disable_noise))
+            self.write_queries.append(build_write_queries(cfg.theta, self.fp, reg.spec,
+                                                          sets.write, cfg.m, rng,
+                                                          cfg.disable_noise))
+
+    def init_storage(self, model, seed: int) -> None:
+        self.storage = [
+            (reg.start, reg.real_bits,
+             init_region_states(model, self.fp, reg, seed, idx, self.cfg.disable_noise))
+            for idx, reg in enumerate(self.realized)
+        ]
+
+    def read(self, theta, iteration, rng, record, detail):
+        cfg = self.cfg
+        if theta != cfg.theta:
+            raise ConfigError("the one-time queries pin theta for the whole session")
+        # one-time queries are uploaded on the first iteration only
+        if iteration == 0:
+            for reg in self.realized:
+                spec = reg.spec
+                for n in range(1, cfg.n + 1):
+                    record(wire.READ_Q, wire.PHASE_READ, wire.UP, n,
+                           spec.read_patterns * spec.ell_r * cfg.m)
+                    record(wire.WRITE_QGEN, wire.PHASE_WRITE, wire.UP, n,
+                           spec.write_patterns * spec.ell_w * cfg.m, metered=False)
+        pairs = []
+        for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
+                                                      self.read_queries, self.bit_sets):
+            decoded = region_read(self.fp, reg, states, queries, sets.read)
+            dbs = read_databases(cfg.n, reg.spec.case)
+            for s in range(reg.total_bits // reg.spec.ell_r):
+                for db in dbs:
+                    record(wire.READ_A, wire.PHASE_READ, wire.DOWN, db, 1, subpacket=s)
+            pairs += [(reg.start + pos, value) for pos, value in decoded.items()
+                      if pos < reg.real_bits]
+        detail["regions"] = [
+            {"lam": str(reg.spec.lam), "ell_r": reg.spec.ell_r, "ell_w": reg.spec.ell_w,
+             "case": reg.spec.case, "real_bits": reg.real_bits, "pad_bits": reg.pad_bits}
+            for reg in self.realized
+        ]
+        return pairs
+
+    def write(self, theta, rng, record, detail):
+        cfg = self.cfg
+        deltas = seeded_uniform(rng, self.fp.q, self.length)
+        pairs = []
+        for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
+                                                      self.write_queries, self.bit_sets):
+            lo, hi = reg.start, reg.start + reg.real_bits
+            written, _ = region_write(deltas[lo:hi] + [0] * reg.pad_bits, theta, self.fp, reg,
+                                      states, queries, sets.write, rng, cfg.disable_noise)
+            dbs = write_databases(cfg.n, reg.spec.case)
+            for s in range(reg.total_bits // reg.spec.ell_w):
+                for db in dbs:
+                    record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db, 1, subpacket=s)
+            pairs += [(lo + pos, deltas[lo + pos]) for pos in sorted(written)
+                      if pos < reg.real_bits]
+        return pairs
+
+    def costs(self):
+        return costs_random(self.cfg.n, self.plan)

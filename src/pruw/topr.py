@@ -19,10 +19,15 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import CounterNoise, FieldParams, seeded_uniform
+from .field import CounterNoise, FieldParams, allocate_eval_points, seeded_uniform
 from .poly import apply_rows, build_query, combine_update, decode_inverse
-from .storage import DatabaseState, TopRLayout, answer, fold, topr_subpacketization
+from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
+
+# Bound on the symbols of all N reversing matrices, N * side^2 with side P
+# (case 1) or P * ell (case 2), which a session builds in its first iteration.
+REVERSING_SYMBOL_LIMIT = 1 << 21
 
 
 def round_half_up(x: Fraction) -> int:
@@ -46,8 +51,8 @@ class PermutationSetup:
     ``perm[i-1]`` is the true index assigned to permuted slot i.  The base
     reversing matrix has a 1 (case 1) or a reciprocal block (case 2) at
     (perm(i), i); each database's copy adds the shared noise matrix scaled
-    per case.  Matrices are built lazily per database and cached: they are
-    fixed for the lifetime of the setup.
+    per case.  All N matrices are built together at first use and cached:
+    they are fixed for the lifetime of the setup.
     """
 
     perm: tuple[int, ...]
@@ -93,31 +98,33 @@ class PermutationSetup:
         return mat
 
     def reversing_matrix(self, n: int) -> list[list[int]]:
-        """Noise-added reversing matrix held by database n (1-based)."""
-        if n in self._cache:
-            return self._cache[n]
-        q = self.fp.q
-        alpha = self.fp.alpha(n)
-        noise = CounterNoise(self.noise_seed)
-        if self.case == 1:
-            scale = 1
-            for j in range(self.ell):
-                scale = scale * (self.fp.fs[j] - alpha) % q
-            mat = self.base_matrix()
-            p = self.p_subpackets
-            for r in range(p):
-                row = mat[r]
-                for c in range(p):
-                    row[c] = (row[c] + scale * noise.symbol(q, "rev1", r, c)) % q
-        else:
-            mat = self.base_matrix_blocks(n)
-            size = self.p_subpackets * self.ell
-            for r in range(size):
-                row = mat[r]
-                for c in range(size):
-                    row[c] = (row[c] + noise.symbol(q, "rev2", r, c)) % q
-        self._cache[n] = mat
-        return mat
+        """Noise-added reversing matrix held by database n (1-based).
+
+        The noise is shared: case 1 scales it per database, case 2 adds it
+        as is.  So the first call draws it once and builds every database's
+        matrix in the same pass.
+        """
+        if not self._cache:
+            fp = self.fp
+            q = fp.q
+            noise = CounterNoise(self.noise_seed)
+            dbs = range(1, fp.n_databases + 1)
+            if self.case == 1:
+                tag, side = "rev1", self.p_subpackets
+                mats = {db: self.base_matrix() for db in dbs}
+                scales = {db: math.prod(f - fp.alpha(db) for f in fp.fs[: self.ell]) % q
+                          for db in dbs}
+            else:
+                tag, side = "rev2", self.p_subpackets * self.ell
+                mats = {db: self.base_matrix_blocks(db) for db in dbs}
+                scales = dict.fromkeys(dbs, 1)
+            for r in range(side):
+                zs = [noise.symbol(q, tag, r, c) for c in range(side)]
+                for db, mat in mats.items():
+                    scale = scales[db]
+                    mat[r] = [(a + scale * z) % q for a, z in zip(mat[r], zs)]
+            self._cache.update(mats)
+        return self._cache[n]
 
 
 def coordinator_setup(
@@ -361,3 +368,84 @@ def costs_topr_metered(n: int, p_subpackets: int, q: int, r, r_prime, case: int)
     read = Fraction(p_subpackets * clog + v * clog + v * n, length)
     write = Fraction(b * n * (1 + clog), length)
     return TopRCosts(read=read, write=write)
+
+
+class TopRScheme:
+    """Top-r sparsification in a session: one storage block, the coordinator's
+    permutation, and a read set that follows the previous write's positions
+    after the first iteration."""
+
+    budget = None
+
+    def __init__(self, cfg, coordinator):
+        self.cfg = cfg
+        ell = topr_subpacketization(cfg.n, cfg.case)
+        block = 1 if cfg.case == 1 else ell  # reversing-matrix rows per subpacket
+        side = cfg.p * block
+        if cfg.n * side * side > REVERSING_SYMBOL_LIMIT:
+            largest = math.isqrt(REVERSING_SYMBOL_LIMIT // cfg.n) // block
+            raise ConfigError(
+                f"p={cfg.p} needs {cfg.n * side * side} reversing-matrix symbols, above "
+                f"the limit of {REVERSING_SYMBOL_LIMIT}; the largest p for n={cfg.n}, "
+                f"case={cfg.case} is {largest}"
+            )
+        self.length = cfg.p * ell
+        self.fp = allocate_eval_points(cfg.n, ell, cfg.q)
+        self.perm_setup = coordinator_setup(cfg.p, ell, cfg.case, self.fp,
+                                            coordinator.permutation_seed, perm=cfg.perm)
+        self.clog = position_symbols(cfg.p, cfg.position_base or cfg.q)
+        self.last_write_positions: list[int] = []
+
+    def init_storage(self, model, seed: int) -> None:
+        self.states = init_topr(model, self.fp, self.cfg.case, seed, self.cfg.disable_noise)
+        self.storage = [(0, self.length, self.states)]
+
+    def read(self, theta, iteration, rng, record, detail):
+        cfg, setup, clog = self.cfg, self.perm_setup, self.clog
+        # permutation delivery to the user, charged per the cost accounting
+        record(wire.PERM_SETUP, wire.PHASE_READ, wire.DOWN, 0, cfg.p * clog)
+        if iteration > 0:
+            v_tilde = sorted(set(self.last_write_positions))
+        elif cfg.v_tilde is not None:
+            v_tilde = sorted(cfg.v_tilde)
+        else:
+            v_tilde = list(range(1, round_half_up(Fraction(cfg.r_prime) * cfg.p) + 1))
+        build = build_query_case1 if cfg.case == 1 else build_query_case2
+        self.query = build(theta, self.fp, setup.ell, cfg.m, rng, cfg.disable_noise)
+        for n in range(1, cfg.n + 1):
+            record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
+        record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
+        decoded = read_sparse(theta, v_tilde, setup, self.states, self.query)
+        # frames are labelled in the permuted domain: that is all a database sees
+        for v in v_tilde:
+            for n in range(1, cfg.n + 1):
+                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, n, 1, subpacket=v)
+        detail["v_tilde"] = v_tilde
+        detail["v_true"] = [setup.true_index(v) for v in v_tilde]
+        return [((s - 1) * setup.ell + k, bit)
+                for s, bits in decoded.items() for k, bit in enumerate(bits)]
+
+    def write(self, theta, rng, record, detail):
+        cfg, setup = self.cfg, self.perm_setup
+        scores = list(cfg.scores) if cfg.scores is not None else seeded_uniform(rng, 1 << 30, cfg.p)
+        deltas = [seeded_uniform(rng, self.fp.q, setup.ell) for _ in range(cfg.p)]
+        result = write_sparse(deltas, scores, Fraction(cfg.r), theta, setup, self.states,
+                              self.query, rng, cfg.disable_noise)
+        for n in range(1, cfg.n + 1):
+            if result.positions:
+                record(wire.SPARSE_POS, wire.PHASE_WRITE, wire.UP, n,
+                       len(result.positions) * self.clog)
+            for pos in result.positions:
+                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, 1, subpacket=pos)
+        self.last_write_positions = result.positions
+        detail["write_positions"] = list(result.positions)
+        detail["chosen_true"] = list(result.chosen_true)
+        detail["position_symbols"] = self.clog
+        return [((s - 1) * setup.ell + k, delta)
+                for s in result.chosen_true for k, delta in enumerate(deltas[s - 1])]
+
+    def costs(self):
+        cfg = self.cfg
+        metered = costs_topr_metered(cfg.n, cfg.p, cfg.position_base or cfg.q, cfg.r,
+                                     cfg.r_prime, cfg.case)
+        return metered.read, metered.write

@@ -251,7 +251,7 @@ def test_criterion_7_skip_set_behavior():
         from pruw.harness import Session
 
         session = Session(cfg)
-        skip_db = session.states[0]
+        skip_db = session.scheme.states[0]
         assert skip_db.db_index == 1 and 1 in params.skip_set
         before = [[row[:] for row in block] for block in skip_db.cells]
         it = session.run_iteration(cfg.theta)

@@ -76,6 +76,12 @@ class TestRun:
         cfg.write_text("scheme=basic\nn=10\nq=11\nl=8\n")
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_oversized_topr_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("scheme=topr\nn=10\ncase=2\np=3000\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "largest p" in capsys.readouterr().err
+
     def test_insecure_banner(self, basic_cfg, tmp_path, capsys):
         out = tmp_path / "out.json"
         main(["run", "--config", basic_cfg, "--out", str(out), "--disable-noise"])
@@ -163,15 +169,16 @@ class TestSnapshots:
         from pruw.harness import Session
 
         session = Session(parse_config_text(TOPR_CFG))
-        bundle = SnapshotBundle(scheme="topr", fp=session.fp, seed=7,
-                                regions=[session.states], perm_setup=session.setup)
+        bundle = SnapshotBundle(scheme="topr", fp=session.scheme.fp, seed=7,
+                                regions=[session.scheme.states],
+                                perm_setup=session.scheme.perm_setup)
         path = tmp_path / "s.bin"
         save_snapshot(str(path), bundle)
         loaded = load_snapshot(str(path))
         assert loaded.scheme == "topr"
         assert loaded.perm_setup.perm == (2, 5, 1, 3, 4)
-        assert loaded.regions[0][0].cells == session.states[0].cells
-        assert loaded.fp == session.fp
+        assert loaded.regions[0][0].cells == session.scheme.states[0].cells
+        assert loaded.fp == session.scheme.fp
 
     def test_modulus_beyond_u64_exit_2(self, tmp_path, capsys):
         # 2^64 + 13 is the smallest prime above 2^64: a valid field whose

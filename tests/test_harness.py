@@ -1,6 +1,7 @@
 """Session orchestration: metering, verdicts, determinism, cost sweeps."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from pruw.config import ExperimentConfig
 from pruw.errors import ConfigError
 from pruw.harness import CostRow, Session, aligned_length, run_session, verify_costs
 from pruw import random_sparse as rs
+from pruw import topr
 
 
 class TestBasicIteration:
@@ -153,6 +155,31 @@ class TestRandomIteration:
         assert all(it.distortion.within_budget for it in res.iterations)
 
 
+class TestToprBound:
+    """The N reversing matrices hold N * side^2 symbols; a session refuses a
+    P above the bound before it builds anything."""
+
+    def test_oversized_p_rejected_at_setup(self, monkeypatch):
+        from pruw import topr
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("set-up work ran for a rejected config")
+
+        monkeypatch.setattr(topr, "coordinator_setup", refuse)
+        monkeypatch.setattr(topr, "init_topr", refuse)
+        cfg = ExperimentConfig(scheme="topr", n=10, case=2, p=3000, q=127)
+        with pytest.raises(ConfigError, match="largest p for n=10, case=2 is 152"):
+            Session(cfg)
+
+    @pytest.mark.parametrize("case, largest", [(1, 457), (2, 152)])
+    def test_largest_p_admitted(self, case, largest):
+        assert largest == math.isqrt(topr.REVERSING_SYMBOL_LIMIT // 10) // (1 if case == 1 else 3)
+        Session(ExperimentConfig(scheme="topr", n=10, m=1, case=case, p=largest, q=127))
+        with pytest.raises(ConfigError):
+            Session(ExperimentConfig(scheme="topr", n=10, m=1, case=case, p=largest + 1,
+                                     q=127))
+
+
 class TestLedger:
     def test_conservation(self):
         cfg = ExperimentConfig(scheme="basic", n=4, m=2, l=8, q=11, seed=3)
@@ -236,7 +263,7 @@ class TestFailureDetail:
     def test_basic_read_and_write_mismatch(self):
         session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=127, seed=5))
         before = session.oracle.values[0][3]
-        shift_plain(session.states, 1, 1, 0)  # ell = 2: position 3 of submodel 1
+        shift_plain(session.scheme.states, 1, 1, 0)  # ell = 2: position 3 of submodel 1
         it = session.run_iteration(1)
         assert not it.verdict
         assert it.detail["read_mismatch"] == {"position": 3, "expected": before,
@@ -247,7 +274,7 @@ class TestFailureDetail:
 
     def test_write_mismatch_outside_the_read_submodel(self):
         session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=127, seed=5))
-        shift_plain(session.states, 2, 0, 1)
+        shift_plain(session.scheme.states, 2, 0, 1)
         it = session.run_iteration(1)
         assert it.detail["read_ok"] and "read_mismatch" not in it.detail
         want = session.oracle.values[1][4]
@@ -262,7 +289,7 @@ class TestFailureDetail:
         )
         session = Session(cfg)
         before = session.oracle.values[0][1]
-        shift_plain(session.states, 0, 1, 0)  # true subpacket 1 is read, ell = 2
+        shift_plain(session.scheme.states, 0, 1, 0)  # true subpacket 1 is read, ell = 2
         it = session.run_iteration(1)
         assert it.detail["read_mismatch"] == {"position": 1, "expected": before,
                                               "got": (before + 1) % 127}
@@ -274,10 +301,10 @@ class TestFailureDetail:
         cfg = ExperimentConfig(scheme="random", n=6, m=2, l=30, seed=5,
                                d_read=Fraction(1, 3), d_write=Fraction(1, 5))
         session = Session(cfg)
-        q = session.fp.q
-        reg = session.realized[-1]  # region-local position 1 is model position start + 1
+        q = session.scheme.fp.q
+        reg = session.scheme.realized[-1]  # region-local position 1 is model position start + 1
         assert reg.start > 0 and reg.spec.y > 1
-        shift_plain(session.region_states[-1], 0, 1, 1)
+        shift_plain(session.scheme.storage[-1][2], 0, 1, 1)
         it = session.run_iteration(1)
         want = session.oracle.values[1][reg.start + 1]
         assert it.detail["write_mismatch"] == {"submodel": 2, "position": reg.start + 1,

@@ -77,6 +77,34 @@ class TestCoordinatorSetup:
         assert all(sum(row) == 1 for row in base)
         assert all(sum(col) == 1 for col in zip(*base))
 
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_shared_noise_drawn_once(self, case, monkeypatch):
+        fp, _, _, setup = build_session(case)
+        side = setup.p_subpackets * (1 if case == 1 else setup.ell)
+        from pruw.field import CounterNoise
+
+        original = CounterNoise.symbol
+        calls = []
+
+        def counting(self, q, *tag):
+            calls.append(tag)
+            return original(self, q, *tag)
+
+        monkeypatch.setattr(CounterNoise, "symbol", counting)
+        mats = [setup.reversing_matrix(n) for n in range(1, fp.n_databases + 1)]
+        assert len(calls) == len(set(calls)) == side * side
+        # every database's matrix is its own base plus the same noise
+        tag = "rev1" if case == 1 else "rev2"
+        for n, mat in enumerate(mats, start=1):
+            base = setup.base_matrix() if case == 1 else setup.base_matrix_blocks(n)
+            scale = 1
+            if case == 1:
+                for j in range(setup.ell):
+                    scale = scale * (fp.fs[j] - fp.alpha(n)) % 127
+            for r, c in ((0, 0), (side - 1, side - 1), (1, side - 2)):
+                noise = original(CounterNoise(setup.noise_seed), 127, tag, r, c)
+                assert mat[r][c] == (base[r][c] + scale * noise) % 127
+
     def test_reversal_restores_order(self):
         fp, _, _, setup = build_session(1)
         vec = [10, 20, 30, 40, 50]
