@@ -246,13 +246,13 @@ class BasicScheme:
         self.query = build_read_query(theta, params, self.fp, cfg.m, rng, cfg.disable_noise)
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, params.ell * cfg.m)
+        subpackets = self.states[0].subpackets
         decoded: list[int] = []
-        for s in range(self.states[0].subpackets):
-            answers = []
-            for st in self.states:
-                answers.append(answer_read(st, self.query, s))
-                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, 1, subpacket=s)
+        for s in range(subpackets):
+            answers = [answer_read(st, self.query, s) for st in self.states]
             decoded.extend(decode_answers(self.fp, params, answers))
+        for st in self.states:
+            record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, subpackets)
         return list(enumerate(decoded[: self.length]))
 
     def write(self, theta, rng, record, detail):
@@ -264,10 +264,9 @@ class BasicScheme:
         write_round([flat[s * ell : (s + 1) * ell] for s in range(subpackets)], theta, params,
                     self.fp, self.query, self.states, rng, cfg.disable_noise)
         skip = params.skip_set
-        for s in range(subpackets):
-            for n in range(1, cfg.n + 1):
-                if n not in skip:
-                    record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, 1, subpacket=s)
+        for n in range(1, cfg.n + 1):
+            if n not in skip:
+                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, subpackets)
         detail["skip_set"] = list(skip)
         return list(enumerate(flat[: self.length]))
 

@@ -56,6 +56,8 @@ class ExperimentConfig:
                 raise ConfigError("sparsification rates must lie in [0, 1]")
             if self.p < 1:
                 raise ConfigError("p must be positive")
+            if self.position_base is not None and self.position_base < 2:
+                raise ConfigError("position_base must be at least 2")
             if self.perm is not None and sorted(self.perm) != list(range(1, self.p + 1)):
                 raise ConfigError("perm must be a permutation of 1..p")
             if self.v_tilde is not None:

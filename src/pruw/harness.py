@@ -18,8 +18,9 @@ and offers:
   returns ``(model position, delta)`` pairs for what was written.
 
 ``rng`` is the user's stream for this iteration (one for the query, one for
-the update), ``record`` logs and meters one frame, and both steps may add
-scheme-specific keys to ``detail``.  The remaining members are:
+the update), ``record`` logs and meters one message (one call per kind,
+database and storage block, carrying its symbol count), and both steps may
+add scheme-specific keys to ``detail``.  The remaining members are:
 
 * ``costs()``: the closed-form ``(C_R, C_W)`` the meter must report;
 * ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget;
@@ -243,25 +244,39 @@ def aligned_length(plan: rs.SparsePlan) -> int:
     raise ConfigError("could not align the plan to a whole-subpacket grid")
 
 
+def _sweep_value(spec: dict, key: str, parse=int, default=None):
+    """``spec[key]`` parsed; a key without a default is required."""
+    if key not in spec and default is None:
+        raise ConfigError(f"sweep line {spec} lacks the key {key!r}")
+    try:
+        return parse(spec.get(key, default))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"sweep key {key}={spec[key]!r} does not parse as "
+                          f"{parse.__name__}") from None
+
+
 def verify_costs(specs: list[dict]) -> list[CostRow]:
     """Run each sweep line's configuration and set its metered costs
     against the scheme's closed form."""
     rows = []
     for spec in specs:
-        scheme, n, seed = spec["scheme"], int(spec["n"]), int(spec.get("seed", 1))
+        scheme, n = _sweep_value(spec, "scheme", str), _sweep_value(spec, "n")
+        seed = _sweep_value(spec, "seed", default=1)
         extra: dict = {}
         if scheme == "basic":
             cfg = ExperimentConfig(scheme="basic", n=n, m=2, l=4 * basic.optimal_params(n).ell,
-                                   q=int(spec.get("q", 2**31 - 1)), seed=seed)
+                                   q=_sweep_value(spec, "q", default=2**31 - 1), seed=seed)
             knobs = "optimal"
         elif scheme == "topr":
-            p, q = int(spec["p"]), int(spec["q"])
-            case = int(spec.get("case", 1))
-            r, rp = Fraction(spec.get("r", "1/5")), Fraction(spec.get("r_prime", "1/5"))
+            p, q = _sweep_value(spec, "p"), _sweep_value(spec, "q")
+            case = _sweep_value(spec, "case", default=1)
+            r = _sweep_value(spec, "r", Fraction, "1/5")
+            rp = _sweep_value(spec, "r_prime", Fraction, "1/5")
             ell = topr_subpacketization(n, case)
             q_exec = q if q > n + ell else next_prime_above(n + ell)
             cfg = ExperimentConfig(scheme="topr", n=n, m=2, p=p, q=q_exec,
                                    position_base=q, case=case, r=r, r_prime=rp, seed=seed)
+            cfg.validate()  # before the closed form, which assumes p >= 1 and q >= 2
             analytic = topr.costs_topr(n, p, q, r, rp, case)
             extra = {"analytic_fractional_cr": str(analytic.read),
                      "analytic_fractional_cw": str(analytic.write),
@@ -272,11 +287,13 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
                 extra["alt_cw"] = str(analytic.write_alt)
                 knobs += f";alt_cr={analytic.read_alt};alt_cw={analytic.write_alt}"
         elif scheme == "random":
-            d_read = Fraction(spec.get("d_read", spec.get("d", 0)))
-            d_write = Fraction(spec.get("d_write", spec.get("d", 0)))
-            length = int(spec.get("l", 0)) or aligned_length(rs.optimize_plan(n, d_read, d_write))
+            d = _sweep_value(spec, "d", Fraction, 0)
+            d_read = _sweep_value(spec, "d_read", Fraction, d)
+            d_write = _sweep_value(spec, "d_write", Fraction, d)
+            length = (_sweep_value(spec, "l", default=0)
+                      or aligned_length(rs.optimize_plan(n, d_read, d_write)))
             cfg = ExperimentConfig(scheme="random", n=n, m=2, l=length,
-                                   q=int(spec.get("q", 2**31 - 1)),
+                                   q=_sweep_value(spec, "q", default=2**31 - 1),
                                    d_read=d_read, d_write=d_write, seed=seed)
             closed = rs.costs_random_closed_form(n, d_read, d_write)
             extra = {"closed_form_cr": str(closed[0]), "closed_form_cw": str(closed[1])}

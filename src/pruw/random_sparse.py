@@ -508,10 +508,9 @@ class RandomScheme:
         for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
                                                       self.read_queries, self.bit_sets):
             decoded = region_read(self.fp, reg, states, queries, sets.read)
-            dbs = read_databases(cfg.n, reg.spec.case)
-            for s in range(reg.total_bits // reg.spec.ell_r):
-                for db in dbs:
-                    record(wire.READ_A, wire.PHASE_READ, wire.DOWN, db, 1, subpacket=s)
+            for db in read_databases(cfg.n, reg.spec.case):
+                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, db,
+                       reg.total_bits // reg.spec.ell_r)
             pairs += [(reg.start + pos, value) for pos, value in decoded.items()
                       if pos < reg.real_bits]
         detail["regions"] = [
@@ -530,10 +529,9 @@ class RandomScheme:
             lo, hi = reg.start, reg.start + reg.real_bits
             written, _ = region_write(deltas[lo:hi] + [0] * reg.pad_bits, theta, self.fp, reg,
                                       states, queries, sets.write, rng, cfg.disable_noise)
-            dbs = write_databases(cfg.n, reg.spec.case)
-            for s in range(reg.total_bits // reg.spec.ell_w):
-                for db in dbs:
-                    record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db, 1, subpacket=s)
+            for db in write_databases(cfg.n, reg.spec.case):
+                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
+                       reg.total_bits // reg.spec.ell_w)
             pairs += [(lo + pos, deltas[lo + pos]) for pos in sorted(written)
                       if pos < reg.real_bits]
         return pairs

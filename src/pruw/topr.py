@@ -323,15 +323,8 @@ class TopRCosts:
 
 def _log_term(p_subpackets: int, q: int):
     """log_q P as an exact Fraction when P is an integer power of q."""
-    if p_subpackets == 1:
-        return Fraction(0)
-    k, span = 0, 1
-    while span < p_subpackets:
-        span *= q
-        k += 1
-    if span == p_subpackets:
-        return Fraction(k)
-    return math.log(p_subpackets, q)
+    k = position_symbols(p_subpackets, q)
+    return Fraction(k) if q ** k == p_subpackets else math.log(p_subpackets, q)
 
 
 def costs_topr(n: int, p_subpackets: int, q: int, r, r_prime, case: int) -> TopRCosts:
@@ -416,10 +409,9 @@ class TopRScheme:
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
         record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
         decoded = read_sparse(theta, v_tilde, setup, self.states, self.query)
-        # frames are labelled in the permuted domain: that is all a database sees
-        for v in v_tilde:
+        if v_tilde:
             for n in range(1, cfg.n + 1):
-                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, n, 1, subpacket=v)
+                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, n, len(v_tilde))
         detail["v_tilde"] = v_tilde
         detail["v_true"] = [setup.true_index(v) for v in v_tilde]
         return [((s - 1) * setup.ell + k, bit)
@@ -431,12 +423,11 @@ class TopRScheme:
         deltas = [seeded_uniform(rng, self.fp.q, setup.ell) for _ in range(cfg.p)]
         result = write_sparse(deltas, scores, Fraction(cfg.r), theta, setup, self.states,
                               self.query, rng, cfg.disable_noise)
-        for n in range(1, cfg.n + 1):
-            if result.positions:
-                record(wire.SPARSE_POS, wire.PHASE_WRITE, wire.UP, n,
-                       len(result.positions) * self.clog)
-            for pos in result.positions:
-                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, 1, subpacket=pos)
+        count = len(result.positions)
+        if count:
+            for n in range(1, cfg.n + 1):
+                record(wire.SPARSE_POS, wire.PHASE_WRITE, wire.UP, n, count * self.clog)
+                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, count)
         self.last_write_positions = result.positions
         detail["write_positions"] = list(result.positions)
         detail["chosen_true"] = list(result.chosen_true)

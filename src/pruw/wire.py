@@ -1,6 +1,6 @@
 """Simulated wire: frame records, symbol metering, and the cost ledger.
 
-Every symbol that crosses the wire is logged exactly once.  Costs follow the
+Every message is logged once, with its symbol count.  Costs follow the
 normalized definitions: reading cost counts symbols downloaded in the read
 phase, writing cost counts symbols uploaded in the write phase, both divided
 by the (unpadded) submodel length.  One-time query uploads in the write
@@ -35,15 +35,13 @@ class Frame:
     phase: str
     direction: str
     db: int          # 0 denotes the coordinator
-    subpacket: int   # -1 when not subpacket-scoped
     symbols: int
     metered: bool = True
 
     def line(self) -> str:
         return (
             f"{self.tick:06d} {self.kind} sess={self.session} phase={self.phase} "
-            f"dir={self.direction} db={self.db} sp={self.subpacket} "
-            f"sym={self.symbols} metered={int(self.metered)}"
+            f"dir={self.direction} db={self.db} sym={self.symbols} metered={int(self.metered)}"
         )
 
 
@@ -53,11 +51,10 @@ class FrameLog:
         self._tick = 0
         self.session = 0
 
-    def record(self, kind, phase, direction, db, symbols, subpacket=-1, metered=True) -> Frame:
+    def record(self, kind, phase, direction, db, symbols, metered=True) -> Frame:
         frame = Frame(
             tick=self._tick, session=self.session, kind=kind, phase=phase,
-            direction=direction, db=db, subpacket=subpacket, symbols=symbols,
-            metered=metered,
+            direction=direction, db=db, symbols=symbols, metered=metered,
         )
         self.frames.append(frame)
         self._tick += 1
@@ -67,32 +64,27 @@ class FrameLog:
         return "\n".join(f.line() for f in self.frames) + ("\n" if self.frames else "")
 
 
+def _total(phase, direction, metered=True) -> property:
+    return property(lambda self: self.totals.get((phase, direction, metered), 0))
+
+
 @dataclass
 class CostLedger:
-    """Per-phase symbol totals with the normalized cost views."""
+    """Symbol totals keyed by (phase, direction, metered), with the
+    normalized cost views."""
 
     normalizer: int
-    read_down: int = 0
-    read_up: int = 0
-    write_down: int = 0
-    write_up: int = 0
-    write_up_unmetered: int = 0
     totals: dict = field(default_factory=dict)
 
     def add(self, frame: Frame) -> None:
         key = (frame.phase, frame.direction, frame.metered)
         self.totals[key] = self.totals.get(key, 0) + frame.symbols
-        if frame.phase == PHASE_READ and frame.direction == DOWN and frame.metered:
-            self.read_down += frame.symbols
-        elif frame.phase == PHASE_READ and frame.direction == UP and frame.metered:
-            self.read_up += frame.symbols
-        elif frame.phase == PHASE_WRITE and frame.direction == DOWN and frame.metered:
-            self.write_down += frame.symbols
-        elif frame.phase == PHASE_WRITE and frame.direction == UP:
-            if frame.metered:
-                self.write_up += frame.symbols
-            else:
-                self.write_up_unmetered += frame.symbols
+
+    read_down = _total(PHASE_READ, DOWN)
+    read_up = _total(PHASE_READ, UP)
+    write_down = _total(PHASE_WRITE, DOWN)
+    write_up = _total(PHASE_WRITE, UP)
+    write_up_unmetered = _total(PHASE_WRITE, UP, metered=False)
 
     @property
     def c_read(self) -> Fraction:

@@ -132,6 +132,20 @@ class TestCostTable:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert [r[4] for r in rows] == ["5/2", "9/4", "2"]
 
+    @pytest.mark.parametrize("line, named", [
+        ("scheme=topr n=10", "'p'"),
+        ("scheme=basic n=ten", "n='ten'"),
+        ("scheme=topr n=10 p=0 q=5", "p must be positive"),
+        ("scheme=topr n=10 p=5 q=1", "position_base must be at least 2"),
+    ])
+    def test_malformed_sweep_line_is_config_error(self, tmp_path, capsys, line, named):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text(line + "\n")
+        assert main(["cost-table", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert "Traceback" not in err
+
 
 class TestAuditCommand:
     def test_default_suite(self, tmp_path):

@@ -73,6 +73,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("base", [-2, 0, 1])
+    def test_position_base_below_two_rejected(self, base):
+        # a base below 2 never covers p indices: position_symbols would not end
+        with pytest.raises(ConfigError):
+            ExperimentConfig(scheme="topr", p=3, position_base=base).validate()
+
     def test_as_dict_serializes_fractions(self):
         d = ExperimentConfig(scheme="random", d_read=Fraction(1, 10)).as_dict()
         assert d["d_read"] == "1/10"

@@ -40,31 +40,31 @@ CONFIGS = {
 RUN_DIGESTS = {
     "basic-skip-set": (
         "9fb5f3981dcf63a695f93d8c88b91ef3b669b599de37c654da2efea09f57569d",
-        "ae4a146eca038886f2551caaffea6e3b11f0c37df6e90ff08a40bc5ad50e5525",
+        "b7b63f6a6b551c8f8b4a48167f7e6200d3866a87ad8b318a6c51e795f1150327",
     ),
     "basic-t-overrides": (
         "60de0ab1aa6275a3c3dc29475bc638c70c8ab5507309451de3a4c71788f9b52a",
-        "53ad309256dfe4f4b4325c6984c6d1fb3639384489d8d9859944eec1d4a28b5f",
+        "f4cec973ecae4922c71e72f5beeaa638649cde3774c9b9648e241aff3a33c69b",
     ),
     "topr-case1-fixture": (
         "8567754e067ce2b699a906e9a0b5da9552fbbd05c1b730921c204e9c22cd6aae",
-        "af268663a964d2960b79d4b5e898597338ad84fab6a0cf5f57fb9853efdcd670",
+        "c04fd8e3943f2cbe39ba9f4cfc9b2f9b169240ce8524e8c82785e2dc8d7b968a",
     ),
     "topr-case2-3-iterations": (
         "50c112229c93ffc4dc72b4a3fcc6cc8223c3b3598a4b7da0eb758d6bf0190e40",
-        "d1d564153b6b792b45f604e7d959c38b6ef144910a29905c485e4340d17a1608",
+        "4e55ef60658e4d8db8f87c5bc0f50a26cdd14afed6b1b24309d1fa5561e98648",
     ),
     "random-odd-case1": (
         "04ac23bb08f7d34b8225d0ea1ad05f54b6100cdefec8c8c292dcee4924ddc398",
-        "bfaf4ab942a605016d3ab8dd7503d1a1455b4d17779caee6350f4716752c8b7c",
+        "68afb4881d4a70ae891648b7cd42f126fe3a7190ad1d12e309ebc9c6ff311120",
     ),
     "random-odd-case2": (
         "9f5b024a396a56b75b36b6e2411cbe82c3fafcd54f3c0ffc7a80f031de580808",
-        "8c10de19b61efb671a289e8c5d097f9ea0e0a7737754629aa1bbaabab22ec811",
+        "73d08bb5420ce4af062bb6b25b018562330f210877dfd6a913e3068c91675cca",
     ),
     "random-overrun": (
         "f61f224b049fa198bafca4e0b1f6488c62859cb9e777153ac9f7d062e0a0778e",
-        "d1c64158577ac921e096c5116dd17567aea358333a01bb08717b0a8d283eea2c",
+        "ce22bd7e0eb071c8dc6451ed18fd8d3ad14dd1ee3d9b680c0a8df167130cd93e",
     ),
 }
 
