@@ -1,35 +1,38 @@
-"""Empirical privacy audits on single-database observables.
+"""Exact privacy audits on single-database observables.
 
 Privacy here means: everything one database sees is identically distributed
-no matter which submodel is touched or what the update values are.  The
-audits restate that as distribution-equality tests on fixed low-dimensional
-projections (each single coordinate, up to ten coordinate pairs, and the
-permuted-position set for the sparse-position scheme), sampled at a small
-field size where total variation distance is measurable.
+no matter which submodel is touched or what the update values are.  Each
+audit enumerates every outcome of the randomness the real builders draw
+(the query's noise symbols, the update's noise symbol, or the secret
+permutation of subpacket positions) under two hypotheses, and reports the
+exact total variation distance between the two distributions of the view.
+The query audit compares the joint distribution of all M coordinates, so a
+leak that no marginal or pair shows still counts.  Nothing is sampled: the
+value is 0 exactly when the view is independent of the hypothesis, and the
+noise-off controls read 1.
 
 All observables come from the real message builders, observed through a
 single database's view (one evaluation constant): that is exactly the scope
 of the per-database privacy condition, and it keeps tiny audit fields
 viable where a full deployment could not even allocate its constants.
+``samples`` is the enumeration budget: an audit whose draw space is larger
+raises :class:`InconclusiveError` rather than allocate without bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from scipy.stats import chi2 as _chi2
-
 from . import basic, random_sparse as rs, topr
 from .errors import ConfigError, InconclusiveError
-from .field import allocate_eval_points, derive_seed
+from .field import allocate_eval_points
 from .poly import combine_update
 
 TVD_THRESHOLD = 0.02
-CHI2_SIGNIFICANCE = 0.01
 
 
 @dataclass
@@ -54,31 +57,38 @@ class AuditResult:
         }
 
 
-def _tvd(counts_a, counts_b, n: int) -> float:
-    return 0.5 * sum(abs(a - b) for a, b in zip(counts_a, counts_b)) / n
+class _Playback:
+    """Stand-in rng whose ``randrange`` returns the given draws in order
+    (zeros once they run out) and counts its calls."""
+
+    def __init__(self, draws=()):
+        self.draws = draws
+        self.taken = 0
+
+    def randrange(self, stop):
+        draw = self.draws[self.taken] if self.taken < len(self.draws) else 0
+        self.taken += 1
+        return draw
 
 
-def _tvd_power_floor(support: int, samples: int) -> float:
-    """Expected null TVD plus five standard deviations.
-
-    Per-cell count differences are asymptotically normal; under the null the
-    TVD concentrates tightly, so a threshold above this floor essentially
-    never fails by chance.
-    """
-    p = 1.0 / support
-    sigma = math.sqrt(2.0 * p * (1.0 - p) / samples)
-    mean = 0.5 * support * sigma * math.sqrt(2.0 / math.pi)
-    std = 0.5 * sigma * math.sqrt(support * (1.0 - 2.0 / math.pi))
-    return mean + 5.0 * std
-
-
-def _require_tvd_power(support: int, samples: int, threshold: float) -> None:
-    floor = _tvd_power_floor(support, samples)
-    if threshold < floor:
+def _require_budget(size: int, samples: int, what: str) -> None:
+    if size > samples:
         raise InconclusiveError(
-            f"threshold {threshold} below the sampling floor {floor:.4f} "
-            f"for support {support} at {samples} samples"
+            f"{what} has {size} outcomes, above the enumeration budget of {samples}"
         )
+
+
+def _exact_tvd(observe, hypotheses, space) -> float:
+    """Total variation distance between the laws of ``observe(h, draw)``
+    for the two hypotheses, with ``draw`` uniform over the list ``space``."""
+    a, b = (Counter(observe(h, draw) for draw in space) for h in hypotheses)
+    return float(Fraction(sum(abs(a[v] - b[v]) for v in a.keys() | b.keys()), 2 * len(space)))
+
+
+def _result(statistic, space, value, threshold, hypotheses, detail) -> AuditResult:
+    return AuditResult(statistic=statistic, samples=len(space), value=value,
+                       threshold=threshold, passed=value < threshold,
+                       hypotheses=hypotheses, detail=detail)
 
 
 def _observer_fp(q: int):
@@ -125,51 +135,27 @@ def audit_query(
     samples: int,
     q: int = 5,
     m_count: int = 5,
-    seed: int = 0,
     disable_noise: bool = False,
     threshold: float = TVD_THRESHOLD,
-    pairs: int = 10,
     case: int = 1,
 ) -> AuditResult:
-    """TVD between the per-coordinate (and coordinate-pair) query marginals
-    under two submodel-index hypotheses; the reported value is the maximum
-    over the projection set."""
+    """Exact TVD between the joint laws of the M query coordinates under two
+    submodel-index hypotheses, over every value of the builder's noise."""
     sampler = make_query_sampler(scheme, q, m_count, case)
-    pair_list = list(itertools.combinations(range(m_count), 2))
-    if len(pair_list) > pairs:
-        pair_rng = random.Random(seed ^ 0x9E3779B9)
-        pair_list = sorted(pair_rng.sample(pair_list, pairs))
-    support = q * q if pair_list else q
-    _require_tvd_power(support, samples, threshold)
-    singles = {h: [[0] * q for _ in range(m_count)] for h in ("a", "b")}
-    pair_counts = {h: [[0] * (q * q) for _ in pair_list] for h in ("a", "b")}
-    for label, theta in (("a", theta_a), ("b", theta_b)):
-        rng = random.Random(derive_seed(seed, f"hypothesis-{label}"))
-        s_counts = singles[label]
-        p_counts = pair_counts[label]
-        for _ in range(samples):
-            coords = sampler(theta, rng, disable_noise)
-            for m in range(m_count):
-                s_counts[m][coords[m]] += 1
-            for pi, (m1, m2) in enumerate(pair_list):
-                p_counts[pi][coords[m1] * q + coords[m2]] += 1
-    per_projection = {}
-    for m in range(m_count):
-        per_projection[f"coord[{m + 1}]"] = _tvd(singles["a"][m], singles["b"][m], samples)
-    for pi, (m1, m2) in enumerate(pair_list):
-        per_projection[f"pair[{m1 + 1},{m2 + 1}]"] = _tvd(
-            pair_counts["a"][pi], pair_counts["b"][pi], samples
-        )
-    value = max(per_projection.values())
-    return AuditResult(
-        statistic=f"query-tvd[{scheme}]",
-        samples=samples,
-        value=value,
-        threshold=threshold,
-        passed=value < threshold,
-        hypotheses=(f"theta={theta_a}", f"theta={theta_b}"),
-        detail={"projections": per_projection, "support": support},
-    )
+    counter = _Playback()
+    sampler(theta_a, counter, False)
+    _require_budget(q ** counter.taken, samples, f"the {scheme} query's noise")
+    space = [()] if disable_noise else list(itertools.product(range(q), repeat=counter.taken))
+
+    def observe(theta, draws):
+        rng = _Playback(draws)
+        coords = tuple(sampler(theta, rng, disable_noise))
+        assert rng.taken == len(draws), "the builder's draw count changed"
+        return coords
+
+    return _result(f"query-tvd[{scheme}]", space, _exact_tvd(observe, (theta_a, theta_b), space),
+                   threshold, (f"theta={theta_a}", f"theta={theta_b}"),
+                   {"support": q ** m_count})
 
 
 def audit_update(
@@ -177,32 +163,20 @@ def audit_update(
     delta_b: int,
     samples: int,
     q: int = 5,
-    seed: int = 0,
     disable_noise: bool = False,
     threshold: float = TVD_THRESHOLD,
 ) -> AuditResult:
-    """TVD of the combined-update symbol under two update-value hypotheses."""
+    """Exact TVD of the combined-update symbol under two update-value
+    hypotheses, over every value of its noise symbol."""
     fp = _observer_fp(q)
-    _require_tvd_power(q, samples, threshold)
-    alphas = fp.alphas  # the one observing database
-    counts = {}
-    for label, delta in (("a", delta_a % q), ("b", delta_b % q)):
-        rng = random.Random(derive_seed(seed, f"hypothesis-{label}"))
-        c = [0] * q
-        for _ in range(samples):
-            noise = [0] if disable_noise else [rng.randrange(q)]
-            c[combine_update(fp.field, [delta], [1], alphas, noise)[0]] += 1
-        counts[label] = c
-    value = _tvd(counts["a"], counts["b"], samples)
-    return AuditResult(
-        statistic="update-tvd",
-        samples=samples,
-        value=value,
-        threshold=threshold,
-        passed=value < threshold,
-        hypotheses=(f"delta={delta_a}", f"delta={delta_b}"),
-        detail={"support": q},
-    )
+    _require_budget(q, samples, "the update's noise")
+    space = [0] if disable_noise else list(range(q))
+
+    def observe(delta, noise):
+        return combine_update(fp.field, [delta % q], [1], fp.alphas, [noise])[0]
+
+    return _result("update-tvd", space, _exact_tvd(observe, (delta_a, delta_b), space),
+                   threshold, (f"delta={delta_a}", f"delta={delta_b}"), {"support": q})
 
 
 def audit_positions(
@@ -210,49 +184,26 @@ def audit_positions(
     sparse_b,
     p_subpackets: int,
     samples: int,
-    seed: int = 0,
     disable_noise: bool = False,
-    significance: float = CHI2_SIGNIFICANCE,
+    threshold: float = TVD_THRESHOLD,
 ) -> AuditResult:
-    """Chi-square uniformity of the permuted position set over all subsets,
-    under two true-sparse-set hypotheses; both must look uniform."""
+    """Exact TVD of the permuted position set under two true-sparse-set
+    hypotheses, over every secret permutation of the subpackets."""
     if len(sparse_a) != len(sparse_b):
         raise ConfigError("hypotheses must share the sparse-set size")
-    subset_size = len(sparse_a)
-    subsets = list(itertools.combinations(range(1, p_subpackets + 1), subset_size))
-    index = {s: i for i, s in enumerate(subsets)}
-    if samples < 5 * len(subsets):
-        raise InconclusiveError(
-            f"{samples} samples give expected cell counts below 5 over "
-            f"{len(subsets)} subsets"
-        )
+    _require_budget(math.factorial(p_subpackets), samples, "the secret permutation")
     fp = _observer_fp(5)
     identity = tuple(range(1, p_subpackets + 1))
-    critical = float(_chi2.ppf(1.0 - significance, df=len(subsets) - 1))
-    stats = {}
-    for label, true_set in (("a", tuple(sorted(sparse_a))), ("b", tuple(sorted(sparse_b)))):
-        rng = random.Random(derive_seed(seed, f"hypothesis-{label}"))
-        counts = [0] * len(subsets)
-        for _ in range(samples):
-            setup = topr.coordinator_setup(
-                p_subpackets, 1, 1, fp, rng.randrange(1 << 62),
-                perm=identity if disable_noise else None,
-            )
-            positions = tuple(setup.permuted_set(true_set))
-            counts[index[positions]] += 1
-        expected = samples / len(subsets)
-        stats[label] = sum((c - expected) ** 2 / expected for c in counts)
-    value = max(stats.values())
-    return AuditResult(
-        statistic="positions-chi2",
-        samples=samples,
-        value=value,
-        threshold=critical,
-        passed=value < critical,
-        hypotheses=(f"sparse={sorted(sparse_a)}", f"sparse={sorted(sparse_b)}"),
-        detail={"chi2_a": stats["a"], "chi2_b": stats["b"],
-                "subsets": len(subsets), "significance": significance},
-    )
+    space = [identity] if disable_noise else list(itertools.permutations(identity))
+
+    def observe(true_set, perm):
+        setup = topr.coordinator_setup(p_subpackets, 1, 1, fp, 0, perm=perm)
+        return tuple(setup.permuted_set(true_set))
+
+    hypotheses = (tuple(sorted(sparse_a)), tuple(sorted(sparse_b)))
+    return _result("positions-tvd", space, _exact_tvd(observe, hypotheses, space), threshold,
+                   (f"sparse={sorted(sparse_a)}", f"sparse={sorted(sparse_b)}"),
+                   {"subsets": math.comb(p_subpackets, len(sparse_a))})
 
 
 def default_audit_suite(
@@ -266,12 +217,14 @@ def default_audit_suite(
     tvd_threshold: float = TVD_THRESHOLD,
     case: int = 1,
 ) -> list[AuditResult]:
-    """The fixed per-scheme audit battery used by the command line."""
+    """The fixed per-scheme audit battery used by the command line.
+
+    ``seed`` is accepted and unused: the audits enumerate every draw, so the
+    results are the same for every seed."""
     results = [
-        audit_query(scheme, 1, 2, samples, q=q, seed=seed, disable_noise=disable_noise,
+        audit_query(scheme, 1, 2, samples, q=q, disable_noise=disable_noise,
                     threshold=tvd_threshold, case=case),
-        audit_update(1, 3, samples, q=q, seed=seed, disable_noise=disable_noise,
-                     threshold=tvd_threshold),
+        audit_update(1, 3, samples, q=q, disable_noise=disable_noise, threshold=tvd_threshold),
     ]
     if scheme == "topr":
         results.append(
@@ -280,8 +233,8 @@ def default_audit_suite(
                 sparse_b=list(range(2, sparse_size + 2)),
                 p_subpackets=p_subpackets,
                 samples=samples,
-                seed=seed,
                 disable_noise=disable_noise,
+                threshold=tvd_threshold,
             )
         )
     return results

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import snapshot
+from . import audit, snapshot
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InconclusiveError, PruwError
 from .harness import CSV_HEADER, Session, run_session, verify_costs
@@ -87,25 +87,11 @@ def cmd_cost_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    # imported here, not at module level: audit pulls in scipy.stats, which
-    # every other command would otherwise pay for at start-up
-    from . import audit
-
     if args.disable_noise:
         print(INSECURE_BANNER, file=sys.stderr)
-    threshold = audit.TVD_THRESHOLD if args.tvd_threshold is None else args.tvd_threshold
-    try:
-        results = audit.default_audit_suite(
-            args.scheme,
-            samples=args.samples,
-            q=args.q,
-            seed=args.seed if args.seed is not None else 0,
-            disable_noise=args.disable_noise,
-            tvd_threshold=threshold,
-        )
-    except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+    results = audit.default_audit_suite(args.scheme, samples=args.samples, q=args.q,
+                                        disable_noise=args.disable_noise,
+                                        tvd_threshold=args.tvd_threshold)
     payload = json.dumps([r.as_dict() for r in results], sort_keys=True, indent=2) + "\n"
     _emit(payload, args.out)
     return 0 if all(r.passed for r in results) else 1
@@ -170,12 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit_p = sub.add_parser("audit", help="run the privacy audit battery")
     audit_p.add_argument("--scheme", choices=("basic", "topr", "random"), default="basic")
-    audit_p.add_argument("--samples", type=int, default=100_000)
+    audit_p.add_argument("--samples", type=int, default=100_000,
+                         help="enumeration budget: outcomes per hypothesis an audit may "
+                              "enumerate (exit 3 when one needs more)")
     audit_p.add_argument("--q", type=int, default=5)
-    audit_p.add_argument("--seed", type=int, default=0)
     audit_p.add_argument("--tvd-threshold", type=float, dest="tvd_threshold",
-                         help="loosen when running fewer samples than the default "
-                              "(default: pruw.audit.TVD_THRESHOLD)")
+                         default=audit.TVD_THRESHOLD,
+                         help="TVD at or above which an audit fails (default: %(default)s)")
     audit_p.add_argument("--out", help="audits JSON path (stdout when omitted)")
     audit_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
     audit_p.set_defaults(func=cmd_audit)

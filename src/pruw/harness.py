@@ -244,8 +244,10 @@ def aligned_length(plan: rs.SparsePlan) -> int:
     raise ConfigError("could not align the plan to a whole-subpacket grid")
 
 
-def _sweep_value(spec: dict, key: str, parse=int, default=None):
-    """``spec[key]`` parsed; a key without a default is required."""
+def _sweep_value(spec: dict, read: set, key: str, parse=int, default=None):
+    """``spec[key]`` parsed and ``key`` added to ``read``; a key without a
+    default is required."""
+    read.add(key)
     if key not in spec and default is None:
         raise ConfigError(f"sweep line {spec} lacks the key {key!r}")
     try:
@@ -260,18 +262,19 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
     against the scheme's closed form."""
     rows = []
     for spec in specs:
-        scheme, n = _sweep_value(spec, "scheme", str), _sweep_value(spec, "n")
-        seed = _sweep_value(spec, "seed", default=1)
+        read: set[str] = set()
+        scheme, n = _sweep_value(spec, read, "scheme", str), _sweep_value(spec, read, "n")
+        seed = _sweep_value(spec, read, "seed", default=1)
         extra: dict = {}
         if scheme == "basic":
             cfg = ExperimentConfig(scheme="basic", n=n, m=2, l=4 * basic.optimal_params(n).ell,
-                                   q=_sweep_value(spec, "q", default=2**31 - 1), seed=seed)
+                                   q=_sweep_value(spec, read, "q", default=2**31 - 1), seed=seed)
             knobs = "optimal"
         elif scheme == "topr":
-            p, q = _sweep_value(spec, "p"), _sweep_value(spec, "q")
-            case = _sweep_value(spec, "case", default=1)
-            r = _sweep_value(spec, "r", Fraction, "1/5")
-            rp = _sweep_value(spec, "r_prime", Fraction, "1/5")
+            p, q = _sweep_value(spec, read, "p"), _sweep_value(spec, read, "q")
+            case = _sweep_value(spec, read, "case", default=1)
+            r = _sweep_value(spec, read, "r", Fraction, "1/5")
+            rp = _sweep_value(spec, read, "r_prime", Fraction, "1/5")
             ell = topr_subpacketization(n, case)
             q_exec = q if q > n + ell else next_prime_above(n + ell)
             cfg = ExperimentConfig(scheme="topr", n=n, m=2, p=p, q=q_exec,
@@ -287,19 +290,23 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
                 extra["alt_cw"] = str(analytic.write_alt)
                 knobs += f";alt_cr={analytic.read_alt};alt_cw={analytic.write_alt}"
         elif scheme == "random":
-            d = _sweep_value(spec, "d", Fraction, 0)
-            d_read = _sweep_value(spec, "d_read", Fraction, d)
-            d_write = _sweep_value(spec, "d_write", Fraction, d)
-            length = (_sweep_value(spec, "l", default=0)
+            d = _sweep_value(spec, read, "d", Fraction, 0)
+            d_read = _sweep_value(spec, read, "d_read", Fraction, d)
+            d_write = _sweep_value(spec, read, "d_write", Fraction, d)
+            length = (_sweep_value(spec, read, "l", default=0)
                       or aligned_length(rs.optimize_plan(n, d_read, d_write)))
             cfg = ExperimentConfig(scheme="random", n=n, m=2, l=length,
-                                   q=_sweep_value(spec, "q", default=2**31 - 1),
+                                   q=_sweep_value(spec, read, "q", default=2**31 - 1),
                                    d_read=d_read, d_write=d_write, seed=seed)
             closed = rs.costs_random_closed_form(n, d_read, d_write)
             extra = {"closed_form_cr": str(closed[0]), "closed_form_cw": str(closed[1])}
             knobs = f"d_read={d_read};d_write={d_write};l={length}"
         else:
             raise ConfigError(f"unknown scheme {scheme!r} in sweep")
+        unknown = sorted(spec.keys() - read)
+        if unknown:
+            raise ConfigError(f"sweep line {spec} has keys the {scheme} scheme does not "
+                              f"read: {', '.join(unknown)}")
         session = Session(cfg)
         ledger = session.run_iteration().ledger
         cr, cw = session.scheme.costs()

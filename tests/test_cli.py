@@ -137,6 +137,7 @@ class TestCostTable:
         ("scheme=basic n=ten", "n='ten'"),
         ("scheme=topr n=10 p=0 q=5", "p must be positive"),
         ("scheme=topr n=10 p=5 q=1", "position_base must be at least 2"),
+        ("scheme=random n=10 d_raed=1/5", "d_raed"),
     ])
     def test_malformed_sweep_line_is_config_error(self, tmp_path, capsys, line, named):
         spec = tmp_path / "sweep.txt"
@@ -227,10 +228,11 @@ class TestSnapshots:
 
 class TestEntryPoint:
     def test_import_leaves_scipy_out(self):
-        # only `pruw audit` needs scipy.stats; it is imported on that path alone
+        # the exact audits need no statistics package, so neither the command
+        # line nor the audit module loads scipy.stats
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, pruw.cli; sys.exit('scipy.stats' in sys.modules)"],
+             "import sys, pruw.cli, pruw.audit; sys.exit('scipy.stats' in sys.modules)"],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": "src"},
         )
