@@ -29,6 +29,10 @@ from .field import FieldParams, allocate_eval_points, derive_seed, seeded_unifor
 from .poly import apply_rows, build_query, combine_update, decode_inverse
 from .storage import DatabaseState, ModelPlain, answer, fold, init_random_sparse
 
+# Bound on the symbols of a session's one-time queries, N * M * sum over the
+# realized regions of (read_patterns * ell_r + write_patterns * ell_w).
+QUERY_SYMBOL_LIMIT = 1 << 21
+
 
 def g_index(x: int, y: int) -> int:
     """Cyclic bit-constant index: x mod y, mapping multiples of y to y."""
@@ -471,6 +475,15 @@ class RandomScheme:
         self.plan = optimize_plan(cfg.n, cfg.d_read, cfg.d_write)
         self.budget = (self.plan.d_read, self.plan.d_write)
         self.realized = realize_regions(self.plan, cfg.l)
+        symbols = cfg.n * cfg.m * sum(
+            r.spec.read_patterns * r.spec.ell_r + r.spec.write_patterns * r.spec.ell_w
+            for r in self.realized
+        )
+        if symbols > QUERY_SYMBOL_LIMIT:
+            raise ConfigError(
+                f"d_read={self.plan.d_read}, d_write={self.plan.d_write} need {symbols} "
+                f"one-time query symbols, above the limit of {QUERY_SYMBOL_LIMIT}"
+            )
         self.length = cfg.l
         self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.realized), cfg.q)
         self.bit_sets = draw_bit_sets(self.plan, cfg.seed)

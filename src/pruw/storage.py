@@ -8,7 +8,9 @@ Each database holds, per subpacket, per bit, per submodel, one masked symbol:
 
 The mask coefficients are identical across databases (only alpha varies);
 they come from a counter-mode stream keyed by the coordinator seed, so any
-cell is reproducible without ever materializing the mask tensors.
+cell is reproducible without ever materializing the mask tensors.  Set-up
+draws each cell's coefficients once and evaluates them at every alpha_n by
+a fixed power map, so the draw costs the same whatever N is.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .poly import lagrange_interpolate, unit_vectors
 KIND_BASIC = "basic"
 KIND_TOPR = "topr"
 KIND_RANDOM = "random"
+
+# subpackets whose mask coefficients are drawn before their cells are laid
+# into the databases; bounds the coefficients held at once
+DRAW_CHUNK = 64
 
 
 @dataclass
@@ -219,16 +225,6 @@ def _padded(model: ModelPlain, width: int) -> tuple[list[list[int]], int]:
     return vals, model.length + pad
 
 
-def mask_value(noise: CounterNoise, q: int, kind: str, s: int, j: int, m: int, terms: int, alpha: int) -> int:
-    """Mask polynomial of cell (s, j, m) evaluated at alpha."""
-    acc = 0
-    p = 1
-    for i in range(terms):
-        acc = (acc + p * noise.symbol(q, kind, s, j, m, i)) % q
-        p = p * alpha % q
-    return acc
-
-
 def _build_states(
     model: ModelPlain,
     fp: FieldParams,
@@ -237,43 +233,45 @@ def _build_states(
     disable_noise: bool,
 ) -> list[DatabaseState]:
     q = fp.q
-    width = layout.width
+    mul = operator.mul
+    kind, width, terms, m_count = layout.kind, layout.width, layout.noise_terms, model.m_count
     values, padded_len = _padded(model, width)
     subpackets = padded_len // width
     noise = CounterNoise(seed)
-    states = []
-    for n in range(1, fp.n_databases + 1):
-        alpha = fp.alpha(n)
-        cells = []
-        for s in range(subpackets):
-            block = []
-            for j in range(width):
-                f_j = fp.fs[j]
-                col = []
-                for m in range(model.m_count):
-                    w = values[m][s * width + j]
-                    if disable_noise:
-                        mask = 0
-                    else:
-                        mask = mask_value(noise, q, layout.kind, s, j, m, layout.noise_terms, alpha)
-                    if layout.affine_mask:
-                        cell = (w + (f_j - alpha) * mask) % q
-                    else:
-                        cell = (w * fp.field.inv(f_j - alpha) + mask) % q
-                    col.append(cell)
-                block.append(col)
-            cells.append(block)
-        states.append(
-            DatabaseState(
-                db_index=n,
-                fp=fp,
-                layout=layout,
-                m_count=model.m_count,
-                length=model.length,
-                cells=cells,
-            )
-        )
-    return states
+    # per (n, j): cell = w * scale + <mask coefficients, row>.  The row is
+    # the power map [alpha_n^i], times (f_j - alpha_n) on the affine layouts;
+    # the random layout scales w by (f_j - alpha_n)^-1 instead.
+    maps = []
+    for alpha in fp.alphas:
+        powers = [pow(alpha, i, q) for i in range(terms)]
+        if layout.affine_mask:
+            maps.append([(1, [(f - alpha) * p % q for p in powers]) for f in fp.fs[:width]])
+        else:
+            maps.append([(fp.field.inv(f - alpha), powers) for f in fp.fs[:width]])
+    cells = [[] for _ in fp.alphas]
+    for lo in range(0, subpackets, DRAW_CHUNK):
+        chunk = range(lo, min(lo + DRAW_CHUNK, subpackets))
+        coefs = [
+            [[[] if disable_noise else [noise.symbol(q, kind, s, j, m, i) for i in range(terms)]
+              for m in range(m_count)] for j in range(width)]
+            for s in chunk
+        ]
+        # database-major, so each database's cells are allocated together
+        for db_map, db_cells in zip(maps, cells):
+            for s, block_coefs in zip(chunk, coefs):
+                block = []
+                for j, ((scale, row), cell_coefs) in enumerate(zip(db_map, block_coefs)):
+                    pos = s * width + j
+                    block.append([
+                        (values[m][pos] * scale + sum(map(mul, z, row))) % q
+                        for m, z in enumerate(cell_coefs)
+                    ])
+                db_cells.append(block)
+    return [
+        DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
+                      length=model.length, cells=db_cells)
+        for n, db_cells in enumerate(cells, start=1)
+    ]
 
 
 def init_basic(

@@ -82,6 +82,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "largest p" in capsys.readouterr().err
 
+    def test_oversized_random_queries_exit_2(self, tmp_path, capsys, monkeypatch):
+        # valid budgets whose second region needs ~53.6M one-time query symbols
+        def no_query(*args, **kwargs):
+            raise AssertionError("a query was built for a config over the bound")
+
+        monkeypatch.setattr("pruw.random_sparse.build_query", no_query)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("scheme=random\nn=10\nl=64\nd_read=999/1000\nd_write=997/1000\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "53600000" in err and str(1 << 21) in err and "d_read=999/1000" in err
+
     def test_insecure_banner(self, basic_cfg, tmp_path, capsys):
         out = tmp_path / "out.json"
         main(["run", "--config", basic_cfg, "--out", str(out), "--disable-noise"])

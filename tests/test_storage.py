@@ -1,23 +1,82 @@
 """Masked storage: construction, round trips, tamper detection, distributions."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
 
+from pruw import storage
 from pruw.errors import ConfigError, IntegrityError
-from pruw.field import CounterNoise, allocate_eval_points
+from pruw.field import CounterNoise, PrimeField, allocate_eval_points
 from pruw.storage import (
     ModelPlain,
     init_basic,
     init_random_sparse,
     init_topr,
-    mask_value,
     reconstruct_plain,
     topr_subpacketization,
 )
+
+
+def mask_value(noise, q, kind, s, j, m, terms, alpha):
+    """Reference mask of cell (s, j, m): sum_i Z_i alpha^i by Horner, each
+    coefficient drawn on its own from the counter stream."""
+    acc = 0
+    for i in reversed(range(terms)):
+        acc = (acc * alpha + noise.symbol(q, kind, s, j, m, i)) % q
+    return acc
+
+
+def reference_cells(model, fp, layout, seed, disable_noise):
+    """Every database's cells, one cell at a time from the layout's formula:
+    W + (f_j - alpha) * mask on the affine layouts, W / (f_j - alpha) + mask
+    on the random one."""
+    q, width = fp.q, layout.width
+    noise = CounterNoise(seed)
+    subpackets = -(-model.length // width)
+    out = []
+    for alpha in fp.alphas:
+        cells = []
+        for s in range(subpackets):
+            block = []
+            for j in range(width):
+                f_j, pos = fp.fs[j], s * width + j
+                col = []
+                for m in range(model.m_count):
+                    w = model.values[m][pos] if pos < model.length else 0
+                    mask = 0 if disable_noise else mask_value(
+                        noise, q, layout.kind, s, j, m, layout.noise_terms, alpha)
+                    if layout.affine_mask:
+                        col.append((w + (f_j - alpha) * mask) % q)
+                    else:
+                        col.append((w * pow(f_j - alpha, -1, q) + mask) % q)
+                block.append(col)
+            cells.append(block)
+        out.append(cells)
+    return out
+
+
+def init_layout(layout, model, n, q, ells, seed, disable_noise=False):
+    """States of one layout ("basic", "topr-<case>", "random-<case>"); raises
+    ConfigError where N or q admits none."""
+    kind, _, case = layout.partition("-")
+    lo, hi = sorted(ells)
+    if kind == "basic":
+        t_storage = (n + 1) // 2
+        fp = allocate_eval_points(n, n - t_storage - 1, q)
+        return init_basic(model, fp, t_storage, 1, 1, seed, disable_noise)
+    if kind == "topr":
+        fp = allocate_eval_points(n, topr_subpacketization(n, int(case)), q)
+        return init_topr(model, fp, int(case), seed, disable_noise)
+    ell_r, ell_w = (lo, hi) if case == "1" else (hi, lo)
+    fp = allocate_eval_points(n, hi, q)
+    return init_random_sparse(model, fp, int(case), ell_r, ell_w, seed, disable_noise)
+
+
+LAYOUTS = ("basic", "topr-1", "topr-2", "random-1", "random-2")
 
 
 def small_basic(q=11, n=4, m=2, length=6, seed=5):
@@ -169,31 +228,79 @@ class TestRandomSparseInit:
 
 
 class TestCellDistributions:
-    """Security surrogate: masked cells look uniform and model-independent."""
+    """Security surrogate: masked cells are uniform and model-independent."""
 
-    def test_cell_chi2_uniform(self):
-        q, n_samples = 7, 100_000
+    def test_cells_exactly_uniform_and_model_independent(self, monkeypatch):
+        # N=4 basic keeps 2 mask coefficients per cell: enumerate all 7^2
+        # draws through the real init and count every database's cell
+        q = 7
         fp = allocate_eval_points(4, 1, q)
-        alpha = fp.alpha(1)
-        counts = [0] * q
-        w = 3
-        for i in range(n_samples):
-            noise = CounterNoise(i)
-            mask = mask_value(noise, q, "basic", 0, 0, 0, 2, alpha)
-            counts[(w + (fp.fs[0] - alpha) * mask) % q] += 1
-        expected = n_samples / q
-        stat = sum((c - expected) ** 2 / expected for c in counts)
-        assert stat < chi2.ppf(0.99, df=q - 1)
 
-    def test_cells_model_independent(self):
-        # per-coordinate TVD between two planted models over fresh inits
-        q, n_samples = 7, 100_000
-        fp = allocate_eval_points(4, 1, q)
-        alpha = fp.alpha(2)
-        counts = {0: [0] * q, 5: [0] * q}
-        for offset, w in enumerate(counts):
-            for i in range(n_samples):
-                mask = mask_value(CounterNoise(i + offset * n_samples), q, "basic", 0, 0, 0, 2, alpha)
-                counts[w][(w + (fp.fs[0] - alpha) * mask) % q] += 1
-        tvd = 0.5 * sum(abs(a - b) for a, b in zip(counts[0], counts[5])) / n_samples
-        assert tvd < 0.02
+        class Playback:
+            """Serves coefficient i of the single cell as draws[i]."""
+
+            def __init__(self, draws):
+                self.draws = draws
+
+            def symbol(self, q, *tag):
+                return self.draws[tag[-1]]
+
+        laws = {}
+        for w in (0, 5):
+            laws[w] = [Counter() for _ in range(4)]
+            for draws in itertools.product(range(q), repeat=2):
+                monkeypatch.setattr(storage, "CounterNoise", lambda seed, d=draws: Playback(d))
+                states = init_basic(ModelPlain(1, 1, [[w]]), fp, 2, 1, 1, 0)
+                for law, st_ in zip(laws[w], states):
+                    law[st_.cells[0][0][0]] += 1
+            for law in laws[w]:
+                assert law == Counter({v: q for v in range(q)})
+        assert laws[0] == laws[5]
+
+
+class TestSharedDraw:
+    """One draw of mask coefficients serves every database."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for cls, name in ((CounterNoise, "symbol"), (PrimeField, "inv")):
+            def counting(self, *args, _real=getattr(cls, name), _name=name):
+                counts[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("layout, n", [
+        ("basic", 4), ("basic", 9), ("topr-1", 6), ("topr-1", 10), ("topr-2", 8),
+        ("random-1", 7), ("random-1", 8), ("random-2", 9), ("random-2", 10),
+    ])
+    def test_draws_once_per_coefficient(self, calls, layout, n):
+        model = ModelPlain.random(2, 11, 127, random.Random(1))
+        calls.clear()
+        states = init_layout(layout, model, n, 127, (3, 4), seed=6)
+        lay = states[0].layout
+        assert calls["symbol"] == states[0].subpackets * lay.width * 2 * lay.noise_terms
+        if not lay.affine_mask:
+            assert calls["inv"] <= lay.width * n
+
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        n=st.integers(min_value=4, max_value=10),
+        q=st.sampled_from((13, 127, 8191)),
+        m=st.integers(min_value=1, max_value=3),
+        length=st.integers(min_value=1, max_value=13),
+        ells=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        disable_noise=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cells_match_reference(self, layout, n, q, m, length, ells, seed, disable_noise):
+        model = ModelPlain.random(m, length, q, random.Random(seed))
+        try:
+            states = init_layout(layout, model, n, q, ells, seed, disable_noise)
+        except ConfigError:
+            assume(False)
+        expected = reference_cells(model, states[0].fp, states[0].layout, seed, disable_noise)
+        assert [st_.cells for st_ in states] == expected
