@@ -230,9 +230,10 @@ class TestRandomSparseInit:
 class TestCellDistributions:
     """Security surrogate: masked cells are uniform and model-independent."""
 
-    def test_cells_exactly_uniform_and_model_independent(self, monkeypatch):
-        # N=4 basic keeps 2 mask coefficients per cell: enumerate all 7^2
-        # draws through the real init and count every database's cell
+    @pytest.fixture
+    def laws(self, monkeypatch):
+        """Exact law of every database's cell for w=0 and w=5: N=4 basic keeps
+        2 mask coefficients per cell, so all 7^2 draws run through the real init."""
         q = 7
         fp = allocate_eval_points(4, 1, q)
 
@@ -253,8 +254,21 @@ class TestCellDistributions:
                 states = init_basic(ModelPlain(1, 1, [[w]]), fp, 2, 1, 1, 0)
                 for law, st_ in zip(laws[w], states):
                     law[st_.cells[0][0][0]] += 1
-            for law in laws[w]:
+        return q, laws
+
+    def test_cell_chi2_uniform(self, laws):
+        # the exact law leaves a chi-square statistic of zero: every value
+        # of F_7 occurs equally often in every database, for every model
+        q, laws = laws
+        for per_db in laws.values():
+            for law in per_db:
+                expected = sum(law.values()) / q
+                chi2 = sum((law[v] - expected) ** 2 / expected for v in range(q))
+                assert chi2 == 0
                 assert law == Counter({v: q for v in range(q)})
+
+    def test_cells_model_independent(self, laws):
+        _, laws = laws
         assert laws[0] == laws[5]
 
 
