@@ -8,9 +8,16 @@ Two kinds of randomness are used and must not be confused:
 
 * stream noise (:func:`seeded_uniform`) — user-side masks drawn from an
   explicit ``random.Random`` stream, fresh per invocation;
-* counter-mode noise (:class:`CounterNoise`) — storage masks addressed by an
-  index tuple, so any cell can be regenerated from the coordinator seed
+* counter-mode noise (:class:`CounterNoise`) — storage masks drawn as one
+  SHAKE-256 stream per tag (a subpacket, a reversing-matrix block column),
+  so any block of cells can be regenerated from the coordinator seed
   without keeping the whole tensor in memory.
+
+The set-up kernels that consume counter noise run on numpy arrays of
+:func:`kernel_dtype`: int64 while the product of two residues stays below
+2^63 (every prime q <= 3,037,000,493, the default 2^31 - 1 included), Python
+ints in object arrays above.  numpy is imported inside those functions
+only, so importing the package or running the audits never loads it.
 """
 
 from __future__ import annotations
@@ -153,22 +160,49 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def kernel_dtype(q: int):
+    """dtype of the set-up array kernels for modulus q: int64 while a product
+    of two residues fits (q <= 3,037,000,493 among primes), object above."""
+    import numpy as np
+
+    return np.int64 if (q - 1) ** 2 < 1 << 63 else object
+
+
 class CounterNoise:
-    """Counter-mode noise: the symbol at an index tuple is a pure function of
-    (seed, tag).  Rejection sampling keeps the residues exactly uniform."""
+    """Counter-addressed noise streams: the symbols under a tag are a pure
+    function of (seed, tag).  Rejection sampling keeps them exactly uniform."""
 
     __slots__ = ("_key",)
 
     def __init__(self, seed: int):
         self._key = (seed & _U64).to_bytes(8, "little")
 
-    def symbol(self, q: int, *tag) -> int:
-        bound = (1 << 128) - ((1 << 128) % q)
-        ctr = 0
+    def symbol(self, q: int, count: int, *tag):
+        """Draws a stream: the first ``count`` symbols of the stream keyed by
+        (seed, tag), as a numpy array of :func:`kernel_dtype`.
+
+        The stream is SHAKE-256 over the 8-byte seed and ``repr(tag)``, read
+        as little-endian words of 8 * ceil(b / 64) bytes, b = q.bit_length();
+        each word is masked to its low b bits and kept when below q.  SHAKE is
+        an extendable-output function, so drawing more never changes the
+        earlier symbols.  Words of 8 bytes (q < 2^64) are read with numpy,
+        wider ones by a plain loop.
+        """
+        import numpy as np
+
+        bits = q.bit_length()
+        size = 8 * -(-bits // 64)
+        mask = (1 << bits) - 1
+        stream = hashlib.shake_256(self._key + repr(tag).encode("ascii"))
+        words = count * (mask + 1) // q + 16
         while True:
-            payload = repr((ctr,) + tag).encode("ascii")
-            digest = hashlib.blake2b(payload, key=self._key, digest_size=16).digest()
-            v = int.from_bytes(digest, "little")
-            if v < bound:
-                return v % q
-            ctr += 1
+            data = stream.digest(size * words)
+            if size == 8:
+                vals = np.frombuffer(data, "<u8") & np.uint64(mask)
+            else:
+                vals = np.array([int.from_bytes(data[k : k + size], "little") & mask
+                                 for k in range(0, len(data), size)], dtype=object)
+            vals = vals[vals < q]
+            if len(vals) >= count:
+                return vals[:count].astype(kernel_dtype(q))
+            words *= 2

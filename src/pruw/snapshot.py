@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic "PRUW1" | u8 scheme tag | u64 q | u32 N | u32 f_count | u32 M
+    magic "PRUW2" | u8 scheme tag | u64 q | u32 N | u32 f_count | u32 M
     | u64 seed | u32 region count
     then per region:
       u8 kind | u8 case | 4 x u32 layout fields | u64 unpadded length
@@ -13,6 +13,8 @@ Layout (all integers little-endian):
 
 The permutation setup serializes as (permutation, noise seed): the noisy
 reversing matrices are a pure function of those plus the field constants.
+"PRUW1" files predate the per-column noise streams, so their seed would
+rebuild other matrices; they are rejected.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .field import FieldParams, allocate_eval_points
 from .storage import BasicLayout, DatabaseState, RandomLayout, TopRLayout
 from .topr import PermutationSetup
 
-MAGIC = b"PRUW1"
+MAGIC = b"PRUW2"
+OLD_MAGIC = b"PRUW1"
 _SCHEME_TAGS = {"basic": 1, "topr": 2, "random": 3}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_TAGS.items()}
 _KIND_TAGS = {"basic": 1, "topr": 2, "random": 3}
@@ -107,6 +110,11 @@ class _Reader:
 def load_snapshot(path: str) -> SnapshotBundle:
     with open(path, "rb") as fh:
         data = fh.read()
+    if data[:5] == OLD_MAGIC:
+        raise IntegrityError(
+            "snapshot format PRUW1 is no longer read: its reversing-noise seed "
+            "rebuilds different matrices under the PRUW2 noise streams; re-save it"
+        )
     if data[:5] != MAGIC:
         raise IntegrityError("bad snapshot magic")
     rd = _Reader(data)

@@ -7,10 +7,14 @@ Each database holds, per subpacket, per bit, per submodel, one masked symbol:
 * random:     ``W / (f_j - alpha_n) + mask(alpha_n)`` on a cyclic f layout.
 
 The mask coefficients are identical across databases (only alpha varies);
-they come from a counter-mode stream keyed by the coordinator seed, so any
-cell is reproducible without ever materializing the mask tensors.  Set-up
-draws each cell's coefficients once and evaluates them at every alpha_n by
-a fixed power map, so the draw costs the same whatever N is.
+they come from counter-mode noise keyed by the coordinator seed, one stream
+per subpacket tagged (kind, s) holding its width * M * noise_terms
+coefficients, so any subpacket is reproducible without ever materializing
+the mask tensors.  Set-up draws each subpacket's stream once and evaluates
+it at every alpha_n by a fixed power map, so the draw costs the same
+whatever N is.  That evaluation runs as numpy array kernels of
+:func:`~pruw.field.kernel_dtype` (int64 up to q = 3,037,000,493, Python
+ints above), and the cells are handed back as nested lists of ints.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError, DomainError, IntegrityError
-from .field import CounterNoise, FieldParams, derive_seed
+from .field import CounterNoise, FieldParams, derive_seed, kernel_dtype
 from .poly import lagrange_interpolate, unit_vectors
 
 KIND_BASIC = "basic"
@@ -232,41 +236,42 @@ def _build_states(
     seed: int,
     disable_noise: bool,
 ) -> list[DatabaseState]:
+    import numpy as np
+
     q = fp.q
-    mul = operator.mul
+    dtype = kernel_dtype(q)
     kind, width, terms, m_count = layout.kind, layout.width, layout.noise_terms, model.m_count
     values, padded_len = _padded(model, width)
     subpackets = padded_len // width
     noise = CounterNoise(seed)
+    # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
+    w = np.array(values, dtype=dtype).reshape(m_count, subpackets, width).transpose(1, 2, 0)
     # per (n, j): cell = w * scale + <mask coefficients, row>.  The row is
     # the power map [alpha_n^i], times (f_j - alpha_n) on the affine layouts;
     # the random layout scales w by (f_j - alpha_n)^-1 instead.
     maps = []
+    fs = fp.fs[:width]
     for alpha in fp.alphas:
         powers = [pow(alpha, i, q) for i in range(terms)]
         if layout.affine_mask:
-            maps.append([(1, [(f - alpha) * p % q for p in powers]) for f in fp.fs[:width]])
+            scale, rows = [1] * width, [[(f - alpha) * p % q for p in powers] for f in fs]
         else:
-            maps.append([(fp.field.inv(f - alpha), powers) for f in fp.fs[:width]])
+            scale, rows = [fp.field.inv(f - alpha) for f in fs], [powers] * width
+        maps.append((np.array(scale, dtype=dtype)[:, None], np.array(rows, dtype=dtype)[:, None, :]))
     cells = [[] for _ in fp.alphas]
     for lo in range(0, subpackets, DRAW_CHUNK):
-        chunk = range(lo, min(lo + DRAW_CHUNK, subpackets))
-        coefs = [
-            [[[] if disable_noise else [noise.symbol(q, kind, s, j, m, i) for i in range(terms)]
-              for m in range(m_count)] for j in range(width)]
-            for s in chunk
-        ]
-        # database-major, so each database's cells are allocated together
-        for db_map, db_cells in zip(maps, cells):
-            for s, block_coefs in zip(chunk, coefs):
-                block = []
-                for j, ((scale, row), cell_coefs) in enumerate(zip(db_map, block_coefs)):
-                    pos = s * width + j
-                    block.append([
-                        (values[m][pos] * scale + sum(map(mul, z, row))) % q
-                        for m, z in enumerate(cell_coefs)
-                    ])
-                db_cells.append(block)
+        hi = min(lo + DRAW_CHUNK, subpackets)
+        # one stream per subpacket, read as z[s, j, m, i]
+        z = None if disable_noise else np.stack([
+            noise.symbol(q, width * m_count * terms, kind, s) for s in range(lo, hi)
+        ]).reshape(hi - lo, width, m_count, terms)
+        # database-major, so each database's cells are allocated together;
+        # each product is reduced before the sum, which keeps int64 exact
+        for (scale, rows), db_cells in zip(maps, cells):
+            block = w[lo:hi] * scale % q
+            if z is not None:
+                block = (block + (z * rows % q).sum(axis=-1)) % q
+            db_cells.extend(block.tolist())
     return [
         DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
                       length=model.length, cells=db_cells)

@@ -6,7 +6,10 @@ permuted positions; databases un-permute them *inside* the masked algebra,
 so neither the true positions nor the zero-valued updates ever leak.
 
 Case 1 stores one reversing matrix per subpacket grid (small), case 2 a
-per-bit block matrix (large but cheaper on the wire).  Position symbols are
+per-bit block matrix (large but cheaper on the wire).  The shared noise of
+the reversing matrices is one counter stream per block column, and each
+database holds its matrix as a numpy array of
+:func:`~pruw.field.kernel_dtype`.  Position symbols are
 charged as ceil(log_q P) field symbols by the meter; the closed-form costs
 keep the fractional logarithm and both are reported.
 """
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import CounterNoise, FieldParams, allocate_eval_points, seeded_uniform
+from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype, seeded_uniform
 from .poly import apply_rows, build_query, combine_update, decode_inverse
 from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
 
@@ -75,55 +78,48 @@ class PermutationSetup:
     def permuted_set(self, true_set) -> list[int]:
         return sorted(self.permuted_index(s) for s in true_set)
 
-    def base_matrix(self) -> list[list[int]]:
-        """Case-1 reversing matrix without noise: R[perm(i)-1][i-1] = 1."""
-        p = self.p_subpackets
-        mat = [[0] * p for _ in range(p)]
-        for i in range(1, p + 1):
-            mat[self.perm[i - 1] - 1][i - 1] = 1
+    def base_matrix(self, n: int):
+        """Database n's reversing matrix without noise, as an array of
+        :func:`kernel_dtype`: a 1 at (perm(i), i) in case 1; in case 2 the
+        block at (perm(i), i) is diagonal, its entry j (f_j - alpha_n)^-1."""
+        import numpy as np
+
+        fp, p = self.fp, self.p_subpackets
+        if self.case == 1:
+            block, diag = 1, [1]
+        else:
+            block = self.ell
+            diag = [fp.field.inv(f - fp.alpha(n)) for f in fp.fs[:block]]
+        mat = np.zeros((p * block, p * block), dtype=kernel_dtype(fp.q))
+        rows = ((np.array(self.perm) - 1)[:, None] * block + np.arange(block)).ravel()
+        mat[rows, np.arange(p * block)] = diag * p
         return mat
 
-    def base_matrix_blocks(self, n: int) -> list[list[int]]:
-        """Case-2 reversing matrix without noise for database n: reciprocal
-        diagonal blocks in the case-1 pattern."""
-        p, ell, q = self.p_subpackets, self.ell, self.fp.q
-        alpha = self.fp.alpha(n)
-        size = p * ell
-        mat = [[0] * size for _ in range(size)]
-        for i in range(1, p + 1):
-            row0 = (self.perm[i - 1] - 1) * ell
-            col0 = (i - 1) * ell
-            for j in range(ell):
-                mat[row0 + j][col0 + j] = self.fp.field.inv(self.fp.fs[j] - alpha)
-        return mat
-
-    def reversing_matrix(self, n: int) -> list[list[int]]:
-        """Noise-added reversing matrix held by database n (1-based).
+    def reversing_matrix(self, n: int):
+        """Noise-added reversing matrix held by database n (1-based), as an
+        array of :func:`kernel_dtype`.
 
         The noise is shared: case 1 scales it per database, case 2 adds it
-        as is.  So the first call draws it once and builds every database's
-        matrix in the same pass.
+        as is.  It is one counter stream per block column v (one column in
+        case 1, ell in case 2), tagged ("rev1" | "rev2", v), so the first
+        call draws it once and builds every database's matrix in the same
+        pass.
         """
         if not self._cache:
+            import numpy as np
+
             fp = self.fp
             q = fp.q
             noise = CounterNoise(self.noise_seed)
-            dbs = range(1, fp.n_databases + 1)
-            if self.case == 1:
-                tag, side = "rev1", self.p_subpackets
-                mats = {db: self.base_matrix() for db in dbs}
-                scales = {db: math.prod(f - fp.alpha(db) for f in fp.fs[: self.ell]) % q
-                          for db in dbs}
-            else:
-                tag, side = "rev2", self.p_subpackets * self.ell
-                mats = {db: self.base_matrix_blocks(db) for db in dbs}
-                scales = dict.fromkeys(dbs, 1)
-            for r in range(side):
-                zs = [noise.symbol(q, tag, r, c) for c in range(side)]
-                for db, mat in mats.items():
-                    scale = scales[db]
-                    mat[r] = [(a + scale * z) % q for a, z in zip(mat[r], zs)]
-            self._cache.update(mats)
+            tag, block = ("rev1", 1) if self.case == 1 else ("rev2", self.ell)
+            side = self.p_subpackets * block
+            z = np.concatenate([noise.symbol(q, side * block, tag, v).reshape(side, block)
+                                for v in range(self.p_subpackets)], axis=1)
+            for db in range(1, fp.n_databases + 1):
+                scale = 1
+                if self.case == 1:
+                    scale = math.prod(f - fp.alpha(db) for f in fp.fs[: self.ell]) % q
+                self._cache[db] = (self.base_matrix(db) + z * scale % q) % q
         return self._cache[n]
 
 
@@ -186,9 +182,9 @@ def column_weights(setup: PermutationSetup, n: int, v_perm: int) -> list[int]:
     rev = setup.reversing_matrix(n)
     ell = setup.ell
     if setup.case == 1:
-        return [row[v_perm - 1] for row in rev for _ in range(ell)]
+        return rev[:, v_perm - 1].repeat(ell).tolist()
     col0 = (v_perm - 1) * ell
-    return [sum(row[col0 : col0 + ell]) % setup.fp.q for row in rev]
+    return (rev[:, col0 : col0 + ell].sum(axis=1) % setup.fp.q).tolist()
 
 
 def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_perm: int) -> int:

@@ -228,6 +228,19 @@ class TestSnapshots:
         assert "u64" in capsys.readouterr().err
         assert not snap.exists()
 
+    def test_old_format_rejected(self, tmp_path, basic_cfg):
+        # a PRUW1 file's reversing-noise seed would rebuild other matrices
+        # under the current noise streams, so it must be re-saved
+        snap = tmp_path / "snap.bin"
+        assert main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)]) == 0
+        data = snap.read_bytes()
+        assert data[:5] == b"PRUW2"
+        snap.write_bytes(b"PRUW1" + data[5:])
+        from pruw.errors import IntegrityError
+
+        with pytest.raises(IntegrityError, match="PRUW1.*re-save"):
+            load_snapshot(str(snap))
+
     def test_truncated_snapshot_detected(self, tmp_path, basic_cfg):
         snap = tmp_path / "snap.bin"
         main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)])
@@ -250,6 +263,21 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": "src"},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_numpy_off_import_and_audit_paths(self):
+        # numpy is loaded by storage set-up only: the command line's import
+        # and the audits never load it, and set-up never loads numpy.random
+        for code in (
+            "import sys, pruw.cli; from pruw import audit; "
+            "audit.default_audit_suite('topr', q=5); sys.exit('numpy' in sys.modules)",
+            "import sys; from pruw import harness, config; "
+            "assert harness.run_session(config.parse_config_text("
+            "'scheme=basic\\nn=4\\nm=1\\nl=2\\nq=11\\n')).verdict; "
+            "sys.exit('numpy' not in sys.modules or 'numpy.random' in sys.modules)",
+        ):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": "src"})
+            assert proc.returncode == 0, proc.stderr
 
     def test_module_invocation(self, basic_cfg):
         proc = subprocess.run(

@@ -1,12 +1,20 @@
 """Field arithmetic, evaluation-point allocation, and noise sources."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from pruw import field
 from pruw.errors import ConfigError, DomainError
 from pruw.field import (
     MR_PROVEN_BOUND,
@@ -15,6 +23,7 @@ from pruw.field import (
     allocate_eval_points,
     derive_seed,
     is_prime,
+    kernel_dtype,
     seeded_uniform,
 )
 
@@ -138,16 +147,16 @@ class TestSampling:
     def test_counter_noise_is_pure(self):
         noise = CounterNoise(99)
         again = CounterNoise(99)
-        vals = [noise.symbol(11, "s", i) for i in range(20)]
-        assert vals == [again.symbol(11, "s", i) for i in range(20)]
-        assert CounterNoise(100).symbol(11, "s", 0) != vals[0] or True  # different key allowed to collide
+        vals = noise.symbol(11, 20, "s", 0).tolist()
+        assert vals == again.symbol(11, 20, "s", 0).tolist()
+        assert vals != noise.symbol(11, 20, "s", 1).tolist()
+        assert vals != CounterNoise(100).symbol(11, 20, "s", 0).tolist()
 
     def test_counter_noise_uniform(self):
-        noise = CounterNoise(5)
         q, n = 7, 50_000
         counts = [0] * q
-        for i in range(n):
-            counts[noise.symbol(q, "u", i)] += 1
+        for v in CounterNoise(5).symbol(q, n, "u").tolist():
+            counts[v] += 1
         expected = n / q
         stat = sum((c - expected) ** 2 / expected for c in counts)
         assert stat < chi2.ppf(0.99, df=q - 1)
@@ -155,3 +164,80 @@ class TestSampling:
     def test_derive_seed_stable(self):
         assert derive_seed(7, "model") == derive_seed(7, "model")
         assert derive_seed(7, "model") != derive_seed(7, "storage")
+
+
+# both sides of the int64 kernel bound, the largest prime below 2^64 (8-byte
+# words read into object arrays) and the smallest above it (16-byte words)
+STREAM_MODULI = (2, 127, 2**31 - 1, 3_037_000_493, 3_037_000_507, 2**61 - 1,
+                 2**64 - 59, 2**64 + 13)
+
+
+def reference_stream(seed, q, count, *tag):
+    """The stream's definition in plain Python: SHAKE-256 over the seed and
+    repr(tag), words of 8 * ceil(b / 64) bytes masked to b = q.bit_length()
+    bits, words >= q rejected."""
+    bits = q.bit_length()
+    size = 8 * -(-bits // 64)
+    data = hashlib.shake_256((seed & (2**64 - 1)).to_bytes(8, "little")
+                             + repr(tag).encode("ascii")).digest(size * (4 * count + 64))
+    words = (int.from_bytes(data[k:k + size], "little") & ((1 << bits) - 1)
+             for k in range(0, len(data), size))
+    out = [w for w in words if w < q][:count]
+    assert len(out) == count
+    return out
+
+
+class TestCounterStream:
+    @pytest.mark.parametrize("q", [2, 7, 127])
+    def test_exact_uniformity_by_enumeration(self, q, monkeypatch):
+        # a stand-in stream of every masked word value, each under four high
+        # parts, then zero words: every residue must be accepted exactly four
+        # times before the padding is reached
+        bits = q.bit_length()
+        highs = (0, 1, 1 << 40, (1 << (64 - bits)) - 1)
+        enumeration = b"".join(((h << bits) | v).to_bytes(8, "little")
+                               for h in highs for v in range(1 << bits))
+
+        class Enumeration:
+            def __init__(self, data):
+                pass
+
+            def digest(self, n):
+                return (enumeration + bytes(n))[:n]
+
+        monkeypatch.setattr(field.hashlib, "shake_256", Enumeration)
+        got = CounterNoise(0).symbol(q, len(highs) * q, "t").tolist()
+        assert Counter(got) == Counter({r: len(highs) for r in range(q)})
+
+    @pytest.mark.parametrize("q", STREAM_MODULI)
+    def test_matches_definition(self, q):
+        got = CounterNoise(2**64 + 7).symbol(q, 300, "basic", 4)
+        assert got.dtype == kernel_dtype(q)
+        assert got.tolist() == reference_stream(2**64 + 7, q, 300, "basic", 4)
+        assert all(type(v) is int and 0 <= v < q for v in got.tolist())
+
+    @pytest.mark.parametrize("q", STREAM_MODULI)
+    @pytest.mark.parametrize("k", [0, 1, 40, 1000])
+    def test_prefix_stable(self, q, k):
+        noise = CounterNoise(11)
+        longer = noise.symbol(q, k + 7, "rev2", 3).tolist()
+        assert noise.symbol(q, k, "rev2", 3).tolist() == longer[:k]
+
+    def test_cross_process_determinism(self):
+        draw = ("from pruw.field import CounterNoise; "
+                f"print(json.dumps([CounterNoise(3).symbol(q, 500, 'random', 9).tolist() "
+                f"for q in {STREAM_MODULI!r}]))")
+        here = [CounterNoise(3).symbol(q, 500, "random", 9).tolist() for q in STREAM_MODULI]
+        for hash_seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import json; " + draw],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": hash_seed},
+            )
+            assert json.loads(proc.stdout) == here
+
+    def test_kernel_dtype_bound(self):
+        # the largest prime whose residue products fit int64, and the next one
+        assert kernel_dtype(3_037_000_493) is np.int64
+        assert (3_037_000_493 - 1) ** 2 < 2**63 <= (3_037_000_507 - 1) ** 2
+        assert kernel_dtype(3_037_000_507) is object

@@ -70,9 +70,9 @@ RUN_DIGESTS = {
 
 # one `pruw save-snapshot` per scheme: config name -> sha256 of the file
 SNAPSHOT_DIGESTS = {
-    "basic-skip-set": "28554a0b8a0c5e97cbee5a9b17a61f4226f49e0acb2c7915af661be9feaa2d08",
-    "topr-case1-fixture": "7e15b8b9ca0d74877b6bf4ac0f54bd8c57f13cfb43e32a40cbe56dddbf4c3614",
-    "random-odd-case2": "c63508f1cf1fd7198711561313154511611e7040356590aa22860b9d9917bf9f",
+    "basic-skip-set": "16e7ad7763bf2b6116ab7e9bc1abf3de1275b289a6f6c618001be3e09779a37b",
+    "topr-case1-fixture": "245dc9234155642d680efe45d5228b0cf6cd8c08b1ce1ce9651f3c55b6d899e9",
+    "random-odd-case2": "f67a0b1569c4da6ff43a6a55d2af9a97b42ef04a83f758f266d2a354a0ac697f",
 }
 
 

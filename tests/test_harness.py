@@ -155,6 +155,22 @@ class TestRandomIteration:
         assert all(it.distortion.within_budget for it in res.iterations)
 
 
+class TestKernelBound:
+    """Set-up kernels run on int64 up to q = 3,037,000,493 and on Python ints
+    from the next prime; sessions on both sides reach a true verdict."""
+
+    @pytest.mark.parametrize("q", [3_037_000_493, 3_037_000_507])
+    @pytest.mark.parametrize("cfg", [
+        dict(scheme="basic", n=5, m=2, l=9),
+        dict(scheme="topr", n=10, m=2, p=5, case=1, r=Fraction(2, 5), r_prime=Fraction(2, 5)),
+        dict(scheme="topr", n=10, m=2, p=5, case=2, r=Fraction(2, 5), r_prime=Fraction(2, 5)),
+    ])
+    def test_true_verdict(self, cfg, q):
+        res = run_session(ExperimentConfig(q=q, seed=7, iterations=2, **cfg))
+        assert res.verdict
+        assert all(it.detail["read_ok"] and it.detail["write_ok"] for it in res.iterations)
+
+
 class TestToprBound:
     """The N reversing matrices hold N * side^2 symbols; a session refuses a
     P above the bound before it builds anything."""

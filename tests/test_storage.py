@@ -4,13 +4,14 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pruw import storage
 from pruw.errors import ConfigError, IntegrityError
-from pruw.field import CounterNoise, PrimeField, allocate_eval_points
+from pruw.field import CounterNoise, PrimeField, allocate_eval_points, kernel_dtype
 from pruw.storage import (
     ModelPlain,
     init_basic,
@@ -21,22 +22,29 @@ from pruw.storage import (
 )
 
 
-def mask_value(noise, q, kind, s, j, m, terms, alpha):
-    """Reference mask of cell (s, j, m): sum_i Z_i alpha^i by Horner, each
-    coefficient drawn on its own from the counter stream."""
+def mask_value(stream, q, j, m, m_count, terms, alpha):
+    """Reference mask of cell (s, j, m): sum_i Z_i alpha^i by Horner, Z_i read
+    from subpacket s's stream at position (j, m, i), row-major."""
     acc = 0
     for i in reversed(range(terms)):
-        acc = (acc * alpha + noise.symbol(q, kind, s, j, m, i)) % q
+        acc = (acc * alpha + stream[(j * m_count + m) * terms + i]) % q
     return acc
+
+
+def subpacket_stream(noise, q, layout, m_count, s):
+    """Subpacket s's mask coefficients as Python ints: width * M * terms."""
+    count = layout.width * m_count * layout.noise_terms
+    return noise.symbol(q, count, layout.kind, s).tolist()
 
 
 def reference_cells(model, fp, layout, seed, disable_noise):
     """Every database's cells, one cell at a time from the layout's formula:
     W + (f_j - alpha) * mask on the affine layouts, W / (f_j - alpha) + mask
     on the random one."""
-    q, width = fp.q, layout.width
+    q, width, m_count = fp.q, layout.width, model.m_count
     noise = CounterNoise(seed)
     subpackets = -(-model.length // width)
+    streams = [subpacket_stream(noise, q, layout, m_count, s) for s in range(subpackets)]
     out = []
     for alpha in fp.alphas:
         cells = []
@@ -45,10 +53,10 @@ def reference_cells(model, fp, layout, seed, disable_noise):
             for j in range(width):
                 f_j, pos = fp.fs[j], s * width + j
                 col = []
-                for m in range(model.m_count):
+                for m in range(m_count):
                     w = model.values[m][pos] if pos < model.length else 0
                     mask = 0 if disable_noise else mask_value(
-                        noise, q, layout.kind, s, j, m, layout.noise_terms, alpha)
+                        streams[s], q, j, m, m_count, layout.noise_terms, alpha)
                     if layout.affine_mask:
                         col.append((w + (f_j - alpha) * mask) % q)
                     else:
@@ -111,9 +119,10 @@ class TestInitBasic:
         for st_ in states:
             alpha = fp.alpha(st_.db_index)
             for s in range(st_.subpackets):
+                stream = subpacket_stream(noise, 11, st_.layout, 2, s)
                 for m in range(2):
                     w = model.values[m][s]
-                    mask = mask_value(noise, 11, "basic", s, 0, m, 2, alpha)
+                    mask = mask_value(stream, 11, 0, m, 2, 2, alpha)
                     assert st_.cells[s][0][m] == (w + (fp.fs[0] - alpha) * mask) % 11
 
     def test_cross_database_noise_identity(self):
@@ -233,18 +242,20 @@ class TestCellDistributions:
     @pytest.fixture
     def laws(self, monkeypatch):
         """Exact law of every database's cell for w=0 and w=5: N=4 basic keeps
-        2 mask coefficients per cell, so all 7^2 draws run through the real init."""
+        2 mask coefficients per cell, so all 7^2 streams of the one subpacket
+        run through the real init."""
         q = 7
         fp = allocate_eval_points(4, 1, q)
 
         class Playback:
-            """Serves coefficient i of the single cell as draws[i]."""
+            """Serves the single subpacket's stream as the draws."""
 
             def __init__(self, draws):
                 self.draws = draws
 
-            def symbol(self, q, *tag):
-                return self.draws[tag[-1]]
+            def symbol(self, q, count, *tag):
+                assert (count, tag) == (len(self.draws), ("basic", 0))
+                return np.array(self.draws, dtype=kernel_dtype(q))
 
         laws = {}
         for w in (0, 5):
@@ -273,36 +284,42 @@ class TestCellDistributions:
 
 
 class TestSharedDraw:
-    """One draw of mask coefficients serves every database."""
+    """One stream per subpacket serves every database."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
+        streams = []
         for cls, name in ((CounterNoise, "symbol"), (PrimeField, "inv")):
             def counting(self, *args, _real=getattr(cls, name), _name=name):
                 counts[_name] += 1
+                if _name == "symbol":
+                    streams.append((args[1], args[2:]))
                 return _real(self, *args)
 
             monkeypatch.setattr(cls, name, counting)
-        return counts
+        return counts, streams
 
     @pytest.mark.parametrize("layout, n", [
         ("basic", 4), ("basic", 9), ("topr-1", 6), ("topr-1", 10), ("topr-2", 8),
         ("random-1", 7), ("random-1", 8), ("random-2", 9), ("random-2", 10),
     ])
     def test_draws_once_per_coefficient(self, calls, layout, n):
+        counts, streams = calls
         model = ModelPlain.random(2, 11, 127, random.Random(1))
-        calls.clear()
         states = init_layout(layout, model, n, 127, (3, 4), seed=6)
         lay = states[0].layout
-        assert calls["symbol"] == states[0].subpackets * lay.width * 2 * lay.noise_terms
+        assert streams == [(lay.width * 2 * lay.noise_terms, (lay.kind, s))
+                           for s in range(states[0].subpackets)]
         if not lay.affine_mask:
-            assert calls["inv"] <= lay.width * n
+            assert counts["inv"] <= lay.width * n
 
     @given(
         layout=st.sampled_from(LAYOUTS),
         n=st.integers(min_value=4, max_value=10),
-        q=st.sampled_from((13, 127, 8191)),
+        # the largest prime on the int64 path, the next prime (object
+        # arrays) and a modulus whose stream reads 16-byte words
+        q=st.sampled_from((13, 127, 8191, 3_037_000_493, 3_037_000_507, 2**64 + 13)),
         m=st.integers(min_value=1, max_value=3),
         length=st.integers(min_value=1, max_value=13),
         ells=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
@@ -310,6 +327,12 @@ class TestSharedDraw:
         disable_noise=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
+    @example(layout="basic", n=5, q=3_037_000_493, m=2, length=7, ells=(1, 2), seed=1,
+             disable_noise=False)
+    @example(layout="topr-2", n=8, q=3_037_000_507, m=2, length=7, ells=(1, 2), seed=2,
+             disable_noise=False)
+    @example(layout="random-1", n=7, q=2**64 + 13, m=2, length=7, ells=(2, 3), seed=3,
+             disable_noise=False)
     def test_cells_match_reference(self, layout, n, q, m, length, ells, seed, disable_noise):
         model = ModelPlain.random(m, length, q, random.Random(seed))
         try:

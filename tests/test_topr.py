@@ -9,7 +9,7 @@ import pytest
 
 from pruw import topr
 from pruw.errors import ConfigError, ProtocolError
-from pruw.field import allocate_eval_points
+from pruw.field import CounterNoise, allocate_eval_points
 from pruw.storage import ModelPlain, init_topr, reconstruct_plain
 
 PERM_FIXTURE = (2, 5, 1, 3, 4)
@@ -26,6 +26,28 @@ def build_session(case, n=10, p=5, m_count=3, q=127, seed=0, perm=PERM_FIXTURE):
     return fp, model, states, setup
 
 
+def reference_reversing(setup, n):
+    """Database n's noisy reversing matrix in plain ints, from the definition:
+    the permutation's base pattern (1, or (f_j - alpha_n)^-1 on case 2's
+    block diagonals) plus the shared noise, scaled by prod_j (f_j - alpha_n)
+    in case 1, read from one stream per block column."""
+    fp, q, ell = setup.fp, setup.fp.q, setup.ell
+    block = 1 if setup.case == 1 else ell
+    side = setup.p_subpackets * block
+    noise = CounterNoise(setup.noise_seed)
+    tag = "rev1" if setup.case == 1 else "rev2"
+    columns = [noise.symbol(q, side * block, tag, v).tolist() for v in range(setup.p_subpackets)]
+    scale = math.prod(f - fp.alpha(n) for f in fp.fs[:ell]) % q if setup.case == 1 else 1
+    mat = [[scale * columns[c // block][r * block + c % block] % q for c in range(side)]
+           for r in range(side)]
+    for i, true in enumerate(setup.perm):
+        for j in range(block):
+            entry = 1 if setup.case == 1 else pow(fp.fs[j] - fp.alpha(n), -1, q)
+            r, c = (true - 1) * block + j, i * block + j
+            mat[r][c] = (mat[r][c] + entry) % q
+    return mat
+
+
 def build_query(case, theta, fp, ell, m_count, rng, disable_noise=False):
     if case == 1:
         return topr.build_query_case1(theta, fp, ell, m_count, rng, disable_noise)
@@ -36,18 +58,18 @@ class TestCoordinatorSetup:
     def test_reversing_matrix_p3(self):
         fp = allocate_eval_points(10, 2, 127)
         setup = topr.coordinator_setup(3, 2, 1, fp, 0, perm=(2, 3, 1))
-        assert setup.base_matrix() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert setup.base_matrix(1).tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
     def test_singleton(self):
         fp = allocate_eval_points(10, 2, 127)
         setup = topr.coordinator_setup(1, 2, 1, fp, 0)
         assert setup.perm == (1,)
-        assert setup.base_matrix() == [[1]]
+        assert setup.base_matrix(1).tolist() == [[1]]
 
     def test_case2_blocks(self):
         fp = allocate_eval_points(10, 3, 127)
         setup = topr.coordinator_setup(3, 3, 2, fp, 0, perm=(2, 3, 1))
-        mat = setup.base_matrix_blocks(4)
+        mat = setup.base_matrix(4)
         alpha = fp.alpha(4)
         gamma = [fp.field.inv(fp.fs[j] - alpha) for j in range(3)]
         # block (perm(i), i) carries the reciprocal diagonal
@@ -65,13 +87,12 @@ class TestCoordinatorSetup:
         scale = 1
         for j in range(setup.ell):
             scale = scale * (fp.fs[j] - alpha) % 127
-        base = setup.base_matrix()
-        from pruw.field import CounterNoise
-
+        base = setup.base_matrix(1).tolist()
         noise = CounterNoise(setup.noise_seed)
-        for r in range(5):
-            for c in range(5):
-                denoised = (noisy[r][c] - scale * noise.symbol(127, "rev1", r, c)) % 127
+        for c in range(5):
+            column = noise.symbol(127, 5, "rev1", c).tolist()
+            for r in range(5):
+                denoised = (noisy[r][c] - scale * column[r]) % 127
                 assert denoised == base[r][c]
         # doubly stochastic 0/1
         assert all(sum(row) == 1 for row in base)
@@ -80,36 +101,29 @@ class TestCoordinatorSetup:
     @pytest.mark.parametrize("case", [1, 2])
     def test_shared_noise_drawn_once(self, case, monkeypatch):
         fp, _, _, setup = build_session(case)
-        side = setup.p_subpackets * (1 if case == 1 else setup.ell)
-        from pruw.field import CounterNoise
-
+        block = 1 if case == 1 else setup.ell
         original = CounterNoise.symbol
-        calls = []
+        streams = []
 
-        def counting(self, q, *tag):
-            calls.append(tag)
-            return original(self, q, *tag)
+        def counting(self, q, count, *tag):
+            streams.append((count, tag))
+            return original(self, q, count, *tag)
 
         monkeypatch.setattr(CounterNoise, "symbol", counting)
         mats = [setup.reversing_matrix(n) for n in range(1, fp.n_databases + 1)]
-        assert len(calls) == len(set(calls)) == side * side
-        # every database's matrix is its own base plus the same noise
+        # one stream per block column, side * block symbols, for all N matrices
         tag = "rev1" if case == 1 else "rev2"
+        side = setup.p_subpackets * block
+        assert streams == [(side * block, (tag, v)) for v in range(setup.p_subpackets)]
+        # every database's matrix is its own base plus the same noise
         for n, mat in enumerate(mats, start=1):
-            base = setup.base_matrix() if case == 1 else setup.base_matrix_blocks(n)
-            scale = 1
-            if case == 1:
-                for j in range(setup.ell):
-                    scale = scale * (fp.fs[j] - fp.alpha(n)) % 127
-            for r, c in ((0, 0), (side - 1, side - 1), (1, side - 2)):
-                noise = original(CounterNoise(setup.noise_seed), 127, tag, r, c)
-                assert mat[r][c] == (base[r][c] + scale * noise) % 127
+            assert mat.tolist() == reference_reversing(setup, n)
 
     def test_reversal_restores_order(self):
         fp, _, _, setup = build_session(1)
         vec = [10, 20, 30, 40, 50]
         permuted = [vec[setup.perm[i] - 1] for i in range(5)]
-        base = setup.base_matrix()
+        base = setup.base_matrix(1).tolist()
         restored = [sum(base[r][c] * permuted[c] for c in range(5)) for r in range(5)]
         assert restored == vec
 
@@ -128,6 +142,25 @@ class TestCoordinatorSetup:
         fp = allocate_eval_points(10, 2, 127)
         with pytest.raises(ConfigError):
             topr.coordinator_setup(3, 2, 1, fp, 0, perm=(1, 1, 2))
+
+
+class TestColumnWeights:
+    # the default modulus, the largest prime on the int64 path and the next
+    @pytest.mark.parametrize("q", [127, 3_037_000_493, 3_037_000_507])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_matches_reference(self, case, q):
+        fp, _, _, setup = build_session(case, q=q)
+        ell = setup.ell
+        for n in range(1, fp.n_databases + 1):
+            rev = reference_reversing(setup, n)
+            for v in range(1, setup.p_subpackets + 1):
+                if case == 1:
+                    expected = [row[v - 1] for row in rev for _ in range(ell)]
+                else:
+                    expected = [sum(row[(v - 1) * ell : v * ell]) % q for row in rev]
+                got = topr.column_weights(setup, n, v)
+                assert got == expected
+                assert all(type(w) is int for w in got)
 
 
 class TestReadSparse:
