@@ -8,6 +8,12 @@ the cached read query, using the per-bit scaling factor and the null-shaper
 factor, and folds the increment into its masked cells.  Databases in the
 skip set receive nothing at all, yet the model still updates there because
 the increment polynomial vanishes at their evaluation constants.
+
+Every phase runs over all S subpackets at once: each database answers with
+one :func:`~pruw.storage.answer` call, the user decodes by applying the
+``(ell, N)`` decode inverse to the ``(N, S)`` answer matrix and builds the
+``(N, S)`` update symbols with the combine map, and each database folds
+them in with one :func:`~pruw.storage.fold` call.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, seeded_uniform
-from .poly import apply_rows, build_query, combine_update, decode_inverse
+from .field import FieldParams, allocate_eval_points, kernel_dtype, seeded_uniform
+from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_basic
 
 
@@ -111,17 +117,20 @@ def build_read_query(
     return ReadQuery(theta=theta, params=params, blocks=blocks)
 
 
-def answer_read(state: DatabaseState, query: ReadQuery, s: int) -> int:
-    """One answer symbol: the inner product of subpacket s with the query."""
+def answer_read(state: DatabaseState, query: ReadQuery, s):
+    """The inner product of subpacket s with the query, or an array of them
+    when ``s`` is a slice of subpackets."""
     block = query.block(state.db_index)
     ell = state.layout.width
     if len(block) != ell or any(len(v) != state.m_count for v in block):
         raise DomainError("query shape does not match storage shape")
-    return answer(state.fp.q, state.rows(s * ell, ell), block)
+    return answer(state.fp.q, state.cells[s], block)
 
 
-def decode_answers(fp: FieldParams, params: BasicParams, answers: list[int]) -> list[int]:
-    """Solve the N x N system; the first ell entries are the submodel bits."""
+def decode_answers(fp: FieldParams, params: BasicParams, answers):
+    """Solve the N x N system; the first ell unknowns are the submodel bits.
+    ``answers`` has one row per database: N symbols, or an (N, S) matrix
+    whose decoded (ell, S) bits come back together."""
     if len(answers) != fp.n_databases:
         raise DomainError("need one answer per database")
     ell = params.ell
@@ -147,35 +156,39 @@ def build_write_symbols(
     fp: FieldParams,
     rng: random.Random,
     disable_noise: bool = False,
-) -> list[list[int]]:
-    """User side: one combined symbol per (subpacket, database).
+):
+    """User side: the (N, S) combined symbols, row n - 1 for database n.
 
-    The masking coefficients are shared across databases so the symbols are
-    evaluations of one polynomial, which is what write correctness needs.
+    The masking coefficients are shared across databases so each subpacket's
+    symbols are evaluations of one polynomial, which is what write
+    correctness needs.  They are drawn in one call, t_update per subpacket
+    in subpacket order.
     """
-    ell = params.ell
-    fs = fp.fs[:ell]
-    out = []
-    for deltas in deltas_by_subpacket:
-        if len(deltas) != ell:
-            raise DomainError(f"expected {ell} deltas per subpacket")
-        noise = [0] * params.t_update if disable_noise else seeded_uniform(rng, fp.q, params.t_update)
-        out.append(combine_update(fp.field, deltas, fs, fp.alphas, noise))
-    return out
+    import numpy as np
+
+    ell, terms = params.ell, params.t_update
+    if any(len(deltas) != ell for deltas in deltas_by_subpacket):
+        raise DomainError(f"expected {ell} deltas per subpacket")
+    count = len(deltas_by_subpacket)
+    noise = [0] * (count * terms) if disable_noise else seeded_uniform(rng, fp.q, count * terms)
+    dtype = kernel_dtype(fp.q)
+    inputs = np.concatenate([np.array(deltas_by_subpacket, dtype=dtype).reshape(count, ell),
+                             np.array(noise, dtype=dtype).reshape(count, terms)], axis=1)
+    return apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
 
 
-def apply_write(state: DatabaseState, query: ReadQuery, u_symbol: int, s: int,
-                factors: list[int]) -> None:
-    """Database side: decompose one combined symbol into the increment for
-    subpacket s and fold it into storage.  ``factors[k]`` is the database's
-    (f_k - a_n) times its null-shaper factor for bit k."""
+def apply_write(state: DatabaseState, query: ReadQuery, u_symbols, factors: list[int]) -> None:
+    """Database side: decompose the combined symbols, one per subpacket, into
+    the increments and fold them into storage.  ``factors[k]`` is the
+    database's (f_k - a_n) times its null-shaper factor for bit k."""
+    import numpy as np
+
     params = query.params
     if state.db_index in params.skip_set:
         raise DomainError("databases in the skip set receive no write payload")
     q = state.fp.q
-    ell = params.ell
-    fold(q, state.rows(s * ell, ell), query.block(state.db_index),
-         [f * u_symbol % q for f in factors])
+    fold(q, state.cells, query.block(state.db_index),
+         np.outer(u_symbols, np.array(factors, dtype=state.cells.dtype)) % q)
 
 
 def write_round(
@@ -187,8 +200,8 @@ def write_round(
     states: list[DatabaseState],
     rng: random.Random,
     disable_noise: bool = False,
-) -> list[list[int]]:
-    """Full write phase; returns the symbols sent (for metering).
+):
+    """Full write phase; returns the (N, S) symbols sent (for metering).
 
     The same-session read query is reused, as the decomposition requires.
     """
@@ -207,8 +220,7 @@ def write_round(
             (f - alpha) * null_shaper_factor(fp, params.skip_set, f, st.db_index) % fp.q
             for f in fp.fs[: params.ell]
         ]
-        for s, per_db in enumerate(symbols):
-            apply_write(st, query, per_db[st.db_index - 1], s, factors)
+        apply_write(st, query, symbols[st.db_index - 1], factors)
     return symbols
 
 
@@ -242,18 +254,17 @@ class BasicScheme:
         self.storage = [(0, self.length, self.states)]
 
     def read(self, theta, iteration, rng, record, detail):
+        import numpy as np
+
         cfg, params = self.cfg, self.params
         self.query = build_read_query(theta, params, self.fp, cfg.m, rng, cfg.disable_noise)
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, params.ell * cfg.m)
-        subpackets = self.states[0].subpackets
-        decoded: list[int] = []
-        for s in range(subpackets):
-            answers = [answer_read(st, self.query, s) for st in self.states]
-            decoded.extend(decode_answers(self.fp, params, answers))
+        answers = np.stack([answer_read(st, self.query, slice(None)) for st in self.states])
+        decoded = decode_answers(self.fp, params, answers).T.ravel()
         for st in self.states:
-            record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, subpackets)
-        return list(enumerate(decoded[: self.length]))
+            record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, st.subpackets)
+        return list(enumerate(decoded[: self.length].tolist()))
 
     def write(self, theta, rng, record, detail):
         cfg, params = self.cfg, self.params

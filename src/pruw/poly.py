@@ -4,32 +4,35 @@ Every scheme's query comes from :func:`build_query`: at the wanted submodel
 either the reciprocal ``1/(f_k - alpha_n)`` or the indicator 1, plus a mask
 polynomial in ``alpha_n`` whose coefficients all databases share.  The
 indicator query is the reciprocal query scaled by ``(f_k - alpha_n)``.  The
-database side of every scheme is two kernels in :mod:`pruw.storage` over
-``DatabaseState.rows``: ``answer`` (the masked inner product a read returns)
-and ``fold`` (a write's scaled copy of the cached query, added in place).
+database side of every scheme is two array kernels in :mod:`pruw.storage`
+over the cells: ``answer`` (the masked inner products a read returns) and
+``fold`` (a write's scaled copy of the cached query, added in place).
 
 The write paths combine the per-bit updates of a subpacket into one symbol
 per database (a Lagrange-style combination evaluated at that database's
 constant); the read paths invert square systems whose rows mix reciprocal
 terms ``1/(f_i - alpha_n)`` with plain powers of ``alpha_n``.
 
-Verification deliberately uses two independent code paths: the residual
-checks and the storage oracle interpolate in Lagrange form, the decoder runs
-Gaussian elimination, so a shared bug cannot vouch for itself.  Both sides
-are fixed linear maps of the evaluation points, so each is built once per
-field and shape and then applied as N-term dot products: the oracle's map
-from :func:`lagrange_interpolate` on unit vectors, the decoder's inverse
-(:func:`decode_inverse`) from :func:`solve_decode` on unit right-hand sides.
+Every step after the answers is a fixed linear map of the evaluation
+constants, built once per field and shape from plain-int code and applied
+to all subpackets at once by :func:`apply_rows`: the user's combined update
+(:func:`combine_map`, from :func:`combine_update` on unit vectors), the
+decoder's inverse (:func:`decode_inverse`, from :func:`solve_decode` on
+unit right-hand sides) and the storage oracle's map (from
+:func:`lagrange_interpolate` on unit vectors).  Verification deliberately
+keeps two independent code paths: the residual checks and the oracle
+interpolate in Lagrange form, the decoder runs Gaussian elimination, so a
+shared bug cannot vouch for itself; only the application is shared.
+Everything but :func:`apply_rows` runs on plain ints without numpy.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import FieldParams, PrimeField, seeded_uniform
+from .field import FieldParams, PrimeField, kernel_dtype, seeded_uniform
 
 
 def delta_tilde(field: PrimeField, deltas, fs) -> list[int]:
@@ -308,6 +311,36 @@ def decode_inverse(field: PrimeField, alphas: tuple, f_subset: tuple,
     return tuple(tuple(col[k] for col in cols) for k in range(len(f_subset)))
 
 
-def apply_rows(q: int, rows, vec) -> list[int]:
-    """Each row of a fixed linear map dotted with ``vec``, mod q."""
-    return [sum(map(operator.mul, row, vec)) % q for row in rows]
+@functools.lru_cache(maxsize=256)
+def combine_map(field: PrimeField, fs: tuple, alphas: tuple,
+                noise_terms: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`combine_update` as a fixed linear map, one row per alpha.
+
+    The update symbols are linear in the deltas and the noise coefficients
+    together, so column c is :func:`combine_update` on the c-th unit vector
+    of the ``len(fs) + noise_terms`` inputs, and :func:`apply_rows` on the
+    stacked inputs (deltas first, then noise) gives exactly its symbols.
+    Built once per (field, shape).
+    """
+    ell = len(fs)
+    cols = [combine_update(field, e[:ell], fs, alphas, e[ell:])
+            for e in unit_vectors(ell + noise_terms)]
+    return tuple(tuple(col[n] for col in cols) for n in range(len(alphas)))
+
+
+def apply_rows(q: int, rows, vec):
+    """A fixed linear map applied mod q: ``out[r, ...] = sum_n rows[r][n] *
+    vec[n, ...]``.
+
+    ``vec`` is one vector, or a batch with the map's input on its leading
+    axis (an ``(N, S)`` matrix gives ``(R, S)``).  Each product is reduced
+    mod q before it is summed, on arrays of :func:`kernel_dtype`.  An array
+    in gives an array back; a list gives Python ints (nested for a batch).
+    """
+    import numpy as np
+
+    dtype = kernel_dtype(q)
+    x = np.asarray(vec, dtype=dtype)
+    a = np.asarray(rows, dtype=dtype).reshape((len(rows), x.shape[0]) + (1,) * (x.ndim - 1))
+    out = (a * x % q).sum(axis=1) % q
+    return out if isinstance(vec, np.ndarray) else out.tolist()

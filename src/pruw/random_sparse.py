@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import wire
 from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, derive_seed, seeded_uniform
-from .poly import apply_rows, build_query, combine_update, decode_inverse
+from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype, seeded_uniform
+from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, ModelPlain, answer, fold, init_random_sparse
 
 # Bound on the symbols of a session's one-time queries, N * M * sum over the
@@ -338,6 +338,14 @@ def build_write_queries(
     ]
 
 
+def _pattern_rows(state: DatabaseState, ell: int, patterns: int, t: int):
+    """The cell rows of pattern t's subpackets (t, t + patterns, ... for a
+    phase subpacketization ell), as a ``(count, ell, M)`` view."""
+    blocks = state.rows(0, state.padded_length).reshape(state.padded_length // ell, ell,
+                                                        state.m_count)
+    return blocks[t - 1 :: patterns]
+
+
 def region_read(
     fp: FieldParams,
     realized: RealizedRegion,
@@ -348,31 +356,35 @@ def region_read(
     """Decode the faithful bits of every reading subpacket in the region.
 
     Returns {region-local position (0-based): decoded symbol} covering the
-    J-set positions only; everything else is distortion by construction.
+    J-set positions only, in subpacket order; everything else is distortion
+    by construction.  Each read pattern is one batch: one answer call per
+    database and one decode over all of its subpackets.
     """
+    import numpy as np
+
     spec = realized.spec
     n = fp.n_databases
     dbs = read_databases(n, spec.case)
     base = len(j_read[0])
     power_count = len(dbs) - base
-    subpackets = realized.total_bits // spec.ell_r
-    decoded: dict[int, int] = {}
-    q = fp.q
     alphas = tuple(fp.alpha(db) for db in dbs)
-    # one decode inverse per read pattern, fixed for the session
-    inverses = []
+    # per read pattern: the decoded J-set bits of its subpackets, [count][base]
+    solved = []
     for t in range(1, spec.read_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
         f_subset = tuple(fs[i - 1] for i in j_read[t - 1])
-        inverses.append(decode_inverse(fp.field, alphas, f_subset, power_count))
-    for s in range(1, subpackets + 1):
-        t = (s - 1) % spec.read_patterns + 1
-        lo = (s - 1) * spec.ell_r
-        answers = [answer(q, states[db - 1].rows(lo, spec.ell_r), queries[t - 1][db - 1])
-                   for db in dbs]
-        sol = apply_rows(q, inverses[t - 1], answers)
-        for idx, i in enumerate(j_read[t - 1]):
-            decoded[lo + i - 1] = sol[idx]
+        inverse = decode_inverse(fp.field, alphas, f_subset, power_count)
+        answers = np.stack([
+            answer(fp.q, _pattern_rows(states[db - 1], spec.ell_r, spec.read_patterns, t),
+                   queries[t - 1][db - 1])
+            for db in dbs
+        ])
+        solved.append(apply_rows(fp.q, inverse, answers).T.tolist())
+    decoded: dict[int, int] = {}
+    for s in range(realized.total_bits // spec.ell_r):
+        t, k = s % spec.read_patterns, s // spec.read_patterns
+        for i, value in zip(j_read[t], solved[t][k]):
+            decoded[s * spec.ell_r + i - 1] = value
     return decoded
 
 
@@ -391,7 +403,12 @@ def region_write(
 
     ``deltas`` is the region-local update vector (length total_bits).
     Returns (region-local positions written, symbols sent per database).
+    The noise is one symbol per writing subpacket, drawn in subpacket order;
+    each write pattern is then one combine over its subpackets and one fold
+    per database.
     """
+    import numpy as np
+
     spec = realized.spec
     if len(deltas) != realized.total_bits:
         raise DomainError("delta vector does not span the region")
@@ -401,29 +418,25 @@ def region_write(
     skip = (n,) if len(dbs) < n else ()
     subpackets = realized.total_bits // spec.ell_w
     q = fp.q
-    alphas = [fp.alpha(db) for db in dbs]
-    # per write pattern: bit constants and each database's null-shaper
-    # factors, which depend only on the constants
-    patterns = []
+    noise = [0] * subpackets if disable_noise else seeded_uniform(rng, q, subpackets)
+    alphas = tuple(fp.alpha(db) for db in dbs)
+    written: set[int] = set()
     for t in range(1, spec.write_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
-        diags = [[null_shaper_factor(fp, skip, f, db) for f in fs] for db in dbs]
-        patterns.append((fs, diags))
-    written: set[int] = set()
-    for s in range(1, subpackets + 1):
-        t = (s - 1) % spec.write_patterns + 1
-        fs, diags = patterns[t - 1]
-        jset = list(j_write[t - 1])
-        lo = (s - 1) * spec.ell_w
-        sub_fs = [fs[i - 1] for i in jset]
-        sub_deltas = [deltas[lo + i - 1] for i in jset]
-        noise = [0] if disable_noise else seeded_uniform(rng, q, 1)
-        us = combine_update(fp.field, sub_deltas, sub_fs, alphas, noise)
-        for db, u, diag in zip(dbs, us, diags):
-            fold(q, states[db - 1].rows(lo, spec.ell_w), queries[t - 1][db - 1],
-                 [d * u % q for d in diag])
-        for i in jset:
-            written.add(lo + i - 1)
+        jset = j_write[t - 1]
+        starts = range((t - 1) * spec.ell_w, realized.total_bits, spec.write_patterns * spec.ell_w)
+        # per subpacket of the pattern: its J-set deltas, then its noise symbol
+        inputs = np.array([[deltas[lo + i - 1] for i in jset] + [noise[lo // spec.ell_w]]
+                           for lo in starts], dtype=kernel_dtype(q))
+        inputs = inputs.reshape(len(starts), len(jset) + 1)
+        sub_fs = tuple(fs[i - 1] for i in jset)
+        us = apply_rows(q, combine_map(fp.field, sub_fs, alphas, 1), inputs.T)
+        for db, u in zip(dbs, us):
+            # the null-shaper factors depend only on the constants
+            diag = np.array([null_shaper_factor(fp, skip, f, db) for f in fs], dtype=u.dtype)
+            fold(q, _pattern_rows(states[db - 1], spec.ell_w, spec.write_patterns, t),
+                 queries[t - 1][db - 1], np.outer(u, diag) % q)
+        written.update(lo + i - 1 for lo in starts for i in jset)
     return written, subpackets * len(dbs)
 
 

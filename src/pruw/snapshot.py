@@ -4,12 +4,17 @@ Layout (all integers little-endian):
 
     magic "PRUW2" | u8 scheme tag | u64 q | u32 N | u32 f_count | u32 M
     | u64 seed | u32 region count
-    then per region:
+    then per region (at least one):
       u8 kind | u8 case | 4 x u32 layout fields | u64 unpadded length
       | u32 subpackets | u32 width
       | cells: N * subpackets * width * M  u64 words (row-major)
     then, for the sparse-position scheme:
       u32 P | P x u32 permutation | u64 reversing-noise seed
+
+Each database's cells are written and read as one buffer of u64 words.  A
+region count of zero, a region length beyond subpackets * width, a cell
+word at or above q or a top-r file whose storage is not top-r fails with
+IntegrityError.
 
 The permutation setup serializes as (permutation, noise seed): the noisy
 reversing matrices are a pure function of those plus the field constants.
@@ -23,7 +28,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import ConfigError, IntegrityError
-from .field import FieldParams, allocate_eval_points
+from .field import FieldParams, allocate_eval_points, kernel_dtype
 from .storage import BasicLayout, DatabaseState, RandomLayout, TopRLayout
 from .topr import PermutationSetup
 
@@ -81,9 +86,7 @@ def save_snapshot(path: str, bundle: SnapshotBundle) -> None:
         out += struct.pack("<BBIIII", kind, case, a, b, c, d)
         out += struct.pack("<QII", first.length, first.subpackets, first.layout.width)
         for st in states:
-            for block in st.cells:
-                for row in block:
-                    out += struct.pack(f"<{len(row)}Q", *row)
+            out += st.cells.astype("<u8").tobytes()
     if bundle.perm_setup is not None:
         setup = bundle.perm_setup
         out += struct.pack("<I", setup.p_subpackets)
@@ -108,6 +111,8 @@ class _Reader:
 
 
 def load_snapshot(path: str) -> SnapshotBundle:
+    import numpy as np
+
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:5] == OLD_MAGIC:
@@ -124,6 +129,8 @@ def load_snapshot(path: str) -> SnapshotBundle:
         raise IntegrityError(f"unknown scheme tag {scheme_tag}")
     q, n_db, f_count, m_count = rd.take("<QIII")
     seed, region_count = rd.take("<QI")
+    if region_count == 0:
+        raise IntegrityError("snapshot holds no storage regions")
     fp = allocate_eval_points(n_db, f_count, q)
     regions = []
     for _ in range(region_count):
@@ -132,17 +139,16 @@ def load_snapshot(path: str) -> SnapshotBundle:
         layout = _rebuild_layout(kind, case, a, b, c, d)
         if layout.width != width:
             raise IntegrityError("layout width disagrees with the header")
+        if length > subpackets * width:
+            raise IntegrityError(
+                f"region length {length} exceeds its {subpackets} x {width} cells")
         states = []
         for db in range(1, n_db + 1):
-            cells = []
-            for _s in range(subpackets):
-                block = []
-                for _j in range(width):
-                    row = list(rd.take(f"<{m_count}Q"))
-                    if any(v >= q for v in row):
-                        raise IntegrityError("cell symbol outside the field")
-                    block.append(row)
-                cells.append(block)
+            (raw,) = rd.take(f"{8 * subpackets * width * m_count}s")
+            words = np.frombuffer(raw, "<u8")
+            if (words >= q).any():
+                raise IntegrityError("cell symbol outside the field")
+            cells = words.astype(kernel_dtype(q)).reshape(subpackets, width, m_count)
             states.append(
                 DatabaseState(db_index=db, fp=fp, layout=layout, m_count=m_count,
                               length=length, cells=cells)
@@ -150,10 +156,12 @@ def load_snapshot(path: str) -> SnapshotBundle:
         regions.append(states)
     perm_setup = None
     if scheme_tag == _SCHEME_TAGS["topr"]:
+        layout = regions[0][0].layout
+        if not isinstance(layout, TopRLayout):
+            raise IntegrityError("top-r snapshot holds a non-top-r storage layout")
         (p_subpackets,) = rd.take("<I")
         perm = rd.take(f"<{p_subpackets}I")
         (noise_seed,) = rd.take("<Q")
-        layout = regions[0][0].layout
         perm_setup = PermutationSetup(
             perm=tuple(perm), case=layout.case, ell=layout.ell, fp=fp,
             noise_seed=noise_seed,

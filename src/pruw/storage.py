@@ -12,21 +12,28 @@ per subpacket tagged (kind, s) holding its width * M * noise_terms
 coefficients, so any subpacket is reproducible without ever materializing
 the mask tensors.  Set-up draws each subpacket's stream once and evaluates
 it at every alpha_n by a fixed power map, so the draw costs the same
-whatever N is.  That evaluation runs as numpy array kernels of
-:func:`~pruw.field.kernel_dtype` (int64 up to q = 3,037,000,493, Python
-ints above), and the cells are handed back as nested lists of ints.
+whatever N is.
+
+A database's cells are one contiguous ``(subpackets, width, M)`` numpy
+array of :func:`~pruw.field.kernel_dtype` (int64 up to q = 3,037,000,493,
+object arrays of Python ints above).  Every kernel over them reduces each
+product mod q before summing, which keeps int64 exact: :func:`answer` (the
+masked inner products a read returns), :func:`fold` (a write's scaled copy
+of the cached query, added in place) and the oracle
+:func:`reconstruct_plain`.  Each takes a leading batch axis, so a scheme
+makes one call per database and phase, not one per subpacket.  numpy is
+imported inside the functions that use it.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError, DomainError, IntegrityError
 from .field import CounterNoise, FieldParams, derive_seed, kernel_dtype
-from .poly import lagrange_interpolate, unit_vectors
+from .poly import apply_rows, lagrange_interpolate, unit_vectors
 
 KIND_BASIC = "basic"
 KIND_TOPR = "topr"
@@ -174,9 +181,10 @@ class CoordinatorSetup:
 class DatabaseState:
     """One database's masked storage for one contiguous storage block.
 
-    ``cells[s][j][m]`` is the masked symbol of bit j (0-based within the
-    subpacket) of submodel m in subpacket s.  ``length`` is the unpadded
-    per-submodel symbol count this block covers.
+    ``cells[s, j, m]`` is the masked symbol of bit j (0-based within the
+    subpacket) of submodel m in subpacket s, in a contiguous
+    ``(subpackets, width, M)`` array of :func:`kernel_dtype`.  ``length`` is
+    the unpadded per-submodel symbol count this block covers.
     """
 
     db_index: int
@@ -184,7 +192,7 @@ class DatabaseState:
     layout: object
     m_count: int
     length: int
-    cells: list[list[list[int]]]
+    cells: object
     aux: object = dc_field(default=None, repr=False)
 
     @property
@@ -195,30 +203,41 @@ class DatabaseState:
     def padded_length(self) -> int:
         return self.subpackets * self.layout.width
 
-    def rows(self, lo: int, count: int) -> list[list[int]]:
-        """The M-symbol cell rows at flat bit positions lo .. lo+count-1,
-        counted row-major over (subpacket, bit); the rows are the stored
-        lists, so :func:`fold` updates storage in place."""
-        width = self.layout.width
-        cells = self.cells
-        return [cells[p // width][p % width] for p in range(lo, lo + count)]
+    def rows(self, lo: int, count: int):
+        """The ``(count, M)`` cell rows at flat bit positions lo .. lo+count-1,
+        counted row-major over (subpacket, bit); a view of the cells, so
+        :func:`fold` updates storage in place."""
+        return self.cells.reshape(-1, self.m_count)[lo : lo + count]
 
 
-def answer(q: int, rows, qvecs, coefs=None) -> int:
-    """A database's read answer: sum_k coefs[k] * <rows[k], qvecs[k]> mod q
-    (every coefficient 1 when ``coefs`` is None)."""
-    if coefs is None:
-        return sum(sum(map(operator.mul, row, qv)) for row, qv in zip(rows, qvecs)) % q
-    return sum(
-        c * sum(map(operator.mul, row, qv)) for c, row, qv in zip(coefs, rows, qvecs)
-    ) % q
+def answer(q: int, rows, qvecs, coefs=None):
+    """Read answers: ``sum_k coefs[..., k] * <rows[..., k, :], qvecs[k]>`` mod
+    q, every coefficient 1 when ``coefs`` is None.
+
+    ``rows`` is a ``(..., K, M)`` array and ``qvecs`` is ``(K, M)``; the
+    leading axes are a batch, so ``(S, K, M)`` rows give S answers.  The K
+    row products are computed once, so ``coefs`` of shape ``(R, K)`` give R
+    weighted answers of the same rows.  Each product is reduced mod q before
+    it is summed.
+    """
+    import numpy as np
+
+    dtype = rows.dtype
+    products = (rows * np.asarray(qvecs, dtype=dtype) % q).sum(axis=-1) % q
+    if coefs is not None:
+        products = products * np.asarray(coefs, dtype=dtype) % q
+    return products.sum(axis=-1) % q
 
 
 def fold(q: int, rows, qvecs, factors) -> None:
-    """A database's write: rows[k] += factors[k] * qvecs[k] mod q, in place."""
-    for row, qv, factor in zip(rows, qvecs, factors):
-        for m in range(len(row)):
-            row[m] = (row[m] + factor * qv[m]) % q
+    """A database's write: ``rows[..., k, :] += factors[..., k] * qvecs[k]``
+    mod q, in place.  ``rows`` is a ``(..., K, M)`` view of the cells,
+    ``qvecs`` is ``(K, M)`` and ``factors`` is ``(..., K)``."""
+    import numpy as np
+
+    dtype = rows.dtype
+    step = np.asarray(factors, dtype=dtype)[..., None] * np.asarray(qvecs, dtype=dtype) % q
+    rows[...] = (rows + step) % q
 
 
 def _padded(model: ModelPlain, width: int) -> tuple[list[list[int]], int]:
@@ -258,20 +277,19 @@ def _build_states(
         else:
             scale, rows = [fp.field.inv(f - alpha) for f in fs], [powers] * width
         maps.append((np.array(scale, dtype=dtype)[:, None], np.array(rows, dtype=dtype)[:, None, :]))
-    cells = [[] for _ in fp.alphas]
+    cells = [np.empty((subpackets, width, m_count), dtype=dtype) for _ in fp.alphas]
     for lo in range(0, subpackets, DRAW_CHUNK):
         hi = min(lo + DRAW_CHUNK, subpackets)
         # one stream per subpacket, read as z[s, j, m, i]
         z = None if disable_noise else np.stack([
             noise.symbol(q, width * m_count * terms, kind, s) for s in range(lo, hi)
         ]).reshape(hi - lo, width, m_count, terms)
-        # database-major, so each database's cells are allocated together;
         # each product is reduced before the sum, which keeps int64 exact
         for (scale, rows), db_cells in zip(maps, cells):
             block = w[lo:hi] * scale % q
             if z is not None:
                 block = (block + (z * rows % q).sum(axis=-1)) % q
-            db_cells.extend(block.tolist())
+            db_cells[lo:hi] = block
     return [
         DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
                       length=model.length, cells=db_cells)
@@ -395,11 +413,15 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
     Interpolates each cell across the database constants and reads the plain
     symbol off at the bit constant; the coefficients above the mask degree
     act as a consistency check, so any single corrupted cell raises
-    IntegrityError.  Interpolation is a fixed linear map per bit constant,
-    built from :func:`lagrange_interpolate` once per field and layout and
-    applied to every cell as N-term dot products; it never calls the
-    decoders' Gaussian elimination.
+    IntegrityError naming the first bad cell in (s, j, m) order.
+    Interpolation is a fixed linear map per bit constant, built from
+    :func:`lagrange_interpolate` once per field and layout; its weights and
+    parity rows are applied to all N databases' cells of that bit in one
+    :func:`~pruw.poly.apply_rows` call.  It never calls the decoders'
+    Gaussian elimination.
     """
+    import numpy as np
+
     if not states:
         raise DomainError("no database states given")
     fp = states[0].fp
@@ -410,24 +432,23 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
     for st in states[1:]:
         if st.layout != layout or st.m_count != first.m_count or st.subpackets != first.subpackets:
             raise IntegrityError("database states disagree on shape")
-    q = fp.q
-    mul = operator.mul
     width = layout.width
-    maps = [_oracle_map(fp, layout, j) for j in range(width)]
-    out = ModelPlain.zeros(first.m_count, first.length)
-    for s in range(first.subpackets):
-        blocks = [st.cells[s] for st in states]
-        for j, (weights, parity) in enumerate(maps):
-            pos = s * width + j
-            for m, ys in enumerate(zip(*[block[j] for block in blocks])):
-                for row in parity:
-                    if sum(map(mul, row, ys)) % q:
-                        raise IntegrityError(
-                            f"cell (s={s}, j={j}, m={m}) inconsistent across databases"
-                        )
-                w = sum(map(mul, weights, ys)) % q
-                if pos < first.length:
-                    out.values[m][pos] = w
-                elif w != 0:
-                    raise IntegrityError("padding decoded to a nonzero symbol")
-    return out
+    replicas = np.stack([st.cells for st in states])  # [n, s, j, m]
+    plain = np.empty_like(first.cells)
+    inconsistent = np.zeros(plain.shape, dtype=bool)
+    for j in range(width):
+        weights, parity = _oracle_map(fp, layout, j)
+        out = apply_rows(fp.q, (weights,) + parity, replicas[:, :, j])
+        plain[:, j] = out[0]
+        inconsistent[:, j] = (out[1:] != 0).any(axis=0)
+    # the padding positions (flat index >= length) must decode to zero
+    padding = (np.arange(first.padded_length) >= first.length).reshape(-1, width, 1)
+    nonzero_pad = (plain != 0) & padding
+    bad = np.flatnonzero(inconsistent | nonzero_pad)
+    if len(bad):
+        s, j, m = (int(i) for i in np.unravel_index(bad[0], plain.shape))
+        if inconsistent[s, j, m]:
+            raise IntegrityError(f"cell (s={s}, j={j}, m={m}) inconsistent across databases")
+        raise IntegrityError("padding decoded to a nonzero symbol")
+    values = plain.reshape(-1, first.m_count).T[:, : first.length].tolist()
+    return ModelPlain(first.m_count, first.length, values)

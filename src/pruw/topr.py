@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
 from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype, seeded_uniform
-from .poly import apply_rows, build_query, combine_update, decode_inverse
+from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
 
 # Bound on the symbols of all N reversing matrices, N * side^2 with side P
@@ -187,13 +187,18 @@ def column_weights(setup: PermutationSetup, n: int, v_perm: int) -> list[int]:
     return (rev[:, col0 : col0 + ell].sum(axis=1) % setup.fp.q).tolist()
 
 
-def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_perm: int) -> int:
-    """Database-side answer for one permuted subpacket index."""
+def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_tilde):
+    """Database-side answers, an array with one per permuted subpacket index
+    in ``v_tilde``: the row inner products with the query, computed once,
+    weighted by each index's :func:`column_weights`."""
+    weights = [column_weights(setup, state.db_index, v) for v in v_tilde]
     return answer(state.fp.q, state.rows(0, state.padded_length), query_block * state.subpackets,
-                  column_weights(setup, state.db_index, v_perm))
+                  weights)
 
 
-def decode_sparse(fp: FieldParams, case: int, ell: int, answers: list[int]) -> list[int]:
+def decode_sparse(fp: FieldParams, case: int, ell: int, answers):
+    """The ell bits behind one answer per database, or (ell, V) bits behind
+    an (N, V) answer matrix."""
     n = fp.n_databases
     power_count = (3 * ell + 2) if case == 1 else (ell + 4)
     if ell + power_count != n:
@@ -215,16 +220,17 @@ def read_sparse(
     ``v_tilde`` holds permuted indices; the caller (user side) learns the
     true indices through the permutation it received from the coordinator.
     """
+    import numpy as np
+
     _check_states(setup, states)
     if any(not 1 <= v <= setup.p_subpackets for v in v_tilde):
         raise DomainError("permuted subpacket index out of range")
-    fp = states[0].fp
-    out = {}
-    for v_perm in v_tilde:
-        answers = [answer_sparse(st, setup, query_blocks[st.db_index - 1], v_perm) for st in states]
-        bits = decode_sparse(fp, setup.case, setup.ell, answers)
-        out[setup.true_index(v_perm)] = bits
-    return out
+    if not v_tilde:
+        return {}
+    answers = np.stack([answer_sparse(st, setup, query_blocks[st.db_index - 1], v_tilde)
+                        for st in states])
+    bits = decode_sparse(states[0].fp, setup.case, setup.ell, answers)
+    return {setup.true_index(v): col for v, col in zip(v_tilde, bits.T.tolist())}
 
 
 def select_top_r(scores, r: Fraction, p_subpackets: int) -> list[int]:
@@ -259,17 +265,21 @@ def write_sparse(
 ) -> SparseWriteResult:
     """One sparse write round: select, combine, permute positions, send, and
     let every database fold the un-permuted increments into storage."""
-    layout = _check_states(setup, states)
+    import numpy as np
+
+    _check_states(setup, states)
     fp = states[0].fp
     ell = setup.ell
     chosen = select_top_r(scores, r, setup.p_subpackets)
-    fs = fp.fs[:ell]
-    per_true = {}
     for s in chosen:
         if len(deltas[s - 1]) != ell:
             raise DomainError(f"expected {ell} updates for subpacket {s}")
-        noise = [0] if disable_noise else seeded_uniform(rng, fp.q, 1)
-        per_true[s] = combine_update(fp.field, deltas[s - 1], fs, fp.alphas, noise)
+    # one noise symbol per chosen subpacket, in ascending true order
+    noise = [0] * len(chosen) if disable_noise else seeded_uniform(rng, fp.q, len(chosen))
+    inputs = np.array([list(deltas[s - 1]) + [z] for s, z in zip(chosen, noise)],
+                      dtype=kernel_dtype(fp.q)).reshape(len(chosen), ell + 1)
+    symbols = apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, 1), inputs.T)
+    per_true = dict(zip(chosen, symbols.T.tolist()))
     pairs = sorted((setup.permuted_index(s), s) for s in chosen)
     positions = [pos for pos, _ in pairs]
     values = [per_true[s] for _, s in pairs]
@@ -290,20 +300,22 @@ def apply_sparse_write(
 ) -> None:
     """Database side: rebuild the permuted update vector, un-permute it with
     the noisy reversing matrix, and add the per-subpacket increments."""
+    import numpy as np
+
     if len(set(positions)) != len(positions):
         raise ProtocolError("duplicate permuted positions in write payload")
     if any(not 1 <= k <= setup.p_subpackets for k in positions):
         raise ProtocolError("permuted position out of range")
+    if not positions:
+        return
     fp = state.fp
     q = fp.q
-    alpha = fp.alpha(state.db_index)
-    t_vec = [0] * state.padded_length
-    for v_perm, u in zip(positions, symbols):
-        weights = column_weights(setup, state.db_index, v_perm)
-        t_vec = [(t + w * u) % q for t, w in zip(t_vec, weights)]
-    scales = [f - alpha for f in fp.fs[: setup.ell]] * state.subpackets
-    fold(q, state.rows(0, state.padded_length), query_block * state.subpackets,
-         [c * t % q for c, t in zip(scales, t_vec)])
+    dtype = state.cells.dtype
+    weights = np.array([column_weights(setup, state.db_index, v) for v in positions], dtype=dtype)
+    # t[p] = sum_v symbols[v] * weights[v][p], one value per (subpacket, bit)
+    t_vec = apply_rows(q, (symbols,), weights)[0].reshape(state.subpackets, setup.ell)
+    scales = np.array([(f - fp.alpha(state.db_index)) % q for f in fp.fs[: setup.ell]], dtype=dtype)
+    fold(q, state.cells, query_block, t_vec * scales % q)
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,9 @@ def test_criterion_7_skip_set_behavior():
         session = Session(cfg)
         skip_db = session.scheme.states[0]
         assert skip_db.db_index == 1 and 1 in params.skip_set
-        before = [[row[:] for row in block] for block in skip_db.cells]
+        before = skip_db.cells.tolist()
         it = session.run_iteration(cfg.theta)
-        after = [[row[:] for row in block] for block in skip_db.cells]
+        after = skip_db.cells.tolist()
         ok &= before == after            # storage bit-identical across the write
         ok &= it.verdict                 # yet reconstruction shows the update
         sent_to_skip = [f for f in session.log.frames

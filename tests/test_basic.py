@@ -151,11 +151,11 @@ class TestWriteRound:
         params, fp, model, states = build_session(5, 127)
         theta = 1
         query = basic.build_read_query(theta, params, fp, 2, rng)
-        before = [row[:] for block in states[0].cells for row in block]
+        before = [row for block in states[0].cells.tolist() for row in block]
         deltas = [[rng.randrange(127) for _ in range(params.ell)]
                   for _ in range(states[0].subpackets)]
         basic.write_round(deltas, theta, params, fp, query, states, rng)
-        after = [row[:] for block in states[0].cells for row in block]
+        after = [row for block in states[0].cells.tolist() for row in block]
         assert before == after
         flat = [d for block in deltas for d in block]
         assert reconstruct_plain(states) == apply_updates_oracle(model, theta, flat, 127)
@@ -167,7 +167,7 @@ class TestWriteRound:
         params, fp, model, states = build_session(6, 127)
         theta = 1
         query = basic.build_read_query(theta, params, fp, 2, rng)
-        snapshot = [[[row[:] for row in block] for block in st.cells] for st in states]
+        snapshot = [st.cells.tolist() for st in states]
         deltas = [[rng.randrange(127) for _ in range(params.ell)]
                   for _ in range(states[0].subpackets)]
         basic.write_round(deltas, theta, params, fp, query, states, rng)

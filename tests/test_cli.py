@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -205,7 +206,7 @@ class TestSnapshots:
         loaded = load_snapshot(str(path))
         assert loaded.scheme == "topr"
         assert loaded.perm_setup.perm == (2, 5, 1, 3, 4)
-        assert loaded.regions[0][0].cells == session.scheme.states[0].cells
+        assert loaded.regions[0][0].cells.tolist() == session.scheme.states[0].cells.tolist()
         assert loaded.fp == session.scheme.fp
 
     def test_modulus_beyond_u64_exit_2(self, tmp_path, capsys):
@@ -240,6 +241,47 @@ class TestSnapshots:
 
         with pytest.raises(IntegrityError, match="PRUW1.*re-save"):
             load_snapshot(str(snap))
+
+    def test_topr_snapshot_without_regions_exit_1(self, tmp_path, capsys):
+        # a well-formed top-r header that declares zero storage regions
+        snap = tmp_path / "snap.bin"
+        snap.write_bytes(b"PRUW2" + struct.pack("<BQIIIQI", 2, 127, 10, 2, 3, 7, 0)
+                         + struct.pack("<I5IQ", 5, 2, 5, 1, 3, 4, 0))
+        assert main(["load-snapshot", str(snap), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no storage regions" in err
+        assert "Traceback" not in err
+
+    def test_topr_tag_over_basic_storage_exit_1(self, tmp_path, capsys, basic_cfg):
+        snap = tmp_path / "snap.bin"
+        assert main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)]) == 0
+        data = bytearray(snap.read_bytes())
+        assert data[5] == 1  # the basic scheme tag
+        data[5] = 2
+        # a well-formed permutation section after the basic storage
+        snap.write_bytes(bytes(data) + struct.pack("<IIQ", 1, 1, 0))
+        capsys.readouterr()
+        assert main(["load-snapshot", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-top-r" in err
+        assert "Traceback" not in err
+
+    def test_region_length_beyond_cells_exit_1(self, tmp_path, capsys):
+        # one subpacket of width 1 (N=4, ell=1) whose header claims length 5
+        cfg = tmp_path / "cfg"
+        cfg.write_text("scheme=basic\nn=4\nm=1\nl=1\nq=11\n")
+        snap = tmp_path / "snap.bin"
+        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 0
+        data = bytearray(snap.read_bytes())
+        at = 5 + struct.calcsize("<BQIIIQI") + struct.calcsize("<BBIIII")
+        assert struct.unpack_from("<QII", data, at) == (1, 1, 1)
+        struct.pack_into("<Q", data, at, 5)
+        snap.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["load-snapshot", str(snap), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "length 5 exceeds" in err
+        assert "Traceback" not in err
 
     def test_truncated_snapshot_detected(self, tmp_path, basic_cfg):
         snap = tmp_path / "snap.bin"

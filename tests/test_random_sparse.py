@@ -199,10 +199,10 @@ class TestCase2Protocol:
         plan, spec, fp, model, realized, states, sets = region_session(11, 6, 4, 24)
         rng = random.Random(7)
         wq = rs.build_write_queries(1, fp, spec, sets.write, 2, rng)
-        before = [[row[:] for row in block] for block in states[-1].cells]
+        before = states[-1].cells.tolist()
         deltas = [rng.randrange(127) for _ in range(24)]
         written, _ = rs.region_write(deltas, 1, fp, realized, states, wq, sets.write, rng)
-        assert [[row[:] for row in block] for block in states[-1].cells] == before
+        assert states[-1].cells.tolist() == before
         # yet the reconstruction (which includes database N) carries the update
         expect = model.copy()
         for pos in written:

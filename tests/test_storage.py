@@ -340,4 +340,4 @@ class TestSharedDraw:
         except ConfigError:
             assume(False)
         expected = reference_cells(model, states[0].fp, states[0].layout, seed, disable_noise)
-        assert [st_.cells for st_ in states] == expected
+        assert [st_.cells.tolist() for st_ in states] == expected
