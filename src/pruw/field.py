@@ -168,6 +168,46 @@ def kernel_dtype(q: int):
     return np.int64 if (q - 1) ** 2 < 1 << 63 else object
 
 
+LIMB_BITS = 16
+
+
+def term_bound(q: int) -> int:
+    """T(q): the most products one limb-split int64 sum may add, the largest
+    T with T * (q - 1) * (2^16 - 1) + (q - 1) * 2^16 < 2^63 (46,340 at
+    q = 3,037,000,493, 65,536 at 2^31 - 1)."""
+    return ((1 << 63) - 1 - ((q - 1) << LIMB_BITS)) // ((q - 1) * ((1 << LIMB_BITS) - 1))
+
+
+def mod_einsum(q: int, subscripts: str, split, other):
+    """``einsum(subscripts, split, other) mod q`` for a sum over the last axis
+    of both operands, exact on residue arrays of :func:`kernel_dtype`.
+
+    On int64, ``split`` (the small fixed operand: map rows, query vectors or
+    coefficients) is cut into 16-bit limbs.  Each limb part is one integer
+    einsum over the unreduced products, and each output is reduced once:
+    ``((hi . other mod q) * 2^16 + lo . other) mod q``.  That stays below
+    2^63 for at most :func:`term_bound` terms, so a longer axis is summed in
+    chunks of that many.  Object arrays sum Python ints and reduce once.
+    """
+    import numpy as np
+
+    if other.dtype == object:
+        return np.einsum(subscripts, split, other) % q
+    bound = term_bound(q)
+    if split.shape[-1] > bound:
+        out = 0
+        for lo in range(0, split.shape[-1], bound):
+            out = (out + mod_einsum(q, subscripts, split[..., lo : lo + bound],
+                                    other[..., lo : lo + bound])) % q
+        return out
+    out = np.einsum(subscripts, split >> LIMB_BITS, other)
+    out %= q
+    out <<= LIMB_BITS
+    out += np.einsum(subscripts, split & ((1 << LIMB_BITS) - 1), other)
+    out %= q
+    return out
+
+
 class CounterNoise:
     """Counter-addressed noise streams: the symbols under a tag are a pure
     function of (seed, tag).  Rejection sampling keeps them exactly uniform."""

@@ -31,6 +31,7 @@ A position missing from the read or write pairs is distortion.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -40,7 +41,7 @@ from fractions import Fraction
 from . import basic, random_sparse as rs, topr, wire
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .field import is_prime
+from .field import is_prime, kernel_dtype
 from .storage import CoordinatorSetup, ModelPlain, reconstruct_plain, topr_subpacketization
 
 SCHEMES = {"basic": basic.BasicScheme, "topr": topr.TopRScheme, "random": rs.RandomScheme}
@@ -110,23 +111,37 @@ def next_prime_above(x: int) -> int:
     return candidate
 
 
-def _write_mismatch(oracle: ModelPlain, start: int, real_bits: int,
-                    plain: ModelPlain) -> dict | None:
-    """First (submodel, position, expected, got) where a storage block and
-    the oracle's slice of it, zero-padded to the block, differ."""
-    pad = [0] * (plain.length - real_bits)
-    for m, (row, got) in enumerate(zip(oracle.values, plain.values)):
-        want = row[start : start + real_bits] + pad
-        if want != got:
-            k = next(k for k, (w, g) in enumerate(zip(want, got)) if w != g)
-            return {"submodel": m + 1, "position": start + k, "expected": want[k], "got": got[k]}
-    return None
+def _pairs(pairs, dtype):
+    """(positions, symbols) arrays of a scheme's (model position, symbol)
+    pairs."""
+    import numpy as np
+
+    both = np.fromiter(itertools.chain.from_iterable(pairs), dtype, 2 * len(pairs))
+    return both[0::2].astype(np.intp), both[1::2]
+
+
+def _write_mismatch(oracle, start: int, real_bits: int, got) -> dict | None:
+    """First (submodel, position, expected, got) where a storage block's
+    decoded ``(M, length)`` array and the oracle's slice of it, zero-padded
+    to the block, differ."""
+    import numpy as np
+
+    want = np.zeros_like(got)
+    want[:, :real_bits] = oracle[:, start : start + real_bits]
+    bad = np.flatnonzero(want != got)
+    if not len(bad):
+        return None
+    m, k = divmod(int(bad[0]), got.shape[1])
+    return {"submodel": m + 1, "position": start + k, "expected": int(want[m, k]),
+            "got": int(got[m, k])}
 
 
 class Session:
     """Initialized network for one scheme configuration."""
 
     def __init__(self, cfg: ExperimentConfig):
+        import numpy as np
+
         cfg.validate()
         self.cfg = cfg
         self.log = wire.FrameLog()
@@ -136,7 +151,9 @@ class Session:
         model_rng = random.Random(self.coordinator.model_seed)
         self.model = ModelPlain.random(cfg.m, self.scheme.length, cfg.q, model_rng)
         self.scheme.init_storage(self.model, self.coordinator.storage_seed)
-        self.oracle = self.model.copy()
+        # the model as the writes leave it, updated in plain arithmetic
+        self.oracle = ModelPlain(cfg.m, self.scheme.length,
+                                 array=np.array(self.model.values, dtype=kernel_dtype(cfg.q)))
 
     def _user_rng(self, label: str) -> random.Random:
         return random.Random(self.coordinator.user_seed(label, self.iteration_index))
@@ -145,6 +162,8 @@ class Session:
         """Read, write, then check the decoded symbols and every storage
         block against the oracle; a failing check names its first bad item
         in ``detail``."""
+        import numpy as np
+
         cfg, scheme = self.cfg, self.scheme
         theta = cfg.theta if theta is None else theta
         if not 1 <= theta <= cfg.m:
@@ -156,17 +175,22 @@ class Session:
             ledger.add(self.log.record(*args, **kwargs))
 
         detail: dict = {}
-        truth = self.oracle.values[theta - 1]
+        truth = self.oracle.array[theta - 1]
         reads = scheme.read(theta, self.iteration_index, self._user_rng("query"), record, detail)
-        read_mismatch = next(({"position": pos, "expected": truth[pos], "got": got}
-                              for pos, got in reads if got != truth[pos]), None)
+        pos, got = _pairs(reads, truth.dtype)
+        bad = np.flatnonzero(truth[pos] != got)
+        read_mismatch = None
+        if len(bad):
+            k = bad[0]
+            read_mismatch = {"position": int(pos[k]), "expected": int(truth[pos[k]]),
+                             "got": int(got[k])}
         writes = scheme.write(theta, self._user_rng("update"), record, detail)
-        for pos, delta in writes:
-            truth[pos] = (truth[pos] + delta) % cfg.q
+        pos, delta = _pairs(writes, truth.dtype)
+        truth[pos] = (truth[pos] + delta) % cfg.q  # a write names each position once
         write_mismatch = None
         for start, real_bits, states in scheme.storage:
-            write_mismatch = _write_mismatch(self.oracle, start, real_bits,
-                                             reconstruct_plain(states))
+            write_mismatch = _write_mismatch(self.oracle.array, start, real_bits,
+                                             reconstruct_plain(states).array)
             if write_mismatch is not None:
                 break
         detail["read_ok"] = read_mismatch is None

@@ -19,7 +19,10 @@ to all subpackets at once by :func:`apply_rows`: the user's combined update
 (:func:`combine_map`, from :func:`combine_update` on unit vectors), the
 decoder's inverse (:func:`decode_inverse`, from :func:`solve_decode` on
 unit right-hand sides) and the storage oracle's map (from
-:func:`lagrange_interpolate` on unit vectors).  Verification deliberately
+:func:`lagrange_interpolate` on unit vectors, once per field).  The
+application splits the map into 16-bit limbs and sums the products
+unreduced, reducing each output once (:func:`~pruw.field.mod_einsum`), so it
+is exact on int64 without reducing every product.  Verification deliberately
 keeps two independent code paths: the residual checks and the oracle
 interpolate in Lagrange form, the decoder runs Gaussian elimination, so a
 shared bug cannot vouch for itself; only the application is shared.
@@ -32,7 +35,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import FieldParams, PrimeField, kernel_dtype, seeded_uniform
+from .field import FieldParams, PrimeField, kernel_dtype, mod_einsum, seeded_uniform
 
 
 def delta_tilde(field: PrimeField, deltas, fs) -> list[int]:
@@ -333,14 +336,19 @@ def apply_rows(q: int, rows, vec):
     vec[n, ...]``.
 
     ``vec`` is one vector, or a batch with the map's input on its leading
-    axis (an ``(N, S)`` matrix gives ``(R, S)``).  Each product is reduced
-    mod q before it is summed, on arrays of :func:`kernel_dtype`.  An array
-    in gives an array back; a list gives Python ints (nested for a batch).
+    axis (an ``(N, S)`` matrix gives ``(R, S)``).  The map is the split
+    operand of :func:`~pruw.field.mod_einsum`: on int64 its 16-bit limbs are
+    each summed against ``vec`` unreduced and every output is reduced once,
+    in chunks of at most T(q) input terms, so ``vec`` is never copied or
+    multiplied out into an ``(R, N, ...)`` temporary.  An array in gives an
+    array of its dtype back; a list runs on :func:`kernel_dtype` and gives
+    Python ints (nested for a batch).
     """
     import numpy as np
 
-    dtype = kernel_dtype(q)
+    dtype = vec.dtype if isinstance(vec, np.ndarray) else kernel_dtype(q)
     x = np.asarray(vec, dtype=dtype)
-    a = np.asarray(rows, dtype=dtype).reshape((len(rows), x.shape[0]) + (1,) * (x.ndim - 1))
-    out = (a * x % q).sum(axis=1) % q
+    a = np.asarray(rows, dtype=dtype).reshape(len(rows), x.shape[0])
+    out = mod_einsum(q, "rn,pn->rp", a, x.reshape(x.shape[0], -1).T)
+    out = out.reshape((len(rows),) + x.shape[1:])
     return out if isinstance(vec, np.ndarray) else out.tolist()

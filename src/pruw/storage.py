@@ -16,13 +16,19 @@ whatever N is.
 
 A database's cells are one contiguous ``(subpackets, width, M)`` numpy
 array of :func:`~pruw.field.kernel_dtype` (int64 up to q = 3,037,000,493,
-object arrays of Python ints above).  Every kernel over them reduces each
-product mod q before summing, which keeps int64 exact: :func:`answer` (the
-masked inner products a read returns), :func:`fold` (a write's scaled copy
-of the cached query, added in place) and the oracle
-:func:`reconstruct_plain`.  Each takes a leading batch axis, so a scheme
-makes one call per database and phase, not one per subpacket.  numpy is
-imported inside the functions that use it.
+object arrays of Python ints above).  The kernels over them are
+:func:`answer` (the masked inner products a read returns), :func:`fold` (a
+write's scaled copy of the cached query, added in place) and the oracle
+:func:`reconstruct_plain`.  Their sums of products go through
+:func:`~pruw.field.mod_einsum`, which delays the reduction: the fixed
+operand is split into 16-bit limbs, the products are summed unreduced, at
+most T(q) of them at a time, and each output is reduced once.  A fold adds
+a single product to each cell and reduces once.  Each kernel takes a
+leading batch axis, so a scheme makes one call per database and phase, not
+one per subpacket.  Set-up, which runs once per session, still reduces
+each of its few mask products before summing them; an einsum there raised
+the top-r workload's peak RSS.  numpy is imported inside the functions
+that use it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError, DomainError, IntegrityError
-from .field import CounterNoise, FieldParams, derive_seed, kernel_dtype
+from .field import CounterNoise, FieldParams, derive_seed, kernel_dtype, mod_einsum
 from .poly import apply_rows, lagrange_interpolate, unit_vectors
 
 KIND_BASIC = "basic"
@@ -44,13 +50,28 @@ KIND_RANDOM = "random"
 DRAW_CHUNK = 64
 
 
-@dataclass
 class ModelPlain:
-    """The plain (unmasked) model: m_count submodels of `length` symbols."""
+    """The plain (unmasked) model: m_count submodels of `length` symbols.
 
-    m_count: int
-    length: int
-    values: list[list[int]]
+    ``values[m][i]``, symbol i of submodel m, is nested lists of Python ints:
+    the form set-up reads and the tests and the CLI compare.  A model decoded
+    by :func:`reconstruct_plain`, or the session's oracle, is held as its
+    ``(M, length)`` array ``array`` instead; ``values`` is then a fresh list
+    copy of it, built only when read.
+    """
+
+    def __init__(self, m_count: int, length: int, values=None, array=None):
+        self.m_count = m_count
+        self.length = length
+        self.array = array
+        self._values = values
+
+    @property
+    def values(self) -> list[list[int]]:
+        return self.array.tolist() if self._values is None else self._values
+
+    def __repr__(self):
+        return f"ModelPlain(m_count={self.m_count}, length={self.length}, values={self.values})"
 
     @classmethod
     def random(cls, m_count: int, length: int, q: int, rng: random.Random) -> "ModelPlain":
@@ -217,27 +238,33 @@ def answer(q: int, rows, qvecs, coefs=None):
     ``rows`` is a ``(..., K, M)`` array and ``qvecs`` is ``(K, M)``; the
     leading axes are a batch, so ``(S, K, M)`` rows give S answers.  The K
     row products are computed once, so ``coefs`` of shape ``(R, K)`` give R
-    weighted answers of the same rows.  Each product is reduced mod q before
-    it is summed.
+    weighted answers of the same rows.  Both sums are
+    :func:`~pruw.field.mod_einsum` calls that split the query vectors, then
+    the coefficients, into 16-bit limbs: the products are summed unreduced
+    over M (then K), in chunks of at most T(q) terms, and each answer is
+    reduced once.
     """
     import numpy as np
 
     dtype = rows.dtype
-    products = (rows * np.asarray(qvecs, dtype=dtype) % q).sum(axis=-1) % q
-    if coefs is not None:
-        products = products * np.asarray(coefs, dtype=dtype) % q
-    return products.sum(axis=-1) % q
+    products = mod_einsum(q, "km,...km->...k", np.asarray(qvecs, dtype=dtype), rows)
+    if coefs is None:
+        return np.sum(products, axis=-1) % q
+    return mod_einsum(q, "...k,...k->...", np.asarray(coefs, dtype=dtype), products)
 
 
 def fold(q: int, rows, qvecs, factors) -> None:
     """A database's write: ``rows[..., k, :] += factors[..., k] * qvecs[k]``
     mod q, in place.  ``rows`` is a ``(..., K, M)`` view of the cells,
-    ``qvecs`` is ``(K, M)`` and ``factors`` is ``(..., K)``."""
+    ``qvecs`` is ``(K, M)`` and ``factors`` is ``(..., K)``.  Each cell adds
+    one unreduced product, which stays below q^2 - q < 2^63 on int64, and is
+    reduced once, straight into ``rows``."""
     import numpy as np
 
     dtype = rows.dtype
-    step = np.asarray(factors, dtype=dtype)[..., None] * np.asarray(qvecs, dtype=dtype) % q
-    rows[...] = (rows + step) % q
+    step = np.multiply(np.asarray(factors, dtype=dtype)[..., None], np.asarray(qvecs, dtype=dtype))
+    step += rows
+    np.remainder(step, q, out=rows)
 
 
 def _padded(model: ModelPlain, width: int) -> tuple[list[list[int]], int]:
@@ -380,26 +407,33 @@ def init_random_sparse(
     return _build_states(model, fp, layout, seed, disable_noise)
 
 
+@functools.lru_cache(maxsize=64)
+def _lagrange_basis(fp: FieldParams) -> tuple[tuple[int, ...], ...]:
+    """Column n: the coefficients of the n-th Lagrange basis polynomial over
+    the database constants, :func:`lagrange_interpolate` of the n-th unit
+    vector.  Built once per field."""
+    return tuple(tuple(lagrange_interpolate(fp.field, fp.alphas, e))
+                 for e in unit_vectors(fp.n_databases))
+
+
 @functools.lru_cache(maxsize=256)
 def _oracle_map(fp: FieldParams, layout, j: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(evaluation weights, parity rows) taking bit j's N replicas to its
     plain symbol.
 
-    Column n holds the Lagrange coefficients of the n-th unit vector over the
-    database constants, so the coefficients of any cell's interpolant are
-    the map applied to its replicas.  The weights evaluate that interpolant
-    at f_j; the parity rows are its coefficients above the mask degree,
-    which vanish on consistent storage.  The random layout's per-cell
-    (f_j - alpha_n) rescale is folded into column n.
+    The coefficients of any cell's interpolant over the database constants
+    are the :func:`_lagrange_basis` columns applied to its replicas.  The
+    weights evaluate that interpolant at f_j; the parity rows are its
+    coefficients above the mask degree, which vanish on consistent storage.
+    The basis is the same for every j; only the evaluation at f_j and the
+    random layout's per-cell (f_j - alpha_n) rescale, folded into column n,
+    depend on it.
     """
     q = fp.q
     f_j = fp.fs[j]
-    cols = []
-    for alpha, e in zip(fp.alphas, unit_vectors(fp.n_databases)):
-        col = lagrange_interpolate(fp.field, fp.alphas, e)
-        if not layout.affine_mask:
-            col = [c * (f_j - alpha) % q for c in col]
-        cols.append(col)
+    cols = _lagrange_basis(fp)
+    if not layout.affine_mask:
+        cols = [[c * (f_j - alpha) % q for c in col] for alpha, col in zip(fp.alphas, cols)]
     weights = tuple(fp.field.poly_eval(col, f_j) for col in cols)
     parity = tuple(
         tuple(col[k] for col in cols) for k in range(layout.noise_terms + 1, fp.n_databases)
@@ -412,13 +446,15 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
 
     Interpolates each cell across the database constants and reads the plain
     symbol off at the bit constant; the coefficients above the mask degree
-    act as a consistency check, so any single corrupted cell raises
-    IntegrityError naming the first bad cell in (s, j, m) order.
-    Interpolation is a fixed linear map per bit constant, built from
-    :func:`lagrange_interpolate` once per field and layout; its weights and
-    parity rows are applied to all N databases' cells of that bit in one
+    act as a consistency check, and every padding cell must decode to zero.
+    The first bad cell in (s, j, m) order raises IntegrityError naming it.
+    Interpolation is a fixed linear map per bit constant (:func:`_oracle_map`,
+    from a Lagrange basis built once per field); for each bit the N
+    databases' cells are copied into one contiguous ``(N, S * M)`` slab and
+    the weights and parity rows are applied to it in one limb-split
     :func:`~pruw.poly.apply_rows` call.  It never calls the decoders'
-    Gaussian elimination.
+    Gaussian elimination.  The result holds the decoded ``(M, length)``
+    array.
     """
     import numpy as np
 
@@ -433,12 +469,14 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
         if st.layout != layout or st.m_count != first.m_count or st.subpackets != first.subpackets:
             raise IntegrityError("database states disagree on shape")
     width = layout.width
-    replicas = np.stack([st.cells for st in states])  # [n, s, j, m]
     plain = np.empty_like(first.cells)
     inconsistent = np.zeros(plain.shape, dtype=bool)
+    slab = np.empty((len(states),) + plain[:, 0].shape, dtype=plain.dtype)  # [n, s, m]
     for j in range(width):
+        for n, st in enumerate(states):
+            slab[n] = st.cells[:, j]
         weights, parity = _oracle_map(fp, layout, j)
-        out = apply_rows(fp.q, (weights,) + parity, replicas[:, :, j])
+        out = apply_rows(fp.q, (weights,) + parity, slab)
         plain[:, j] = out[0]
         inconsistent[:, j] = (out[1:] != 0).any(axis=0)
     # the padding positions (flat index >= length) must decode to zero
@@ -449,6 +487,6 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
         s, j, m = (int(i) for i in np.unravel_index(bad[0], plain.shape))
         if inconsistent[s, j, m]:
             raise IntegrityError(f"cell (s={s}, j={j}, m={m}) inconsistent across databases")
-        raise IntegrityError("padding decoded to a nonzero symbol")
-    values = plain.reshape(-1, first.m_count).T[:, : first.length].tolist()
-    return ModelPlain(first.m_count, first.length, values)
+        raise IntegrityError(f"padding cell (s={s}, j={j}, m={m}) decoded to a nonzero symbol")
+    array = plain.reshape(-1, first.m_count).T[:, : first.length]
+    return ModelPlain(first.m_count, first.length, array=array)

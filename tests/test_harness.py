@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pruw.config import ExperimentConfig
@@ -325,6 +326,34 @@ class TestFailureDetail:
         want = session.oracle.values[1][reg.start + 1]
         assert it.detail["write_mismatch"] == {"submodel": 2, "position": reg.start + 1,
                                                "expected": want, "got": (want + 1) % q}
+
+
+class TestOracleArrays:
+    """The session's oracle is one (M, L) array of the kernel dtype; its
+    mismatch details are plain ints on either side of the int64 bound."""
+
+    @pytest.mark.parametrize("q", [3_037_000_493, 3_037_000_507])
+    def test_write_mismatch_details_are_ints(self, q):
+        session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=q, seed=5))
+        assert session.oracle.array.shape == (2, 12)
+        assert session.oracle.array.dtype == (np.int64 if q == 3_037_000_493 else object)
+        shift_plain(session.scheme.states, 2, 0, 1)
+        it = session.run_iteration(1)
+        mismatch = it.detail["write_mismatch"]
+        assert all(type(v) is int for v in mismatch.values())
+        want = session.oracle.values[1][4]
+        assert mismatch == {"submodel": 2, "position": 4, "expected": want,
+                            "got": (want + 1) % q}
+        json.dumps(it.detail)
+
+    def test_oracle_follows_every_write(self):
+        session = Session(ExperimentConfig(scheme="topr", n=10, m=2, p=5, q=127, case=2,
+                                           seed=5))
+        before = session.oracle.array.copy()
+        for _ in range(3):
+            assert session.run_iteration(2).verdict
+        assert (session.oracle.array[0] == before[0]).all()
+        assert (session.oracle.array[1] != before[1]).any()
 
 
 class TestVerifyCosts:

@@ -4,9 +4,14 @@ q = 3,037,000,493 is the largest prime whose residue products fit int64 and
 q = 3,037,000,507 the next one, which runs on object arrays.  With every
 input at q - 1 each product is (q - 1)^2, just below 2^63, so a kernel that
 sums two products before reducing them overflows on the int64 path.  Each
-kernel is checked against the same arithmetic on plain Python ints.
+kernel is checked against the same arithmetic on plain Python ints.  The
+int64 kernels sum products of a 16-bit limb and a residue, so they are
+also checked just past the term bound T(q) that keeps those sums exact, and
+against the object-array path on random shapes and residues.
 """
 
+import dataclasses
+import math
 import random
 
 import numpy as np
@@ -14,7 +19,8 @@ import pytest
 
 from pruw import basic
 from pruw import random_sparse as rs
-from pruw.field import allocate_eval_points, kernel_dtype
+from pruw.errors import IntegrityError
+from pruw.field import allocate_eval_points, kernel_dtype, term_bound
 from pruw.poly import (
     DecodeSystem,
     apply_rows,
@@ -30,6 +36,7 @@ from pruw.storage import (
     fold,
     init_basic,
     init_random_sparse,
+    init_topr,
     reconstruct_plain,
 )
 
@@ -120,3 +127,162 @@ def test_region_without_subpackets(q):
     wq = rs.build_write_queries(1, fp, spec, sets.write, 2, rng)
     assert rs.region_read(fp, realized, states, rq, sets.read) == {}
     assert rs.region_write([], 1, fp, realized, states, wq, sets.write, rng) == (set(), 0)
+
+
+# ---- the int64 limb path at its term bound T(q)
+
+PAST_BOUND = [(3_037_000_493, 46_341), (2**31 - 1, 65_537)]
+
+
+def test_term_bound():
+    assert [term_bound(q) for q, _ in PAST_BOUND] == [46_340, 65_536]
+    for q, _ in PAST_BOUND:
+        def fits(t):
+            return t * (q - 1) * (2**16 - 1) + (q - 1) * 2**16 < 2**63
+        assert fits(term_bound(q)) and not fits(term_bound(q) + 1)
+
+
+def worst_limbs(q, count):
+    """``count`` residues for the split operand (query vectors, coefficients,
+    map rows) at their worst against q - 1: low limb 2^16 - 1 under the
+    largest high limb that stays below q.  All-(q - 1) inputs are not the
+    worst case (q - 1 has low limb 62,252 at 3,037,000,493), so one unchunked
+    sum of T(q) + 1 of them still fits int64.  Leading entries drop their
+    high limb until one unchunked int64 sum of the count products would wrap,
+    which this asserts, so dropping the chunking gives a wrong residue."""
+    high = ((q - 1) >> 16) - 1
+    lo_sum = count * 0xFFFF * (q - 1)
+    for dropped in range(count):
+        hi_sum = (count - dropped) * high * (q - 1) % q
+        if lo_sum + (hi_sum << 16) >= 2**63:
+            return [0xFFFF] * dropped + [high << 16 | 0xFFFF] * (count - dropped)
+    raise AssertionError("no input of this family overflows an unchunked sum")
+
+
+@pytest.mark.parametrize("q, count", PAST_BOUND)
+class TestPastTheTermBound:
+    def test_answer(self, q, count):
+        rows = full(q, 2, 1, count)
+        for qvec in ([q - 1] * count, worst_limbs(q, count)):
+            assert answer(q, rows, [qvec]).tolist() == [(q - 1) * sum(qvec) % q] * 2
+
+    def test_answer_with_coefs(self, q, count):
+        rows = full(q, 2, count)
+        coefs = [[q - 1, 1], [2, q - 2], [0, 1]]
+        for qvec in ([q - 1] * count, worst_limbs(q, count)):
+            inner = (q - 1) * sum(qvec) % q
+            want = [(a + b) * inner % q for a, b in coefs]
+            assert answer(q, rows, [qvec, qvec], coefs).tolist() == want
+
+    def test_answer_with_coefs_over_a_long_row_axis(self, q, count):
+        # K = count rows of one symbol each: the coefficient sum is the long one
+        rows, qvecs = full(q, count, 1), [[1]] * count
+        for coef in ([q - 1] * count, worst_limbs(q, count)):
+            assert answer(q, rows, qvecs, [coef]).tolist() == [(q - 1) * sum(coef) % q]
+
+    def test_apply_rows_over_a_long_input_axis(self, q, count):
+        vec = full(q, count, 3)
+        for row in ([q - 1] * count, worst_limbs(q, count)):
+            want = (q - 1) * sum(row) % q
+            assert apply_rows(q, [row, row[::-1]], vec).tolist() == [[want] * 3] * 2
+
+
+# ---- the int64 limb path against the object-array path
+
+Q64 = 3_037_000_493
+# (S, K, M): no subpackets, M = 1, then seeded random shapes
+SHAPES = [(0, 3, 2), (1, 1, 1), (4, 3, 1)] + [
+    (r.randint(1, 6), r.randint(1, 5), r.randint(1, 8)) for r in map(random.Random, range(3))
+]
+
+
+def pair(rng, *shape):
+    """The same random residues mod Q64 as an int64 and an object array."""
+    obj = np.array([rng.randrange(Q64) for _ in range(math.prod(shape))],
+                   dtype=object).reshape(shape)
+    return obj.astype(np.int64), obj
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", SHAPES)
+class TestAgainstObjectPath:
+    def test_answer(self, shape, seed):
+        rng = random.Random(seed)
+        s, k, m = shape
+        (rows, rows_o), (qv, qv_o) = pair(rng, s, k, m), pair(rng, k, m)
+        (coefs, coefs_o), (wide, wide_o) = pair(rng, s, k), pair(rng, 4, k)
+        got, want = answer(Q64, rows, qv), answer(Q64, rows_o, qv_o)
+        assert (got.dtype, want.dtype) == (np.int64, object) and got.tolist() == want.tolist()
+        assert answer(Q64, rows, qv, coefs).tolist() == answer(Q64, rows_o, qv_o, coefs_o).tolist()
+        flat, flat_o = rows.reshape(-1, m), rows_o.reshape(-1, m)
+        if len(flat):
+            # top-r's form: every row at once, R weightings of the row products
+            tiled, tiled_o = np.tile(qv, (s, 1)), np.tile(qv_o, (s, 1))
+            (w, w_o) = pair(rng, 4, s * k)
+            assert (answer(Q64, flat, tiled, w).tolist()
+                    == answer(Q64, flat_o, tiled_o, w_o).tolist())
+        if s:
+            # one row block weighted R ways
+            assert (answer(Q64, rows[0], qv, wide).tolist()
+                    == answer(Q64, rows_o[0], qv_o, wide_o).tolist())
+
+    def test_fold(self, shape, seed):
+        rng = random.Random(seed)
+        s, k, m = shape
+        (rows, rows_o), (qv, qv_o), (fac, fac_o) = pair(rng, s, k, m), pair(rng, k, m), pair(rng, s, k)
+        fold(Q64, rows, qv, fac)
+        fold(Q64, rows_o, qv_o, fac_o)
+        assert rows.dtype == np.int64 and rows.tolist() == rows_o.tolist()
+
+    def test_apply_rows(self, shape, seed):
+        rng = random.Random(seed)
+        s, k, m = shape
+        rows = pair(rng, k + 2, k)[1].tolist()
+        (vec, vec_o), (one, one_o) = pair(rng, k, s, m), pair(rng, k)
+        got, want = apply_rows(Q64, rows, vec), apply_rows(Q64, rows, vec_o)
+        assert (got.dtype, want.dtype) == (np.int64, object) and got.tolist() == want.tolist()
+        assert apply_rows(Q64, rows, one).tolist() == apply_rows(Q64, rows, one_o).tolist()
+
+
+def as_objects(states):
+    return [dataclasses.replace(st, cells=st.cells.astype(object)) for st in states]
+
+
+def oracle_outcome(states):
+    """The decoded values, or the IntegrityError message."""
+    try:
+        return reconstruct_plain(states).values
+    except IntegrityError as exc:
+        return str(exc)
+
+
+def layouts(seed):
+    """Storage over Q64 for each layout, M = 1 and M = 3, plus a region with
+    no subpackets."""
+    fp = allocate_eval_points(6, 3, Q64)
+    fp10 = allocate_eval_points(10, 3, Q64)
+    for m_count in (1, 3):
+        rng = random.Random(seed)
+        model = ModelPlain.random(m_count, 3 * 4 + 1, Q64, rng)
+        yield init_basic(model, fp, 3, 1, 1, seed)
+        yield init_topr(ModelPlain.random(m_count, 3 * 4, Q64, rng), fp10, 2, seed)
+        yield init_random_sparse(model, fp, 1, 2, 3, seed)
+    yield init_random_sparse(ModelPlain.zeros(2, 0), fp, 1, 2, 3, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_against_object_path(seed):
+    rng = random.Random(seed)
+    for states in layouts(seed):
+        objects = as_objects(states)
+        assert objects[0].cells.dtype == object and states[0].cells.dtype == np.int64
+        assert oracle_outcome(states) == oracle_outcome(objects)
+        if not states[0].subpackets:
+            continue
+        # one replica's cell replaced: both paths name the same cell
+        n = rng.randrange(len(states))
+        s, j, m = (rng.randrange(size) for size in states[0].cells.shape)
+        value = (int(states[n].cells[s, j, m]) + 1) % Q64
+        states[n].cells[s, j, m] = objects[n].cells[s, j, m] = value
+        assert oracle_outcome(states) == oracle_outcome(objects)
+        assert oracle_outcome(states).startswith("cell (")

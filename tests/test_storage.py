@@ -175,6 +175,25 @@ class TestRoundTrips:
         with pytest.raises(IntegrityError):
             reconstruct_plain(states)
 
+    def test_padding_cell_named(self):
+        fp = allocate_eval_points(6, 2, 127)
+        model = ModelPlain.random(2, 7, 127, random.Random(2))  # position 7 is padding
+        states = init_basic(model, fp, 3, 1, 1, 9)
+        # the same step in every replica keeps the cell consistent, so only
+        # the padding check sees it
+        for st in states:
+            st.cells[3, 1, 1] = (st.cells[3, 1, 1] + 1) % 127
+        with pytest.raises(IntegrityError,
+                           match=r"^padding cell \(s=3, j=1, m=1\) decoded to a nonzero symbol$"):
+            reconstruct_plain(states)
+
+    def test_decoded_model_is_an_array_with_list_values(self):
+        fp = allocate_eval_points(6, 2, 127)
+        model = ModelPlain.random(2, 7, 127, random.Random(2))
+        rec = reconstruct_plain(init_basic(model, fp, 3, 1, 1, 9))
+        assert rec.array.shape == (2, 7) and rec.array.dtype == kernel_dtype(127)
+        assert rec.values == model.values and type(rec.values[0][0]) is int
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
     def test_basic_identity_random_shapes(self, seed):
