@@ -5,17 +5,20 @@ hands each database a noise-added reversing matrix.  Users communicate only
 permuted positions; databases un-permute them *inside* the masked algebra,
 so neither the true positions nor the zero-valued updates ever leak.
 
-Case 1 stores one reversing matrix per subpacket grid (small), case 2 a
-per-bit block matrix (large but cheaper on the wire).  The shared noise of
-the reversing matrices is one counter stream per block column, and each
-database holds its matrix as a numpy array of
-:func:`~pruw.field.kernel_dtype`.  Position symbols are
+Every database's reversing matrix is a sparse base plus one noise matrix
+shared by all databases, and a database only ever applies column v of it
+(case 1) or the sum over block column v (case 2).  The coordinator's setup
+therefore holds that noise once, reduced to those columns, as a numpy array
+of :func:`~pruw.field.kernel_dtype` drawn from one counter stream per block
+column, and derives each database's un-permuting weights from it in one
+vectorised step.  Position symbols are
 charged as ceil(log_q P) field symbols by the meter; the closed-form costs
 keep the fractional logarithm and both are reported.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -28,8 +31,8 @@ from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
 
-# Bound on the symbols of all N reversing matrices, N * side^2 with side P
-# (case 1) or P * ell (case 2), which a session builds in its first iteration.
+# Bound on the symbols of the shared reversing noise, side * P with side P
+# (case 1) or P * ell (case 2), which a session draws in its first iteration.
 REVERSING_SYMBOL_LIMIT = 1 << 21
 
 
@@ -47,15 +50,27 @@ def position_symbols(p_subpackets: int, q: int) -> int:
     return c
 
 
+@functools.lru_cache(maxsize=64)
+def _reversing_constants(fp: FieldParams, ell: int, case: int) -> tuple:
+    """Database n's constant in its reversing matrix, at index n-1: case 1's
+    noise scale prod_j (f_j - alpha_n) mod q, or case 2's diagonal
+    ((f_j - alpha_n)^-1 for j < ell).  Built once per (field, shape)."""
+    fs = fp.fs[:ell]
+    if case == 1:
+        return tuple(math.prod(f - a for f in fs) % fp.q for a in fp.alphas)
+    return tuple(tuple(fp.field.inv(f - a) for f in fs) for a in fp.alphas)
+
+
 @dataclass
 class PermutationSetup:
-    """The coordinator's secret permutation plus per-database reversing data.
+    """The coordinator's secret permutation plus the shared reversing noise.
 
-    ``perm[i-1]`` is the true index assigned to permuted slot i.  The base
-    reversing matrix has a 1 (case 1) or a reciprocal block (case 2) at
-    (perm(i), i); each database's copy adds the shared noise matrix scaled
-    per case.  All N matrices are built together at first use and cached:
-    they are fixed for the lifetime of the setup.
+    ``perm[i-1]`` is the true index assigned to permuted slot i.  Database
+    n's reversing matrix has a 1 (case 1) or a reciprocal block (case 2) at
+    (perm(i), i), plus the noise matrix Z that all databases share: scaled
+    by prod_j (f_j - alpha_n) in case 1, added as is in case 2.  The setup
+    holds Z once, reduced to the columns the databases apply, and draws it
+    at first use; the inverse permutation is also built at first use.
     """
 
     perm: tuple[int, ...]
@@ -63,7 +78,8 @@ class PermutationSetup:
     ell: int
     fp: FieldParams
     noise_seed: int
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _noise: object = dc_field(default=None, init=False, repr=False, compare=False)
+    _dense_noise: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p_subpackets(self) -> int:
@@ -72,11 +88,64 @@ class PermutationSetup:
     def true_index(self, permuted: int) -> int:
         return self.perm[permuted - 1]
 
+    @functools.cached_property
+    def _inverse(self) -> dict[int, int]:
+        return {true: i for i, true in enumerate(self.perm, start=1)}
+
     def permuted_index(self, true: int) -> int:
-        return self.perm.index(true) + 1
+        return self._inverse[true]
 
     def permuted_set(self, true_set) -> list[int]:
-        return sorted(self.permuted_index(s) for s in true_set)
+        return sorted(self._inverse[s] for s in true_set)
+
+    def _noise_blocks(self):
+        """The shared noise's block columns, one counter stream each: a
+        (side, block) array for v = 0 .. P-1, tagged ("rev1" | "rev2", v)."""
+        noise = CounterNoise(self.noise_seed)
+        tag, block = ("rev1", 1) if self.case == 1 else ("rev2", self.ell)
+        side = self.p_subpackets * block
+        for v in range(self.p_subpackets):
+            yield noise.symbol(self.fp.q, side * block, tag, v).reshape(side, block)
+
+    def reversing_noise(self):
+        """The shared noise as the databases apply it, a (side, P) array of
+        :func:`kernel_dtype`: column v-1 is Z's column v (case 1) or the sum
+        mod q over Z's block column v (case 2).  Drawn at first use."""
+        if self._noise is None:
+            import numpy as np
+
+            q = self.fp.q
+            self._noise = np.stack([z.sum(axis=1) % q for z in self._noise_blocks()], axis=1)
+        return self._noise
+
+    def weights(self, n: int, v_perm):
+        """Database n's un-permuting weights for the permuted indices
+        ``v_perm`` (any order), a (len(v_perm), P * ell) array with one
+        column per (subpacket, bit) in storage order.
+
+        Row k is column v = v_perm[k] of the reversing matrix repeated over
+        the bits (case 1), or the sums over its block column v (case 2): the
+        shared noise's column v-1 times prod_j (f_j - alpha_n) plus a 1 at
+        row perm(v)-1 (case 1), or the column as is plus (f_j - alpha_n)^-1
+        at row (perm(v)-1) * ell + j (case 2).
+        """
+        import numpy as np
+
+        q, ell = self.fp.q, self.ell
+        const = _reversing_constants(self.fp, ell, self.case)[n - 1]
+        cols = np.asarray(v_perm, dtype=np.intp) - 1
+        at = np.arange(len(cols))
+        rows = np.asarray(self.perm, dtype=np.intp)[cols] - 1
+        z = self.reversing_noise()[:, cols]
+        if self.case == 1:
+            z *= const
+            z[rows, at] += 1
+            z %= q
+            return z.repeat(ell, axis=0).T
+        gamma = np.array(const, dtype=z.dtype)
+        rows = rows[:, None] * ell + np.arange(ell)
+        z[rows, at[:, None]] = (z[rows, at[:, None]] + gamma) % q
+        return z.T
 
     def base_matrix(self, n: int):
         """Database n's reversing matrix without noise, as an array of
@@ -84,43 +153,31 @@ class PermutationSetup:
         block at (perm(i), i) is diagonal, its entry j (f_j - alpha_n)^-1."""
         import numpy as np
 
-        fp, p = self.fp, self.p_subpackets
+        p = self.p_subpackets
         if self.case == 1:
             block, diag = 1, [1]
         else:
             block = self.ell
-            diag = [fp.field.inv(f - fp.alpha(n)) for f in fp.fs[:block]]
-        mat = np.zeros((p * block, p * block), dtype=kernel_dtype(fp.q))
+            diag = list(_reversing_constants(self.fp, block, 2)[n - 1])
+        mat = np.zeros((p * block, p * block), dtype=kernel_dtype(self.fp.q))
         rows = ((np.array(self.perm) - 1)[:, None] * block + np.arange(block)).ravel()
         mat[rows, np.arange(p * block)] = diag * p
         return mat
 
     def reversing_matrix(self, n: int):
-        """Noise-added reversing matrix held by database n (1-based), as an
-        array of :func:`kernel_dtype`.
-
-        The noise is shared: case 1 scales it per database, case 2 adds it
-        as is.  It is one counter stream per block column v (one column in
-        case 1, ell in case 2), tagged ("rev1" | "rev2", v), so the first
-        call draws it once and builds every database's matrix in the same
-        pass.
+        """Noise-added reversing matrix held by database n (1-based), as a
+        dense array of :func:`kernel_dtype`: the reference that
+        :meth:`weights` is checked against.  Sessions never build it.  The
+        dense noise is drawn once per setup, from the same streams as
+        :meth:`reversing_noise`; the matrix itself is rebuilt on every call.
         """
-        if not self._cache:
-            import numpy as np
+        import numpy as np
 
-            fp = self.fp
-            q = fp.q
-            noise = CounterNoise(self.noise_seed)
-            tag, block = ("rev1", 1) if self.case == 1 else ("rev2", self.ell)
-            side = self.p_subpackets * block
-            z = np.concatenate([noise.symbol(q, side * block, tag, v).reshape(side, block)
-                                for v in range(self.p_subpackets)], axis=1)
-            for db in range(1, fp.n_databases + 1):
-                scale = 1
-                if self.case == 1:
-                    scale = math.prod(f - fp.alpha(db) for f in fp.fs[: self.ell]) % q
-                self._cache[db] = (self.base_matrix(db) + z * scale % q) % q
-        return self._cache[n]
+        if self._dense_noise is None:
+            self._dense_noise = np.concatenate(list(self._noise_blocks()), axis=1)
+        q = self.fp.q
+        scale = _reversing_constants(self.fp, self.ell, 1)[n - 1] if self.case == 1 else 1
+        return (self.base_matrix(n) + self._dense_noise * scale % q) % q
 
 
 def coordinator_setup(
@@ -174,26 +231,15 @@ def _check_states(setup: PermutationSetup, states: list[DatabaseState]) -> TopRL
     return layout
 
 
-def column_weights(setup: PermutationSetup, n: int, v_perm: int) -> list[int]:
-    """Database n's un-permuting weights for permuted index v_perm, one per
-    (subpacket, bit) in storage order: column v_perm of the reversing matrix
-    repeated over the bits (case 1), or the sums over its block column
-    v_perm (case 2)."""
-    rev = setup.reversing_matrix(n)
-    ell = setup.ell
-    if setup.case == 1:
-        return rev[:, v_perm - 1].repeat(ell).tolist()
-    col0 = (v_perm - 1) * ell
-    return (rev[:, col0 : col0 + ell].sum(axis=1) % setup.fp.q).tolist()
-
-
 def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_tilde):
     """Database-side answers, an array with one per permuted subpacket index
     in ``v_tilde``: the row inner products with the query, computed once,
-    weighted by each index's :func:`column_weights`."""
-    weights = [column_weights(setup, state.db_index, v) for v in v_tilde]
-    return answer(state.fp.q, state.rows(0, state.padded_length), query_block * state.subpackets,
-                  weights)
+    weighted by the database's :meth:`PermutationSetup.weights`."""
+    import numpy as np
+
+    rows = state.rows(0, state.padded_length)
+    qvecs = np.tile(np.asarray(query_block, dtype=rows.dtype), (state.subpackets, 1))
+    return answer(state.fp.q, rows, qvecs, setup.weights(state.db_index, v_tilde))
 
 
 def decode_sparse(fp: FieldParams, case: int, ell: int, answers):
@@ -239,7 +285,7 @@ def select_top_r(scores, r: Fraction, p_subpackets: int) -> list[int]:
     count = round_half_up(Fraction(r) * p_subpackets)
     if count == 0 and r > 0:
         warnings.warn("sparsification rate rounds to zero subpackets; nothing will be written")
-    order = sorted(range(1, p_subpackets + 1), key=lambda s: (-Fraction(scores[s - 1]), s))
+    order = sorted(range(1, p_subpackets + 1), key=lambda s: (-scores[s - 1], s))
     return sorted(order[:count])
 
 
@@ -311,7 +357,7 @@ def apply_sparse_write(
     fp = state.fp
     q = fp.q
     dtype = state.cells.dtype
-    weights = np.array([column_weights(setup, state.db_index, v) for v in positions], dtype=dtype)
+    weights = setup.weights(state.db_index, positions)
     # t[p] = sum_v symbols[v] * weights[v][p], one value per (subpacket, bit)
     t_vec = apply_rows(q, (symbols,), weights)[0].reshape(state.subpackets, setup.ell)
     scales = np.array([(f - fp.alpha(state.db_index)) % q for f in fp.fs[: setup.ell]], dtype=dtype)
@@ -381,12 +427,12 @@ class TopRScheme:
     def __init__(self, cfg, coordinator):
         self.cfg = cfg
         ell = topr_subpacketization(cfg.n, cfg.case)
-        block = 1 if cfg.case == 1 else ell  # reversing-matrix rows per subpacket
-        side = cfg.p * block
-        if cfg.n * side * side > REVERSING_SYMBOL_LIMIT:
-            largest = math.isqrt(REVERSING_SYMBOL_LIMIT // cfg.n) // block
+        block = 1 if cfg.case == 1 else ell  # reversing-noise rows per subpacket
+        symbols = cfg.p * block * cfg.p
+        if symbols > REVERSING_SYMBOL_LIMIT:
+            largest = math.isqrt(REVERSING_SYMBOL_LIMIT // block)
             raise ConfigError(
-                f"p={cfg.p} needs {cfg.n * side * side} reversing-matrix symbols, above "
+                f"p={cfg.p} needs {symbols} reversing-noise symbols, above "
                 f"the limit of {REVERSING_SYMBOL_LIMIT}; the largest p for n={cfg.n}, "
                 f"case={cfg.case} is {largest}"
             )

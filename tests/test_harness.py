@@ -173,8 +173,9 @@ class TestKernelBound:
 
 
 class TestToprBound:
-    """The N reversing matrices hold N * side^2 symbols; a session refuses a
-    P above the bound before it builds anything."""
+    """The shared reversing noise holds side * P symbols (P^2 in case 1,
+    ell * P^2 in case 2); a session refuses a P above the bound before it
+    builds anything."""
 
     def test_oversized_p_rejected_at_setup(self, monkeypatch):
         from pruw import topr
@@ -185,16 +186,22 @@ class TestToprBound:
         monkeypatch.setattr(topr, "coordinator_setup", refuse)
         monkeypatch.setattr(topr, "init_topr", refuse)
         cfg = ExperimentConfig(scheme="topr", n=10, case=2, p=3000, q=127)
-        with pytest.raises(ConfigError, match="largest p for n=10, case=2 is 152"):
+        with pytest.raises(ConfigError, match="largest p for n=10, case=2 is 836"):
             Session(cfg)
 
-    @pytest.mark.parametrize("case, largest", [(1, 457), (2, 152)])
+    @pytest.mark.parametrize("case, largest", [(1, 1448), (2, 836)])
     def test_largest_p_admitted(self, case, largest):
-        assert largest == math.isqrt(topr.REVERSING_SYMBOL_LIMIT // 10) // (1 if case == 1 else 3)
+        assert largest == math.isqrt(topr.REVERSING_SYMBOL_LIMIT // (1 if case == 1 else 3))
         Session(ExperimentConfig(scheme="topr", n=10, m=1, case=case, p=largest, q=127))
         with pytest.raises(ConfigError):
             Session(ExperimentConfig(scheme="topr", n=10, m=1, case=case, p=largest + 1,
                                      q=127))
+
+    def test_largest_case2_p_runs(self):
+        res = run_session(ExperimentConfig(scheme="topr", n=10, m=1, case=2, p=836, q=127,
+                                           seed=3))
+        assert res.verdict
+        assert res.iterations[0].detail["read_ok"] and res.iterations[0].detail["write_ok"]
 
 
 class TestLedger:

@@ -8,8 +8,10 @@ from itertools import combinations
 import pytest
 
 from pruw import topr
+from pruw.config import ExperimentConfig
 from pruw.errors import ConfigError, ProtocolError
-from pruw.field import CounterNoise, allocate_eval_points
+from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
+from pruw.harness import run_session
 from pruw.storage import ModelPlain, init_topr, reconstruct_plain
 
 PERM_FIXTURE = (2, 5, 1, 3, 4)
@@ -158,9 +160,98 @@ class TestColumnWeights:
                     expected = [row[v - 1] for row in rev for _ in range(ell)]
                 else:
                     expected = [sum(row[(v - 1) * ell : v * ell]) % q for row in rev]
-                got = topr.column_weights(setup, n, v)
+                got = setup.weights(n, [v])[0].tolist()
                 assert got == expected
                 assert all(type(w) is int for w in got)
+
+
+class TestWeights:
+    """Each database's weights come from the one shared noise matrix; they
+    must equal the dense reversing matrix's columns (case 1, repeated over
+    the bits) or block-column sums (case 2)."""
+
+    @staticmethod
+    def dense_columns(setup, n):
+        # one row per permuted index v, in storage order
+        rev = setup.reversing_matrix(n).tolist()
+        q, ell = setup.fp.q, setup.ell
+        out = []
+        for v in range(1, setup.p_subpackets + 1):
+            if setup.case == 1:
+                out.append([row[v - 1] for row in rev for _ in range(ell)])
+            else:
+                out.append([sum(row[(v - 1) * ell : v * ell]) % q for row in rev])
+        return out
+
+    @pytest.mark.parametrize("q", [127, 3_037_000_493, 3_037_000_507])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_match_dense_reference(self, case, q):
+        fp, _, _, setup = build_session(case, q=q, perm=None, seed=4)
+        rng = random.Random(case * q)
+        for n in range(1, fp.n_databases + 1):
+            expected = self.dense_columns(setup, n)
+            for v in range(1, setup.p_subpackets + 1):
+                assert setup.weights(n, [v]).tolist() == [expected[v - 1]]
+            # an index list in any order, of any length
+            for count in (setup.p_subpackets, 2):
+                order = rng.sample(range(1, setup.p_subpackets + 1), count)
+                got = setup.weights(n, order)
+                assert got.dtype == kernel_dtype(q)
+                assert got.tolist() == [expected[v - 1] for v in order]
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_noise_drawn_once_at_first_use(self, case, monkeypatch):
+        fp, _, _, setup = build_session(case)
+        original = CounterNoise.symbol
+        streams = []
+
+        def counting(self, q, count, *tag):
+            streams.append((count, tag))
+            return original(self, q, count, *tag)
+
+        monkeypatch.setattr(CounterNoise, "symbol", counting)
+        assert setup._noise is None
+        for n in range(1, fp.n_databases + 1):
+            setup.weights(n, [1, 3])
+        block = 1 if case == 1 else setup.ell
+        side = setup.p_subpackets * block
+        tag = "rev1" if case == 1 else "rev2"
+        assert streams == [(side * block, (tag, v)) for v in range(setup.p_subpackets)]
+        noise = setup.reversing_noise()
+        assert noise.shape == (side, setup.p_subpackets)
+        assert noise.dtype == kernel_dtype(fp.q)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_session_builds_no_dense_matrix(self, case, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("a session built a dense reversing matrix")
+
+        monkeypatch.setattr(topr.PermutationSetup, "reversing_matrix", refuse)
+        cfg = ExperimentConfig(scheme="topr", n=10, m=3, p=12, case=case, q=127, seed=5,
+                               iterations=3, r=Fraction(1, 3), r_prime=Fraction(1, 3))
+        res = run_session(cfg)
+        assert res.verdict
+        assert all(it.detail["read_ok"] and it.detail["write_ok"] for it in res.iterations)
+
+
+class TestInversePermutation:
+    def test_built_lazily(self):
+        fp = allocate_eval_points(10, 2, 127)
+        setup = topr.coordinator_setup(7, 2, 1, fp, 3)
+        assert "_inverse" not in vars(setup) and setup._noise is None
+        assert setup.permuted_index(setup.perm[4]) == 5
+        assert "_inverse" in vars(setup)
+
+    def test_matches_linear_search(self):
+        fp = allocate_eval_points(10, 2, 127)
+        for seed in range(20):
+            setup = topr.coordinator_setup(9, 2, 1, fp, seed)
+            for true in range(1, 10):
+                assert setup.permuted_index(true) == setup.perm.index(true) + 1
+                assert setup.true_index(setup.permuted_index(true)) == true
+            true_set = random.Random(seed).sample(range(1, 10), 4)
+            assert setup.permuted_set(true_set) == sorted(setup.perm.index(s) + 1
+                                                          for s in true_set)
 
 
 class TestReadSparse:
@@ -262,6 +353,17 @@ class TestWriteSparse:
 
     def test_ties_break_low_index(self):
         assert topr.select_top_r([5, 5, 5, 5, 5], Fraction(2, 5), 5) == [1, 2]
+
+    def test_order_matches_fraction_key(self):
+        # int scores sort as their Fractions did: descending, ties to the lower index
+        rng = random.Random(21)
+        for _ in range(200):
+            p = rng.randint(1, 40)
+            scores = [rng.randrange(rng.choice([3, 50, 1 << 30])) for _ in range(p)]
+            r = Fraction(rng.randint(0, p), p)
+            count = topr.round_half_up(r * p)
+            order = sorted(range(1, p + 1), key=lambda s: (-Fraction(scores[s - 1]), s))
+            assert topr.select_top_r(scores, r, p) == sorted(order[:count])
 
     def test_unwritten_subpackets_plain_unchanged(self):
         rng = random.Random(13)
