@@ -85,10 +85,10 @@ class PrimeField:
         return f"PrimeField({self.q})"
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat's little theorem."""
+        """Multiplicative inverse, by the extended Euclidean algorithm."""
         if a % self.q == 0:
             raise DomainError("division by zero")
-        return pow(a, self.q - 2, self.q)
+        return pow(a, -1, self.q)
 
     def poly_eval(self, coeffs, x: int) -> int:
         """Evaluate a coefficient list (ascending powers) at x, Horner form."""

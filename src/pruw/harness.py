@@ -41,7 +41,7 @@ from fractions import Fraction
 from . import basic, random_sparse as rs, topr, wire
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .field import is_prime, kernel_dtype
+from .field import is_prime
 from .storage import CoordinatorSetup, ModelPlain, reconstruct_plain, topr_subpacketization
 
 SCHEMES = {"basic": basic.BasicScheme, "topr": topr.TopRScheme, "random": rs.RandomScheme}
@@ -140,8 +140,6 @@ class Session:
     """Initialized network for one scheme configuration."""
 
     def __init__(self, cfg: ExperimentConfig):
-        import numpy as np
-
         cfg.validate()
         self.cfg = cfg
         self.log = wire.FrameLog()
@@ -152,8 +150,7 @@ class Session:
         self.model = ModelPlain.random(cfg.m, self.scheme.length, cfg.q, model_rng)
         self.scheme.init_storage(self.model, self.coordinator.storage_seed)
         # the model as the writes leave it, updated in plain arithmetic
-        self.oracle = ModelPlain(cfg.m, self.scheme.length,
-                                 array=np.array(self.model.values, dtype=kernel_dtype(cfg.q)))
+        self.oracle = ModelPlain(cfg.m, self.scheme.length, array=self.model.array.copy())
 
     def _user_rng(self, label: str) -> random.Random:
         return random.Random(self.coordinator.user_seed(label, self.iteration_index))

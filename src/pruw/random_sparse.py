@@ -266,13 +266,13 @@ def init_region_states(
     region_index: int,
     disable_noise: bool = False,
 ) -> list[DatabaseState]:
+    import numpy as np
+
     spec = realized.spec
-    sub_values = [
-        row[realized.start : realized.start + realized.real_bits]
-        + [0] * realized.pad_bits
-        for row in model.values
-    ]
-    sub_model = ModelPlain(m_count=model.m_count, length=realized.total_bits, values=sub_values)
+    plain = model.as_array(fp.q)
+    sub = np.zeros((model.m_count, realized.total_bits), dtype=plain.dtype)
+    sub[:, : realized.real_bits] = plain[:, realized.start : realized.start + realized.real_bits]
+    sub_model = ModelPlain(model.m_count, realized.total_bits, array=sub)
     return init_random_sparse(
         sub_model, fp, spec.case, spec.ell_r, spec.ell_w,
         derive_seed(seed, f"region-{region_index}"), disable_noise,

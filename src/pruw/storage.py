@@ -10,13 +10,16 @@ The mask coefficients are identical across databases (only alpha varies);
 they come from counter-mode noise keyed by the coordinator seed, one stream
 per subpacket tagged (kind, s) holding its width * M * noise_terms
 coefficients, so any subpacket is reproducible without ever materializing
-the mask tensors.  Set-up draws each subpacket's stream once and evaluates
-it at every alpha_n by a fixed power map, so the draw costs the same
-whatever N is.
+the mask tensors.  Set-up draws each subpacket's stream once, so the draw
+costs the same whatever N is, and evaluates it at every alpha_n by the
+fixed (N, noise_terms) power map [alpha_n^i]: one
+:func:`~pruw.field.mod_einsum` per :data:`DRAW_CHUNK` subpackets for all N
+databases, then one scale, add and reduction per cell.
 
 A database's cells are one contiguous ``(subpackets, width, M)`` numpy
 array of :func:`~pruw.field.kernel_dtype` (int64 up to q = 3,037,000,493,
-object arrays of Python ints above).  The kernels over them are
+object arrays of Python ints above), the n-th slice of the
+``(N, subpackets, width, M)`` array set-up fills.  The kernels over them are
 :func:`answer` (the masked inner products a read returns), :func:`fold` (a
 write's scaled copy of the cached query, added in place) and the oracle
 :func:`reconstruct_plain`.  Their sums of products go through
@@ -25,10 +28,7 @@ operand is split into 16-bit limbs, the products are summed unreduced, at
 most T(q) of them at a time, and each output is reduced once.  A fold adds
 a single product to each cell and reduces once.  Each kernel takes a
 leading batch axis, so a scheme makes one call per database and phase, not
-one per subpacket.  Set-up, which runs once per session, still reduces
-each of its few mask products before summing them; an einsum there raised
-the top-r workload's peak RSS.  numpy is imported inside the functions
-that use it.
+one per subpacket.  numpy is imported inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -53,11 +53,13 @@ DRAW_CHUNK = 64
 class ModelPlain:
     """The plain (unmasked) model: m_count submodels of `length` symbols.
 
-    ``values[m][i]``, symbol i of submodel m, is nested lists of Python ints:
-    the form set-up reads and the tests and the CLI compare.  A model decoded
-    by :func:`reconstruct_plain`, or the session's oracle, is held as its
-    ``(M, length)`` array ``array`` instead; ``values`` is then a fresh list
-    copy of it, built only when read.
+    A drawn or decoded model, and the session's oracle, is held as its
+    ``(M, length)`` array ``array`` of :func:`~pruw.field.kernel_dtype`: the
+    form set-up reads.  ``values[m][i]``, symbol i of submodel m, is then a
+    fresh list copy of it, built only when read.  A hand-built model
+    (:meth:`zeros`, :meth:`copy`, literal lists) holds nested lists of Python
+    ints in ``values``, which the tests edit in place; :meth:`as_array` is
+    the one place such lists become an array.
     """
 
     def __init__(self, m_count: int, length: int, values=None, array=None):
@@ -70,13 +72,45 @@ class ModelPlain:
     def values(self) -> list[list[int]]:
         return self.array.tolist() if self._values is None else self._values
 
+    def as_array(self, q: int):
+        """The ``(M, length)`` array of the model over modulus q."""
+        if self.array is not None:
+            return self.array
+        import numpy as np
+
+        return np.array(self._values, dtype=kernel_dtype(q)).reshape(self.m_count, self.length)
+
     def __repr__(self):
         return f"ModelPlain(m_count={self.m_count}, length={self.length}, values={self.values})"
 
     @classmethod
     def random(cls, m_count: int, length: int, q: int, rng: random.Random) -> "ModelPlain":
-        vals = [[rng.randrange(q) for _ in range(length)] for _ in range(m_count)]
-        return cls(m_count=m_count, length=length, values=vals)
+        """The model ``[[rng.randrange(q) for each symbol] for each submodel]``,
+        drawn in bulk into its array; ``rng`` ends in the same state.
+
+        Below 2^32, each randrange(q) takes 32-bit Mersenne words w and
+        returns the first w >> (32 - b) below q, b = q.bit_length().  One
+        ``rng.getrandbits(32 * k)`` holds the next k words, little-endian, so
+        shifting and filtering them keeps the same residues in the same
+        order.  A shortfall is topped up with exactly the missing number of
+        words, which cannot draw past the last word kept.  Wider moduli draw
+        per symbol.
+        """
+        import numpy as np
+
+        count = m_count * length
+        if q >= 1 << 32:
+            flat = np.array([rng.randrange(q) for _ in range(count)], dtype=object)
+        else:
+            shift = 32 - q.bit_length()
+            parts, missing = [np.zeros(0, np.uint32)], count
+            while missing:
+                words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+                                      "<u4") >> shift
+                parts.append(words[words < q])
+                missing -= len(parts[-1])
+            flat = np.concatenate(parts).astype(kernel_dtype(q))
+        return cls(m_count, length, array=flat.reshape(m_count, length))
 
     @classmethod
     def zeros(cls, m_count: int, length: int) -> "ModelPlain":
@@ -267,14 +301,6 @@ def fold(q: int, rows, qvecs, factors) -> None:
     np.remainder(step, q, out=rows)
 
 
-def _padded(model: ModelPlain, width: int) -> tuple[list[list[int]], int]:
-    pad = (-model.length) % width
-    if pad == 0:
-        return model.values, model.length
-    vals = [row + [0] * pad for row in model.values]
-    return vals, model.length + pad
-
-
 def _build_states(
     model: ModelPlain,
     fp: FieldParams,
@@ -287,36 +313,45 @@ def _build_states(
     q = fp.q
     dtype = kernel_dtype(q)
     kind, width, terms, m_count = layout.kind, layout.width, layout.noise_terms, model.m_count
-    values, padded_len = _padded(model, width)
-    subpackets = padded_len // width
+    subpackets = -(-model.length // width)
+    plain = model.as_array(q)
+    if model.length % width:
+        # zero padding; np.pad would fill object arrays with numpy ints
+        pad = np.zeros((m_count, subpackets * width - model.length), dtype=dtype)
+        plain = np.concatenate([plain, pad], axis=1)
     noise = CounterNoise(seed)
     # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
-    w = np.array(values, dtype=dtype).reshape(m_count, subpackets, width).transpose(1, 2, 0)
-    # per (n, j): cell = w * scale + <mask coefficients, row>.  The row is
-    # the power map [alpha_n^i], times (f_j - alpha_n) on the affine layouts;
-    # the random layout scales w by (f_j - alpha_n)^-1 instead.
-    maps = []
+    w = plain.reshape(m_count, subpackets, width).transpose(1, 2, 0)
+    # mask[n, s, j, m] = <z[s, j, m, :], powers[n]>, powers[n] = [alpha_n^i].
+    # scale[n, j] is (f_j - alpha_n), multiplying the mask on the affine
+    # layouts, or its inverse, multiplying w on the random one.
+    powers = np.array([[pow(alpha, i, q) for i in range(terms)] for alpha in fp.alphas],
+                      dtype=dtype)
     fs = fp.fs[:width]
-    for alpha in fp.alphas:
-        powers = [pow(alpha, i, q) for i in range(terms)]
-        if layout.affine_mask:
-            scale, rows = [1] * width, [[(f - alpha) * p % q for p in powers] for f in fs]
-        else:
-            scale, rows = [fp.field.inv(f - alpha) for f in fs], [powers] * width
-        maps.append((np.array(scale, dtype=dtype)[:, None], np.array(rows, dtype=dtype)[:, None, :]))
-    cells = [np.empty((subpackets, width, m_count), dtype=dtype) for _ in fp.alphas]
+    if layout.affine_mask:
+        scale = [[(f - alpha) % q for f in fs] for alpha in fp.alphas]
+    else:
+        scale = [[fp.field.inv(f - alpha) for f in fs] for alpha in fp.alphas]
+    scale = np.array(scale, dtype=dtype)[:, None, :, None]
+    cells = np.empty((len(fp.alphas), subpackets, width, m_count), dtype=dtype)
     for lo in range(0, subpackets, DRAW_CHUNK):
         hi = min(lo + DRAW_CHUNK, subpackets)
-        # one stream per subpacket, read as z[s, j, m, i]
-        z = None if disable_noise else np.stack([
-            noise.symbol(q, width * m_count * terms, kind, s) for s in range(lo, hi)
-        ]).reshape(hi - lo, width, m_count, terms)
-        # each product is reduced before the sum, which keeps int64 exact
-        for (scale, rows), db_cells in zip(maps, cells):
-            block = w[lo:hi] * scale % q
-            if z is not None:
-                block = (block + (z * rows % q).sum(axis=-1)) % q
-            db_cells[lo:hi] = block
+        if disable_noise:
+            mask = np.zeros((len(fp.alphas), hi - lo, width, m_count), dtype=dtype)
+        else:
+            # one stream per subpacket, read as z[s, j, m, i]
+            z = np.stack([
+                noise.symbol(q, width * m_count * terms, kind, s) for s in range(lo, hi)
+            ]).reshape(hi - lo, width, m_count, terms)
+            mask = mod_einsum(q, "ni,sjmi->nsjm", powers, z)
+        # each cell adds one product of residues to a residue before its
+        # reduction: at most q^2 - q < 2^63 on int64
+        if layout.affine_mask:
+            mask *= scale
+            mask += w[lo:hi]
+        else:
+            mask += w[lo:hi] * scale
+        np.remainder(mask, q, out=cells[:, lo:hi])
     return [
         DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
                       length=model.length, cells=db_cells)

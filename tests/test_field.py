@@ -241,3 +241,33 @@ class TestCounterStream:
         assert kernel_dtype(3_037_000_493) is np.int64
         assert (3_037_000_493 - 1) ** 2 < 2**63 <= (3_037_000_507 - 1) ** 2
         assert kernel_dtype(3_037_000_507) is object
+
+
+class TestInverse:
+    """``inv`` against Fermat's a^(q - 2), the inverse it replaced."""
+
+    NEAR_BOUND = 3317044064679887385961813  # the largest prime below MR_PROVEN_BOUND
+
+    def test_every_residue_at_127(self):
+        f = PrimeField(127)
+        assert [f.inv(a) for a in range(1, 127)] == [pow(a, 125, 127) for a in range(1, 127)]
+
+    @pytest.mark.parametrize("q", [2**31 - 1, 3_037_000_507, NEAR_BOUND])
+    def test_seeded_samples(self, q):
+        f, rng = PrimeField(q), random.Random(q)
+        for a in [1, 2, q - 1] + [rng.randrange(1, q) for _ in range(200)]:
+            assert f.inv(a) == pow(a, q - 2, q)
+            assert a * f.inv(a) % q == 1
+
+    def test_negative_and_unreduced_arguments(self):
+        f, rng = PrimeField(2**31 - 1), random.Random(5)
+        q = f.q
+        samples = [rng.randrange(-5 * q, 0) for _ in range(50)]
+        for a in [-1, -2, -(q - 1), q + 3, -3 * q - 7] + samples:
+            if a % q:
+                assert f.inv(a) == pow(a % q, q - 2, q)
+
+    @pytest.mark.parametrize("a", [0, 127, -127, 5 * 127])
+    def test_zero_raises(self, a):
+        with pytest.raises(DomainError):
+            PrimeField(127).inv(a)
