@@ -72,12 +72,7 @@ def optimal_params(n: int) -> BasicParams:
 
 def costs_basic(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Closed-form achievable (read, write, total) costs at the optimum."""
-    if n < 4:
-        raise ConfigError("the scheme needs at least 4 databases")
-    p = optimal_params(n)
-    c_r = Fraction(n, p.ell)
-    c_w = Fraction(n - p.skip_count, p.ell)
-    return c_r, c_w, c_r + c_w
+    return costs_basic_general(optimal_params(n))
 
 
 def costs_basic_general(params: BasicParams) -> tuple[Fraction, Fraction, Fraction]:
@@ -151,13 +146,14 @@ def null_shaper_factor(fp: FieldParams, skip_set, f: int, n: int) -> int:
 
 
 def build_write_symbols(
-    deltas_by_subpacket: list[list[int]],
+    deltas_by_subpacket,
     params: BasicParams,
     fp: FieldParams,
     rng: random.Random,
     disable_noise: bool = False,
 ):
-    """User side: the (N, S) combined symbols, row n - 1 for database n.
+    """User side: the (N, S) combined symbols, row n - 1 for database n, for
+    the ell deltas of each of the S subpackets (an (S, ell) array or lists).
 
     The masking coefficients are shared across databases so each subpacket's
     symbols are evaluations of one polynomial, which is what write
@@ -192,7 +188,7 @@ def apply_write(state: DatabaseState, query: ReadQuery, u_symbols, factors: list
 
 
 def write_round(
-    deltas_by_subpacket: list[list[int]],
+    deltas_by_subpacket,
     theta: int,
     params: BasicParams,
     fp: FieldParams,
@@ -264,22 +260,24 @@ class BasicScheme:
         decoded = decode_answers(self.fp, params, answers).T.ravel()
         for st in self.states:
             record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, st.subpackets)
-        return list(enumerate(decoded[: self.length].tolist()))
+        return np.arange(self.length, dtype=np.intp), decoded[: self.length]
 
     def write(self, theta, rng, record, detail):
+        import numpy as np
+
         cfg, params = self.cfg, self.params
-        ell, subpackets = params.ell, self.states[0].subpackets
+        subpackets = self.states[0].subpackets
         # padded tail positions must stay zero
-        flat = seeded_uniform(rng, self.fp.q, self.length)
-        flat += [0] * (self.states[0].padded_length - self.length)
-        write_round([flat[s * ell : (s + 1) * ell] for s in range(subpackets)], theta, params,
-                    self.fp, self.query, self.states, rng, cfg.disable_noise)
+        deltas = np.zeros((subpackets, params.ell), dtype=kernel_dtype(self.fp.q))
+        deltas.reshape(-1)[: self.length] = seeded_uniform(rng, self.fp.q, self.length)
+        write_round(deltas, theta, params, self.fp, self.query, self.states, rng,
+                    cfg.disable_noise)
         skip = params.skip_set
         for n in range(1, cfg.n + 1):
             if n not in skip:
                 record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, subpackets)
         detail["skip_set"] = list(skip)
-        return list(enumerate(flat[: self.length]))
+        return np.arange(self.length, dtype=np.intp), deltas.reshape(-1)[: self.length]
 
     def costs(self):
         c_r, c_w, _ = costs_basic_general(self.params)

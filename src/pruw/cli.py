@@ -13,10 +13,10 @@ import json
 import os
 import sys
 
-from . import audit, snapshot
+from . import audit
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InconclusiveError, PruwError
-from .harness import CSV_HEADER, Session, run_session, verify_costs
+from .harness import CSV_HEADER, run_session, verify_costs
 
 INSECURE_BANNER = "INSECURE: noise disabled; this run leaks everything (debug only)"
 
@@ -97,46 +97,6 @@ def cmd_audit(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_save_snapshot(args) -> int:
-    cfg = _load_cfg(args)
-    scheme = Session(cfg).scheme
-    bundle = snapshot.SnapshotBundle(
-        scheme=cfg.scheme, fp=scheme.fp, seed=cfg.seed,
-        regions=[states for _, _, states in scheme.storage], perm_setup=scheme.perm_setup,
-    )
-    snapshot.save_snapshot(args.out, bundle)
-    print(f"saved {cfg.scheme} snapshot to {args.out}")
-    return 0
-
-
-def cmd_load_snapshot(args) -> int:
-    bundle = snapshot.load_snapshot(args.snapshot)
-    from .storage import reconstruct_plain
-
-    summary = {
-        "scheme": bundle.scheme,
-        "q": bundle.fp.q,
-        "n": bundle.fp.n_databases,
-        "regions": [
-            {
-                "subpackets": states[0].subpackets,
-                "width": states[0].layout.width,
-                "m_count": states[0].m_count,
-                "length": states[0].length,
-            }
-            for states in bundle.regions
-        ],
-    }
-    if bundle.perm_setup is not None:
-        summary["permutation"] = list(bundle.perm_setup.perm)
-    if args.verify:
-        for states in bundle.regions:
-            reconstruct_plain(states)
-        summary["integrity"] = "ok"
-    _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pruw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,19 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
     audit_p.set_defaults(func=cmd_audit)
 
-    save_p = sub.add_parser("save-snapshot", help="initialize storage and dump it")
-    save_p.add_argument("--config", help="key=value config file")
-    save_p.add_argument("--out", required=True, help="snapshot path")
-    save_p.add_argument("--seed", type=int)
-    save_p.add_argument("--scheme", choices=("basic", "topr", "random"))
-    save_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
-    save_p.set_defaults(func=cmd_save_snapshot)
-
-    load_p = sub.add_parser("load-snapshot", help="load a snapshot and summarize it")
-    load_p.add_argument("snapshot", help="snapshot path")
-    load_p.add_argument("--out", help="summary JSON path (stdout when omitted)")
-    load_p.add_argument("--verify", action="store_true", help="run the integrity check")
-    load_p.set_defaults(func=cmd_load_snapshot)
     return parser
 
 

@@ -132,7 +132,7 @@ def allocate_eval_points(n_databases: int, f_count: int, q: int) -> FieldParams:
     """Deterministic allocation rule: f_i = i, alpha_n = f_count + n.
 
     Keeping the rule fixed (rather than sampling) makes every fixture and
-    snapshot reproducible from the scalar parameters alone.
+    run reproducible from the scalar parameters alone.
     """
     if n_databases < 1 or f_count < 1:
         raise ConfigError("need at least one database and one bit constant")

@@ -8,14 +8,19 @@ hold everything that differs.  Each is built from ``(cfg, coordinator)``
 and offers:
 
 * ``fp`` and ``length``: the field constants and the normalizing length;
-* ``init_storage(model, seed)``: builds the masked replicas;
+* ``init_storage(model, seed)``: builds the masked replicas of the
+  ``(M, length)`` model array;
 * ``storage``: ``(start, real_bits, states)`` blocks; model positions
   ``start .. start + real_bits - 1`` live in ``states``, whose tail beyond
   them is zero padding;
 * ``read(theta, iteration, rng, record, detail)``: records the read
-  frames and returns ``(model position, decoded symbol)`` pairs;
+  frames and returns the pair ``(positions, symbols)``: the model positions
+  it decoded and their decoded symbols;
 * ``write(theta, rng, record, detail)``: records the write frames and
-  returns ``(model position, delta)`` pairs for what was written.
+  returns the pair ``(positions, deltas)`` for what was written.
+
+Both pairs are arrays: ``np.intp`` positions, each named once, and symbols
+of :func:`~pruw.field.kernel_dtype`, index for index.
 
 ``rng`` is the user's stream for this iteration (one for the query, one for
 the update), ``record`` logs and meters one message (one call per kind,
@@ -26,12 +31,11 @@ add scheme-specific keys to ``detail``.  The remaining members are:
 * ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget;
 * ``perm_setup``: the coordinator's permutation (top-r) or ``None``.
 
-A position missing from the read or write pairs is distortion.
+A position missing from the read or write positions is distortion.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -42,7 +46,7 @@ from . import basic, random_sparse as rs, topr, wire
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .field import is_prime
-from .storage import CoordinatorSetup, ModelPlain, reconstruct_plain, topr_subpacketization
+from .storage import CoordinatorSetup, draw_model, reconstruct_plain, topr_subpacketization
 
 SCHEMES = {"basic": basic.BasicScheme, "topr": topr.TopRScheme, "random": rs.RandomScheme}
 
@@ -111,15 +115,6 @@ def next_prime_above(x: int) -> int:
     return candidate
 
 
-def _pairs(pairs, dtype):
-    """(positions, symbols) arrays of a scheme's (model position, symbol)
-    pairs."""
-    import numpy as np
-
-    both = np.fromiter(itertools.chain.from_iterable(pairs), dtype, 2 * len(pairs))
-    return both[0::2].astype(np.intp), both[1::2]
-
-
 def _write_mismatch(oracle, start: int, real_bits: int, got) -> dict | None:
     """First (submodel, position, expected, got) where a storage block's
     decoded ``(M, length)`` array and the oracle's slice of it, zero-padded
@@ -147,10 +142,10 @@ class Session:
         self.coordinator = CoordinatorSetup(master_seed=cfg.seed)
         self.scheme = SCHEMES[cfg.scheme](cfg, self.coordinator)
         model_rng = random.Random(self.coordinator.model_seed)
-        self.model = ModelPlain.random(cfg.m, self.scheme.length, cfg.q, model_rng)
+        self.model = draw_model(cfg.m, self.scheme.length, cfg.q, model_rng)
         self.scheme.init_storage(self.model, self.coordinator.storage_seed)
         # the model as the writes leave it, updated in plain arithmetic
-        self.oracle = ModelPlain(cfg.m, self.scheme.length, array=self.model.array.copy())
+        self.oracle = self.model.copy()
 
     def _user_rng(self, label: str) -> random.Random:
         return random.Random(self.coordinator.user_seed(label, self.iteration_index))
@@ -172,22 +167,21 @@ class Session:
             ledger.add(self.log.record(*args, **kwargs))
 
         detail: dict = {}
-        truth = self.oracle.array[theta - 1]
-        reads = scheme.read(theta, self.iteration_index, self._user_rng("query"), record, detail)
-        pos, got = _pairs(reads, truth.dtype)
-        bad = np.flatnonzero(truth[pos] != got)
+        truth = self.oracle[theta - 1]
+        read_pos, got = scheme.read(theta, self.iteration_index, self._user_rng("query"),
+                                    record, detail)
+        bad = np.flatnonzero(truth[read_pos] != got)
         read_mismatch = None
         if len(bad):
             k = bad[0]
-            read_mismatch = {"position": int(pos[k]), "expected": int(truth[pos[k]]),
+            read_mismatch = {"position": int(read_pos[k]), "expected": int(truth[read_pos[k]]),
                              "got": int(got[k])}
-        writes = scheme.write(theta, self._user_rng("update"), record, detail)
-        pos, delta = _pairs(writes, truth.dtype)
-        truth[pos] = (truth[pos] + delta) % cfg.q  # a write names each position once
+        write_pos, delta = scheme.write(theta, self._user_rng("update"), record, detail)
+        truth[write_pos] = (truth[write_pos] + delta) % cfg.q  # each position named once
         write_mismatch = None
         for start, real_bits, states in scheme.storage:
-            write_mismatch = _write_mismatch(self.oracle.array, start, real_bits,
-                                             reconstruct_plain(states).array)
+            write_mismatch = _write_mismatch(self.oracle, start, real_bits,
+                                             reconstruct_plain(states))
             if write_mismatch is not None:
                 break
         detail["read_ok"] = read_mismatch is None
@@ -203,8 +197,8 @@ class Session:
             report = rs.DistortionReport(
                 read_budget=scheme.budget[0],
                 write_budget=scheme.budget[1],
-                read_measured=Fraction(length - len(reads), length),
-                write_measured=Fraction(length - len(writes), length),
+                read_measured=Fraction(length - len(read_pos), length),
+                write_measured=Fraction(length - len(write_pos), length),
                 pad_bits=sum(states[0].length - real_bits
                              for _, real_bits, states in scheme.storage),
             )

@@ -27,7 +27,7 @@ from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
 from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype, seeded_uniform
 from .poly import apply_rows, build_query, combine_map, decode_inverse
-from .storage import DatabaseState, ModelPlain, answer, fold, init_random_sparse
+from .storage import DatabaseState, answer, fold, init_random_sparse
 
 # Bound on the symbols of a session's one-time queries, N * M * sum over the
 # realized regions of (read_patterns * ell_r + write_patterns * ell_w).
@@ -259,22 +259,22 @@ def validate_bit_sets(plan: SparsePlan, sets: list[RegionBitSets]) -> None:
 
 
 def init_region_states(
-    model: ModelPlain,
+    model,
     fp: FieldParams,
     realized: RealizedRegion,
     seed: int,
     region_index: int,
     disable_noise: bool = False,
 ) -> list[DatabaseState]:
+    """The region's states over its slice of the ``(M, L)`` model array,
+    zero-padded to the region's storage extent."""
     import numpy as np
 
     spec = realized.spec
-    plain = model.as_array(fp.q)
-    sub = np.zeros((model.m_count, realized.total_bits), dtype=plain.dtype)
-    sub[:, : realized.real_bits] = plain[:, realized.start : realized.start + realized.real_bits]
-    sub_model = ModelPlain(model.m_count, realized.total_bits, array=sub)
+    sub = np.zeros((len(model), realized.total_bits), dtype=model.dtype)
+    sub[:, : realized.real_bits] = model[:, realized.start : realized.start + realized.real_bits]
     return init_random_sparse(
-        sub_model, fp, spec.case, spec.ell_r, spec.ell_w,
+        sub, fp, spec.case, spec.ell_r, spec.ell_w,
         derive_seed(seed, f"region-{region_index}"), disable_noise,
     )
 
@@ -338,6 +338,16 @@ def build_write_queries(
     ]
 
 
+def _jset_positions(total_bits: int, ell: int, jsets):
+    """Row s: the region-local positions (0-based) of the J set of subpacket
+    s, which follows pattern s mod len(jsets); a ``(subpackets, |J|)``
+    ``np.intp`` array, ascending when read row by row."""
+    import numpy as np
+
+    s = np.arange(total_bits // ell, dtype=np.intp)
+    return s[:, None] * ell + (np.array(jsets, dtype=np.intp) - 1)[s % len(jsets)]
+
+
 def _pattern_rows(state: DatabaseState, ell: int, patterns: int, t: int):
     """The cell rows of pattern t's subpackets (t, t + patterns, ... for a
     phase subpacketization ell), as a ``(count, ell, M)`` view."""
@@ -352,13 +362,13 @@ def region_read(
     states: list[DatabaseState],
     queries,
     j_read,
-) -> dict[int, int]:
+):
     """Decode the faithful bits of every reading subpacket in the region.
 
-    Returns {region-local position (0-based): decoded symbol} covering the
-    J-set positions only, in subpacket order; everything else is distortion
-    by construction.  Each read pattern is one batch: one answer call per
-    database and one decode over all of its subpackets.
+    Returns the J-set positions only, region-local (0-based), ascending and
+    as an ``np.intp`` array, with their decoded symbols; everything else is
+    distortion by construction.  Each read pattern is one batch: one answer
+    call per database and one decode over all of its subpackets.
     """
     import numpy as np
 
@@ -368,8 +378,8 @@ def region_read(
     base = len(j_read[0])
     power_count = len(dbs) - base
     alphas = tuple(fp.alpha(db) for db in dbs)
-    # per read pattern: the decoded J-set bits of its subpackets, [count][base]
-    solved = []
+    positions = _jset_positions(realized.total_bits, spec.ell_r, j_read)
+    values = np.empty(positions.shape, dtype=kernel_dtype(fp.q))
     for t in range(1, spec.read_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
         f_subset = tuple(fs[i - 1] for i in j_read[t - 1])
@@ -379,17 +389,12 @@ def region_read(
                    queries[t - 1][db - 1])
             for db in dbs
         ])
-        solved.append(apply_rows(fp.q, inverse, answers).T.tolist())
-    decoded: dict[int, int] = {}
-    for s in range(realized.total_bits // spec.ell_r):
-        t, k = s % spec.read_patterns, s // spec.read_patterns
-        for i, value in zip(j_read[t], solved[t][k]):
-            decoded[s * spec.ell_r + i - 1] = value
-    return decoded
+        values[t - 1 :: spec.read_patterns] = apply_rows(fp.q, inverse, answers).T
+    return positions.reshape(-1), values.reshape(-1)
 
 
 def region_write(
-    deltas: list[int],
+    deltas,
     theta: int,
     fp: FieldParams,
     realized: RealizedRegion,
@@ -398,14 +403,15 @@ def region_write(
     j_write,
     rng: random.Random,
     disable_noise: bool = False,
-) -> tuple[set[int], int]:
+):
     """Apply one write round over the region.
 
     ``deltas`` is the region-local update vector (length total_bits).
-    Returns (region-local positions written, symbols sent per database).
-    The noise is one symbol per writing subpacket, drawn in subpacket order;
-    each write pattern is then one combine over its subpackets and one fold
-    per database.
+    Returns the region-local positions written, ascending and as an
+    ``np.intp`` array, and the symbols sent per database.  The noise is one
+    symbol per writing subpacket, drawn in subpacket order; each write
+    pattern is then one combine over its subpackets and one fold per
+    database.
     """
     import numpy as np
 
@@ -417,27 +423,24 @@ def region_write(
     # odd N, case 2: the excluded database is a one-element skip set
     skip = (n,) if len(dbs) < n else ()
     subpackets = realized.total_bits // spec.ell_w
-    q = fp.q
+    q, dtype = fp.q, kernel_dtype(fp.q)
     noise = [0] * subpackets if disable_noise else seeded_uniform(rng, q, subpackets)
     alphas = tuple(fp.alpha(db) for db in dbs)
-    written: set[int] = set()
+    positions = _jset_positions(realized.total_bits, spec.ell_w, j_write)
+    # per subpacket: its J-set deltas, then its noise symbol
+    inputs = np.concatenate([np.asarray(deltas, dtype=dtype)[positions],
+                             np.array(noise, dtype=dtype).reshape(subpackets, 1)], axis=1)
     for t in range(1, spec.write_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
-        jset = j_write[t - 1]
-        starts = range((t - 1) * spec.ell_w, realized.total_bits, spec.write_patterns * spec.ell_w)
-        # per subpacket of the pattern: its J-set deltas, then its noise symbol
-        inputs = np.array([[deltas[lo + i - 1] for i in jset] + [noise[lo // spec.ell_w]]
-                           for lo in starts], dtype=kernel_dtype(q))
-        inputs = inputs.reshape(len(starts), len(jset) + 1)
-        sub_fs = tuple(fs[i - 1] for i in jset)
-        us = apply_rows(q, combine_map(fp.field, sub_fs, alphas, 1), inputs.T)
+        sub_fs = tuple(fs[i - 1] for i in j_write[t - 1])
+        us = apply_rows(q, combine_map(fp.field, sub_fs, alphas, 1),
+                        inputs[t - 1 :: spec.write_patterns].T)
         for db, u in zip(dbs, us):
             # the null-shaper factors depend only on the constants
             diag = np.array([null_shaper_factor(fp, skip, f, db) for f in fs], dtype=u.dtype)
             fold(q, _pattern_rows(states[db - 1], spec.ell_w, spec.write_patterns, t),
                  queries[t - 1][db - 1], np.outer(u, diag) % q)
-        written.update(lo + i - 1 for lo in starts for i in jset)
-    return written, subpackets * len(dbs)
+    return positions.reshape(-1), subpackets * len(dbs)
 
 
 @dataclass(frozen=True)
@@ -518,6 +521,8 @@ class RandomScheme:
         ]
 
     def read(self, theta, iteration, rng, record, detail):
+        import numpy as np
+
         cfg = self.cfg
         if theta != cfg.theta:
             raise ConfigError("the one-time queries pin theta for the whole session")
@@ -530,37 +535,42 @@ class RandomScheme:
                            spec.read_patterns * spec.ell_r * cfg.m)
                     record(wire.WRITE_QGEN, wire.PHASE_WRITE, wire.UP, n,
                            spec.write_patterns * spec.ell_w * cfg.m, metered=False)
-        pairs = []
+        positions, symbols = [], []
         for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
                                                       self.read_queries, self.bit_sets):
-            decoded = region_read(self.fp, reg, states, queries, sets.read)
+            pos, values = region_read(self.fp, reg, states, queries, sets.read)
             for db in read_databases(cfg.n, reg.spec.case):
                 record(wire.READ_A, wire.PHASE_READ, wire.DOWN, db,
                        reg.total_bits // reg.spec.ell_r)
-            pairs += [(reg.start + pos, value) for pos, value in decoded.items()
-                      if pos < reg.real_bits]
+            real = pos < reg.real_bits
+            positions.append(reg.start + pos[real])
+            symbols.append(values[real])
         detail["regions"] = [
             {"lam": str(reg.spec.lam), "ell_r": reg.spec.ell_r, "ell_w": reg.spec.ell_w,
              "case": reg.spec.case, "real_bits": reg.real_bits, "pad_bits": reg.pad_bits}
             for reg in self.realized
         ]
-        return pairs
+        return np.concatenate(positions), np.concatenate(symbols)
 
     def write(self, theta, rng, record, detail):
+        import numpy as np
+
         cfg = self.cfg
-        deltas = seeded_uniform(rng, self.fp.q, self.length)
-        pairs = []
+        deltas = np.array(seeded_uniform(rng, self.fp.q, self.length),
+                          dtype=kernel_dtype(self.fp.q))
+        positions = []
         for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
                                                       self.write_queries, self.bit_sets):
-            lo, hi = reg.start, reg.start + reg.real_bits
-            written, _ = region_write(deltas[lo:hi] + [0] * reg.pad_bits, theta, self.fp, reg,
-                                      states, queries, sets.write, rng, cfg.disable_noise)
+            region = np.zeros(reg.total_bits, dtype=deltas.dtype)
+            region[: reg.real_bits] = deltas[reg.start : reg.start + reg.real_bits]
+            written, _ = region_write(region, theta, self.fp, reg, states, queries, sets.write,
+                                      rng, cfg.disable_noise)
             for db in write_databases(cfg.n, reg.spec.case):
                 record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
                        reg.total_bits // reg.spec.ell_w)
-            pairs += [(lo + pos, deltas[lo + pos]) for pos in sorted(written)
-                      if pos < reg.real_bits]
-        return pairs
+            positions.append(reg.start + written[written < reg.real_bits])
+        positions = np.concatenate(positions)
+        return positions, deltas[positions]
 
     def costs(self):
         return costs_random(self.cfg.n, self.plan)

@@ -50,82 +50,33 @@ KIND_RANDOM = "random"
 DRAW_CHUNK = 64
 
 
-class ModelPlain:
-    """The plain (unmasked) model: m_count submodels of `length` symbols.
+def draw_model(m_count: int, length: int, q: int, rng: random.Random):
+    """The model ``[[rng.randrange(q) for each symbol] for each submodel]``,
+    drawn in bulk into its array; ``rng`` ends in the same state.
 
-    A drawn or decoded model, and the session's oracle, is held as its
-    ``(M, length)`` array ``array`` of :func:`~pruw.field.kernel_dtype`: the
-    form set-up reads.  ``values[m][i]``, symbol i of submodel m, is then a
-    fresh list copy of it, built only when read.  A hand-built model
-    (:meth:`zeros`, :meth:`copy`, literal lists) holds nested lists of Python
-    ints in ``values``, which the tests edit in place; :meth:`as_array` is
-    the one place such lists become an array.
+    Below 2^32, each randrange(q) takes 32-bit Mersenne words w and
+    returns the first w >> (32 - b) below q, b = q.bit_length().  One
+    ``rng.getrandbits(32 * k)`` holds the next k words, little-endian, so
+    shifting and filtering them keeps the same residues in the same
+    order.  A shortfall is topped up with exactly the missing number of
+    words, which cannot draw past the last word kept.  Wider moduli draw
+    per symbol.
     """
+    import numpy as np
 
-    def __init__(self, m_count: int, length: int, values=None, array=None):
-        self.m_count = m_count
-        self.length = length
-        self.array = array
-        self._values = values
-
-    @property
-    def values(self) -> list[list[int]]:
-        return self.array.tolist() if self._values is None else self._values
-
-    def as_array(self, q: int):
-        """The ``(M, length)`` array of the model over modulus q."""
-        if self.array is not None:
-            return self.array
-        import numpy as np
-
-        return np.array(self._values, dtype=kernel_dtype(q)).reshape(self.m_count, self.length)
-
-    def __repr__(self):
-        return f"ModelPlain(m_count={self.m_count}, length={self.length}, values={self.values})"
-
-    @classmethod
-    def random(cls, m_count: int, length: int, q: int, rng: random.Random) -> "ModelPlain":
-        """The model ``[[rng.randrange(q) for each symbol] for each submodel]``,
-        drawn in bulk into its array; ``rng`` ends in the same state.
-
-        Below 2^32, each randrange(q) takes 32-bit Mersenne words w and
-        returns the first w >> (32 - b) below q, b = q.bit_length().  One
-        ``rng.getrandbits(32 * k)`` holds the next k words, little-endian, so
-        shifting and filtering them keeps the same residues in the same
-        order.  A shortfall is topped up with exactly the missing number of
-        words, which cannot draw past the last word kept.  Wider moduli draw
-        per symbol.
-        """
-        import numpy as np
-
-        count = m_count * length
-        if q >= 1 << 32:
-            flat = np.array([rng.randrange(q) for _ in range(count)], dtype=object)
-        else:
-            shift = 32 - q.bit_length()
-            parts, missing = [np.zeros(0, np.uint32)], count
-            while missing:
-                words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
-                                      "<u4") >> shift
-                parts.append(words[words < q])
-                missing -= len(parts[-1])
-            flat = np.concatenate(parts).astype(kernel_dtype(q))
-        return cls(m_count, length, array=flat.reshape(m_count, length))
-
-    @classmethod
-    def zeros(cls, m_count: int, length: int) -> "ModelPlain":
-        return cls(m_count, length, [[0] * length for _ in range(m_count)])
-
-    def copy(self) -> "ModelPlain":
-        return ModelPlain(self.m_count, self.length, [row[:] for row in self.values])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModelPlain)
-            and other.m_count == self.m_count
-            and other.length == self.length
-            and other.values == self.values
-        )
+    count = m_count * length
+    if q >= 1 << 32:
+        flat = np.array([rng.randrange(q) for _ in range(count)], dtype=object)
+    else:
+        shift = 32 - q.bit_length()
+        parts, missing = [np.zeros(0, np.uint32)], count
+        while missing:
+            words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+                                  "<u4") >> shift
+            parts.append(words[words < q])
+            missing -= len(parts[-1])
+        flat = np.concatenate(parts).astype(kernel_dtype(q))
+    return flat.reshape(m_count, length)
 
 
 @dataclass(frozen=True)
@@ -301,23 +252,21 @@ def fold(q: int, rows, qvecs, factors) -> None:
     np.remainder(step, q, out=rows)
 
 
-def _build_states(
-    model: ModelPlain,
-    fp: FieldParams,
-    layout,
-    seed: int,
-    disable_noise: bool,
-) -> list[DatabaseState]:
+def _build_states(model, fp: FieldParams, layout, seed: int,
+                  disable_noise: bool) -> list[DatabaseState]:
+    """Every database's cells for the ``(M, length)`` plain model, an array
+    or nested lists of residues."""
     import numpy as np
 
     q = fp.q
     dtype = kernel_dtype(q)
-    kind, width, terms, m_count = layout.kind, layout.width, layout.noise_terms, model.m_count
-    subpackets = -(-model.length // width)
-    plain = model.as_array(q)
-    if model.length % width:
+    plain = np.asarray(model, dtype=dtype)
+    m_count, length = plain.shape
+    kind, width, terms = layout.kind, layout.width, layout.noise_terms
+    subpackets = -(-length // width)
+    if length % width:
         # zero padding; np.pad would fill object arrays with numpy ints
-        pad = np.zeros((m_count, subpackets * width - model.length), dtype=dtype)
+        pad = np.zeros((m_count, subpackets * width - length), dtype=dtype)
         plain = np.concatenate([plain, pad], axis=1)
     noise = CounterNoise(seed)
     # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
@@ -354,13 +303,13 @@ def _build_states(
         np.remainder(mask, q, out=cells[:, lo:hi])
     return [
         DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
-                      length=model.length, cells=db_cells)
+                      length=length, cells=db_cells)
         for n, db_cells in enumerate(cells, start=1)
     ]
 
 
 def init_basic(
-    model: ModelPlain,
+    model,
     fp: FieldParams,
     t_storage: int,
     t_query: int,
@@ -404,7 +353,7 @@ def topr_subpacketization(n: int, case: int) -> int:
 
 
 def init_topr(
-    model: ModelPlain,
+    model,
     fp: FieldParams,
     case: int,
     seed: int,
@@ -418,7 +367,7 @@ def init_topr(
 
 
 def init_random_sparse(
-    model: ModelPlain,
+    model,
     fp: FieldParams,
     case: int,
     ell_r: int,
@@ -476,7 +425,7 @@ def _oracle_map(fp: FieldParams, layout, j: int) -> tuple[tuple[int, ...], tuple
     return weights, parity
 
 
-def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
+def reconstruct_plain(states: list[DatabaseState]):
     """Invert the masking across databases (test oracle, not a protocol step).
 
     Interpolates each cell across the database constants and reads the plain
@@ -488,8 +437,7 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
     databases' cells are copied into one contiguous ``(N, S * M)`` slab and
     the weights and parity rows are applied to it in one limb-split
     :func:`~pruw.poly.apply_rows` call.  It never calls the decoders'
-    Gaussian elimination.  The result holds the decoded ``(M, length)``
-    array.
+    Gaussian elimination.  Returns the decoded ``(M, length)`` array.
     """
     import numpy as np
 
@@ -523,5 +471,4 @@ def reconstruct_plain(states: list[DatabaseState]) -> ModelPlain:
         if inconsistent[s, j, m]:
             raise IntegrityError(f"cell (s={s}, j={j}, m={m}) inconsistent across databases")
         raise IntegrityError(f"padding cell (s={s}, j={j}, m={m}) decoded to a nonzero symbol")
-    array = plain.reshape(-1, first.m_count).T[:, : first.length]
-    return ModelPlain(first.m_count, first.length, array=array)
+    return plain.reshape(-1, first.m_count).T[:, : first.length]

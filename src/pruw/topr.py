@@ -260,8 +260,9 @@ def read_sparse(
     setup: PermutationSetup,
     states: list[DatabaseState],
     query_blocks,
-) -> dict[int, list[int]]:
-    """Decode the selected subpackets; returns {true subpacket index: bits}.
+):
+    """Decode the selected subpackets; returns their true indices, an
+    ``np.intp`` array in ``v_tilde`` order, and their ``(V, ell)`` bits.
 
     ``v_tilde`` holds permuted indices; the caller (user side) learns the
     true indices through the permutation it received from the coordinator.
@@ -271,12 +272,12 @@ def read_sparse(
     _check_states(setup, states)
     if any(not 1 <= v <= setup.p_subpackets for v in v_tilde):
         raise DomainError("permuted subpacket index out of range")
+    true = np.array([setup.true_index(v) for v in v_tilde], dtype=np.intp)
     if not v_tilde:
-        return {}
+        return true, np.zeros((0, setup.ell), dtype=states[0].cells.dtype)
     answers = np.stack([answer_sparse(st, setup, query_blocks[st.db_index - 1], v_tilde)
                         for st in states])
-    bits = decode_sparse(states[0].fp, setup.case, setup.ell, answers)
-    return {setup.true_index(v): col for v, col in zip(v_tilde, bits.T.tolist())}
+    return true, decode_sparse(states[0].fp, setup.case, setup.ell, answers).T
 
 
 def select_top_r(scores, r: Fraction, p_subpackets: int) -> list[int]:
@@ -299,7 +300,7 @@ class SparseWriteResult:
 
 
 def write_sparse(
-    deltas,                         # deltas[s-1]: list of ell updates for subpacket s
+    deltas,                         # deltas[s-1]: the ell updates for subpacket s
     scores,
     r: Fraction,
     theta: int,
@@ -417,6 +418,14 @@ def costs_topr_metered(n: int, p_subpackets: int, q: int, r, r_prime, case: int)
     return TopRCosts(read=read, write=write)
 
 
+def _bit_positions(subpackets, ell: int):
+    """The model positions of the bits of the true subpacket indices
+    ``subpackets``, an ``np.intp`` array, subpacket by subpacket."""
+    import numpy as np
+
+    return ((subpackets - 1)[:, None] * ell + np.arange(ell, dtype=np.intp)).reshape(-1)
+
+
 class TopRScheme:
     """Top-r sparsification in a session: one storage block, the coordinator's
     permutation, and a read set that follows the previous write's positions
@@ -462,19 +471,21 @@ class TopRScheme:
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
         record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
-        decoded = read_sparse(theta, v_tilde, setup, self.states, self.query)
+        true, bits = read_sparse(theta, v_tilde, setup, self.states, self.query)
         if v_tilde:
             for n in range(1, cfg.n + 1):
                 record(wire.READ_A, wire.PHASE_READ, wire.DOWN, n, len(v_tilde))
         detail["v_tilde"] = v_tilde
-        detail["v_true"] = [setup.true_index(v) for v in v_tilde]
-        return [((s - 1) * setup.ell + k, bit)
-                for s, bits in decoded.items() for k, bit in enumerate(bits)]
+        detail["v_true"] = true.tolist()
+        return _bit_positions(true, setup.ell), bits.reshape(-1)
 
     def write(self, theta, rng, record, detail):
+        import numpy as np
+
         cfg, setup = self.cfg, self.perm_setup
         scores = list(cfg.scores) if cfg.scores is not None else seeded_uniform(rng, 1 << 30, cfg.p)
-        deltas = [seeded_uniform(rng, self.fp.q, setup.ell) for _ in range(cfg.p)]
+        deltas = np.array(seeded_uniform(rng, self.fp.q, cfg.p * setup.ell),
+                          dtype=kernel_dtype(self.fp.q)).reshape(cfg.p, setup.ell)
         result = write_sparse(deltas, scores, Fraction(cfg.r), theta, setup, self.states,
                               self.query, rng, cfg.disable_noise)
         count = len(result.positions)
@@ -486,8 +497,8 @@ class TopRScheme:
         detail["write_positions"] = list(result.positions)
         detail["chosen_true"] = list(result.chosen_true)
         detail["position_symbols"] = self.clog
-        return [((s - 1) * setup.ell + k, delta)
-                for s in result.chosen_true for k, delta in enumerate(deltas[s - 1])]
+        chosen = np.array(result.chosen_true, dtype=np.intp)
+        return _bit_positions(chosen, setup.ell), deltas[chosen - 1].reshape(-1)
 
     def costs(self):
         cfg = self.cfg

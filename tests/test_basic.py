@@ -3,20 +3,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pruw import basic
 from pruw.errors import ConfigError, DomainError
 from pruw.field import allocate_eval_points
 from pruw.poly import lagrange_interpolate, poly_degree
-from pruw.storage import ModelPlain, init_basic, reconstruct_plain
+from pruw.storage import draw_model, init_basic, reconstruct_plain
 
 
 def apply_updates_oracle(model, theta, deltas_flat, q):
     """Plain-arithmetic reference for what a write must do to the model."""
     out = model.copy()
-    for pos, d in enumerate(deltas_flat[: model.length]):
-        out.values[theta - 1][pos] = (out.values[theta - 1][pos] + d) % q
+    for pos, d in enumerate(deltas_flat[: model.shape[1]]):
+        out[theta - 1][pos] = (out[theta - 1][pos] + d) % q
     return out
 
 
@@ -25,7 +26,7 @@ def build_session(n, q, m_count=2, length=None, seed=0):
     length = length if length is not None else 4 * params.ell
     fp = allocate_eval_points(n, params.ell, q)
     rng = random.Random(seed)
-    model = ModelPlain.random(m_count, length, q, rng)
+    model = draw_model(m_count, length, q, rng)
     states = init_basic(model, fp, params.t_storage, params.t_query, params.t_update,
                         seed=seed + 1)
     return params, fp, model, states
@@ -86,13 +87,13 @@ class TestReadRoundTrip:
         n, q = 4, 11
         params = basic.optimal_params(n)
         fp = allocate_eval_points(n, params.ell, q)
-        model = ModelPlain.random(1, 2, q, random.Random(3))
+        model = draw_model(1, 2, q, random.Random(3))
         states = init_basic(model, fp, 2, 1, 1, seed=0, disable_noise=True)
         query = basic.build_read_query(1, params, fp, 1, random.Random(0), disable_noise=True)
         for st in states:
             a = basic.answer_read(st, query, 0)
             inv = fp.field.inv(fp.fs[0] - fp.alpha(st.db_index))
-            assert a == model.values[0][0] * inv % q
+            assert a == model[0][0] * inv % q
 
     def test_plant_and_recover(self):
         for n, q in ((4, 11), (5, 127), (10, 127)):
@@ -103,7 +104,7 @@ class TestReadRoundTrip:
                 for s in range(states[0].subpackets):
                     answers = [basic.answer_read(st, query, s) for st in states]
                     decoded.extend(basic.decode_answers(fp, params, answers))
-                assert decoded[: model.length] == model.values[theta - 1]
+                assert decoded[: model.shape[1]] == model[theta - 1].tolist()
 
     def test_decode_system_is_n_by_n(self):
         params = basic.optimal_params(10)
@@ -124,7 +125,7 @@ class TestWriteRound:
         deltas = [[0] * params.ell for _ in range(states[0].subpackets)]
         basic.write_round(deltas, 1, params, fp, query, states, random.Random(1),
                           disable_noise=True)
-        assert reconstruct_plain(states) == model
+        assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_write_matches_oracle(self):
         rng = random.Random(9)
@@ -135,7 +136,8 @@ class TestWriteRound:
                   for _ in range(states[0].subpackets)]
         basic.write_round(deltas, theta, params, fp, query, states, rng)
         flat = [d for block in deltas for d in block]
-        assert reconstruct_plain(states) == apply_updates_oracle(model, theta, flat, 11)
+        assert np.array_equal(reconstruct_plain(states),
+                              apply_updates_oracle(model, theta, flat, 11))
 
     def test_null_shaper_zero_on_skip_set(self):
         params, fp, _, _ = build_session(5, 127)
@@ -158,7 +160,8 @@ class TestWriteRound:
         after = [row for block in states[0].cells.tolist() for row in block]
         assert before == after
         flat = [d for block in deltas for d in block]
-        assert reconstruct_plain(states) == apply_updates_oracle(model, theta, flat, 127)
+        assert np.array_equal(reconstruct_plain(states),
+                              apply_updates_oracle(model, theta, flat, 127))
 
     def test_increment_has_storage_shape(self):
         # interpolating the written increment across databases gives degree
@@ -191,8 +194,8 @@ class TestWriteRound:
                   for _ in range(states[0].subpackets)]
         basic.write_round(deltas, 2, params, fp, query, states, rng)
         rec = reconstruct_plain(states)
-        assert rec.values[0] == model.values[0]
-        assert rec.values[2] == model.values[2]
+        assert rec[0].tolist() == model[0].tolist()
+        assert rec[2].tolist() == model[2].tolist()
 
     def test_write_requires_same_session_query(self):
         params, fp, model, states = build_session(4, 11)
@@ -211,13 +214,13 @@ class TestWriteRound:
             for s in range(states[0].subpackets):
                 answers = [basic.answer_read(st, query, s) for st in states]
                 decoded.extend(basic.decode_answers(fp, params, answers))
-            assert decoded[: oracle.length] == oracle.values[theta - 1]
+            assert decoded[: oracle.shape[1]] == oracle[theta - 1].tolist()
             deltas = [[rng.randrange(127) for _ in range(params.ell)]
                       for _ in range(states[0].subpackets)]
             basic.write_round(deltas, theta, params, fp, query, states, rng)
             flat = [d for block in deltas for d in block]
             oracle = apply_updates_oracle(oracle, theta, flat, 127)
-            assert reconstruct_plain(states) == oracle
+            assert np.array_equal(reconstruct_plain(states), oracle)
 
 
 class TestCosts:

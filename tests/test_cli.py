@@ -1,15 +1,13 @@
-"""Command-line shell: exit codes, formats, snapshots, determinism."""
+"""Command-line shell: exit codes, formats, determinism."""
 
 import json
 import os
-import struct
 import subprocess
 import sys
 
 import pytest
 
 from pruw.cli import main
-from pruw.snapshot import load_snapshot, save_snapshot, SnapshotBundle
 
 BASIC_CFG = """\
 scheme=basic
@@ -179,119 +177,6 @@ class TestAuditCommand:
 
     def test_inconclusive_exit_3(self):
         assert main(["audit", "--scheme", "basic", "--samples", "200"]) == 3
-
-
-class TestSnapshots:
-    @pytest.mark.parametrize("scheme_cfg", [BASIC_CFG, TOPR_CFG])
-    def test_cli_round_trip(self, tmp_path, scheme_cfg):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(scheme_cfg)
-        snap = tmp_path / "snap.bin"
-        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 0
-        out = tmp_path / "summary.json"
-        assert main(["load-snapshot", str(snap), "--verify", "--out", str(out)]) == 0
-        summary = json.loads(out.read_text())
-        assert summary["integrity"] == "ok"
-
-    def test_library_round_trip_preserves_cells(self, tmp_path):
-        from pruw.config import parse_config_text
-        from pruw.harness import Session
-
-        session = Session(parse_config_text(TOPR_CFG))
-        bundle = SnapshotBundle(scheme="topr", fp=session.scheme.fp, seed=7,
-                                regions=[session.scheme.states],
-                                perm_setup=session.scheme.perm_setup)
-        path = tmp_path / "s.bin"
-        save_snapshot(str(path), bundle)
-        loaded = load_snapshot(str(path))
-        assert loaded.scheme == "topr"
-        assert loaded.perm_setup.perm == (2, 5, 1, 3, 4)
-        assert loaded.regions[0][0].cells.tolist() == session.scheme.states[0].cells.tolist()
-        assert loaded.fp == session.scheme.fp
-
-    def test_modulus_beyond_u64_exit_2(self, tmp_path, capsys):
-        # 2^64 + 13 is the smallest prime above 2^64: a valid field whose
-        # cells do not fit the snapshot's u64 words
-        cfg = tmp_path / "cfg"
-        cfg.write_text(f"scheme=basic\nn=4\nm=1\nl=2\nq={2**64 + 13}\n")
-        snap = tmp_path / "snap.bin"
-        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 2
-        assert "u64" in capsys.readouterr().err
-        assert not snap.exists()
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_beyond_u64_exit_2(self, tmp_path, capsys, seed):
-        # `pruw run` accepts any int seed; the snapshot stores it as a u64
-        cfg = tmp_path / "cfg"
-        cfg.write_text(f"scheme=basic\nn=4\nm=1\nl=2\nq=11\nseed={seed}\n")
-        snap = tmp_path / "snap.bin"
-        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 2
-        assert "u64" in capsys.readouterr().err
-        assert not snap.exists()
-
-    def test_old_format_rejected(self, tmp_path, basic_cfg):
-        # a PRUW1 file's reversing-noise seed would rebuild other matrices
-        # under the current noise streams, so it must be re-saved
-        snap = tmp_path / "snap.bin"
-        assert main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)]) == 0
-        data = snap.read_bytes()
-        assert data[:5] == b"PRUW2"
-        snap.write_bytes(b"PRUW1" + data[5:])
-        from pruw.errors import IntegrityError
-
-        with pytest.raises(IntegrityError, match="PRUW1.*re-save"):
-            load_snapshot(str(snap))
-
-    def test_topr_snapshot_without_regions_exit_1(self, tmp_path, capsys):
-        # a well-formed top-r header that declares zero storage regions
-        snap = tmp_path / "snap.bin"
-        snap.write_bytes(b"PRUW2" + struct.pack("<BQIIIQI", 2, 127, 10, 2, 3, 7, 0)
-                         + struct.pack("<I5IQ", 5, 2, 5, 1, 3, 4, 0))
-        assert main(["load-snapshot", str(snap), "--verify"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "no storage regions" in err
-        assert "Traceback" not in err
-
-    def test_topr_tag_over_basic_storage_exit_1(self, tmp_path, capsys, basic_cfg):
-        snap = tmp_path / "snap.bin"
-        assert main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)]) == 0
-        data = bytearray(snap.read_bytes())
-        assert data[5] == 1  # the basic scheme tag
-        data[5] = 2
-        # a well-formed permutation section after the basic storage
-        snap.write_bytes(bytes(data) + struct.pack("<IIQ", 1, 1, 0))
-        capsys.readouterr()
-        assert main(["load-snapshot", str(snap)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-top-r" in err
-        assert "Traceback" not in err
-
-    def test_region_length_beyond_cells_exit_1(self, tmp_path, capsys):
-        # one subpacket of width 1 (N=4, ell=1) whose header claims length 5
-        cfg = tmp_path / "cfg"
-        cfg.write_text("scheme=basic\nn=4\nm=1\nl=1\nq=11\n")
-        snap = tmp_path / "snap.bin"
-        assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 0
-        data = bytearray(snap.read_bytes())
-        at = 5 + struct.calcsize("<BQIIIQI") + struct.calcsize("<BBIIII")
-        assert struct.unpack_from("<QII", data, at) == (1, 1, 1)
-        struct.pack_into("<Q", data, at, 5)
-        snap.write_bytes(bytes(data))
-        capsys.readouterr()
-        assert main(["load-snapshot", str(snap), "--verify"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "length 5 exceeds" in err
-        assert "Traceback" not in err
-
-    def test_truncated_snapshot_detected(self, tmp_path, basic_cfg):
-        snap = tmp_path / "snap.bin"
-        main(["save-snapshot", "--config", basic_cfg, "--out", str(snap)])
-        data = snap.read_bytes()
-        snap.write_bytes(data[:-4])
-        from pruw.errors import IntegrityError
-
-        with pytest.raises(IntegrityError):
-            load_snapshot(str(snap))
 
 
 class TestEntryPoint:

@@ -1,16 +1,15 @@
-"""Pinned output bytes: result JSON, frame trace and snapshot digests.
+"""Pinned output bytes: result JSON and frame trace digests.
 
 Each digest is the sha256 of the bytes a run produces.  A refactor that is
 meant to leave the outputs alone must keep every digest; a change that
-alters the bytes on purpose (a new noise generator, a new snapshot format)
-updates them here and says why in CHANGES.md.
+alters the bytes on purpose (a new noise generator, say) updates them here
+and says why in CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from pruw.cli import main
 from pruw.config import parse_config_text
 from pruw.harness import run_session
 
@@ -68,14 +67,6 @@ RUN_DIGESTS = {
     ),
 }
 
-# one `pruw save-snapshot` per scheme: config name -> sha256 of the file
-SNAPSHOT_DIGESTS = {
-    "basic-skip-set": "16e7ad7763bf2b6116ab7e9bc1abf3de1275b289a6f6c618001be3e09779a37b",
-    "topr-case1-fixture": "245dc9234155642d680efe45d5228b0cf6cd8c08b1ce1ce9651f3c55b6d899e9",
-    "random-odd-case2": "f67a0b1569c4da6ff43a6a55d2af9a97b42ef04a83f758f266d2a354a0ac697f",
-}
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -91,12 +82,3 @@ def test_overrun_verdict_fails():
     res = run_session(parse_config_text(CONFIGS["random-overrun"]))
     assert not res.verdict
     assert [str(it.distortion.read_measured) for it in res.iterations] == ["17/50", "17/50"]
-
-
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_DIGESTS))
-def test_snapshot_digests(name, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text(CONFIGS[name])
-    snap = tmp_path / "snap.bin"
-    assert main(["save-snapshot", "--config", str(cfg), "--out", str(snap)]) == 0
-    assert _sha(snap.read_bytes()) == SNAPSHOT_DIGESTS[name]

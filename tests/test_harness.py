@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pruw.config import ExperimentConfig
+from pruw.config import ExperimentConfig, parse_config_text
 from pruw.errors import ConfigError
+from pruw.field import kernel_dtype
 from pruw.harness import CostRow, Session, aligned_length, run_session, verify_costs
 from pruw import random_sparse as rs
 from pruw import topr
@@ -286,13 +287,13 @@ class TestFailureDetail:
 
     def test_basic_read_and_write_mismatch(self):
         session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=127, seed=5))
-        before = session.oracle.values[0][3]
+        before = session.oracle[0][3]
         shift_plain(session.scheme.states, 1, 1, 0)  # ell = 2: position 3 of submodel 1
         it = session.run_iteration(1)
         assert not it.verdict
         assert it.detail["read_mismatch"] == {"position": 3, "expected": before,
                                               "got": (before + 1) % 127}
-        after = session.oracle.values[0][3]
+        after = session.oracle[0][3]
         assert it.detail["write_mismatch"] == {"submodel": 1, "position": 3,
                                                "expected": after, "got": (after + 1) % 127}
 
@@ -301,7 +302,7 @@ class TestFailureDetail:
         shift_plain(session.scheme.states, 2, 0, 1)
         it = session.run_iteration(1)
         assert it.detail["read_ok"] and "read_mismatch" not in it.detail
-        want = session.oracle.values[1][4]
+        want = session.oracle[1][4]
         assert it.detail["write_mismatch"] == {"submodel": 2, "position": 4,
                                                "expected": want, "got": (want + 1) % 127}
 
@@ -312,12 +313,12 @@ class TestFailureDetail:
             perm=(2, 5, 1, 3, 4), v_tilde=(2, 3), scores=(10, 0, 0, 9, 0), seed=3,
         )
         session = Session(cfg)
-        before = session.oracle.values[0][1]
+        before = session.oracle[0][1]
         shift_plain(session.scheme.states, 0, 1, 0)  # true subpacket 1 is read, ell = 2
         it = session.run_iteration(1)
         assert it.detail["read_mismatch"] == {"position": 1, "expected": before,
                                               "got": (before + 1) % 127}
-        after = session.oracle.values[0][1]
+        after = session.oracle[0][1]
         assert it.detail["write_mismatch"] == {"submodel": 1, "position": 1,
                                                "expected": after, "got": (after + 1) % 127}
 
@@ -330,7 +331,7 @@ class TestFailureDetail:
         assert reg.start > 0 and reg.spec.y > 1
         shift_plain(session.scheme.storage[-1][2], 0, 1, 1)
         it = session.run_iteration(1)
-        want = session.oracle.values[1][reg.start + 1]
+        want = session.oracle[1][reg.start + 1]
         assert it.detail["write_mismatch"] == {"submodel": 2, "position": reg.start + 1,
                                                "expected": want, "got": (want + 1) % q}
 
@@ -342,13 +343,13 @@ class TestOracleArrays:
     @pytest.mark.parametrize("q", [3_037_000_493, 3_037_000_507])
     def test_write_mismatch_details_are_ints(self, q):
         session = Session(ExperimentConfig(scheme="basic", n=6, m=2, l=12, q=q, seed=5))
-        assert session.oracle.array.shape == (2, 12)
-        assert session.oracle.array.dtype == (np.int64 if q == 3_037_000_493 else object)
+        assert session.oracle.shape == (2, 12)
+        assert session.oracle.dtype == (np.int64 if q == 3_037_000_493 else object)
         shift_plain(session.scheme.states, 2, 0, 1)
         it = session.run_iteration(1)
         mismatch = it.detail["write_mismatch"]
         assert all(type(v) is int for v in mismatch.values())
-        want = session.oracle.values[1][4]
+        want = session.oracle[1][4]
         assert mismatch == {"submodel": 2, "position": 4, "expected": want,
                             "got": (want + 1) % q}
         json.dumps(it.detail)
@@ -356,11 +357,53 @@ class TestOracleArrays:
     def test_oracle_follows_every_write(self):
         session = Session(ExperimentConfig(scheme="topr", n=10, m=2, p=5, q=127, case=2,
                                            seed=5))
-        before = session.oracle.array.copy()
+        before = session.oracle.copy()
         for _ in range(3):
             assert session.run_iteration(2).verdict
-        assert (session.oracle.array[0] == before[0]).all()
-        assert (session.oracle.array[1] != before[1]).any()
+        assert (session.oracle[0] == before[0]).all()
+        assert (session.oracle[1] != before[1]).any()
+
+
+# one config per hand-off shape; q is appended per test
+HANDOFF_CONFIGS = {
+    "basic-padded": "scheme=basic\nn=6\nm=2\nl=13\n",
+    "topr-case1": "scheme=topr\nn=10\nm=2\np=5\ncase=1\nr=2/5\nr_prime=2/5\n",
+    "topr-case2": "scheme=topr\nn=10\nm=2\np=5\ncase=2\nr=2/5\nr_prime=2/5\n",
+    "topr-r0": "scheme=topr\nn=10\nm=2\np=5\ncase=2\nr=0\nr_prime=2/5\n",
+    "topr-r-prime0": "scheme=topr\nn=10\nm=2\np=5\ncase=1\nr=2/5\nr_prime=0\n",
+    "random-case1": "scheme=random\nn=6\nm=2\nl=30\nd_read=0\nd_write=1/3\n",
+    "random-case2-padded": "scheme=random\nn=9\nm=2\nl=40\nd_read=1/4\nd_write=0\n",
+    # the second region covers no model position
+    "random-empty-region": "scheme=random\nn=4\nm=1\nl=1\nd_read=0\nd_write=1/3\n",
+}
+
+
+class TestHandOff:
+    """Every scheme's read and write hand the session a (positions, symbols)
+    pair of arrays, on either side of the int64 bound."""
+
+    @pytest.mark.parametrize("q", [127, 3_037_000_507])
+    @pytest.mark.parametrize("name", sorted(HANDOFF_CONFIGS))
+    def test_read_and_write_return_arrays(self, name, q):
+        session = Session(parse_config_text(HANDOFF_CONFIGS[name] + f"seed=4\nq={q}\n"))
+        scheme, length = session.scheme, session.scheme.length
+        handed = []
+        for phase in ("read", "write"):
+            def spy(*args, _step=getattr(scheme, phase)):
+                handed.append(_step(*args))
+                return handed[-1]
+
+            setattr(scheme, phase, spy)
+        for _ in range(2):  # top-r's second read follows the first write
+            assert session.run_iteration().verdict
+        assert len(handed) == 4
+        for positions, symbols in handed:
+            assert positions.dtype == np.intp and positions.ndim == 1
+            assert len(np.unique(positions)) == len(positions)
+            assert ((0 <= positions) & (positions < length)).all()
+            assert symbols.dtype == kernel_dtype(q) and symbols.shape == positions.shape
+            if scheme.budget is not None:
+                assert (np.diff(positions) > 0).all()
 
 
 class TestVerifyCosts:

@@ -4,6 +4,7 @@ every subpacket's own decode system."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from pruw import basic, topr
 from pruw import random_sparse as rs
 from pruw.errors import IntegrityError
-from pruw.field import allocate_eval_points
+from pruw.field import allocate_eval_points, kernel_dtype
 from pruw.poly import (
     DecodeSystem,
     apply_rows,
@@ -21,7 +22,7 @@ from pruw.poly import (
     poly_degree,
     solve_decode,
 )
-from pruw.storage import ModelPlain, init_basic, init_random_sparse, init_topr, reconstruct_plain
+from pruw.storage import draw_model, init_basic, init_random_sparse, init_topr, reconstruct_plain
 
 SMALL_PRIMES = (17, 31, 127, 2**31 - 1)
 
@@ -30,7 +31,7 @@ def reference_reconstruct(states):
     """Per-cell Lagrange interpolation, read off at the bit constant."""
     fp, layout, first = states[0].fp, states[0].layout, states[0]
     q, width = fp.q, layout.width
-    out = ModelPlain.zeros(first.m_count, first.length)
+    out = np.zeros((first.m_count, first.length), dtype=kernel_dtype(q))
     for s in range(first.subpackets):
         for j in range(width):
             f_j, pos = fp.fs[j], s * width + j
@@ -46,7 +47,7 @@ def reference_reconstruct(states):
                     raise IntegrityError(f"cell (s={s}, j={j}, m={m}) inconsistent across databases")
                 w = fp.field.poly_eval(coeffs, f_j)
                 if pos < first.length:
-                    out.values[m][pos] = w
+                    out[m][pos] = w
                 elif w != 0:
                     raise IntegrityError("padding decoded to a nonzero symbol")
     return out
@@ -85,7 +86,7 @@ def storage_shapes(draw):
     length = draw(st.integers(1, 3)) * width - (draw(st.integers(1, width - 1)) if width > 1 else 0)
     seed = draw(st.integers(0, 2**32))
     fp = allocate_eval_points(n, width, q)
-    model = ModelPlain.random(m_count, length, q, random.Random(seed))
+    model = draw_model(m_count, length, q, random.Random(seed))
     if scheme == "basic":
         states = init_basic(model, fp, t_storage, 1, 1, seed)
     elif scheme == "random":
@@ -100,7 +101,7 @@ class TestOracleMap:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_cell_interpolation(self, drawn):
         states, rng = drawn
-        assert reconstruct_plain(states) == reference_reconstruct(states)
+        assert np.array_equal(reconstruct_plain(states), reference_reconstruct(states))
 
         # one corrupted replica of one random cell: both name the same cell
         fp = states[0].fp
@@ -170,12 +171,13 @@ class TestDecoderMaps:
         spec = plan.regions[0]
         fp = allocate_eval_points(n, spec.y, 127)
         length = 2 * spec.period
-        model = ModelPlain.random(2, length, 127, rng)
+        model = draw_model(2, length, 127, rng)
         realized = rs.realize_regions(plan, length)[0]
         states = rs.init_region_states(model, fp, realized, seed, 0)
         j_read = rs.draw_bit_sets(plan, seed)[0].read
         queries = rs.build_read_queries(1, fp, spec, j_read, 2, rng)
-        decoded = rs.region_read(fp, realized, states, queries, j_read)
+        positions, values = rs.region_read(fp, realized, states, queries, j_read)
+        decoded = dict(zip(positions.tolist(), values.tolist()))
 
         dbs = rs.read_databases(n, spec.case)
         alphas = [fp.alpha(db) for db in dbs]

@@ -3,19 +3,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pruw import random_sparse as rs
 from pruw.errors import ConfigError
 from pruw.field import allocate_eval_points
-from pruw.storage import ModelPlain, reconstruct_plain
+from pruw.storage import draw_model, reconstruct_plain
 
 
 def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
     plan = rs.plan_from_subpacketizations(n, ell_r, ell_w)
     spec = plan.regions[0]
     fp = allocate_eval_points(n, spec.y, q)
-    model = ModelPlain.random(m_count, length, q, random.Random(seed))
+    model = draw_model(m_count, length, q, random.Random(seed))
     realized = rs.realize_regions(plan, length)[0]
     states = rs.init_region_states(model, fp, realized, seed + 1, 0)
     sets = rs.draw_bit_sets(plan, seed + 2)[0]
@@ -141,8 +142,8 @@ class TestCase1Protocol:
         theta = 1
         rng = random.Random(3)
         rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, rng)
-        decoded = rs.region_read(fp, realized, states, rq, sets.read)
-        assert decoded and all(model.values[0][pos] == v for pos, v in decoded.items())
+        positions, values = rs.region_read(fp, realized, states, rq, sets.read)
+        assert len(positions) and all(model[0][pos] == v for pos, v in zip(positions, values))
         wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, rng)
         deltas = [rng.randrange(127) for _ in range(48)]
         written, sent = rs.region_write(deltas, theta, fp, realized, states, wq,
@@ -150,8 +151,8 @@ class TestCase1Protocol:
         assert sent == (48 // 8) * 6
         expect = model.copy()
         for pos in written:
-            expect.values[0][pos] = (expect.values[0][pos] + deltas[pos]) % 127
-        assert reconstruct_plain(states) == expect
+            expect[0][pos] = (expect[0][pos] + deltas[pos]) % 127
+        assert np.array_equal(reconstruct_plain(states), expect)
 
     def test_odd_n_reads_from_one_fewer_database(self):
         assert rs.read_databases(11, 1) == list(range(1, 11))
@@ -182,8 +183,8 @@ class TestCase2Protocol:
         theta = 2
         rng = random.Random(5)
         rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, rng)
-        decoded = rs.region_read(fp, realized, states, rq, sets.read)
-        assert all(model.values[1][pos] == v for pos, v in decoded.items())
+        positions, values = rs.region_read(fp, realized, states, rq, sets.read)
+        assert all(model[1][pos] == v for pos, v in zip(positions, values))
         wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, rng)
         deltas = [rng.randrange(127) for _ in range(24)]
         written, sent = rs.region_write(deltas, theta, fp, realized, states, wq,
@@ -192,8 +193,8 @@ class TestCase2Protocol:
         assert sent == (24 // 4) * dbs
         expect = model.copy()
         for pos in written:
-            expect.values[1][pos] = (expect.values[1][pos] + deltas[pos]) % 127
-        assert reconstruct_plain(states) == expect
+            expect[1][pos] = (expect[1][pos] + deltas[pos]) % 127
+        assert np.array_equal(reconstruct_plain(states), expect)
 
     def test_odd_excluded_database_untouched(self):
         plan, spec, fp, model, realized, states, sets = region_session(11, 6, 4, 24)
@@ -206,8 +207,8 @@ class TestCase2Protocol:
         # yet the reconstruction (which includes database N) carries the update
         expect = model.copy()
         for pos in written:
-            expect.values[0][pos] = (expect.values[0][pos] + deltas[pos]) % 127
-        assert reconstruct_plain(states) == expect
+            expect[0][pos] = (expect[0][pos] + deltas[pos]) % 127
+        assert np.array_equal(reconstruct_plain(states), expect)
 
 
 class TestDistortion:
@@ -217,8 +218,8 @@ class TestDistortion:
         plan, spec, fp, model, realized, states, sets = region_session(10, 6, 4, 24)
         rng = random.Random(9)
         rq = rs.build_read_queries(1, fp, spec, sets.read, 2, rng)
-        decoded = rs.region_read(fp, realized, states, rq, sets.read)
-        assert Fraction(24 - len(decoded), 24) == Fraction(6 - 4, 6)
+        positions, _ = rs.region_read(fp, realized, states, rq, sets.read)
+        assert Fraction(24 - len(positions), 24) == Fraction(6 - 4, 6)
         wq = rs.build_write_queries(1, fp, spec, sets.write, 2, rng)
         written, _ = rs.region_write([0] * 24, 1, fp, realized, states, wq,
                                      sets.write, rng)

@@ -12,7 +12,7 @@ from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
 from pruw.harness import Session
 from pruw.storage import (
     DRAW_CHUNK,
-    ModelPlain,
+    draw_model,
     init_basic,
     init_random_sparse,
     init_topr,
@@ -41,12 +41,12 @@ class TestBulkDraw:
     @pytest.mark.parametrize("m_count, length", [(1, 1), (3, 17), (2, 0), (4, 250)])
     def test_matches_randrange_row_major(self, q, m_count, length):
         rng, ref = random.Random(q + length), random.Random(q + length)
-        model = ModelPlain.random(m_count, length, q, rng)
+        model = draw_model(m_count, length, q, rng)
         want = [[ref.randrange(q) for _ in range(length)] for _ in range(m_count)]
-        assert model.array.shape == (m_count, length)
-        assert model.array.dtype == kernel_dtype(q)
-        assert model.values == want
-        assert all(type(v) is int for row in model.values for v in row)
+        assert model.shape == (m_count, length)
+        assert model.dtype == kernel_dtype(q)
+        assert model.tolist() == want
+        assert all(type(v) is int for row in model.tolist() for v in row)
         assert rng.getstate() == ref.getstate()
         assert rng.random() == ref.random()
 
@@ -54,8 +54,8 @@ class TestBulkDraw:
         # q = 2^30 keeps the top 31 bits of a word and rejects about half
         q, count = 2**30, 1000
         rng, ref = CountingRandom(7), random.Random(7)
-        model = ModelPlain.random(1, count, q, rng)
-        assert model.values == [[ref.randrange(q) for _ in range(count)]]
+        model = draw_model(1, count, q, rng)
+        assert model.tolist() == [[ref.randrange(q) for _ in range(count)]]
         assert rng.random() == ref.random()
         calls = rng.calls[:-1]  # the last one is random()'s own
         assert calls[0] == 32 * count and len(calls) > 2
@@ -72,7 +72,7 @@ class TestBulkDraw:
             if w < q:
                 want.append(w)
         rng = random.Random(11)
-        assert ModelPlain.random(2, count // 2, q, rng).values == [want[:20], want[20:]]
+        assert draw_model(2, count // 2, q, rng).tolist() == [want[:20], want[20:]]
         assert rng.getstate() == words.getstate()
 
 
@@ -117,7 +117,7 @@ class TestSetupKernelWorstCase:
                             lambda self, q_, count, *tag: np.full(count, v, dtype=dtype))
         # more subpackets than one draw chunk, and a padded tail
         m_count, length = 2, (DRAW_CHUNK + 1) * WIDTHS[layout] + 1
-        model = ModelPlain(m_count, length, [[q - 1] * length for _ in range(m_count)])
+        model = [[q - 1] * length for _ in range(m_count)]
         states = init_layout(layout, model, q, noise == "off")
         lay, fp = states[0].layout, states[0].fp
         for st in states:
@@ -147,18 +147,9 @@ def configs():
 
 class TestOneModelArray:
     @pytest.mark.parametrize("cfg", configs(), ids=lambda c: c.scheme)
-    def test_session_never_reads_model_lists(self, cfg, monkeypatch):
-        def refuse(self):
-            raise AssertionError("set-up read ModelPlain.values")
-
-        monkeypatch.setattr(ModelPlain, "values", property(refuse))
-        session = Session(cfg)
-        assert session.model.array.shape == (cfg.m, session.scheme.length)
-
-    @pytest.mark.parametrize("cfg", configs(), ids=lambda c: c.scheme)
     def test_oracle_is_a_copy_of_the_model(self, cfg):
         session = Session(cfg)
-        model, oracle = session.model.array, session.oracle.array
+        model, oracle = session.model, session.oracle
         assert np.array_equal(model, oracle) and not np.shares_memory(model, oracle)
         before = model.copy()
         oracle += 1

@@ -13,7 +13,7 @@ from pruw import storage
 from pruw.errors import ConfigError, IntegrityError
 from pruw.field import CounterNoise, PrimeField, allocate_eval_points, kernel_dtype
 from pruw.storage import (
-    ModelPlain,
+    draw_model,
     init_basic,
     init_random_sparse,
     init_topr,
@@ -41,9 +41,9 @@ def reference_cells(model, fp, layout, seed, disable_noise):
     """Every database's cells, one cell at a time from the layout's formula:
     W + (f_j - alpha) * mask on the affine layouts, W / (f_j - alpha) + mask
     on the random one."""
-    q, width, m_count = fp.q, layout.width, model.m_count
+    q, width, (m_count, length), values = fp.q, layout.width, model.shape, model.tolist()
     noise = CounterNoise(seed)
-    subpackets = -(-model.length // width)
+    subpackets = -(-length // width)
     streams = [subpacket_stream(noise, q, layout, m_count, s) for s in range(subpackets)]
     out = []
     for alpha in fp.alphas:
@@ -54,7 +54,7 @@ def reference_cells(model, fp, layout, seed, disable_noise):
                 f_j, pos = fp.fs[j], s * width + j
                 col = []
                 for m in range(m_count):
-                    w = model.values[m][pos] if pos < model.length else 0
+                    w = values[m][pos] if pos < length else 0
                     mask = 0 if disable_noise else mask_value(
                         streams[s], q, j, m, m_count, layout.noise_terms, alpha)
                     if layout.affine_mask:
@@ -89,7 +89,7 @@ LAYOUTS = ("basic", "topr-1", "topr-2", "random-1", "random-2")
 
 def small_basic(q=11, n=4, m=2, length=6, seed=5):
     fp = allocate_eval_points(n, 1, q)
-    model = ModelPlain.random(m, length, q, random.Random(0))
+    model = draw_model(m, length, q, random.Random(0))
     states = init_basic(model, fp, 2, 1, 1, seed)
     return fp, model, states
 
@@ -102,14 +102,14 @@ class TestInitBasic:
 
     def test_constraint_examples(self):
         fp = allocate_eval_points(4, 1, 127)
-        model = ModelPlain.random(1, 4, 127, random.Random(0))
+        model = draw_model(1, 4, 127, random.Random(0))
         init_basic(model, fp, 2, 1, 1, 0)  # N=4 optimal: ell=1
         with pytest.raises(ConfigError):
             init_basic(model, fp, 1, 1, 1, 0)  # below the privacy floor
 
     def test_ten_databases(self):
         fp = allocate_eval_points(10, 4, 127)
-        model = ModelPlain.random(1, 8, 127, random.Random(0))
+        model = draw_model(1, 8, 127, random.Random(0))
         states = init_basic(model, fp, 5, 1, 1, 0)
         assert states[0].layout.ell == 4
 
@@ -121,7 +121,7 @@ class TestInitBasic:
             for s in range(st_.subpackets):
                 stream = subpacket_stream(noise, 11, st_.layout, 2, s)
                 for m in range(2):
-                    w = model.values[m][s]
+                    w = int(model[m][s])
                     mask = mask_value(stream, 11, 0, m, 2, 2, alpha)
                     assert st_.cells[s][0][m] == (w + (fp.fs[0] - alpha) * mask) % 11
 
@@ -143,31 +143,31 @@ class TestInitBasic:
 class TestRoundTrips:
     def test_basic_identity(self):
         _, model, states = small_basic()
-        assert reconstruct_plain(states) == model
+        assert np.array_equal(reconstruct_plain(states), model)
 
     def test_basic_padding(self):
         fp = allocate_eval_points(6, 2, 127)
-        model = ModelPlain.random(2, 7, 127, random.Random(2))  # pads to 8
+        model = draw_model(2, 7, 127, random.Random(2))  # pads to 8
         states = init_basic(model, fp, 3, 1, 1, 9)
         assert states[0].padded_length == 8
-        assert reconstruct_plain(states) == model
+        assert np.array_equal(reconstruct_plain(states), model)
 
     def test_topr_cases(self):
         for case, ell in ((1, 2), (2, 3)):
             fp = allocate_eval_points(10, ell, 127)
-            model = ModelPlain.random(2, 5 * ell, 127, random.Random(3))
+            model = draw_model(2, 5 * ell, 127, random.Random(3))
             states = init_topr(model, fp, case, 4)
             assert states[0].layout.ell == ell
-            assert reconstruct_plain(states) == model
+            assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_sparse_cases(self):
         fp = allocate_eval_points(6, 8, 127)
-        model = ModelPlain.random(2, 24, 127, random.Random(4))
+        model = draw_model(2, 24, 127, random.Random(4))
         states = init_random_sparse(model, fp, 1, 6, 8, 11)
-        assert reconstruct_plain(states) == model
+        assert np.array_equal(reconstruct_plain(states), model)
         fp2 = allocate_eval_points(10, 6, 127)
         states2 = init_random_sparse(model, fp2, 2, 6, 4, 11)
-        assert reconstruct_plain(states2) == model
+        assert np.array_equal(reconstruct_plain(states2), model)
 
     def test_tamper_detected(self):
         _, model, states = small_basic()
@@ -177,7 +177,7 @@ class TestRoundTrips:
 
     def test_padding_cell_named(self):
         fp = allocate_eval_points(6, 2, 127)
-        model = ModelPlain.random(2, 7, 127, random.Random(2))  # position 7 is padding
+        model = draw_model(2, 7, 127, random.Random(2))  # position 7 is padding
         states = init_basic(model, fp, 3, 1, 1, 9)
         # the same step in every replica keeps the cell consistent, so only
         # the padding check sees it
@@ -189,10 +189,10 @@ class TestRoundTrips:
 
     def test_decoded_model_is_an_array_with_list_values(self):
         fp = allocate_eval_points(6, 2, 127)
-        model = ModelPlain.random(2, 7, 127, random.Random(2))
+        model = draw_model(2, 7, 127, random.Random(2))
         rec = reconstruct_plain(init_basic(model, fp, 3, 1, 1, 9))
-        assert rec.array.shape == (2, 7) and rec.array.dtype == kernel_dtype(127)
-        assert rec.values == model.values and type(rec.values[0][0]) is int
+        assert rec.shape == (2, 7) and rec.dtype == kernel_dtype(127)
+        assert rec.tolist() == model.tolist() and type(rec.tolist()[0][0]) is int
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -202,9 +202,9 @@ class TestRoundTrips:
         t1 = rng.randint((n + 1) // 2, n - 2)
         ell = n - t1 - 1
         fp = allocate_eval_points(n, ell, 127)
-        model = ModelPlain.random(rng.randint(1, 3), rng.randint(1, 12), 127, rng)
+        model = draw_model(rng.randint(1, 3), rng.randint(1, 12), 127, rng)
         states = init_basic(model, fp, t1, 1, 1, seed)
-        assert reconstruct_plain(states) == model
+        assert np.array_equal(reconstruct_plain(states), model)
 
 
 class TestTopRShape:
@@ -224,7 +224,7 @@ class TestTopRShape:
 
     def test_noise_degree_by_case(self):
         fp = allocate_eval_points(10, 3, 127)
-        model = ModelPlain.random(1, 6, 127, random.Random(0))
+        model = draw_model(1, 6, 127, random.Random(0))
         s1 = init_topr(model, allocate_eval_points(10, 2, 127), 1, 0)
         s2 = init_topr(model, fp, 2, 0)
         assert s1[0].layout.mask_degree == 4  # 2 * ell
@@ -234,7 +234,7 @@ class TestTopRShape:
 class TestRandomSparseInit:
     def test_case_order_enforced(self):
         fp = allocate_eval_points(6, 8, 127)
-        model = ModelPlain.random(1, 24, 127, random.Random(0))
+        model = draw_model(1, 24, 127, random.Random(0))
         with pytest.raises(ConfigError):
             init_random_sparse(model, fp, 1, 8, 6, 0)  # case 1 needs ell_w > ell_r
         with pytest.raises(ConfigError):
@@ -242,13 +242,13 @@ class TestRandomSparseInit:
 
     def test_tie_is_case_2(self):
         fp = allocate_eval_points(10, 4, 127)
-        model = ModelPlain.random(1, 8, 127, random.Random(0))
+        model = draw_model(1, 8, 127, random.Random(0))
         states = init_random_sparse(model, fp, 2, 4, 4, 0)
         assert states[0].layout.y == 4
 
     def test_noise_terms_by_parity(self):
         fp = allocate_eval_points(11, 6, 127)
-        model = ModelPlain.random(1, 12, 127, random.Random(0))
+        model = draw_model(1, 12, 127, random.Random(0))
         s1 = init_random_sparse(model, fp, 1, 4, 6, 0)
         s2 = init_random_sparse(model, fp, 2, 6, 4, 0)
         assert s1[0].layout.noise_terms == 5  # floor(11/2)
@@ -281,7 +281,7 @@ class TestCellDistributions:
             laws[w] = [Counter() for _ in range(4)]
             for draws in itertools.product(range(q), repeat=2):
                 monkeypatch.setattr(storage, "CounterNoise", lambda seed, d=draws: Playback(d))
-                states = init_basic(ModelPlain(1, 1, [[w]]), fp, 2, 1, 1, 0)
+                states = init_basic([[w]], fp, 2, 1, 1, 0)
                 for law, st_ in zip(laws[w], states):
                     law[st_.cells[0][0][0]] += 1
         return q, laws
@@ -325,7 +325,7 @@ class TestSharedDraw:
     ])
     def test_draws_once_per_coefficient(self, calls, layout, n):
         counts, streams = calls
-        model = ModelPlain.random(2, 11, 127, random.Random(1))
+        model = draw_model(2, 11, 127, random.Random(1))
         states = init_layout(layout, model, n, 127, (3, 4), seed=6)
         lay = states[0].layout
         assert streams == [(lay.width * 2 * lay.noise_terms, (lay.kind, s))
@@ -353,7 +353,7 @@ class TestSharedDraw:
     @example(layout="random-1", n=7, q=2**64 + 13, m=2, length=7, ells=(2, 3), seed=3,
              disable_noise=False)
     def test_cells_match_reference(self, layout, n, q, m, length, ells, seed, disable_noise):
-        model = ModelPlain.random(m, length, q, random.Random(seed))
+        model = draw_model(m, length, q, random.Random(seed))
         try:
             states = init_layout(layout, model, n, q, ells, seed, disable_noise)
         except ConfigError:

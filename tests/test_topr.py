@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pruw import topr
@@ -12,7 +13,7 @@ from pruw.config import ExperimentConfig
 from pruw.errors import ConfigError, ProtocolError
 from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
 from pruw.harness import run_session
-from pruw.storage import ModelPlain, init_topr, reconstruct_plain
+from pruw.storage import draw_model, init_topr, reconstruct_plain
 
 PERM_FIXTURE = (2, 5, 1, 3, 4)
 
@@ -22,7 +23,7 @@ def build_session(case, n=10, p=5, m_count=3, q=127, seed=0, perm=PERM_FIXTURE):
 
     ell = topr_subpacketization(n, case)
     fp = allocate_eval_points(n, ell, q)
-    model = ModelPlain.random(m_count, p * ell, q, random.Random(seed))
+    model = draw_model(m_count, p * ell, q, random.Random(seed))
     states = init_topr(model, fp, case, seed + 1)
     setup = topr.coordinator_setup(p, ell, case, fp, seed + 2, perm=perm)
     return fp, model, states, setup
@@ -260,23 +261,25 @@ class TestReadSparse:
         fp, model, states, setup = build_session(case)
         theta = 2
         query = build_query(case, theta, fp, setup.ell, 3, random.Random(5))
-        decoded = topr.read_sparse(theta, [2, 3], setup, states, query)
+        true, bits = topr.read_sparse(theta, [2, 3], setup, states, query)
+        decoded = dict(zip(true.tolist(), bits.tolist()))
         assert sorted(decoded) == [1, 5]  # perm maps 2 -> 5, 3 -> 1
         for s, bits in decoded.items():
             lo = (s - 1) * setup.ell
-            assert bits == model.values[theta - 1][lo : lo + setup.ell]
+            assert bits == model[theta - 1][lo : lo + setup.ell].tolist()
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_full_set_matches_reconstruct(self, case):
         fp, model, states, setup = build_session(case)
         theta = 1
         query = build_query(case, theta, fp, setup.ell, 3, random.Random(6))
-        decoded = topr.read_sparse(theta, list(range(1, 6)), setup, states, query)
+        true, bits = topr.read_sparse(theta, list(range(1, 6)), setup, states, query)
+        decoded = dict(zip(true.tolist(), bits.tolist()))
         rec = reconstruct_plain(states)
         flat = []
         for s in range(1, 6):
             flat.extend(decoded[s])
-        assert flat == rec.values[theta - 1]
+        assert flat == rec[theta - 1].tolist()
 
     def test_random_plants(self):
         rng = random.Random(8)
@@ -287,10 +290,11 @@ class TestReadSparse:
             theta = rng.randint(1, 3)
             query = build_query(case, theta, fp, setup.ell, 3, rng)
             v = rng.sample(range(1, 6), 2)
-            decoded = topr.read_sparse(theta, v, setup, states, query)
+            true, bits = topr.read_sparse(theta, v, setup, states, query)
+            decoded = dict(zip(true.tolist(), bits.tolist()))
             for s, bits in decoded.items():
                 lo = (s - 1) * setup.ell
-                assert bits == model.values[theta - 1][lo : lo + setup.ell]
+                assert bits == model[theta - 1][lo : lo + setup.ell].tolist()
 
     def test_case_mismatch_rejected(self):
         fp, model, states, setup = build_session(1)
@@ -316,10 +320,10 @@ class TestWriteSparse:
         for s in res.chosen_true:
             lo = (s - 1) * setup.ell
             for k in range(setup.ell):
-                expect.values[theta - 1][lo + k] = (
-                    expect.values[theta - 1][lo + k] + deltas[s - 1][k]
+                expect[theta - 1][lo + k] = (
+                    expect[theta - 1][lo + k] + deltas[s - 1][k]
                 ) % 127
-        assert reconstruct_plain(states) == expect
+        assert np.array_equal(reconstruct_plain(states), expect)
 
     def test_zero_count_warns_and_noops(self):
         fp, model, states, setup = build_session(1)
@@ -330,7 +334,7 @@ class TestWriteSparse:
             res = topr.write_sparse(deltas, [1] * 5, Fraction(1, 100), 1, setup,
                                     states, query, rng)
         assert res.positions == []
-        assert reconstruct_plain(states) == model
+        assert np.array_equal(reconstruct_plain(states), model)
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_random_write_matches_oracle(self, case):
@@ -346,10 +350,10 @@ class TestWriteSparse:
         for s in res.chosen_true:
             lo = (s - 1) * setup.ell
             for k in range(setup.ell):
-                expect.values[theta - 1][lo + k] = (
-                    expect.values[theta - 1][lo + k] + deltas[s - 1][k]
+                expect[theta - 1][lo + k] = (
+                    expect[theta - 1][lo + k] + deltas[s - 1][k]
                 ) % 127
-        assert reconstruct_plain(states) == expect
+        assert np.array_equal(reconstruct_plain(states), expect)
 
     def test_ties_break_low_index(self):
         assert topr.select_top_r([5, 5, 5, 5, 5], Fraction(2, 5), 5) == [1, 2]
@@ -375,7 +379,7 @@ class TestWriteSparse:
         rec = reconstruct_plain(states)
         for s in range(2, 6):  # untouched subpackets
             lo = (s - 1) * setup.ell
-            assert rec.values[1][lo : lo + setup.ell] == model.values[1][lo : lo + setup.ell]
+            assert rec[1][lo : lo + setup.ell].tolist() == model[1][lo : lo + setup.ell].tolist()
 
     def test_duplicate_positions_rejected(self):
         fp, model, states, setup = build_session(1)
