@@ -58,17 +58,20 @@ class AuditResult:
 
 
 class _Playback:
-    """Stand-in rng whose ``randrange`` returns the given draws in order
-    (zeros once they run out) and counts its calls."""
+    """Stand-in for :class:`~pruw.field.CounterNoise` whose ``symbol``
+    returns the next ``count`` of the given draws as a plain list, whatever
+    the tag (zeros once they run out), and counts the draws taken."""
 
     def __init__(self, draws=()):
         self.draws = draws
         self.taken = 0
 
-    def randrange(self, stop):
-        draw = self.draws[self.taken] if self.taken < len(self.draws) else 0
-        self.taken += 1
-        return draw
+    def symbol(self, q, count, *tag):
+        out = list(self.draws[self.taken : self.taken + count])
+        self.taken += count
+        if len(out) < count:
+            out += [0] * (count - len(out))
+        return out
 
 
 def _require_budget(size: int, samples: int, what: str) -> None:
@@ -105,22 +108,22 @@ def make_query_sampler(scheme: str, q: int, m_count: int, case: int = 1):
     if scheme == "basic":
         params = basic.BasicParams(n=4, t_storage=2, t_query=1, t_update=1)
 
-        def sample(theta, rng, disable_noise):
-            query = basic.build_read_query(theta, params, fp, m_count, rng, disable_noise)
+        def sample(theta, noise, disable_noise):
+            query = basic.build_read_query(theta, params, fp, m_count, noise, disable_noise)
             return query.block(1)[0]
 
     elif scheme == "topr":
         builder = topr.build_query_case1 if case == 1 else topr.build_query_case2
 
-        def sample(theta, rng, disable_noise):
-            return builder(theta, fp, 1, m_count, rng, disable_noise)[0][0]
+        def sample(theta, noise, disable_noise):
+            return builder(theta, fp, 1, m_count, noise, disable_noise)[0][0]
 
     elif scheme == "random":
         spec = rs.RegionSpec(lam=Fraction(1), ell_r=1, ell_w=1, case=2)
         j_read = ((1,),)
 
-        def sample(theta, rng, disable_noise):
-            return rs.build_read_queries(theta, fp, spec, j_read, m_count, rng,
+        def sample(theta, noise, disable_noise):
+            return rs.build_read_queries(theta, fp, spec, j_read, m_count, noise,
                                          disable_noise)[0][0][0]
 
     else:
@@ -148,9 +151,9 @@ def audit_query(
     space = [()] if disable_noise else list(itertools.product(range(q), repeat=counter.taken))
 
     def observe(theta, draws):
-        rng = _Playback(draws)
-        coords = tuple(sampler(theta, rng, disable_noise))
-        assert rng.taken == len(draws), "the builder's draw count changed"
+        noise = _Playback(draws)
+        coords = tuple(sampler(theta, noise, disable_noise))
+        assert noise.taken == len(draws), "the builder's draw count changed"
         return coords
 
     return _result(f"query-tvd[{scheme}]", space, _exact_tvd(observe, (theta_a, theta_b), space),

@@ -18,13 +18,12 @@ them in with one :func:`~pruw.storage.fold` call.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, kernel_dtype, seeded_uniform
+from .field import FieldParams, allocate_eval_points, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_basic
 
@@ -103,11 +102,11 @@ def build_read_query(
     params: BasicParams,
     fp: FieldParams,
     m_count: int,
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
 ) -> ReadQuery:
     """Reciprocal query blocks with ``t_query`` mask terms per bit."""
-    blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, rng, disable_noise,
+    blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, noise, disable_noise,
                          terms=params.t_query)
     return ReadQuery(theta=theta, params=params, blocks=blocks)
 
@@ -149,7 +148,7 @@ def build_write_symbols(
     deltas_by_subpacket,
     params: BasicParams,
     fp: FieldParams,
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
 ):
     """User side: the (N, S) combined symbols, row n - 1 for database n, for
@@ -157,8 +156,8 @@ def build_write_symbols(
 
     The masking coefficients are shared across databases so each subpacket's
     symbols are evaluations of one polynomial, which is what write
-    correctness needs.  They are drawn in one call, t_update per subpacket
-    in subpacket order.
+    correctness needs.  They are one ``noise.symbol(q, S * t_update,
+    "update-noise")`` draw, t_update per subpacket in subpacket order.
     """
     import numpy as np
 
@@ -166,10 +165,11 @@ def build_write_symbols(
     if any(len(deltas) != ell for deltas in deltas_by_subpacket):
         raise DomainError(f"expected {ell} deltas per subpacket")
     count = len(deltas_by_subpacket)
-    noise = [0] * (count * terms) if disable_noise else seeded_uniform(rng, fp.q, count * terms)
     dtype = kernel_dtype(fp.q)
+    z = (np.zeros(count * terms, dtype) if disable_noise
+         else noise.symbol(fp.q, count * terms, "update-noise"))
     inputs = np.concatenate([np.array(deltas_by_subpacket, dtype=dtype).reshape(count, ell),
-                             np.array(noise, dtype=dtype).reshape(count, terms)], axis=1)
+                             np.asarray(z, dtype=dtype).reshape(count, terms)], axis=1)
     return apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
 
 
@@ -194,7 +194,7 @@ def write_round(
     fp: FieldParams,
     query: ReadQuery,
     states: list[DatabaseState],
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
 ):
     """Full write phase; returns the (N, S) symbols sent (for metering).
@@ -205,7 +205,7 @@ def write_round(
         raise DomainError("write must reuse the same-session read query")
     if len(deltas_by_subpacket) != states[0].subpackets:
         raise DomainError("need one delta block per subpacket")
-    symbols = build_write_symbols(deltas_by_subpacket, params, fp, rng, disable_noise)
+    symbols = build_write_symbols(deltas_by_subpacket, params, fp, noise, disable_noise)
     skip = set(params.skip_set)
     for st in states:
         if st.db_index in skip:
@@ -249,11 +249,11 @@ class BasicScheme:
                                  self.cfg.disable_noise)
         self.storage = [(0, self.length, self.states)]
 
-    def read(self, theta, iteration, rng, record, detail):
+    def read(self, theta, iteration, noise, record, detail):
         import numpy as np
 
         cfg, params = self.cfg, self.params
-        self.query = build_read_query(theta, params, self.fp, cfg.m, rng, cfg.disable_noise)
+        self.query = build_read_query(theta, params, self.fp, cfg.m, noise, cfg.disable_noise)
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, params.ell * cfg.m)
         answers = np.stack([answer_read(st, self.query, slice(None)) for st in self.states])
@@ -262,15 +262,15 @@ class BasicScheme:
             record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, st.subpackets)
         return np.arange(self.length, dtype=np.intp), decoded[: self.length]
 
-    def write(self, theta, rng, record, detail):
+    def write(self, theta, noise, record, detail):
         import numpy as np
 
         cfg, params = self.cfg, self.params
         subpackets = self.states[0].subpackets
         # padded tail positions must stay zero
         deltas = np.zeros((subpackets, params.ell), dtype=kernel_dtype(self.fp.q))
-        deltas.reshape(-1)[: self.length] = seeded_uniform(rng, self.fp.q, self.length)
-        write_round(deltas, theta, params, self.fp, self.query, self.states, rng,
+        deltas.reshape(-1)[: self.length] = noise.symbol(self.fp.q, self.length, "delta")
+        write_round(deltas, theta, params, self.fp, self.query, self.states, noise,
                     cfg.disable_noise)
         skip = params.skip_set
         for n in range(1, cfg.n + 1):

@@ -1,29 +1,30 @@
-"""Exact prime-field arithmetic, evaluation-point allocation, and noise sources.
+"""Exact prime-field arithmetic, evaluation-point allocation, and noise.
 
-Every symbol handled by the simulator is a canonical residue: a plain Python
-int in ``[0, q)``.  Arithmetic goes through a :class:`PrimeField` handle so the
-hot paths stay cheap and nothing ever touches floating point.
+Every symbol handled by the simulator is a canonical residue in ``[0, q)``:
+a Python int in the plain-int code (the audits, the fixed linear maps), an
+entry of a numpy array of :func:`kernel_dtype` in the kernels.  Arithmetic
+goes through a :class:`PrimeField` handle or :func:`mod_einsum`, and nothing
+ever touches floating point.
 
-Two kinds of randomness are used and must not be confused:
+Every field-element noise symbol comes from one primitive,
+:meth:`CounterNoise.symbol`: SHAKE-256 streams addressed by (seed, tag), in
+the counter-based style of Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3" (SC 2011).  The model, the storage masks (one stream per set-up
+chunk), top-r's reversing noise and every user message's masks, deltas and
+update noise are each one stream under a tag naming the use, so a draw is
+one call whatever its length, and any block of cells can be regenerated
+from the coordinator seed without keeping the whole tensor in memory.
 
-* stream noise (:func:`seeded_uniform`) — user-side masks drawn from an
-  explicit ``random.Random`` stream, fresh per invocation;
-* counter-mode noise (:class:`CounterNoise`) — storage masks drawn as one
-  SHAKE-256 stream per tag (a subpacket, a reversing-matrix block column),
-  so any block of cells can be regenerated from the coordinator seed
-  without keeping the whole tensor in memory.
-
-The set-up kernels that consume counter noise run on numpy arrays of
-:func:`kernel_dtype`: int64 while the product of two residues stays below
-2^63 (every prime q <= 3,037,000,493, the default 2^31 - 1 included), Python
-ints in object arrays above.  numpy is imported inside those functions
-only, so importing the package or running the audits never loads it.
+The kernels run on numpy arrays of :func:`kernel_dtype`: int64 while the
+product of two residues stays below 2^63 (every prime q <= 3,037,000,493,
+the default 2^31 - 1 included), Python ints in object arrays above.  numpy
+is imported inside those functions only, so importing the package or
+running the audits never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -147,11 +148,6 @@ def allocate_eval_points(n_databases: int, f_count: int, q: int) -> FieldParams:
     return FieldParams(field=field, fs=fs, alphas=alphas)
 
 
-def seeded_uniform(rng: random.Random, q: int, count: int) -> list[int]:
-    """Uniform i.i.d. residues from an explicit stream; same seed, same stream."""
-    return [rng.randrange(q) for _ in range(count)]
-
-
 def derive_seed(master: int, label: str) -> int:
     """Stable 64-bit sub-seed; separates the independent noise streams."""
     h = hashlib.blake2b(
@@ -222,23 +218,24 @@ class CounterNoise:
         (seed, tag), as a numpy array of :func:`kernel_dtype`.
 
         The stream is SHAKE-256 over the 8-byte seed and ``repr(tag)``, read
-        as little-endian words of 8 * ceil(b / 64) bytes, b = q.bit_length();
-        each word is masked to its low b bits and kept when below q.  SHAKE is
-        an extendable-output function, so drawing more never changes the
-        earlier symbols.  Words of 8 bytes (q < 2^64) are read with numpy,
-        wider ones by a plain loop.
+        as little-endian words of 4 bytes when b = q.bit_length() <= 32 and
+        of 8 * ceil(b / 64) bytes above; each word is masked to its low b
+        bits and kept when below q, so every residue is exactly equally
+        likely.  SHAKE is an extendable-output function, so drawing more
+        never changes the earlier symbols.  Words of 4 or 8 bytes
+        (q < 2^64) are read with numpy, wider ones by a plain loop.
         """
         import numpy as np
 
         bits = q.bit_length()
-        size = 8 * -(-bits // 64)
+        size = 4 if bits <= 32 else 8 * -(-bits // 64)
         mask = (1 << bits) - 1
         stream = hashlib.shake_256(self._key + repr(tag).encode("ascii"))
         words = count * (mask + 1) // q + 16
         while True:
             data = stream.digest(size * words)
-            if size == 8:
-                vals = np.frombuffer(data, "<u8") & np.uint64(mask)
+            if size <= 8:
+                vals = np.frombuffer(data, f"<u{size}") & mask
             else:
                 vals = np.array([int.from_bytes(data[k : k + size], "little") & mask
                                  for k in range(0, len(data), size)], dtype=object)

@@ -13,19 +13,22 @@ and offers:
 * ``storage``: ``(start, real_bits, states)`` blocks; model positions
   ``start .. start + real_bits - 1`` live in ``states``, whose tail beyond
   them is zero padding;
-* ``read(theta, iteration, rng, record, detail)``: records the read
+* ``read(theta, iteration, noise, record, detail)``: records the read
   frames and returns the pair ``(positions, symbols)``: the model positions
   it decoded and their decoded symbols;
-* ``write(theta, rng, record, detail)``: records the write frames and
+* ``write(theta, noise, record, detail)``: records the write frames and
   returns the pair ``(positions, deltas)`` for what was written.
 
 Both pairs are arrays: ``np.intp`` positions, each named once, and symbols
 of :func:`~pruw.field.kernel_dtype`, index for index.
 
-``rng`` is the user's stream for this iteration (one for the query, one for
-the update), ``record`` logs and meters one message (one call per kind,
-database and storage block, carrying its symbol count), and both steps may
-add scheme-specific keys to ``detail``.  The remaining members are:
+``noise`` is the user's :class:`~pruw.field.CounterNoise` for this
+iteration, one seeded for the query and one for the update; each draw is one
+``symbol`` call under a tag naming its use ("mask", "delta", "update-noise",
+"scores"), so an iteration makes the same few calls whatever L is.
+``record`` logs and meters one message (one call per kind, database and
+storage block, carrying its symbol count), and both steps may add
+scheme-specific keys to ``detail``.  The remaining members are:
 
 * ``costs()``: the closed-form ``(C_R, C_W)`` the meter must report;
 * ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget;
@@ -38,14 +41,13 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import basic, random_sparse as rs, topr, wire
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .field import is_prime
+from .field import CounterNoise, is_prime
 from .storage import CoordinatorSetup, draw_model, reconstruct_plain, topr_subpacketization
 
 SCHEMES = {"basic": basic.BasicScheme, "topr": topr.TopRScheme, "random": rs.RandomScheme}
@@ -141,14 +143,13 @@ class Session:
         self.iteration_index = 0
         self.coordinator = CoordinatorSetup(master_seed=cfg.seed)
         self.scheme = SCHEMES[cfg.scheme](cfg, self.coordinator)
-        model_rng = random.Random(self.coordinator.model_seed)
-        self.model = draw_model(cfg.m, self.scheme.length, cfg.q, model_rng)
+        self.model = draw_model(cfg.m, self.scheme.length, cfg.q, self.coordinator.model_seed)
         self.scheme.init_storage(self.model, self.coordinator.storage_seed)
         # the model as the writes leave it, updated in plain arithmetic
         self.oracle = self.model.copy()
 
-    def _user_rng(self, label: str) -> random.Random:
-        return random.Random(self.coordinator.user_seed(label, self.iteration_index))
+    def _user_noise(self, label: str) -> CounterNoise:
+        return CounterNoise(self.coordinator.user_seed(label, self.iteration_index))
 
     def run_iteration(self, theta: int | None = None) -> IterationResult:
         """Read, write, then check the decoded symbols and every storage
@@ -168,7 +169,7 @@ class Session:
 
         detail: dict = {}
         truth = self.oracle[theta - 1]
-        read_pos, got = scheme.read(theta, self.iteration_index, self._user_rng("query"),
+        read_pos, got = scheme.read(theta, self.iteration_index, self._user_noise("query"),
                                     record, detail)
         bad = np.flatnonzero(truth[read_pos] != got)
         read_mismatch = None
@@ -176,7 +177,7 @@ class Session:
             k = bad[0]
             read_mismatch = {"position": int(read_pos[k]), "expected": int(truth[read_pos[k]]),
                              "got": int(got[k])}
-        write_pos, delta = scheme.write(theta, self._user_rng("update"), record, detail)
+        write_pos, delta = scheme.write(theta, self._user_noise("update"), record, detail)
         truth[write_pos] = (truth[write_pos] + delta) % cfg.q  # each position named once
         write_mismatch = None
         for start, real_bits, states in scheme.storage:

@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import FieldParams, PrimeField, kernel_dtype, mod_einsum, seeded_uniform
+from .field import FieldParams, PrimeField, kernel_dtype, mod_einsum
 
 
 def delta_tilde(field: PrimeField, deltas, fs) -> list[int]:
@@ -88,11 +88,12 @@ def build_query(
     fp: FieldParams,
     fs,
     m_count: int,
-    rng,
+    noise,
     disable_noise: bool = False,
     reciprocal: bool = True,
     terms: int = 1,
     selected=None,
+    tag=(),
 ) -> list[list[list[int]]]:
     """Masked query blocks ``[n-1][k][m]`` for the bit constants ``fs``.
 
@@ -101,16 +102,24 @@ def build_query(
     coefficient vectors per bit, shared across databases.  The indicator
     form is the reciprocal form times ``(f_k - alpha_n)``: 1 at theta plus
     ``(f_k - alpha_n)`` times the mask.  The theta entry sits only on the
-    bits in ``selected`` (1-based; all bits when None).  Each bit's masks
-    are one draw of ``m_count * terms`` symbols, in bit order, and
-    ``mask_k[i]`` is its i-th run of ``m_count``; ``disable_noise`` (debug
-    fixtures only) draws nothing and reveals theta outright.
+    bits in ``selected`` (1-based; all bits when None).  All masks are one
+    ``noise.symbol(q, len(fs) * m_count * terms, "mask", *tag)`` draw, a
+    list or an array: bit k's masks are its k-th run of ``m_count * terms``
+    symbols and ``mask_k[i]`` is that run's i-th run of ``m_count``.
+    ``disable_noise`` (debug fixtures only) draws nothing and reveals theta
+    outright.
     """
     if not 1 <= theta <= m_count:
         raise DomainError(f"submodel index {theta} outside 1..{m_count}")
     q = fp.q
     size = m_count * terms
-    masks = [[0] * size if disable_noise else seeded_uniform(rng, q, size) for _ in fs]
+    if disable_noise:
+        draws = [0] * (len(fs) * size)
+    else:
+        draws = noise.symbol(q, len(fs) * size, "mask", *tag)
+        if not isinstance(draws, list):
+            draws = draws.tolist()
+    masks = [draws[lo : lo + size] for lo in range(0, len(draws), size)]
     hits = range(1, len(fs) + 1) if selected is None else selected
     t = theta - 1
     blocks = []

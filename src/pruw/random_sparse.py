@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import wire
 from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype, seeded_uniform
+from .field import CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_random_sparse
 
@@ -304,15 +304,18 @@ def build_read_queries(
     spec: RegionSpec,
     j_read,
     m_count: int,
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
+    tag=(),
 ):
     """One-time read queries: queries[t-1][n-1][i][m] over the patterns.
 
-    Indicators on the J-set bits, masked by (f - alpha) times free noise."""
+    Indicators on the J-set bits, masked by (f - alpha) times free noise;
+    pattern t's masks are drawn under (*tag, "read", t)."""
     return [
-        build_query(theta, fp, _pattern_fs(fp, t, spec.ell_r, spec.y), m_count, rng,
-                    disable_noise, reciprocal=False, selected=j_read[t - 1])
+        build_query(theta, fp, _pattern_fs(fp, t, spec.ell_r, spec.y), m_count, noise,
+                    disable_noise, reciprocal=False, selected=j_read[t - 1],
+                    tag=(*tag, "read", t))
         for t in range(1, spec.read_patterns + 1)
     ]
 
@@ -323,17 +326,19 @@ def build_write_queries(
     spec: RegionSpec,
     j_write,
     m_count: int,
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
+    tag=(),
 ):
     """One-time write queries: queries[t-1][n-1][i][m].
 
     Reciprocal indicators on the J-set bits masked by free noise; the
     reciprocal puts the decomposed update directly into the storage shape.
+    Pattern t's masks are drawn under (*tag, "write", t).
     """
     return [
-        build_query(theta, fp, _pattern_fs(fp, t, spec.ell_w, spec.y), m_count, rng,
-                    disable_noise, selected=j_write[t - 1])
+        build_query(theta, fp, _pattern_fs(fp, t, spec.ell_w, spec.y), m_count, noise,
+                    disable_noise, selected=j_write[t - 1], tag=(*tag, "write", t))
         for t in range(1, spec.write_patterns + 1)
     ]
 
@@ -401,17 +406,18 @@ def region_write(
     states: list[DatabaseState],
     queries,
     j_write,
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
+    tag=(),
 ):
     """Apply one write round over the region.
 
     ``deltas`` is the region-local update vector (length total_bits).
     Returns the region-local positions written, ascending and as an
     ``np.intp`` array, and the symbols sent per database.  The noise is one
-    symbol per writing subpacket, drawn in subpacket order; each write
-    pattern is then one combine over its subpackets and one fold per
-    database.
+    symbol per writing subpacket, in subpacket order, drawn in one call
+    under ("update-noise", *tag); each write pattern is then one combine
+    over its subpackets and one fold per database.
     """
     import numpy as np
 
@@ -424,12 +430,13 @@ def region_write(
     skip = (n,) if len(dbs) < n else ()
     subpackets = realized.total_bits // spec.ell_w
     q, dtype = fp.q, kernel_dtype(fp.q)
-    noise = [0] * subpackets if disable_noise else seeded_uniform(rng, q, subpackets)
+    z = (np.zeros(subpackets, dtype) if disable_noise
+         else noise.symbol(q, subpackets, "update-noise", *tag))
     alphas = tuple(fp.alpha(db) for db in dbs)
     positions = _jset_positions(realized.total_bits, spec.ell_w, j_write)
     # per subpacket: its J-set deltas, then its noise symbol
     inputs = np.concatenate([np.asarray(deltas, dtype=dtype)[positions],
-                             np.array(noise, dtype=dtype).reshape(subpackets, 1)], axis=1)
+                             np.asarray(z, dtype=dtype).reshape(subpackets, 1)], axis=1)
     for t in range(1, spec.write_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
         sub_fs = tuple(fs[i - 1] for i in j_write[t - 1])
@@ -504,14 +511,14 @@ class RandomScheme:
         self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.realized), cfg.q)
         self.bit_sets = draw_bit_sets(self.plan, cfg.seed)
         validate_bit_sets(self.plan, self.bit_sets)
-        rng = random.Random(coordinator.scheme_seed("one-time-queries"))
+        noise = CounterNoise(coordinator.scheme_seed("one-time-queries"))
         self.read_queries, self.write_queries = [], []
-        for reg, sets in zip(self.realized, self.bit_sets):
+        for idx, (reg, sets) in enumerate(zip(self.realized, self.bit_sets)):
             self.read_queries.append(build_read_queries(cfg.theta, self.fp, reg.spec, sets.read,
-                                                        cfg.m, rng, cfg.disable_noise))
+                                                        cfg.m, noise, cfg.disable_noise, (idx,)))
             self.write_queries.append(build_write_queries(cfg.theta, self.fp, reg.spec,
-                                                          sets.write, cfg.m, rng,
-                                                          cfg.disable_noise))
+                                                          sets.write, cfg.m, noise,
+                                                          cfg.disable_noise, (idx,)))
 
     def init_storage(self, model, seed: int) -> None:
         self.storage = [
@@ -520,7 +527,7 @@ class RandomScheme:
             for idx, reg in enumerate(self.realized)
         ]
 
-    def read(self, theta, iteration, rng, record, detail):
+    def read(self, theta, iteration, noise, record, detail):
         import numpy as np
 
         cfg = self.cfg
@@ -552,19 +559,18 @@ class RandomScheme:
         ]
         return np.concatenate(positions), np.concatenate(symbols)
 
-    def write(self, theta, rng, record, detail):
+    def write(self, theta, noise, record, detail):
         import numpy as np
 
         cfg = self.cfg
-        deltas = np.array(seeded_uniform(rng, self.fp.q, self.length),
-                          dtype=kernel_dtype(self.fp.q))
+        deltas = noise.symbol(self.fp.q, self.length, "delta")
         positions = []
-        for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
-                                                      self.write_queries, self.bit_sets):
+        for idx, (reg, (_, _, states), queries, sets) in enumerate(zip(
+                self.realized, self.storage, self.write_queries, self.bit_sets)):
             region = np.zeros(reg.total_bits, dtype=deltas.dtype)
             region[: reg.real_bits] = deltas[reg.start : reg.start + reg.real_bits]
             written, _ = region_write(region, theta, self.fp, reg, states, queries, sets.write,
-                                      rng, cfg.disable_noise)
+                                      noise, cfg.disable_noise, (idx,))
             for db in write_databases(cfg.n, reg.spec.case):
                 record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
                        reg.total_bits // reg.spec.ell_w)

@@ -8,13 +8,14 @@ Each database holds, per subpacket, per bit, per submodel, one masked symbol:
 
 The mask coefficients are identical across databases (only alpha varies);
 they come from counter-mode noise keyed by the coordinator seed, one stream
-per subpacket tagged (kind, s) holding its width * M * noise_terms
-coefficients, so any subpacket is reproducible without ever materializing
-the mask tensors.  Set-up draws each subpacket's stream once, so the draw
-costs the same whatever N is, and evaluates it at every alpha_n by the
-fixed (N, noise_terms) power map [alpha_n^i]: one
-:func:`~pruw.field.mod_einsum` per :data:`DRAW_CHUNK` subpackets for all N
-databases, then one scale, add and reduction per cell.
+per :data:`DRAW_CHUNK` subpackets tagged (kind, chunk) holding, subpacket
+after subpacket, each one's width * M * noise_terms coefficients, so any
+chunk is reproducible without ever materializing the mask tensors.  Set-up
+draws each chunk's stream once, in one call, so the draw costs the same
+whatever N is, and evaluates it at every alpha_n by the fixed
+(N, noise_terms) power map [alpha_n^i]: one :func:`~pruw.field.mod_einsum`
+per chunk for all N databases, then one scale, add and reduction per cell.
+The plain model is one more stream, tagged ("model",): :func:`draw_model`.
 
 A database's cells are one contiguous ``(subpackets, width, M)`` numpy
 array of :func:`~pruw.field.kernel_dtype` (int64 up to q = 3,037,000,493,
@@ -34,7 +35,6 @@ one per subpacket.  numpy is imported inside the functions that use it.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError, DomainError, IntegrityError
@@ -45,38 +45,16 @@ KIND_BASIC = "basic"
 KIND_TOPR = "topr"
 KIND_RANDOM = "random"
 
-# subpackets whose mask coefficients are drawn before their cells are laid
-# into the databases; bounds the coefficients held at once
+# subpackets whose mask coefficients are drawn as one stream before their
+# cells are laid into the databases; bounds the coefficients held at once
 DRAW_CHUNK = 64
 
 
-def draw_model(m_count: int, length: int, q: int, rng: random.Random):
-    """The model ``[[rng.randrange(q) for each symbol] for each submodel]``,
-    drawn in bulk into its array; ``rng`` ends in the same state.
-
-    Below 2^32, each randrange(q) takes 32-bit Mersenne words w and
-    returns the first w >> (32 - b) below q, b = q.bit_length().  One
-    ``rng.getrandbits(32 * k)`` holds the next k words, little-endian, so
-    shifting and filtering them keeps the same residues in the same
-    order.  A shortfall is topped up with exactly the missing number of
-    words, which cannot draw past the last word kept.  Wider moduli draw
-    per symbol.
-    """
-    import numpy as np
-
-    count = m_count * length
-    if q >= 1 << 32:
-        flat = np.array([rng.randrange(q) for _ in range(count)], dtype=object)
-    else:
-        shift = 32 - q.bit_length()
-        parts, missing = [np.zeros(0, np.uint32)], count
-        while missing:
-            words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
-                                  "<u4") >> shift
-            parts.append(words[words < q])
-            missing -= len(parts[-1])
-        flat = np.concatenate(parts).astype(kernel_dtype(q))
-    return flat.reshape(m_count, length)
+def draw_model(m_count: int, length: int, q: int, seed: int):
+    """The ``(M, length)`` plain model, an array of :func:`kernel_dtype`: the
+    first M * length symbols of the ``("model",)`` counter stream under
+    ``seed``, row-major."""
+    return CounterNoise(seed).symbol(q, m_count * length, "model").reshape(m_count, length)
 
 
 @dataclass(frozen=True)
@@ -288,10 +266,9 @@ def _build_states(model, fp: FieldParams, layout, seed: int,
         if disable_noise:
             mask = np.zeros((len(fp.alphas), hi - lo, width, m_count), dtype=dtype)
         else:
-            # one stream per subpacket, read as z[s, j, m, i]
-            z = np.stack([
-                noise.symbol(q, width * m_count * terms, kind, s) for s in range(lo, hi)
-            ]).reshape(hi - lo, width, m_count, terms)
+            # one stream per chunk, read as z[s, j, m, i]
+            z = noise.symbol(q, (hi - lo) * width * m_count * terms, kind,
+                             lo // DRAW_CHUNK).reshape(hi - lo, width, m_count, terms)
             mask = mod_einsum(q, "ni,sjmi->nsjm", powers, z)
         # each cell adds one product of residues to a residue before its
         # reduction: at most q^2 - q < 2^63 on int64

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype, seeded_uniform
+from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
 
@@ -207,14 +207,14 @@ def coordinator_setup(
     return PermutationSetup(perm=perm, case=case, ell=ell, fp=fp, noise_seed=seed)
 
 
-def build_query_case1(theta, fp, ell, m_count, rng, disable_noise=False):
+def build_query_case1(theta, fp, ell, m_count, noise, disable_noise=False):
     """Reciprocal query blocks with a single shared mask vector per bit."""
-    return build_query(theta, fp, fp.fs[:ell], m_count, rng, disable_noise)
+    return build_query(theta, fp, fp.fs[:ell], m_count, noise, disable_noise)
 
 
-def build_query_case2(theta, fp, ell, m_count, rng, disable_noise=False):
+def build_query_case2(theta, fp, ell, m_count, noise, disable_noise=False):
     """Indicator query blocks masked by (f_k - alpha) times a shared vector."""
-    return build_query(theta, fp, fp.fs[:ell], m_count, rng, disable_noise, reciprocal=False)
+    return build_query(theta, fp, fp.fs[:ell], m_count, noise, disable_noise, reciprocal=False)
 
 
 def _check_states(setup: PermutationSetup, states: list[DatabaseState]) -> TopRLayout:
@@ -307,7 +307,7 @@ def write_sparse(
     setup: PermutationSetup,
     states: list[DatabaseState],
     query_blocks,
-    rng: random.Random,
+    noise,
     disable_noise: bool = False,
 ) -> SparseWriteResult:
     """One sparse write round: select, combine, permute positions, send, and
@@ -322,8 +322,8 @@ def write_sparse(
         if len(deltas[s - 1]) != ell:
             raise DomainError(f"expected {ell} updates for subpacket {s}")
     # one noise symbol per chosen subpacket, in ascending true order
-    noise = [0] * len(chosen) if disable_noise else seeded_uniform(rng, fp.q, len(chosen))
-    inputs = np.array([list(deltas[s - 1]) + [z] for s, z in zip(chosen, noise)],
+    zs = [0] * len(chosen) if disable_noise else noise.symbol(fp.q, len(chosen), "update-noise")
+    inputs = np.array([list(deltas[s - 1]) + [z] for s, z in zip(chosen, zs)],
                       dtype=kernel_dtype(fp.q)).reshape(len(chosen), ell + 1)
     symbols = apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, 1), inputs.T)
     per_true = dict(zip(chosen, symbols.T.tolist()))
@@ -456,7 +456,7 @@ class TopRScheme:
         self.states = init_topr(model, self.fp, self.cfg.case, seed, self.cfg.disable_noise)
         self.storage = [(0, self.length, self.states)]
 
-    def read(self, theta, iteration, rng, record, detail):
+    def read(self, theta, iteration, noise, record, detail):
         cfg, setup, clog = self.cfg, self.perm_setup, self.clog
         # permutation delivery to the user, charged per the cost accounting
         record(wire.PERM_SETUP, wire.PHASE_READ, wire.DOWN, 0, cfg.p * clog)
@@ -467,7 +467,7 @@ class TopRScheme:
         else:
             v_tilde = list(range(1, round_half_up(Fraction(cfg.r_prime) * cfg.p) + 1))
         build = build_query_case1 if cfg.case == 1 else build_query_case2
-        self.query = build(theta, self.fp, setup.ell, cfg.m, rng, cfg.disable_noise)
+        self.query = build(theta, self.fp, setup.ell, cfg.m, noise, cfg.disable_noise)
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
         record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
@@ -479,15 +479,14 @@ class TopRScheme:
         detail["v_true"] = true.tolist()
         return _bit_positions(true, setup.ell), bits.reshape(-1)
 
-    def write(self, theta, rng, record, detail):
+    def write(self, theta, noise, record, detail):
         import numpy as np
 
         cfg, setup = self.cfg, self.perm_setup
-        scores = list(cfg.scores) if cfg.scores is not None else seeded_uniform(rng, 1 << 30, cfg.p)
-        deltas = np.array(seeded_uniform(rng, self.fp.q, cfg.p * setup.ell),
-                          dtype=kernel_dtype(self.fp.q)).reshape(cfg.p, setup.ell)
+        scores = cfg.scores if cfg.scores is not None else noise.symbol(1 << 30, cfg.p, "scores")
+        deltas = noise.symbol(self.fp.q, cfg.p * setup.ell, "delta").reshape(cfg.p, setup.ell)
         result = write_sparse(deltas, scores, Fraction(cfg.r), theta, setup, self.states,
-                              self.query, rng, cfg.disable_noise)
+                              self.query, noise, cfg.disable_noise)
         count = len(result.positions)
         if count:
             for n in range(1, cfg.n + 1):

@@ -45,7 +45,7 @@ class TestQueryAudit:
         # every marginal and every pair is uniform, the joint law reveals theta
         def make_sampler(scheme, q, m_count, case=1):
             def sample(theta, rng, disable_noise):
-                coords = [rng.randrange(q) for _ in range(m_count - 1)]
+                coords = rng.symbol(q, m_count - 1, "mask")
                 return coords + [(theta - sum(coords)) % q]
             return sample
 

@@ -8,7 +8,7 @@ import pytest
 
 from pruw import basic
 from pruw.errors import ConfigError, DomainError
-from pruw.field import allocate_eval_points
+from pruw.field import CounterNoise, allocate_eval_points
 from pruw.poly import lagrange_interpolate, poly_degree
 from pruw.storage import draw_model, init_basic, reconstruct_plain
 
@@ -25,8 +25,7 @@ def build_session(n, q, m_count=2, length=None, seed=0):
     params = basic.optimal_params(n)
     length = length if length is not None else 4 * params.ell
     fp = allocate_eval_points(n, params.ell, q)
-    rng = random.Random(seed)
-    model = draw_model(m_count, length, q, rng)
+    model = draw_model(m_count, length, q, seed)
     states = init_basic(model, fp, params.t_storage, params.t_query, params.t_update,
                         seed=seed + 1)
     return params, fp, model, states
@@ -57,7 +56,7 @@ class TestParams:
 class TestReadQuery:
     def test_debug_mode_shape(self):
         params, fp, model, _ = build_session(4, 11, m_count=1)
-        q = basic.build_read_query(1, params, fp, 1, random.Random(0), disable_noise=True)
+        q = basic.build_read_query(1, params, fp, 1, CounterNoise(0), disable_noise=True)
         for n in range(1, 5):
             inv = fp.field.inv(fp.fs[0] - fp.alpha(n))
             assert q.block(n) == [[inv]]
@@ -65,15 +64,15 @@ class TestReadQuery:
     def test_theta_out_of_range(self):
         params, fp, _, _ = build_session(4, 11)
         with pytest.raises(DomainError):
-            basic.build_read_query(0, params, fp, 2, random.Random(0))
+            basic.build_read_query(0, params, fp, 2, CounterNoise(0))
         with pytest.raises(DomainError):
-            basic.build_read_query(3, params, fp, 2, random.Random(0))
+            basic.build_read_query(3, params, fp, 2, CounterNoise(0))
 
     def test_masks_shared_across_databases(self):
         # subtracting the data term leaves the same mask value everywhere
         # only when t_query == 1 (no alpha powers); check at n pairs
         params, fp, _, _ = build_session(4, 127)
-        q = basic.build_read_query(2, params, fp, 2, random.Random(1))
+        q = basic.build_read_query(2, params, fp, 2, CounterNoise(1))
         masks = []
         for n in range(1, 5):
             inv = fp.field.inv(fp.fs[0] - fp.alpha(n))
@@ -87,9 +86,9 @@ class TestReadRoundTrip:
         n, q = 4, 11
         params = basic.optimal_params(n)
         fp = allocate_eval_points(n, params.ell, q)
-        model = draw_model(1, 2, q, random.Random(3))
+        model = draw_model(1, 2, q, 3)
         states = init_basic(model, fp, 2, 1, 1, seed=0, disable_noise=True)
-        query = basic.build_read_query(1, params, fp, 1, random.Random(0), disable_noise=True)
+        query = basic.build_read_query(1, params, fp, 1, CounterNoise(0), disable_noise=True)
         for st in states:
             a = basic.answer_read(st, query, 0)
             inv = fp.field.inv(fp.fs[0] - fp.alpha(st.db_index))
@@ -99,7 +98,7 @@ class TestReadRoundTrip:
         for n, q in ((4, 11), (5, 127), (10, 127)):
             params, fp, model, states = build_session(n, q)
             for theta in (1, 2):
-                query = basic.build_read_query(theta, params, fp, 2, random.Random(7))
+                query = basic.build_read_query(theta, params, fp, 2, CounterNoise(7))
                 decoded = []
                 for s in range(states[0].subpackets):
                     answers = [basic.answer_read(st, query, s) for st in states]
@@ -113,7 +112,7 @@ class TestReadRoundTrip:
     def test_shape_mismatch(self):
         params, fp, model, states = build_session(4, 11)
         other_params, other_fp, _, _ = build_session(6, 127)
-        query = basic.build_read_query(1, other_params, other_fp, 2, random.Random(0))
+        query = basic.build_read_query(1, other_params, other_fp, 2, CounterNoise(0))
         with pytest.raises(DomainError):
             basic.answer_read(states[0], query, 0)
 
@@ -121,20 +120,21 @@ class TestReadRoundTrip:
 class TestWriteRound:
     def test_zero_delta_zero_noise_is_identity(self):
         params, fp, model, states = build_session(4, 11)
-        query = basic.build_read_query(1, params, fp, 2, random.Random(0))
+        query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
         deltas = [[0] * params.ell for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, 1, params, fp, query, states, random.Random(1),
+        basic.write_round(deltas, 1, params, fp, query, states, CounterNoise(1),
                           disable_noise=True)
         assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_write_matches_oracle(self):
         rng = random.Random(9)
+        noise = CounterNoise(9)
         params, fp, model, states = build_session(4, 11, m_count=2)
         theta = 2
-        query = basic.build_read_query(theta, params, fp, 2, rng)
+        query = basic.build_read_query(theta, params, fp, 2, noise)
         deltas = [[rng.randrange(11) for _ in range(params.ell)]
                   for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, theta, params, fp, query, states, rng)
+        basic.write_round(deltas, theta, params, fp, query, states, noise)
         flat = [d for block in deltas for d in block]
         assert np.array_equal(reconstruct_plain(states),
                               apply_updates_oracle(model, theta, flat, 11))
@@ -150,13 +150,14 @@ class TestWriteRound:
         # odd N: database 1 gets no payload and its cells stay bit-identical,
         # yet the reconstructed model carries the update
         rng = random.Random(11)
+        noise = CounterNoise(11)
         params, fp, model, states = build_session(5, 127)
         theta = 1
-        query = basic.build_read_query(theta, params, fp, 2, rng)
+        query = basic.build_read_query(theta, params, fp, 2, noise)
         before = [row for block in states[0].cells.tolist() for row in block]
         deltas = [[rng.randrange(127) for _ in range(params.ell)]
                   for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, theta, params, fp, query, states, rng)
+        basic.write_round(deltas, theta, params, fp, query, states, noise)
         after = [row for block in states[0].cells.tolist() for row in block]
         assert before == after
         flat = [d for block in deltas for d in block]
@@ -167,13 +168,14 @@ class TestWriteRound:
         # interpolating the written increment across databases gives degree
         # <= t_storage and value delta at the bit constant
         rng = random.Random(13)
+        noise = CounterNoise(13)
         params, fp, model, states = build_session(6, 127)
         theta = 1
-        query = basic.build_read_query(theta, params, fp, 2, rng)
+        query = basic.build_read_query(theta, params, fp, 2, noise)
         snapshot = [st.cells.tolist() for st in states]
         deltas = [[rng.randrange(127) for _ in range(params.ell)]
                   for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, theta, params, fp, query, states, rng)
+        basic.write_round(deltas, theta, params, fp, query, states, noise)
         s = 0
         for k in range(params.ell):
             for m in range(2):
@@ -188,28 +190,30 @@ class TestWriteRound:
 
     def test_other_submodels_untouched(self):
         rng = random.Random(17)
+        noise = CounterNoise(17)
         params, fp, model, states = build_session(4, 127, m_count=3)
-        query = basic.build_read_query(2, params, fp, 3, rng)
+        query = basic.build_read_query(2, params, fp, 3, noise)
         deltas = [[rng.randrange(127) for _ in range(params.ell)]
                   for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, 2, params, fp, query, states, rng)
+        basic.write_round(deltas, 2, params, fp, query, states, noise)
         rec = reconstruct_plain(states)
         assert rec[0].tolist() == model[0].tolist()
         assert rec[2].tolist() == model[2].tolist()
 
     def test_write_requires_same_session_query(self):
         params, fp, model, states = build_session(4, 11)
-        query = basic.build_read_query(1, params, fp, 2, random.Random(0))
+        query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
         with pytest.raises(DomainError):
             basic.write_round([[0]] * states[0].subpackets, 2, params, fp, query,
-                              states, random.Random(1))
+                              states, CounterNoise(1))
 
     def test_three_iround_trips(self):
         rng = random.Random(23)
+        noise = CounterNoise(23)
         params, fp, model, states = build_session(6, 127, m_count=3)
         oracle = model.copy()
         for theta in (1, 3, 2):
-            query = basic.build_read_query(theta, params, fp, 3, rng)
+            query = basic.build_read_query(theta, params, fp, 3, noise)
             decoded = []
             for s in range(states[0].subpackets):
                 answers = [basic.answer_read(st, query, s) for st in states]
@@ -217,7 +221,7 @@ class TestWriteRound:
             assert decoded[: oracle.shape[1]] == oracle[theta - 1].tolist()
             deltas = [[rng.randrange(127) for _ in range(params.ell)]
                       for _ in range(states[0].subpackets)]
-            basic.write_round(deltas, theta, params, fp, query, states, rng)
+            basic.write_round(deltas, theta, params, fp, query, states, noise)
             flat = [d for block in deltas for d in block]
             oracle = apply_updates_oracle(oracle, theta, flat, 127)
             assert np.array_equal(reconstruct_plain(states), oracle)

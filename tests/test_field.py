@@ -24,7 +24,6 @@ from pruw.field import (
     derive_seed,
     is_prime,
     kernel_dtype,
-    seeded_uniform,
 )
 
 
@@ -119,14 +118,14 @@ class TestAllocation:
 
 class TestSampling:
     def test_same_seed_same_stream(self):
-        a = seeded_uniform(random.Random(0), 7, 50)
-        b = seeded_uniform(random.Random(0), 7, 50)
+        a = CounterNoise(0).symbol(7, 50, "mask").tolist()
+        b = CounterNoise(0).symbol(7, 50, "mask").tolist()
         assert a == b
 
     def test_chi2_uniformity(self):
-        # 1e5 draws at q=7, significance 0.01
-        q, n = 7, 100_000
-        draws = seeded_uniform(random.Random(0), q, n)
+        # 1e5 draws at q=5, which rejects 3 of every 8 words; significance 0.01
+        q, n = 5, 100_000
+        draws = CounterNoise(0).symbol(q, n, "mask").tolist()
         counts = [0] * q
         for v in draws:
             counts[v] += 1
@@ -135,8 +134,9 @@ class TestSampling:
         assert stat < chi2.ppf(0.99, df=q - 1)
 
     def test_five_sigma_frequency(self):
-        q, n = 7, 100_000
-        draws = seeded_uniform(random.Random(1), q, n)
+        # q=11 rejects 5 of every 16 words
+        q, n = 11, 100_000
+        draws = CounterNoise(1).symbol(q, n, "delta").tolist()
         counts = [0] * q
         for v in draws:
             counts[v] += 1
@@ -166,18 +166,19 @@ class TestSampling:
         assert derive_seed(7, "model") != derive_seed(7, "storage")
 
 
-# both sides of the int64 kernel bound, the largest prime below 2^64 (8-byte
-# words read into object arrays) and the smallest above it (16-byte words)
-STREAM_MODULI = (2, 127, 2**31 - 1, 3_037_000_493, 3_037_000_507, 2**61 - 1,
-                 2**64 - 59, 2**64 + 13)
+# 4-byte words on both sides of the int64 kernel bound and into object
+# arrays (the largest prime below 2^32), 8-byte words from the smallest prime
+# above 2^32 to the largest below 2^64, and 16-byte words above
+STREAM_MODULI = (2, 127, 2**31 - 1, 3_037_000_493, 3_037_000_507, 4_294_967_291,
+                 4_294_967_311, 2**61 - 1, 2**64 - 59, 2**64 + 13)
 
 
 def reference_stream(seed, q, count, *tag):
     """The stream's definition in plain Python: SHAKE-256 over the seed and
-    repr(tag), words of 8 * ceil(b / 64) bytes masked to b = q.bit_length()
-    bits, words >= q rejected."""
+    repr(tag), words of 4 bytes for b = q.bit_length() <= 32 and of
+    8 * ceil(b / 64) bytes above, masked to b bits, words >= q rejected."""
     bits = q.bit_length()
-    size = 8 * -(-bits // 64)
+    size = 4 if bits <= 32 else 8 * -(-bits // 64)
     data = hashlib.shake_256((seed & (2**64 - 1)).to_bytes(8, "little")
                              + repr(tag).encode("ascii")).digest(size * (4 * count + 64))
     words = (int.from_bytes(data[k:k + size], "little") & ((1 << bits) - 1)
@@ -190,12 +191,12 @@ def reference_stream(seed, q, count, *tag):
 class TestCounterStream:
     @pytest.mark.parametrize("q", [2, 7, 127])
     def test_exact_uniformity_by_enumeration(self, q, monkeypatch):
-        # a stand-in stream of every masked word value, each under four high
-        # parts, then zero words: every residue must be accepted exactly four
-        # times before the padding is reached
+        # a stand-in stream of every masked 4-byte word value, each under four
+        # high parts, then zero words: every residue must be accepted exactly
+        # four times before the padding is reached
         bits = q.bit_length()
-        highs = (0, 1, 1 << 40, (1 << (64 - bits)) - 1)
-        enumeration = b"".join(((h << bits) | v).to_bytes(8, "little")
+        highs = (0, 1, 1 << 20, (1 << (32 - bits)) - 1)
+        enumeration = b"".join(((h << bits) | v).to_bytes(4, "little")
                                for h in highs for v in range(1 << bits))
 
         class Enumeration:
@@ -208,6 +209,25 @@ class TestCounterStream:
         monkeypatch.setattr(field.hashlib, "shake_256", Enumeration)
         got = CounterNoise(0).symbol(q, len(highs) * q, "t").tolist()
         assert Counter(got) == Counter({r: len(highs) for r in range(q)})
+
+    def test_short_first_read_reads_further(self, monkeypatch):
+        # 100 rejected words, then alternating residues: the first read (36
+        # words for 10 symbols at q = 2) keeps none, so the stream is read on
+        data = (3).to_bytes(4, "little") * 100 + b"".join(
+            v.to_bytes(4, "little") for v in [0, 1] * 10)
+        reads = []
+
+        class Stream:
+            def __init__(self, key):
+                pass
+
+            def digest(self, n):
+                reads.append(n)
+                return (data + bytes(n))[:n]
+
+        monkeypatch.setattr(field.hashlib, "shake_256", Stream)
+        assert CounterNoise(0).symbol(2, 10, "t").tolist() == [0, 1] * 5
+        assert reads == [4 * 36, 4 * 72, 4 * 144]
 
     @pytest.mark.parametrize("q", STREAM_MODULI)
     def test_matches_definition(self, q):

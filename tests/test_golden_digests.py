@@ -50,7 +50,7 @@ RUN_DIGESTS = {
         "c04fd8e3943f2cbe39ba9f4cfc9b2f9b169240ce8524e8c82785e2dc8d7b968a",
     ),
     "topr-case2-3-iterations": (
-        "50c112229c93ffc4dc72b4a3fcc6cc8223c3b3598a4b7da0eb758d6bf0190e40",
+        "5f1414bca76d848d045008cb71fbf657b440b5d235a7909247568e98c15e898e",
         "4e55ef60658e4d8db8f87c5bc0f50a26cdd14afed6b1b24309d1fa5561e98648",
     ),
     "random-odd-case1": (

@@ -20,7 +20,7 @@ import pytest
 from pruw import basic
 from pruw import random_sparse as rs
 from pruw.errors import IntegrityError
-from pruw.field import allocate_eval_points, kernel_dtype, term_bound
+from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype, term_bound
 from pruw.poly import (
     DecodeSystem,
     apply_rows,
@@ -122,12 +122,12 @@ def test_region_without_subpackets(q):
     spec = plan.regions[0]
     realized = rs.RealizedRegion(spec=spec, start=0, real_bits=0, total_bits=0)
     sets = rs.draw_bit_sets(plan, 1)[0]
-    rng = random.Random(1)
-    rq = rs.build_read_queries(1, fp, spec, sets.read, 2, rng)
-    wq = rs.build_write_queries(1, fp, spec, sets.write, 2, rng)
+    noise = CounterNoise(1)
+    rq = rs.build_read_queries(1, fp, spec, sets.read, 2, noise)
+    wq = rs.build_write_queries(1, fp, spec, sets.write, 2, noise)
     positions, values = rs.region_read(fp, realized, states, rq, sets.read)
     assert len(positions) == len(values) == 0
-    written, sent = rs.region_write([], 1, fp, realized, states, wq, sets.write, rng)
+    written, sent = rs.region_write([], 1, fp, realized, states, wq, sets.write, noise)
     assert len(written) == 0 and sent == 0
 
 
@@ -264,10 +264,9 @@ def layouts(seed):
     fp = allocate_eval_points(6, 3, Q64)
     fp10 = allocate_eval_points(10, 3, Q64)
     for m_count in (1, 3):
-        rng = random.Random(seed)
-        model = draw_model(m_count, 3 * 4 + 1, Q64, rng)
+        model = draw_model(m_count, 3 * 4 + 1, Q64, seed)
         yield init_basic(model, fp, 3, 1, 1, seed)
-        yield init_topr(draw_model(m_count, 3 * 4, Q64, rng), fp10, 2, seed)
+        yield init_topr(draw_model(m_count, 3 * 4, Q64, seed + 1), fp10, 2, seed)
         yield init_random_sparse(model, fp, 1, 2, 3, seed)
     yield init_random_sparse(np.zeros((2, 0), dtype=kernel_dtype(Q64)), fp, 1, 2, 3, seed)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pruw import basic, topr
 from pruw import random_sparse as rs
 from pruw.errors import IntegrityError
-from pruw.field import allocate_eval_points, kernel_dtype
+from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
 from pruw.poly import (
     DecodeSystem,
     apply_rows,
@@ -86,7 +86,7 @@ def storage_shapes(draw):
     length = draw(st.integers(1, 3)) * width - (draw(st.integers(1, width - 1)) if width > 1 else 0)
     seed = draw(st.integers(0, 2**32))
     fp = allocate_eval_points(n, width, q)
-    model = draw_model(m_count, length, q, random.Random(seed))
+    model = draw_model(m_count, length, q, seed)
     if scheme == "basic":
         states = init_basic(model, fp, t_storage, 1, 1, seed)
     elif scheme == "random":
@@ -166,16 +166,16 @@ class TestDecoderMaps:
     @settings(max_examples=12, deadline=None)
     def test_region_read_matches_per_subpacket_solve(self, shape, seed):
         n, ell_r, ell_w = shape
-        rng = random.Random(seed)
+        noise = CounterNoise(seed)
         plan = rs.plan_from_subpacketizations(n, ell_r, ell_w)
         spec = plan.regions[0]
         fp = allocate_eval_points(n, spec.y, 127)
         length = 2 * spec.period
-        model = draw_model(2, length, 127, rng)
+        model = draw_model(2, length, 127, seed)
         realized = rs.realize_regions(plan, length)[0]
         states = rs.init_region_states(model, fp, realized, seed, 0)
         j_read = rs.draw_bit_sets(plan, seed)[0].read
-        queries = rs.build_read_queries(1, fp, spec, j_read, 2, rng)
+        queries = rs.build_read_queries(1, fp, spec, j_read, 2, noise)
         positions, values = rs.region_read(fp, realized, states, queries, j_read)
         decoded = dict(zip(positions.tolist(), values.tolist()))
 

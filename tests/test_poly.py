@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pruw.errors import DomainError
-from pruw.field import PrimeField, allocate_eval_points, seeded_uniform
+from pruw.field import CounterNoise, PrimeField, allocate_eval_points
 from pruw.poly import (
     DecodeSystem,
     build_query,
@@ -120,11 +120,13 @@ class TestBuildQuery:
         fs = fp.fs[4 - ell:]
         theta = seed % m_count + 1
         selected = tuple(k for k in range(1, ell + 1) if k % 2) if subset else None
-        blocks = build_query(theta, fp, fs, m_count, random.Random(seed), reciprocal=reciprocal,
+        blocks = build_query(theta, fp, fs, m_count, CounterNoise(seed), reciprocal=reciprocal,
                              terms=terms, selected=selected)
-        # each bit's masks are one draw of m_count * terms symbols, term-major
-        rng = random.Random(seed)
-        masks = [seeded_uniform(rng, 31, m_count * terms) for _ in fs]
+        # all masks are one "mask" draw; bit k's are its k-th run of
+        # m_count * terms symbols, term-major
+        size = m_count * terms
+        draws = CounterNoise(seed).symbol(31, len(fs) * size, "mask").tolist()
+        masks = [draws[k * size : (k + 1) * size] for k in range(len(fs))]
         for n, alpha in enumerate(fp.alphas):
             for k, f in enumerate(fs):
                 for m in range(m_count):
@@ -136,17 +138,18 @@ class TestBuildQuery:
                         want = (hit + (f - alpha) * mask) % 31
                     assert blocks[n][k][m] == want
 
-    def test_disable_noise_draws_nothing(self):
+    def test_disable_noise_draws_nothing(self, monkeypatch):
         fp = allocate_eval_points(3, 2, 31)
-        rng = random.Random(5)
-        build_query(1, fp, fp.fs, 2, rng, disable_noise=True, terms=2)
-        assert rng.random() == random.Random(5).random()
+        calls = []
+        monkeypatch.setattr(CounterNoise, "symbol", lambda self, *args: calls.append(args))
+        build_query(1, fp, fp.fs, 2, CounterNoise(5), disable_noise=True, terms=2)
+        assert calls == []
 
     def test_theta_out_of_range(self):
         fp = allocate_eval_points(3, 2, 31)
         for theta in (0, 3):
             with pytest.raises(DomainError):
-                build_query(theta, fp, fp.fs, 2, random.Random(0))
+                build_query(theta, fp, fp.fs, 2, CounterNoise(0))
 
 
 class TestInterpolation:

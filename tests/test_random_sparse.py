@@ -8,7 +8,7 @@ import pytest
 
 from pruw import random_sparse as rs
 from pruw.errors import ConfigError
-from pruw.field import allocate_eval_points
+from pruw.field import CounterNoise, allocate_eval_points
 from pruw.storage import draw_model, reconstruct_plain
 
 
@@ -16,7 +16,7 @@ def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
     plan = rs.plan_from_subpacketizations(n, ell_r, ell_w)
     spec = plan.regions[0]
     fp = allocate_eval_points(n, spec.y, q)
-    model = draw_model(m_count, length, q, random.Random(seed))
+    model = draw_model(m_count, length, q, seed)
     realized = rs.realize_regions(plan, length)[0]
     states = rs.init_region_states(model, fp, realized, seed + 1, 0)
     sets = rs.draw_bit_sets(plan, seed + 2)[0]
@@ -141,13 +141,14 @@ class TestCase1Protocol:
         plan, spec, fp, model, realized, states, sets = region_session(6, 6, 8, 48)
         theta = 1
         rng = random.Random(3)
-        rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, rng)
+        noise = CounterNoise(3)
+        rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, noise)
         positions, values = rs.region_read(fp, realized, states, rq, sets.read)
         assert len(positions) and all(model[0][pos] == v for pos, v in zip(positions, values))
-        wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, rng)
+        wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, noise)
         deltas = [rng.randrange(127) for _ in range(48)]
         written, sent = rs.region_write(deltas, theta, fp, realized, states, wq,
-                                        sets.write, rng)
+                                        sets.write, noise)
         assert sent == (48 // 8) * 6
         expect = model.copy()
         for pos in written:
@@ -182,13 +183,14 @@ class TestCase2Protocol:
         plan, spec, fp, model, realized, states, sets = region_session(n, 6, 4, 24)
         theta = 2
         rng = random.Random(5)
-        rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, rng)
+        noise = CounterNoise(5)
+        rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, noise)
         positions, values = rs.region_read(fp, realized, states, rq, sets.read)
         assert all(model[1][pos] == v for pos, v in zip(positions, values))
-        wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, rng)
+        wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, noise)
         deltas = [rng.randrange(127) for _ in range(24)]
         written, sent = rs.region_write(deltas, theta, fp, realized, states, wq,
-                                        sets.write, rng)
+                                        sets.write, noise)
         dbs = n - 1 if n % 2 == 1 else n
         assert sent == (24 // 4) * dbs
         expect = model.copy()
@@ -199,10 +201,11 @@ class TestCase2Protocol:
     def test_odd_excluded_database_untouched(self):
         plan, spec, fp, model, realized, states, sets = region_session(11, 6, 4, 24)
         rng = random.Random(7)
-        wq = rs.build_write_queries(1, fp, spec, sets.write, 2, rng)
+        noise = CounterNoise(7)
+        wq = rs.build_write_queries(1, fp, spec, sets.write, 2, noise)
         before = states[-1].cells.tolist()
         deltas = [rng.randrange(127) for _ in range(24)]
-        written, _ = rs.region_write(deltas, 1, fp, realized, states, wq, sets.write, rng)
+        written, _ = rs.region_write(deltas, 1, fp, realized, states, wq, sets.write, noise)
         assert states[-1].cells.tolist() == before
         # yet the reconstruction (which includes database N) carries the update
         expect = model.copy()
@@ -217,10 +220,11 @@ class TestDistortion:
         # the planted values
         plan, spec, fp, model, realized, states, sets = region_session(10, 6, 4, 24)
         rng = random.Random(9)
-        rq = rs.build_read_queries(1, fp, spec, sets.read, 2, rng)
+        noise = CounterNoise(9)
+        rq = rs.build_read_queries(1, fp, spec, sets.read, 2, noise)
         positions, _ = rs.region_read(fp, realized, states, rq, sets.read)
         assert Fraction(24 - len(positions), 24) == Fraction(6 - 4, 6)
-        wq = rs.build_write_queries(1, fp, spec, sets.write, 2, rng)
+        wq = rs.build_write_queries(1, fp, spec, sets.write, 2, noise)
         written, _ = rs.region_write([0] * 24, 1, fp, realized, states, wq,
-                                     sets.write, rng)
+                                     sets.write, noise)
         assert Fraction(24 - len(written), 24) == Fraction(4 - 4, 4)

@@ -1,6 +1,8 @@
 """Session set-up on arrays: the bulk model draw, the all-database mask
-kernel at worst-case magnitudes, and the one model array a session holds."""
+kernel at worst-case magnitudes, the one model array a session holds, and
+the counter-noise calls a session makes."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,60 +22,36 @@ from pruw.storage import (
 )
 
 # the int64 edge, the first object-array prime, and the least prime above
-# 2^32, which draws per symbol
+# 2^32, whose stream reads 8-byte words
 Q64, QOBJ, Q33 = 3_037_000_493, 3_037_000_507, 4_294_967_311
 
 
-class CountingRandom(random.Random):
-    """A Mersenne stream that logs the width of each getrandbits call."""
-
-    def __init__(self, seed):
-        self.calls = []
-        super().__init__(seed)
-
-    def getrandbits(self, k):
-        self.calls.append(k)
-        return super().getrandbits(k)
-
-
 class TestBulkDraw:
+    """The model is one counter stream: the first M * L uniform draws from
+    range(q) under the tag ("model",), laid out row-major."""
+
     @pytest.mark.parametrize("q", [2, 3, 5, 127, 2**30, 2**31 - 1, Q64, QOBJ, Q33])
     @pytest.mark.parametrize("m_count, length", [(1, 1), (3, 17), (2, 0), (4, 250)])
     def test_matches_randrange_row_major(self, q, m_count, length):
-        rng, ref = random.Random(q + length), random.Random(q + length)
-        model = draw_model(m_count, length, q, rng)
-        want = [[ref.randrange(q) for _ in range(length)] for _ in range(m_count)]
+        seed = q + length
+        model = draw_model(m_count, length, q, seed)
+        want = CounterNoise(seed).symbol(q, m_count * length, "model").tolist()
         assert model.shape == (m_count, length)
         assert model.dtype == kernel_dtype(q)
-        assert model.tolist() == want
-        assert all(type(v) is int for row in model.tolist() for v in row)
-        assert rng.getstate() == ref.getstate()
-        assert rng.random() == ref.random()
-
-    def test_rejections_are_topped_up_with_the_missing_words(self):
-        # q = 2^30 keeps the top 31 bits of a word and rejects about half
-        q, count = 2**30, 1000
-        rng, ref = CountingRandom(7), random.Random(7)
-        model = draw_model(1, count, q, rng)
-        assert model.tolist() == [[ref.randrange(q) for _ in range(count)]]
-        assert rng.random() == ref.random()
-        calls = rng.calls[:-1]  # the last one is random()'s own
-        assert calls[0] == 32 * count and len(calls) > 2
-        # each call asks for the words still missing, never more than the last
-        assert all(b <= a for a, b in zip(calls, calls[1:]))
+        assert model.tolist() == [want[m * length : (m + 1) * length] for m in range(m_count)]
+        assert all(type(v) is int and 0 <= v < q for row in model.tolist() for v in row)
 
     def test_word_loop_by_hand(self):
-        # the first words of the stream, shifted and filtered by hand
-        q, count = 2**30, 40
-        words = random.Random(11)
+        # the first 4-byte words of the stream, masked and filtered by hand
+        q, count, seed = 2**30, 40, 11
+        data = hashlib.shake_256(seed.to_bytes(8, "little") + repr(("model",)).encode())
+        words = data.digest(4 * 4 * count)
         want = []
-        while len(want) < count:
-            w = words.getrandbits(32) >> 1
+        for k in range(0, len(words), 4):
+            w = int.from_bytes(words[k : k + 4], "little") & (2**31 - 1)
             if w < q:
                 want.append(w)
-        rng = random.Random(11)
-        assert draw_model(2, count // 2, q, rng).tolist() == [want[:20], want[20:]]
-        assert rng.getstate() == words.getstate()
+        assert draw_model(2, count // 2, q, seed).tolist() == [want[:20], want[20:40]]
 
 
 def worst_limbs(q):
@@ -154,3 +132,59 @@ class TestOneModelArray:
         before = model.copy()
         oracle += 1
         assert np.array_equal(model, before)
+
+
+class TestNoiseCalls:
+    """Every draw is one counter-noise call under its own (seed, tag), so
+    the calls a basic session makes do not grow with L: one for the model
+    and one per set-up chunk, then a fixed few per iteration, and no
+    Mersenne stream at all."""
+
+    @pytest.fixture
+    def tags(self, monkeypatch):
+        tags = []
+        real = CounterNoise.symbol
+
+        def counting(self, q, count, *tag):
+            tags.append(tag)
+            return real(self, q, count, *tag)
+
+        def no_mersenne(*args):
+            raise AssertionError("a basic session built a random.Random")
+
+        monkeypatch.setattr(CounterNoise, "symbol", counting)
+        monkeypatch.setattr(random, "Random", no_mersenne)
+        return tags
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(scheme="basic", n=6, m=2, l=13, q=127, seed=5),
+        ExperimentConfig(scheme="topr", n=10, m=2, p=5, q=127, case=2, seed=5),
+        # two regions, so two region tags
+        ExperimentConfig(scheme="random", n=10, m=2, l=60, seed=5,
+                         d_read=Fraction(1, 4), d_write=Fraction(1, 5)),
+    ], ids=lambda c: c.scheme)
+    def test_no_stream_is_drawn_twice(self, cfg, monkeypatch):
+        # a repeated (seed, tag) would hand two messages the same noise
+        streams = []
+        real = CounterNoise.symbol
+
+        def recording(self, q, count, *tag):
+            streams.append((self._key, tag))
+            return real(self, q, count, *tag)
+
+        monkeypatch.setattr(CounterNoise, "symbol", recording)
+        session = Session(cfg)
+        for _ in range(2):
+            session.run_iteration()
+        assert len(session.scheme.storage) == (2 if cfg.scheme == "random" else 1)
+        assert len(streams) == len(set(streams))
+
+    @pytest.mark.parametrize("length", [2000, 20000])
+    def test_basic_calls_do_not_grow_with_length(self, tags, length):
+        session = Session(ExperimentConfig(scheme="basic", n=10, m=8, l=length, seed=3))
+        chunks = -(-session.scheme.states[0].subpackets // DRAW_CHUNK)
+        assert tags == [("model",)] + [("basic", c) for c in range(chunks)]
+        for _ in range(2):
+            tags.clear()
+            assert session.run_iteration().verdict
+            assert tags == [("mask",), ("delta",), ("update-noise",)]

@@ -13,6 +13,7 @@ from pruw import storage
 from pruw.errors import ConfigError, IntegrityError
 from pruw.field import CounterNoise, PrimeField, allocate_eval_points, kernel_dtype
 from pruw.storage import (
+    DRAW_CHUNK,
     draw_model,
     init_basic,
     init_random_sparse,
@@ -32,9 +33,13 @@ def mask_value(stream, q, j, m, m_count, terms, alpha):
 
 
 def subpacket_stream(noise, q, layout, m_count, s):
-    """Subpacket s's mask coefficients as Python ints: width * M * terms."""
+    """Subpacket s's mask coefficients as Python ints: width * M * terms,
+    sliced from the stream of its chunk, which holds the chunk's subpackets
+    one after another."""
     count = layout.width * m_count * layout.noise_terms
-    return noise.symbol(q, count, layout.kind, s).tolist()
+    k = s % DRAW_CHUNK
+    chunk = noise.symbol(q, (k + 1) * count, layout.kind, s // DRAW_CHUNK).tolist()
+    return chunk[k * count :]
 
 
 def reference_cells(model, fp, layout, seed, disable_noise):
@@ -89,7 +94,7 @@ LAYOUTS = ("basic", "topr-1", "topr-2", "random-1", "random-2")
 
 def small_basic(q=11, n=4, m=2, length=6, seed=5):
     fp = allocate_eval_points(n, 1, q)
-    model = draw_model(m, length, q, random.Random(0))
+    model = draw_model(m, length, q, 0)
     states = init_basic(model, fp, 2, 1, 1, seed)
     return fp, model, states
 
@@ -102,14 +107,14 @@ class TestInitBasic:
 
     def test_constraint_examples(self):
         fp = allocate_eval_points(4, 1, 127)
-        model = draw_model(1, 4, 127, random.Random(0))
+        model = draw_model(1, 4, 127, 0)
         init_basic(model, fp, 2, 1, 1, 0)  # N=4 optimal: ell=1
         with pytest.raises(ConfigError):
             init_basic(model, fp, 1, 1, 1, 0)  # below the privacy floor
 
     def test_ten_databases(self):
         fp = allocate_eval_points(10, 4, 127)
-        model = draw_model(1, 8, 127, random.Random(0))
+        model = draw_model(1, 8, 127, 0)
         states = init_basic(model, fp, 5, 1, 1, 0)
         assert states[0].layout.ell == 4
 
@@ -147,7 +152,7 @@ class TestRoundTrips:
 
     def test_basic_padding(self):
         fp = allocate_eval_points(6, 2, 127)
-        model = draw_model(2, 7, 127, random.Random(2))  # pads to 8
+        model = draw_model(2, 7, 127, 2)  # pads to 8
         states = init_basic(model, fp, 3, 1, 1, 9)
         assert states[0].padded_length == 8
         assert np.array_equal(reconstruct_plain(states), model)
@@ -155,14 +160,14 @@ class TestRoundTrips:
     def test_topr_cases(self):
         for case, ell in ((1, 2), (2, 3)):
             fp = allocate_eval_points(10, ell, 127)
-            model = draw_model(2, 5 * ell, 127, random.Random(3))
+            model = draw_model(2, 5 * ell, 127, 3)
             states = init_topr(model, fp, case, 4)
             assert states[0].layout.ell == ell
             assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_sparse_cases(self):
         fp = allocate_eval_points(6, 8, 127)
-        model = draw_model(2, 24, 127, random.Random(4))
+        model = draw_model(2, 24, 127, 4)
         states = init_random_sparse(model, fp, 1, 6, 8, 11)
         assert np.array_equal(reconstruct_plain(states), model)
         fp2 = allocate_eval_points(10, 6, 127)
@@ -177,7 +182,7 @@ class TestRoundTrips:
 
     def test_padding_cell_named(self):
         fp = allocate_eval_points(6, 2, 127)
-        model = draw_model(2, 7, 127, random.Random(2))  # position 7 is padding
+        model = draw_model(2, 7, 127, 2)  # position 7 is padding
         states = init_basic(model, fp, 3, 1, 1, 9)
         # the same step in every replica keeps the cell consistent, so only
         # the padding check sees it
@@ -189,7 +194,7 @@ class TestRoundTrips:
 
     def test_decoded_model_is_an_array_with_list_values(self):
         fp = allocate_eval_points(6, 2, 127)
-        model = draw_model(2, 7, 127, random.Random(2))
+        model = draw_model(2, 7, 127, 2)
         rec = reconstruct_plain(init_basic(model, fp, 3, 1, 1, 9))
         assert rec.shape == (2, 7) and rec.dtype == kernel_dtype(127)
         assert rec.tolist() == model.tolist() and type(rec.tolist()[0][0]) is int
@@ -202,7 +207,7 @@ class TestRoundTrips:
         t1 = rng.randint((n + 1) // 2, n - 2)
         ell = n - t1 - 1
         fp = allocate_eval_points(n, ell, 127)
-        model = draw_model(rng.randint(1, 3), rng.randint(1, 12), 127, rng)
+        model = draw_model(rng.randint(1, 3), rng.randint(1, 12), 127, seed)
         states = init_basic(model, fp, t1, 1, 1, seed)
         assert np.array_equal(reconstruct_plain(states), model)
 
@@ -224,7 +229,7 @@ class TestTopRShape:
 
     def test_noise_degree_by_case(self):
         fp = allocate_eval_points(10, 3, 127)
-        model = draw_model(1, 6, 127, random.Random(0))
+        model = draw_model(1, 6, 127, 0)
         s1 = init_topr(model, allocate_eval_points(10, 2, 127), 1, 0)
         s2 = init_topr(model, fp, 2, 0)
         assert s1[0].layout.mask_degree == 4  # 2 * ell
@@ -234,7 +239,7 @@ class TestTopRShape:
 class TestRandomSparseInit:
     def test_case_order_enforced(self):
         fp = allocate_eval_points(6, 8, 127)
-        model = draw_model(1, 24, 127, random.Random(0))
+        model = draw_model(1, 24, 127, 0)
         with pytest.raises(ConfigError):
             init_random_sparse(model, fp, 1, 8, 6, 0)  # case 1 needs ell_w > ell_r
         with pytest.raises(ConfigError):
@@ -242,13 +247,13 @@ class TestRandomSparseInit:
 
     def test_tie_is_case_2(self):
         fp = allocate_eval_points(10, 4, 127)
-        model = draw_model(1, 8, 127, random.Random(0))
+        model = draw_model(1, 8, 127, 0)
         states = init_random_sparse(model, fp, 2, 4, 4, 0)
         assert states[0].layout.y == 4
 
     def test_noise_terms_by_parity(self):
         fp = allocate_eval_points(11, 6, 127)
-        model = draw_model(1, 12, 127, random.Random(0))
+        model = draw_model(1, 12, 127, 0)
         s1 = init_random_sparse(model, fp, 1, 4, 6, 0)
         s2 = init_random_sparse(model, fp, 2, 6, 4, 0)
         assert s1[0].layout.noise_terms == 5  # floor(11/2)
@@ -303,7 +308,7 @@ class TestCellDistributions:
 
 
 class TestSharedDraw:
-    """One stream per subpacket serves every database."""
+    """One stream per draw chunk serves every database."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -325,11 +330,16 @@ class TestSharedDraw:
     ])
     def test_draws_once_per_coefficient(self, calls, layout, n):
         counts, streams = calls
-        model = draw_model(2, 11, 127, random.Random(1))
+        # two full chunks and a partial one
+        model = draw_model(2, (2 * DRAW_CHUNK + 3) * 4, 127, 1)
+        streams.clear()
         states = init_layout(layout, model, n, 127, (3, 4), seed=6)
-        lay = states[0].layout
-        assert streams == [(lay.width * 2 * lay.noise_terms, (lay.kind, s))
-                           for s in range(states[0].subpackets)]
+        lay, subpackets = states[0].layout, states[0].subpackets
+        per_subpacket = lay.width * 2 * lay.noise_terms
+        assert subpackets > 2 * DRAW_CHUNK
+        assert streams == [(min(DRAW_CHUNK, subpackets - lo) * per_subpacket,
+                            (lay.kind, lo // DRAW_CHUNK))
+                           for lo in range(0, subpackets, DRAW_CHUNK)]
         if not lay.affine_mask:
             assert counts["inv"] <= lay.width * n
 
@@ -352,8 +362,11 @@ class TestSharedDraw:
              disable_noise=False)
     @example(layout="random-1", n=7, q=2**64 + 13, m=2, length=7, ells=(2, 3), seed=3,
              disable_noise=False)
+    # more subpackets than two draw chunks, with a padded tail
+    @example(layout="topr-1", n=6, q=127, m=1, length=2 * DRAW_CHUNK + 5, ells=(1, 1), seed=4,
+             disable_noise=False)
     def test_cells_match_reference(self, layout, n, q, m, length, ells, seed, disable_noise):
-        model = draw_model(m, length, q, random.Random(seed))
+        model = draw_model(m, length, q, seed)
         try:
             states = init_layout(layout, model, n, q, ells, seed, disable_noise)
         except ConfigError:

@@ -23,7 +23,7 @@ def build_session(case, n=10, p=5, m_count=3, q=127, seed=0, perm=PERM_FIXTURE):
 
     ell = topr_subpacketization(n, case)
     fp = allocate_eval_points(n, ell, q)
-    model = draw_model(m_count, p * ell, q, random.Random(seed))
+    model = draw_model(m_count, p * ell, q, seed)
     states = init_topr(model, fp, case, seed + 1)
     setup = topr.coordinator_setup(p, ell, case, fp, seed + 2, perm=perm)
     return fp, model, states, setup
@@ -51,10 +51,10 @@ def reference_reversing(setup, n):
     return mat
 
 
-def build_query(case, theta, fp, ell, m_count, rng, disable_noise=False):
+def build_query(case, theta, fp, ell, m_count, noise, disable_noise=False):
     if case == 1:
-        return topr.build_query_case1(theta, fp, ell, m_count, rng, disable_noise)
-    return topr.build_query_case2(theta, fp, ell, m_count, rng, disable_noise)
+        return topr.build_query_case1(theta, fp, ell, m_count, noise, disable_noise)
+    return topr.build_query_case2(theta, fp, ell, m_count, noise, disable_noise)
 
 
 class TestCoordinatorSetup:
@@ -260,7 +260,7 @@ class TestReadSparse:
     def test_worked_example(self, case):
         fp, model, states, setup = build_session(case)
         theta = 2
-        query = build_query(case, theta, fp, setup.ell, 3, random.Random(5))
+        query = build_query(case, theta, fp, setup.ell, 3, CounterNoise(5))
         true, bits = topr.read_sparse(theta, [2, 3], setup, states, query)
         decoded = dict(zip(true.tolist(), bits.tolist()))
         assert sorted(decoded) == [1, 5]  # perm maps 2 -> 5, 3 -> 1
@@ -272,7 +272,7 @@ class TestReadSparse:
     def test_full_set_matches_reconstruct(self, case):
         fp, model, states, setup = build_session(case)
         theta = 1
-        query = build_query(case, theta, fp, setup.ell, 3, random.Random(6))
+        query = build_query(case, theta, fp, setup.ell, 3, CounterNoise(6))
         true, bits = topr.read_sparse(theta, list(range(1, 6)), setup, states, query)
         decoded = dict(zip(true.tolist(), bits.tolist()))
         rec = reconstruct_plain(states)
@@ -283,12 +283,13 @@ class TestReadSparse:
 
     def test_random_plants(self):
         rng = random.Random(8)
+        noise = CounterNoise(8)
         for trial in range(5):
             case = rng.choice([1, 2])
             fp, model, states, setup = build_session(case, q=127, seed=100 + trial,
                                                      perm=None)
             theta = rng.randint(1, 3)
-            query = build_query(case, theta, fp, setup.ell, 3, rng)
+            query = build_query(case, theta, fp, setup.ell, 3, noise)
             v = rng.sample(range(1, 6), 2)
             true, bits = topr.read_sparse(theta, v, setup, states, query)
             decoded = dict(zip(true.tolist(), bits.tolist()))
@@ -299,7 +300,7 @@ class TestReadSparse:
     def test_case_mismatch_rejected(self):
         fp, model, states, setup = build_session(1)
         other = topr.coordinator_setup(5, 3, 2, allocate_eval_points(10, 3, 127), 0)
-        query = build_query(1, 1, fp, setup.ell, 3, random.Random(0))
+        query = build_query(1, 1, fp, setup.ell, 3, CounterNoise(0))
         with pytest.raises(ConfigError):
             topr.read_sparse(1, [1], other, states, query)
 
@@ -309,11 +310,12 @@ class TestWriteSparse:
         fp, model, states, setup = build_session(1)
         theta = 1
         rng = random.Random(9)
-        query = build_query(1, theta, fp, setup.ell, 3, rng)
+        noise = CounterNoise(9)
+        query = build_query(1, theta, fp, setup.ell, 3, noise)
         scores = [10, 0, 0, 9, 0]  # non-zero subpackets 1 and 4
         deltas = [[rng.randrange(127) for _ in range(setup.ell)] for _ in range(5)]
         res = topr.write_sparse(deltas, scores, Fraction(2, 5), theta, setup, states,
-                                query, rng)
+                                query, noise)
         assert res.chosen_true == [1, 4]
         assert res.positions == [3, 5]
         expect = model.copy()
@@ -328,24 +330,26 @@ class TestWriteSparse:
     def test_zero_count_warns_and_noops(self):
         fp, model, states, setup = build_session(1)
         rng = random.Random(10)
-        query = build_query(1, 1, fp, setup.ell, 3, rng)
+        noise = CounterNoise(10)
+        query = build_query(1, 1, fp, setup.ell, 3, noise)
         deltas = [[0] * setup.ell for _ in range(5)]
         with pytest.warns(UserWarning):
             res = topr.write_sparse(deltas, [1] * 5, Fraction(1, 100), 1, setup,
-                                    states, query, rng)
+                                    states, query, noise)
         assert res.positions == []
         assert np.array_equal(reconstruct_plain(states), model)
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_random_write_matches_oracle(self, case):
         rng = random.Random(11)
+        noise = CounterNoise(11)
         fp, model, states, setup = build_session(case, q=127, perm=None, seed=12)
         theta = 3
-        query = build_query(case, theta, fp, setup.ell, 3, rng)
+        query = build_query(case, theta, fp, setup.ell, 3, noise)
         scores = [rng.randrange(100) for _ in range(5)]
         deltas = [[rng.randrange(127) for _ in range(setup.ell)] for _ in range(5)]
         res = topr.write_sparse(deltas, scores, Fraction(2, 5), theta, setup, states,
-                                query, rng)
+                                query, noise)
         expect = model.copy()
         for s in res.chosen_true:
             lo = (s - 1) * setup.ell
@@ -371,11 +375,12 @@ class TestWriteSparse:
 
     def test_unwritten_subpackets_plain_unchanged(self):
         rng = random.Random(13)
+        noise = CounterNoise(13)
         fp, model, states, setup = build_session(1, seed=14)
-        query = build_query(1, 2, fp, setup.ell, 3, rng)
+        query = build_query(1, 2, fp, setup.ell, 3, noise)
         deltas = [[rng.randrange(127) for _ in range(setup.ell)] for _ in range(5)]
         res = topr.write_sparse(deltas, [9, 0, 0, 0, 0], Fraction(1, 5), 2, setup,
-                                states, query, rng)
+                                states, query, noise)
         rec = reconstruct_plain(states)
         for s in range(2, 6):  # untouched subpackets
             lo = (s - 1) * setup.ell
@@ -383,7 +388,7 @@ class TestWriteSparse:
 
     def test_duplicate_positions_rejected(self):
         fp, model, states, setup = build_session(1)
-        query = build_query(1, 1, fp, setup.ell, 3, random.Random(0))
+        query = build_query(1, 1, fp, setup.ell, 3, CounterNoise(0))
         with pytest.raises(ProtocolError):
             topr.apply_sparse_write(states[0], setup, query[0], [3, 3], [1, 2])
 
