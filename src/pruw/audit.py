@@ -108,23 +108,22 @@ def make_query_sampler(scheme: str, q: int, m_count: int, case: int = 1):
     if scheme == "basic":
         params = basic.BasicParams(n=4, t_storage=2, t_query=1, t_update=1)
 
-        def sample(theta, noise, disable_noise):
-            query = basic.build_read_query(theta, params, fp, m_count, noise, disable_noise)
+        def sample(theta, noise):
+            query = basic.build_read_query(theta, params, fp, m_count, noise)
             return query.block(1)[0]
 
     elif scheme == "topr":
         builder = topr.build_query_case1 if case == 1 else topr.build_query_case2
 
-        def sample(theta, noise, disable_noise):
-            return builder(theta, fp, 1, m_count, noise, disable_noise)[0][0]
+        def sample(theta, noise):
+            return builder(theta, fp, 1, m_count, noise)[0][0]
 
     elif scheme == "random":
         spec = rs.RegionSpec(lam=Fraction(1), ell_r=1, ell_w=1, case=2)
         j_read = ((1,),)
 
-        def sample(theta, noise, disable_noise):
-            return rs.build_read_queries(theta, fp, spec, j_read, m_count, noise,
-                                         disable_noise)[0][0][0]
+        def sample(theta, noise):
+            return rs.build_read_queries(theta, fp, spec, j_read, m_count, noise)[0][0][0]
 
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -143,16 +142,18 @@ def audit_query(
     case: int = 1,
 ) -> AuditResult:
     """Exact TVD between the joint laws of the M query coordinates under two
-    submodel-index hypotheses, over every value of the builder's noise."""
+    submodel-index hypotheses, over every value of the builder's noise; the
+    noise-off control plays back the one all-zero draw."""
     sampler = make_query_sampler(scheme, q, m_count, case)
     counter = _Playback()
-    sampler(theta_a, counter, False)
+    sampler(theta_a, counter)
     _require_budget(q ** counter.taken, samples, f"the {scheme} query's noise")
-    space = [()] if disable_noise else list(itertools.product(range(q), repeat=counter.taken))
+    space = ([(0,) * counter.taken] if disable_noise
+             else list(itertools.product(range(q), repeat=counter.taken)))
 
     def observe(theta, draws):
         noise = _Playback(draws)
-        coords = tuple(sampler(theta, noise, disable_noise))
+        coords = tuple(sampler(theta, noise))
         assert noise.taken == len(draws), "the builder's draw count changed"
         return coords
 

@@ -103,11 +103,9 @@ def build_read_query(
     fp: FieldParams,
     m_count: int,
     noise,
-    disable_noise: bool = False,
 ) -> ReadQuery:
     """Reciprocal query blocks with ``t_query`` mask terms per bit."""
-    blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, noise, disable_noise,
-                         terms=params.t_query)
+    blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, noise, terms=params.t_query)
     return ReadQuery(theta=theta, params=params, blocks=blocks)
 
 
@@ -149,7 +147,6 @@ def build_write_symbols(
     params: BasicParams,
     fp: FieldParams,
     noise,
-    disable_noise: bool = False,
 ):
     """User side: the (N, S) combined symbols, row n - 1 for database n, for
     the ell deltas of each of the S subpackets (an (S, ell) array or lists).
@@ -166,8 +163,7 @@ def build_write_symbols(
         raise DomainError(f"expected {ell} deltas per subpacket")
     count = len(deltas_by_subpacket)
     dtype = kernel_dtype(fp.q)
-    z = (np.zeros(count * terms, dtype) if disable_noise
-         else noise.symbol(fp.q, count * terms, "update-noise"))
+    z = noise.symbol(fp.q, count * terms, "update-noise")
     inputs = np.concatenate([np.array(deltas_by_subpacket, dtype=dtype).reshape(count, ell),
                              np.asarray(z, dtype=dtype).reshape(count, terms)], axis=1)
     return apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
@@ -195,7 +191,6 @@ def write_round(
     query: ReadQuery,
     states: list[DatabaseState],
     noise,
-    disable_noise: bool = False,
 ):
     """Full write phase; returns the (N, S) symbols sent (for metering).
 
@@ -205,7 +200,7 @@ def write_round(
         raise DomainError("write must reuse the same-session read query")
     if len(deltas_by_subpacket) != states[0].subpackets:
         raise DomainError("need one delta block per subpacket")
-    symbols = build_write_symbols(deltas_by_subpacket, params, fp, noise, disable_noise)
+    symbols = build_write_symbols(deltas_by_subpacket, params, fp, noise)
     skip = set(params.skip_set)
     for st in states:
         if st.db_index in skip:
@@ -226,9 +221,8 @@ class BasicScheme:
     set.  Unset noise budgets follow the cost optimum."""
 
     budget = None
-    perm_setup = None
 
-    def __init__(self, cfg, coordinator):
+    def __init__(self, cfg):
         self.cfg = cfg
         if cfg.t1 is None and cfg.t2 is None and cfg.t3 is None:
             self.params = optimal_params(cfg.n)
@@ -243,17 +237,17 @@ class BasicScheme:
         self.fp = allocate_eval_points(cfg.n, self.params.ell, cfg.q)
         self.length = cfg.l
 
-    def init_storage(self, model, seed: int) -> None:
+    def init_storage(self, model, noise) -> None:
         p = self.params
-        self.states = init_basic(model, self.fp, p.t_storage, p.t_query, p.t_update, seed,
-                                 self.cfg.disable_noise)
+        self.states = init_basic(model, self.fp, p.t_storage, p.t_query, p.t_update,
+                                 noise.derive("storage"))
         self.storage = [(0, self.length, self.states)]
 
     def read(self, theta, iteration, noise, record, detail):
         import numpy as np
 
         cfg, params = self.cfg, self.params
-        self.query = build_read_query(theta, params, self.fp, cfg.m, noise, cfg.disable_noise)
+        self.query = build_read_query(theta, params, self.fp, cfg.m, noise)
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, params.ell * cfg.m)
         answers = np.stack([answer_read(st, self.query, slice(None)) for st in self.states])
@@ -262,16 +256,15 @@ class BasicScheme:
             record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, st.subpackets)
         return np.arange(self.length, dtype=np.intp), decoded[: self.length]
 
-    def write(self, theta, noise, record, detail):
+    def write(self, theta, data, noise, record, detail):
         import numpy as np
 
         cfg, params = self.cfg, self.params
         subpackets = self.states[0].subpackets
         # padded tail positions must stay zero
         deltas = np.zeros((subpackets, params.ell), dtype=kernel_dtype(self.fp.q))
-        deltas.reshape(-1)[: self.length] = noise.symbol(self.fp.q, self.length, "delta")
-        write_round(deltas, theta, params, self.fp, self.query, self.states, noise,
-                    cfg.disable_noise)
+        deltas.reshape(-1)[: self.length] = data.symbol(self.fp.q, self.length, "delta")
+        write_round(deltas, theta, params, self.fp, self.query, self.states, noise)
         skip = params.skip_set
         for n in range(1, cfg.n + 1):
             if n not in skip:

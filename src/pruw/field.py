@@ -13,7 +13,12 @@ as 1, 2, 3" (SC 2011).  The model, the storage masks (one stream per set-up
 chunk), top-r's reversing noise and every user message's masks, deltas and
 update noise are each one stream under a tag naming the use, so a draw is
 one call whatever its length, and any block of cells can be regenerated
-from the coordinator seed without keeping the whole tensor in memory.
+from the session seed without keeping the whole tensor in memory.
+:meth:`CounterNoise.derive` gives the independent stream family under a
+label, keyed by :func:`derive_seed`.  :class:`ZeroNoise` has the same two
+methods and draws only zeros: it is the noise-off control, the same
+protocol with every privacy-noise symbol zero, so no builder needs a
+noise-off branch.
 
 The kernels run on numpy arrays of :func:`kernel_dtype`: int64 while the
 product of two residues stays below 2^63 (every prime q <= 3,037,000,493,
@@ -243,3 +248,24 @@ class CounterNoise:
             if len(vals) >= count:
                 return vals[:count].astype(kernel_dtype(q))
             words *= 2
+
+    def derive(self, label: str) -> CounterNoise:
+        """The independent source under ``label``: seeded with
+        ``derive_seed(seed, label)``."""
+        return CounterNoise(derive_seed(int.from_bytes(self._key, "little"), label))
+
+
+class ZeroNoise:
+    """The noise-off source (debug only: a session on it leaks everything).
+    Every draw is zeros and every derived source is itself."""
+
+    __slots__ = ()
+
+    def symbol(self, q: int, count: int, *tag):
+        """``count`` zeros, as a numpy array of :func:`kernel_dtype`."""
+        import numpy as np
+
+        return np.zeros(count, dtype=kernel_dtype(q))
+
+    def derive(self, label: str) -> ZeroNoise:
+        return self

@@ -1,38 +1,43 @@
 """Session orchestration: one read -> write -> verify loop for every scheme.
 
-A session owns the seeds, the wire log, the plain model and an oracle that
-is updated in plain arithmetic alongside the masked storage.  The scheme
-classes (``basic.BasicScheme``, ``topr.TopRScheme``,
+A session owns the noise root, the wire log, the plain model and an oracle
+that is updated in plain arithmetic alongside the masked storage.  The
+scheme classes (``basic.BasicScheme``, ``topr.TopRScheme``,
 ``random_sparse.RandomScheme``, keyed by config name in :data:`SCHEMES`)
-hold everything that differs.  Each is built from ``(cfg, coordinator)``
-and offers:
+hold everything that differs.  Each is built as ``Scheme(cfg)`` and offers:
 
 * ``fp`` and ``length``: the field constants and the normalizing length;
-* ``init_storage(model, seed)``: builds the masked replicas of the
-  ``(M, length)`` model array;
+* ``init_storage(model, noise)``: builds the masked replicas of the
+  ``(M, length)`` model array, drawing their privacy noise from the root
+  ``noise`` (under "storage", and the random scheme's one-time queries
+  under "one-time-queries");
 * ``storage``: ``(start, real_bits, states)`` blocks; model positions
   ``start .. start + real_bits - 1`` live in ``states``, whose tail beyond
   them is zero padding;
 * ``read(theta, iteration, noise, record, detail)``: records the read
   frames and returns the pair ``(positions, symbols)``: the model positions
   it decoded and their decoded symbols;
-* ``write(theta, noise, record, detail)``: records the write frames and
-  returns the pair ``(positions, deltas)`` for what was written.
+* ``write(theta, data, noise, record, detail)``: records the write frames
+  and returns the pair ``(positions, deltas)`` for what was written.
 
 Both pairs are arrays: ``np.intp`` positions, each named once, and symbols
 of :func:`~pruw.field.kernel_dtype`, index for index.
 
-``noise`` is the user's :class:`~pruw.field.CounterNoise` for this
-iteration, one seeded for the query and one for the update; each draw is one
-``symbol`` call under a tag naming its use ("mask", "delta", "update-noise",
-"scores"), so an iteration makes the same few calls whatever L is.
+The root is a :class:`~pruw.field.CounterNoise` on the config seed, or the
+all-zero :class:`~pruw.field.ZeroNoise` when ``disable_noise`` is set; the
+session picks it once and no step below branches on it.  A read's ``noise``
+is the root derived under "query-<i>" for iteration i, and a write's under
+"update-<i>".  A write's ``data`` is the counter source under "update-<i>"
+whatever the root, since the update values ("delta") and top-r's "scores"
+are data, not privacy noise.  Each draw is one ``symbol`` call under a tag
+naming its use ("mask", "update-noise" beside those two), so an iteration
+makes the same few calls whatever L is.
 ``record`` logs and meters one message (one call per kind, database and
 storage block, carrying its symbol count), and both steps may add
 scheme-specific keys to ``detail``.  The remaining members are:
 
 * ``costs()``: the closed-form ``(C_R, C_W)`` the meter must report;
-* ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget;
-* ``perm_setup``: the coordinator's permutation (top-r) or ``None``.
+* ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget.
 
 A position missing from the read or write positions is distortion.
 """
@@ -47,8 +52,8 @@ from fractions import Fraction
 from . import basic, random_sparse as rs, topr, wire
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .field import CounterNoise, is_prime
-from .storage import CoordinatorSetup, draw_model, reconstruct_plain, topr_subpacketization
+from .field import CounterNoise, ZeroNoise, derive_seed, is_prime
+from .storage import draw_model, reconstruct_plain, topr_subpacketization
 
 SCHEMES = {"basic": basic.BasicScheme, "topr": topr.TopRScheme, "random": rs.RandomScheme}
 
@@ -141,15 +146,12 @@ class Session:
         self.cfg = cfg
         self.log = wire.FrameLog()
         self.iteration_index = 0
-        self.coordinator = CoordinatorSetup(master_seed=cfg.seed)
-        self.scheme = SCHEMES[cfg.scheme](cfg, self.coordinator)
-        self.model = draw_model(cfg.m, self.scheme.length, cfg.q, self.coordinator.model_seed)
-        self.scheme.init_storage(self.model, self.coordinator.storage_seed)
+        self.noise = ZeroNoise() if cfg.disable_noise else CounterNoise(cfg.seed)
+        self.scheme = SCHEMES[cfg.scheme](cfg)
+        self.model = draw_model(cfg.m, self.scheme.length, cfg.q, derive_seed(cfg.seed, "model"))
+        self.scheme.init_storage(self.model, self.noise)
         # the model as the writes leave it, updated in plain arithmetic
         self.oracle = self.model.copy()
-
-    def _user_noise(self, label: str) -> CounterNoise:
-        return CounterNoise(self.coordinator.user_seed(label, self.iteration_index))
 
     def run_iteration(self, theta: int | None = None) -> IterationResult:
         """Read, write, then check the decoded symbols and every storage
@@ -168,16 +170,17 @@ class Session:
             ledger.add(self.log.record(*args, **kwargs))
 
         detail: dict = {}
+        i = self.iteration_index
         truth = self.oracle[theta - 1]
-        read_pos, got = scheme.read(theta, self.iteration_index, self._user_noise("query"),
-                                    record, detail)
+        read_pos, got = scheme.read(theta, i, self.noise.derive(f"query-{i}"), record, detail)
         bad = np.flatnonzero(truth[read_pos] != got)
         read_mismatch = None
         if len(bad):
             k = bad[0]
             read_mismatch = {"position": int(read_pos[k]), "expected": int(truth[read_pos[k]]),
                              "got": int(got[k])}
-        write_pos, delta = scheme.write(theta, self._user_noise("update"), record, detail)
+        write_pos, delta = scheme.write(theta, CounterNoise(derive_seed(cfg.seed, f"update-{i}")),
+                                        self.noise.derive(f"update-{i}"), record, detail)
         truth[write_pos] = (truth[write_pos] + delta) % cfg.q  # each position named once
         write_mismatch = None
         for start, real_bits, states in scheme.storage:
@@ -210,11 +213,14 @@ class Session:
 
 
 def run_session(cfg: ExperimentConfig, thetas: list[int] | None = None) -> SessionResult:
+    """Run ``cfg.iterations`` iterations, iteration i at ``thetas[i]`` when
+    ``thetas`` is given (one per iteration) and at ``cfg.theta`` otherwise."""
+    if thetas is None:
+        thetas = [cfg.theta] * cfg.iterations
+    elif len(thetas) != cfg.iterations:
+        raise ConfigError(f"{len(thetas)} thetas given for {cfg.iterations} iterations")
     session = Session(cfg)
-    iterations = []
-    for i in range(cfg.iterations):
-        theta = thetas[i] if thetas else cfg.theta
-        iterations.append(session.run_iteration(theta))
+    iterations = [session.run_iteration(theta) for theta in thetas]
     return SessionResult(config=cfg, iterations=iterations, log=session.log)
 
 

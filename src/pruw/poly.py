@@ -89,7 +89,6 @@ def build_query(
     fs,
     m_count: int,
     noise,
-    disable_noise: bool = False,
     reciprocal: bool = True,
     terms: int = 1,
     selected=None,
@@ -105,20 +104,17 @@ def build_query(
     bits in ``selected`` (1-based; all bits when None).  All masks are one
     ``noise.symbol(q, len(fs) * m_count * terms, "mask", *tag)`` draw, a
     list or an array: bit k's masks are its k-th run of ``m_count * terms``
-    symbols and ``mask_k[i]`` is that run's i-th run of ``m_count``.
-    ``disable_noise`` (debug fixtures only) draws nothing and reveals theta
-    outright.
+    symbols and ``mask_k[i]`` is that run's i-th run of ``m_count``.  A
+    :class:`~pruw.field.ZeroNoise` source makes every mask zero, so the
+    blocks carry the theta entries alone.
     """
     if not 1 <= theta <= m_count:
         raise DomainError(f"submodel index {theta} outside 1..{m_count}")
     q = fp.q
     size = m_count * terms
-    if disable_noise:
-        draws = [0] * (len(fs) * size)
-    else:
-        draws = noise.symbol(q, len(fs) * size, "mask", *tag)
-        if not isinstance(draws, list):
-            draws = draws.tolist()
+    draws = noise.symbol(q, len(fs) * size, "mask", *tag)
+    if not isinstance(draws, list):
+        draws = draws.tolist()
     masks = [draws[lo : lo + size] for lo in range(0, len(draws), size)]
     hits = range(1, len(fs) + 1) if selected is None else selected
     t = theta - 1

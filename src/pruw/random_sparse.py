@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import wire
 from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
-from .field import CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype
+from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_random_sparse
 
@@ -262,21 +262,17 @@ def init_region_states(
     model,
     fp: FieldParams,
     realized: RealizedRegion,
-    seed: int,
-    region_index: int,
-    disable_noise: bool = False,
+    noise,
 ) -> list[DatabaseState]:
     """The region's states over its slice of the ``(M, L)`` model array,
-    zero-padded to the region's storage extent."""
+    zero-padded to the region's storage extent, masked with draws from
+    ``noise``."""
     import numpy as np
 
     spec = realized.spec
     sub = np.zeros((len(model), realized.total_bits), dtype=model.dtype)
     sub[:, : realized.real_bits] = model[:, realized.start : realized.start + realized.real_bits]
-    return init_random_sparse(
-        sub, fp, spec.case, spec.ell_r, spec.ell_w,
-        derive_seed(seed, f"region-{region_index}"), disable_noise,
-    )
+    return init_random_sparse(sub, fp, spec.case, spec.ell_r, spec.ell_w, noise)
 
 
 def read_databases(n: int, case: int) -> list[int]:
@@ -305,7 +301,6 @@ def build_read_queries(
     j_read,
     m_count: int,
     noise,
-    disable_noise: bool = False,
     tag=(),
 ):
     """One-time read queries: queries[t-1][n-1][i][m] over the patterns.
@@ -314,8 +309,7 @@ def build_read_queries(
     pattern t's masks are drawn under (*tag, "read", t)."""
     return [
         build_query(theta, fp, _pattern_fs(fp, t, spec.ell_r, spec.y), m_count, noise,
-                    disable_noise, reciprocal=False, selected=j_read[t - 1],
-                    tag=(*tag, "read", t))
+                    reciprocal=False, selected=j_read[t - 1], tag=(*tag, "read", t))
         for t in range(1, spec.read_patterns + 1)
     ]
 
@@ -327,7 +321,6 @@ def build_write_queries(
     j_write,
     m_count: int,
     noise,
-    disable_noise: bool = False,
     tag=(),
 ):
     """One-time write queries: queries[t-1][n-1][i][m].
@@ -338,7 +331,7 @@ def build_write_queries(
     """
     return [
         build_query(theta, fp, _pattern_fs(fp, t, spec.ell_w, spec.y), m_count, noise,
-                    disable_noise, selected=j_write[t - 1], tag=(*tag, "write", t))
+                    selected=j_write[t - 1], tag=(*tag, "write", t))
         for t in range(1, spec.write_patterns + 1)
     ]
 
@@ -407,7 +400,6 @@ def region_write(
     queries,
     j_write,
     noise,
-    disable_noise: bool = False,
     tag=(),
 ):
     """Apply one write round over the region.
@@ -430,8 +422,7 @@ def region_write(
     skip = (n,) if len(dbs) < n else ()
     subpackets = realized.total_bits // spec.ell_w
     q, dtype = fp.q, kernel_dtype(fp.q)
-    z = (np.zeros(subpackets, dtype) if disable_noise
-         else noise.symbol(q, subpackets, "update-noise", *tag))
+    z = noise.symbol(q, subpackets, "update-noise", *tag)
     alphas = tuple(fp.alpha(db) for db in dbs)
     positions = _jset_positions(realized.total_bits, spec.ell_w, j_write)
     # per subpacket: its J-set deltas, then its noise symbol
@@ -491,9 +482,7 @@ class RandomScheme:
     region, with the bit sets and the one-time queries fixed at set-up for
     the configured theta."""
 
-    perm_setup = None
-
-    def __init__(self, cfg, coordinator):
+    def __init__(self, cfg):
         self.cfg = cfg
         self.plan = optimize_plan(cfg.n, cfg.d_read, cfg.d_write)
         self.budget = (self.plan.d_read, self.plan.d_write)
@@ -511,21 +500,17 @@ class RandomScheme:
         self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.realized), cfg.q)
         self.bit_sets = draw_bit_sets(self.plan, cfg.seed)
         validate_bit_sets(self.plan, self.bit_sets)
-        noise = CounterNoise(coordinator.scheme_seed("one-time-queries"))
-        self.read_queries, self.write_queries = [], []
+
+    def init_storage(self, model, noise) -> None:
+        cfg, storage, queries = self.cfg, noise.derive("storage"), noise.derive("one-time-queries")
+        self.read_queries, self.write_queries, self.storage = [], [], []
         for idx, (reg, sets) in enumerate(zip(self.realized, self.bit_sets)):
             self.read_queries.append(build_read_queries(cfg.theta, self.fp, reg.spec, sets.read,
-                                                        cfg.m, noise, cfg.disable_noise, (idx,)))
+                                                        cfg.m, queries, (idx,)))
             self.write_queries.append(build_write_queries(cfg.theta, self.fp, reg.spec,
-                                                          sets.write, cfg.m, noise,
-                                                          cfg.disable_noise, (idx,)))
-
-    def init_storage(self, model, seed: int) -> None:
-        self.storage = [
-            (reg.start, reg.real_bits,
-             init_region_states(model, self.fp, reg, seed, idx, self.cfg.disable_noise))
-            for idx, reg in enumerate(self.realized)
-        ]
+                                                          sets.write, cfg.m, queries, (idx,)))
+            self.storage.append((reg.start, reg.real_bits, init_region_states(
+                model, self.fp, reg, storage.derive(f"region-{idx}"))))
 
     def read(self, theta, iteration, noise, record, detail):
         import numpy as np
@@ -559,18 +544,18 @@ class RandomScheme:
         ]
         return np.concatenate(positions), np.concatenate(symbols)
 
-    def write(self, theta, noise, record, detail):
+    def write(self, theta, data, noise, record, detail):
         import numpy as np
 
         cfg = self.cfg
-        deltas = noise.symbol(self.fp.q, self.length, "delta")
+        deltas = data.symbol(self.fp.q, self.length, "delta")
         positions = []
         for idx, (reg, (_, _, states), queries, sets) in enumerate(zip(
                 self.realized, self.storage, self.write_queries, self.bit_sets)):
             region = np.zeros(reg.total_bits, dtype=deltas.dtype)
             region[: reg.real_bits] = deltas[reg.start : reg.start + reg.real_bits]
             written, _ = region_write(region, theta, self.fp, reg, states, queries, sets.write,
-                                      noise, cfg.disable_noise, (idx,))
+                                      noise, (idx,))
             for db in write_databases(cfg.n, reg.spec.case):
                 record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
                        reg.total_bits // reg.spec.ell_w)

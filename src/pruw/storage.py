@@ -7,10 +7,13 @@ Each database holds, per subpacket, per bit, per submodel, one masked symbol:
 * random:     ``W / (f_j - alpha_n) + mask(alpha_n)`` on a cyclic f layout.
 
 The mask coefficients are identical across databases (only alpha varies);
-they come from counter-mode noise keyed by the coordinator seed, one stream
-per :data:`DRAW_CHUNK` subpackets tagged (kind, chunk) holding, subpacket
-after subpacket, each one's width * M * noise_terms coefficients, so any
-chunk is reproducible without ever materializing the mask tensors.  Set-up
+they come from the noise source that ``init_basic``, ``init_topr`` and
+``init_random_sparse`` take (a :class:`~pruw.field.CounterNoise`, or the
+all-zero :class:`~pruw.field.ZeroNoise` that stores the model in the
+clear), one stream per :data:`DRAW_CHUNK` subpackets tagged (kind, chunk)
+holding, subpacket after subpacket, each one's width * M * noise_terms
+coefficients, so any chunk is reproducible without ever materializing the
+mask tensors.  Set-up
 draws each chunk's stream once, in one call, so the draw costs the same
 whatever N is, and evaluates it at every alpha_n by the fixed
 (N, noise_terms) power map [alpha_n^i]: one :func:`~pruw.field.mod_einsum`
@@ -35,10 +38,10 @@ one per subpacket.  numpy is imported inside the functions that use it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, IntegrityError
-from .field import CounterNoise, FieldParams, derive_seed, kernel_dtype, mod_einsum
+from .field import CounterNoise, FieldParams, kernel_dtype, mod_einsum
 from .poly import apply_rows, lagrange_interpolate, unit_vectors
 
 KIND_BASIC = "basic"
@@ -131,36 +134,6 @@ class RandomLayout:
         return False
 
 
-@dataclass(frozen=True)
-class CoordinatorSetup:
-    """Seed fan-out for the trusted initialization.
-
-    Every noise stream (storage masks, permutation, fixed bit sets, user
-    streams) derives from the master seed through labelled hashing, so
-    replaying the same master seed reproduces byte-identical initial states.
-    """
-
-    master_seed: int
-
-    @property
-    def model_seed(self) -> int:
-        return derive_seed(self.master_seed, "model")
-
-    @property
-    def storage_seed(self) -> int:
-        return derive_seed(self.master_seed, "storage")
-
-    @property
-    def permutation_seed(self) -> int:
-        return derive_seed(self.master_seed, "perm")
-
-    def user_seed(self, label: str, iteration: int) -> int:
-        return derive_seed(self.master_seed, f"{label}-{iteration}")
-
-    def scheme_seed(self, label: str) -> int:
-        return derive_seed(self.master_seed, label)
-
-
 @dataclass
 class DatabaseState:
     """One database's masked storage for one contiguous storage block.
@@ -177,7 +150,6 @@ class DatabaseState:
     m_count: int
     length: int
     cells: object
-    aux: object = dc_field(default=None, repr=False)
 
     @property
     def subpackets(self) -> int:
@@ -230,10 +202,9 @@ def fold(q: int, rows, qvecs, factors) -> None:
     np.remainder(step, q, out=rows)
 
 
-def _build_states(model, fp: FieldParams, layout, seed: int,
-                  disable_noise: bool) -> list[DatabaseState]:
+def _build_states(model, fp: FieldParams, layout, noise) -> list[DatabaseState]:
     """Every database's cells for the ``(M, length)`` plain model, an array
-    or nested lists of residues."""
+    or nested lists of residues, masked with draws from ``noise``."""
     import numpy as np
 
     q = fp.q
@@ -246,7 +217,6 @@ def _build_states(model, fp: FieldParams, layout, seed: int,
         # zero padding; np.pad would fill object arrays with numpy ints
         pad = np.zeros((m_count, subpackets * width - length), dtype=dtype)
         plain = np.concatenate([plain, pad], axis=1)
-    noise = CounterNoise(seed)
     # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
     w = plain.reshape(m_count, subpackets, width).transpose(1, 2, 0)
     # mask[n, s, j, m] = <z[s, j, m, :], powers[n]>, powers[n] = [alpha_n^i].
@@ -263,13 +233,10 @@ def _build_states(model, fp: FieldParams, layout, seed: int,
     cells = np.empty((len(fp.alphas), subpackets, width, m_count), dtype=dtype)
     for lo in range(0, subpackets, DRAW_CHUNK):
         hi = min(lo + DRAW_CHUNK, subpackets)
-        if disable_noise:
-            mask = np.zeros((len(fp.alphas), hi - lo, width, m_count), dtype=dtype)
-        else:
-            # one stream per chunk, read as z[s, j, m, i]
-            z = noise.symbol(q, (hi - lo) * width * m_count * terms, kind,
-                             lo // DRAW_CHUNK).reshape(hi - lo, width, m_count, terms)
-            mask = mod_einsum(q, "ni,sjmi->nsjm", powers, z)
+        # one stream per chunk, read as z[s, j, m, i]
+        z = noise.symbol(q, (hi - lo) * width * m_count * terms, kind,
+                         lo // DRAW_CHUNK).reshape(hi - lo, width, m_count, terms)
+        mask = mod_einsum(q, "ni,sjmi->nsjm", powers, z)
         # each cell adds one product of residues to a residue before its
         # reduction: at most q^2 - q < 2^63 on int64
         if layout.affine_mask:
@@ -291,11 +258,10 @@ def init_basic(
     t_storage: int,
     t_query: int,
     t_update: int,
-    seed: int,
-    disable_noise: bool = False,
+    noise,
 ) -> list[DatabaseState]:
-    """Build all replicas with shared masks.  ``disable_noise`` is a debug
-    switch for fixtures; it stores the model in the clear."""
+    """Build all replicas with masks drawn from ``noise``, shared across
+    databases."""
     n = fp.n_databases
     if min(t_storage, t_query, t_update) < 1:
         raise ConfigError("all noise-term counts must be >= 1")
@@ -309,7 +275,7 @@ def init_basic(
     if len(fp.fs) < ell:
         raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
     layout = BasicLayout(t_storage=t_storage, t_query=t_query, t_update=t_update, ell=ell)
-    return _build_states(model, fp, layout, seed, disable_noise)
+    return _build_states(model, fp, layout, noise)
 
 
 def topr_subpacketization(n: int, case: int) -> int:
@@ -333,14 +299,13 @@ def init_topr(
     model,
     fp: FieldParams,
     case: int,
-    seed: int,
-    disable_noise: bool = False,
+    noise,
 ) -> list[DatabaseState]:
     ell = topr_subpacketization(fp.n_databases, case)
     if len(fp.fs) < ell:
         raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
     layout = TopRLayout(case=case, ell=ell)
-    return _build_states(model, fp, layout, seed, disable_noise)
+    return _build_states(model, fp, layout, noise)
 
 
 def init_random_sparse(
@@ -349,8 +314,7 @@ def init_random_sparse(
     case: int,
     ell_r: int,
     ell_w: int,
-    seed: int,
-    disable_noise: bool = False,
+    noise,
 ) -> list[DatabaseState]:
     if ell_r < 1 or ell_w < 1:
         raise ConfigError("subpacketizations must be >= 1")
@@ -365,7 +329,7 @@ def init_random_sparse(
     layout = RandomLayout(case=case, ell_r=ell_r, ell_w=ell_w, n_databases=fp.n_databases)
     if len(fp.fs) < layout.y:
         raise ConfigError(f"need {layout.y} bit constants, field params carry {len(fp.fs)}")
-    return _build_states(model, fp, layout, seed, disable_noise)
+    return _build_states(model, fp, layout, noise)
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype
+from .field import CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
 
@@ -207,14 +207,14 @@ def coordinator_setup(
     return PermutationSetup(perm=perm, case=case, ell=ell, fp=fp, noise_seed=seed)
 
 
-def build_query_case1(theta, fp, ell, m_count, noise, disable_noise=False):
+def build_query_case1(theta, fp, ell, m_count, noise):
     """Reciprocal query blocks with a single shared mask vector per bit."""
-    return build_query(theta, fp, fp.fs[:ell], m_count, noise, disable_noise)
+    return build_query(theta, fp, fp.fs[:ell], m_count, noise)
 
 
-def build_query_case2(theta, fp, ell, m_count, noise, disable_noise=False):
+def build_query_case2(theta, fp, ell, m_count, noise):
     """Indicator query blocks masked by (f_k - alpha) times a shared vector."""
-    return build_query(theta, fp, fp.fs[:ell], m_count, noise, disable_noise, reciprocal=False)
+    return build_query(theta, fp, fp.fs[:ell], m_count, noise, reciprocal=False)
 
 
 def _check_states(setup: PermutationSetup, states: list[DatabaseState]) -> TopRLayout:
@@ -308,7 +308,6 @@ def write_sparse(
     states: list[DatabaseState],
     query_blocks,
     noise,
-    disable_noise: bool = False,
 ) -> SparseWriteResult:
     """One sparse write round: select, combine, permute positions, send, and
     let every database fold the un-permuted increments into storage."""
@@ -322,7 +321,7 @@ def write_sparse(
         if len(deltas[s - 1]) != ell:
             raise DomainError(f"expected {ell} updates for subpacket {s}")
     # one noise symbol per chosen subpacket, in ascending true order
-    zs = [0] * len(chosen) if disable_noise else noise.symbol(fp.q, len(chosen), "update-noise")
+    zs = noise.symbol(fp.q, len(chosen), "update-noise")
     inputs = np.array([list(deltas[s - 1]) + [z] for s, z in zip(chosen, zs)],
                       dtype=kernel_dtype(fp.q)).reshape(len(chosen), ell + 1)
     symbols = apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, 1), inputs.T)
@@ -433,7 +432,7 @@ class TopRScheme:
 
     budget = None
 
-    def __init__(self, cfg, coordinator):
+    def __init__(self, cfg):
         self.cfg = cfg
         ell = topr_subpacketization(cfg.n, cfg.case)
         block = 1 if cfg.case == 1 else ell  # reversing-noise rows per subpacket
@@ -448,12 +447,12 @@ class TopRScheme:
         self.length = cfg.p * ell
         self.fp = allocate_eval_points(cfg.n, ell, cfg.q)
         self.perm_setup = coordinator_setup(cfg.p, ell, cfg.case, self.fp,
-                                            coordinator.permutation_seed, perm=cfg.perm)
+                                            derive_seed(cfg.seed, "perm"), perm=cfg.perm)
         self.clog = position_symbols(cfg.p, cfg.position_base or cfg.q)
         self.last_write_positions: list[int] = []
 
-    def init_storage(self, model, seed: int) -> None:
-        self.states = init_topr(model, self.fp, self.cfg.case, seed, self.cfg.disable_noise)
+    def init_storage(self, model, noise) -> None:
+        self.states = init_topr(model, self.fp, self.cfg.case, noise.derive("storage"))
         self.storage = [(0, self.length, self.states)]
 
     def read(self, theta, iteration, noise, record, detail):
@@ -467,7 +466,7 @@ class TopRScheme:
         else:
             v_tilde = list(range(1, round_half_up(Fraction(cfg.r_prime) * cfg.p) + 1))
         build = build_query_case1 if cfg.case == 1 else build_query_case2
-        self.query = build(theta, self.fp, setup.ell, cfg.m, noise, cfg.disable_noise)
+        self.query = build(theta, self.fp, setup.ell, cfg.m, noise)
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
         record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
@@ -479,14 +478,14 @@ class TopRScheme:
         detail["v_true"] = true.tolist()
         return _bit_positions(true, setup.ell), bits.reshape(-1)
 
-    def write(self, theta, noise, record, detail):
+    def write(self, theta, data, noise, record, detail):
         import numpy as np
 
         cfg, setup = self.cfg, self.perm_setup
-        scores = cfg.scores if cfg.scores is not None else noise.symbol(1 << 30, cfg.p, "scores")
-        deltas = noise.symbol(self.fp.q, cfg.p * setup.ell, "delta").reshape(cfg.p, setup.ell)
+        scores = cfg.scores if cfg.scores is not None else data.symbol(1 << 30, cfg.p, "scores")
+        deltas = data.symbol(self.fp.q, cfg.p * setup.ell, "delta").reshape(cfg.p, setup.ell)
         result = write_sparse(deltas, scores, Fraction(cfg.r), theta, setup, self.states,
-                              self.query, noise, cfg.disable_noise)
+                              self.query, noise)
         count = len(result.positions)
         if count:
             for n in range(1, cfg.n + 1):

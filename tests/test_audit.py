@@ -44,7 +44,7 @@ class TestQueryAudit:
         # M-1 uniform coordinates and a last one that makes the sum theta:
         # every marginal and every pair is uniform, the joint law reveals theta
         def make_sampler(scheme, q, m_count, case=1):
-            def sample(theta, rng, disable_noise):
+            def sample(theta, rng):
                 coords = rng.symbol(q, m_count - 1, "mask")
                 return coords + [(theta - sum(coords)) % q]
             return sample

@@ -8,7 +8,7 @@ import pytest
 
 from pruw import basic
 from pruw.errors import ConfigError, DomainError
-from pruw.field import CounterNoise, allocate_eval_points
+from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points
 from pruw.poly import lagrange_interpolate, poly_degree
 from pruw.storage import draw_model, init_basic, reconstruct_plain
 
@@ -27,7 +27,7 @@ def build_session(n, q, m_count=2, length=None, seed=0):
     fp = allocate_eval_points(n, params.ell, q)
     model = draw_model(m_count, length, q, seed)
     states = init_basic(model, fp, params.t_storage, params.t_query, params.t_update,
-                        seed=seed + 1)
+                        CounterNoise(seed + 1))
     return params, fp, model, states
 
 
@@ -56,7 +56,7 @@ class TestParams:
 class TestReadQuery:
     def test_debug_mode_shape(self):
         params, fp, model, _ = build_session(4, 11, m_count=1)
-        q = basic.build_read_query(1, params, fp, 1, CounterNoise(0), disable_noise=True)
+        q = basic.build_read_query(1, params, fp, 1, ZeroNoise())
         for n in range(1, 5):
             inv = fp.field.inv(fp.fs[0] - fp.alpha(n))
             assert q.block(n) == [[inv]]
@@ -87,8 +87,8 @@ class TestReadRoundTrip:
         params = basic.optimal_params(n)
         fp = allocate_eval_points(n, params.ell, q)
         model = draw_model(1, 2, q, 3)
-        states = init_basic(model, fp, 2, 1, 1, seed=0, disable_noise=True)
-        query = basic.build_read_query(1, params, fp, 1, CounterNoise(0), disable_noise=True)
+        states = init_basic(model, fp, 2, 1, 1, ZeroNoise())
+        query = basic.build_read_query(1, params, fp, 1, ZeroNoise())
         for st in states:
             a = basic.answer_read(st, query, 0)
             inv = fp.field.inv(fp.fs[0] - fp.alpha(st.db_index))
@@ -122,8 +122,7 @@ class TestWriteRound:
         params, fp, model, states = build_session(4, 11)
         query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
         deltas = [[0] * params.ell for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, 1, params, fp, query, states, CounterNoise(1),
-                          disable_noise=True)
+        basic.write_round(deltas, 1, params, fp, query, states, ZeroNoise())
         assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_write_matches_oracle(self):

@@ -34,6 +34,16 @@ CONFIGS = {
         "scheme=random\nn=10\nm=2\nl=50\nq=127\nd_read=1/3\nd_write=1/5\nseed=3\niterations=2\n"
     ),
 }
+# noise off: the same protocol with every privacy-noise symbol zero.  The
+# noise never reaches the outputs, so these differ from their noise-on
+# configs only in config.disable_noise; a data draw zeroed by mistake (the
+# deltas, top-r's scores) would change them.
+NOISE_OFF = {
+    "basic-noise-off": "basic-skip-set",
+    "topr-case2-noise-off": "topr-case2-3-iterations",
+    "random-noise-off": "random-odd-case1",
+}
+CONFIGS.update({name: CONFIGS[base] + "disable_noise=true\n" for name, base in NOISE_OFF.items()})
 
 # name -> (sha256 of result_json(), sha256 of trace())
 RUN_DIGESTS = {
@@ -65,6 +75,18 @@ RUN_DIGESTS = {
         "f61f224b049fa198bafca4e0b1f6488c62859cb9e777153ac9f7d062e0a0778e",
         "ce22bd7e0eb071c8dc6451ed18fd8d3ad14dd1ee3d9b680c0a8df167130cd93e",
     ),
+    "basic-noise-off": (
+        "9df83b36965bab70e32894af7b136bfa17cad99411aab9359f5ca3a7271681f4",
+        "b7b63f6a6b551c8f8b4a48167f7e6200d3866a87ad8b318a6c51e795f1150327",
+    ),
+    "topr-case2-noise-off": (
+        "c8103cf7b2b56ec87add16fbc3add19897f669222340a4e1f0cd3eef62d1fd36",
+        "4e55ef60658e4d8db8f87c5bc0f50a26cdd14afed6b1b24309d1fa5561e98648",
+    ),
+    "random-noise-off": (
+        "88e8aca109bc4d2572db600aeb204f84b55e4eea198bac4515bd4fc6c4db3548",
+        "68afb4881d4a70ae891648b7cd42f126fe3a7190ad1d12e309ebc9c6ff311120",
+    ),
 }
 
 def _sha(data: bytes) -> str:
@@ -76,6 +98,13 @@ def test_run_digests(name):
     res = run_session(parse_config_text(CONFIGS[name]))
     got = (_sha(res.result_json().encode()), _sha(res.trace().encode()))
     assert got == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_OFF))
+def test_noise_off_iterations_match_noise_on(name):
+    off = run_session(parse_config_text(CONFIGS[name])).as_dict()
+    on = run_session(parse_config_text(CONFIGS[NOISE_OFF[name]])).as_dict()
+    assert off["iterations"] == on["iterations"]
 
 
 def test_overrun_verdict_fails():

@@ -11,8 +11,8 @@ from pruw.config import ExperimentConfig, parse_config_text
 from pruw.errors import ConfigError
 from pruw.field import kernel_dtype
 from pruw.harness import CostRow, Session, aligned_length, run_session, verify_costs
+from pruw import harness, topr
 from pruw import random_sparse as rs
-from pruw import topr
 
 
 class TestBasicIteration:
@@ -43,6 +43,17 @@ class TestBasicIteration:
         res = run_session(cfg, thetas=[1, 3, 2])
         assert [it.theta for it in res.iterations] == [1, 3, 2]
         assert res.verdict
+
+    @pytest.mark.parametrize("thetas", [[1, 2], [1, 2, 1, 2]], ids=["short", "long"])
+    def test_thetas_must_match_iterations(self, thetas, monkeypatch):
+        # one theta per iteration, checked before any set-up work
+        def refuse(cfg):
+            raise AssertionError("a session was built for mismatched thetas")
+
+        monkeypatch.setattr(harness, "Session", refuse)
+        cfg = ExperimentConfig(scheme="basic", n=4, m=2, l=4, q=11, iterations=3)
+        with pytest.raises(ConfigError, match=f"^{len(thetas)} thetas given for 3 iterations$"):
+            run_session(cfg, thetas=thetas)
 
     def test_skip_set_reported_for_odd_n(self):
         cfg = ExperimentConfig(scheme="basic", n=5, m=2, l=4, q=127, seed=2)

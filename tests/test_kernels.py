@@ -95,7 +95,7 @@ class TestAllMaxResidues:
         fp = allocate_eval_points(6, params.ell, q)
         length = S * params.ell
         states = init_basic(np.zeros((M, length), dtype=kernel_dtype(q)), fp, params.t_storage,
-                            params.t_query, params.t_update, seed=1)
+                            params.t_query, params.t_update, CounterNoise(1))
         for st in states:
             st.cells[...] = q - 1
         want = np.zeros((M, length), dtype=kernel_dtype(q))
@@ -113,7 +113,8 @@ class TestAllMaxResidues:
 def test_region_without_subpackets(q):
     # a realized region can cover no positions at all
     fp = allocate_eval_points(6, 3, q)
-    states = init_random_sparse(np.zeros((2, 0), dtype=kernel_dtype(q)), fp, 1, 2, 3, seed=1)
+    states = init_random_sparse(np.zeros((2, 0), dtype=kernel_dtype(q)), fp, 1, 2, 3,
+                                CounterNoise(1))
     assert [st.cells.shape for st in states] == [(0, 3, 2)] * 6
     assert states[0].cells.dtype == kernel_dtype(q)
     assert reconstruct_plain(states).shape == (2, 0)
@@ -265,10 +266,11 @@ def layouts(seed):
     fp10 = allocate_eval_points(10, 3, Q64)
     for m_count in (1, 3):
         model = draw_model(m_count, 3 * 4 + 1, Q64, seed)
-        yield init_basic(model, fp, 3, 1, 1, seed)
-        yield init_topr(draw_model(m_count, 3 * 4, Q64, seed + 1), fp10, 2, seed)
-        yield init_random_sparse(model, fp, 1, 2, 3, seed)
-    yield init_random_sparse(np.zeros((2, 0), dtype=kernel_dtype(Q64)), fp, 1, 2, 3, seed)
+        yield init_basic(model, fp, 3, 1, 1, CounterNoise(seed))
+        yield init_topr(draw_model(m_count, 3 * 4, Q64, seed + 1), fp10, 2, CounterNoise(seed))
+        yield init_random_sparse(model, fp, 1, 2, 3, CounterNoise(seed))
+    yield init_random_sparse(np.zeros((2, 0), dtype=kernel_dtype(Q64)), fp, 1, 2, 3,
+                             CounterNoise(seed))
 
 
 @pytest.mark.parametrize("seed", range(3))

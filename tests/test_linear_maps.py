@@ -88,11 +88,11 @@ def storage_shapes(draw):
     fp = allocate_eval_points(n, width, q)
     model = draw_model(m_count, length, q, seed)
     if scheme == "basic":
-        states = init_basic(model, fp, t_storage, 1, 1, seed)
+        states = init_basic(model, fp, t_storage, 1, 1, CounterNoise(seed))
     elif scheme == "random":
-        states = init_random_sparse(model, fp, case, ell_r, ell_w, seed)
+        states = init_random_sparse(model, fp, case, ell_r, ell_w, CounterNoise(seed))
     else:
-        states = init_topr(model, fp, int(scheme[-1]), seed)
+        states = init_topr(model, fp, int(scheme[-1]), CounterNoise(seed))
     return states, random.Random(seed)
 
 
@@ -173,7 +173,7 @@ class TestDecoderMaps:
         length = 2 * spec.period
         model = draw_model(2, length, 127, seed)
         realized = rs.realize_regions(plan, length)[0]
-        states = rs.init_region_states(model, fp, realized, seed, 0)
+        states = rs.init_region_states(model, fp, realized, noise)
         j_read = rs.draw_bit_sets(plan, seed)[0].read
         queries = rs.build_read_queries(1, fp, spec, j_read, 2, noise)
         positions, values = rs.region_read(fp, realized, states, queries, j_read)

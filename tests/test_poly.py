@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pruw.errors import DomainError
-from pruw.field import CounterNoise, PrimeField, allocate_eval_points
+from pruw.field import CounterNoise, PrimeField, ZeroNoise, allocate_eval_points
 from pruw.poly import (
     DecodeSystem,
     build_query,
@@ -138,12 +138,14 @@ class TestBuildQuery:
                         want = (hit + (f - alpha) * mask) % 31
                     assert blocks[n][k][m] == want
 
-    def test_disable_noise_draws_nothing(self, monkeypatch):
+    def test_zero_noise_gives_bare_query(self):
+        # the noise-off source zeroes every mask: only the theta entries,
+        # 1/(f_k - alpha_n) in the reciprocal form and 1 in the indicator form
         fp = allocate_eval_points(3, 2, 31)
-        calls = []
-        monkeypatch.setattr(CounterNoise, "symbol", lambda self, *args: calls.append(args))
-        build_query(1, fp, fp.fs, 2, CounterNoise(5), disable_noise=True, terms=2)
-        assert calls == []
+        for reciprocal in (True, False):
+            blocks = build_query(2, fp, fp.fs, 3, ZeroNoise(), reciprocal=reciprocal, terms=2)
+            assert blocks == [[[0, fp.field.inv(f - alpha) if reciprocal else 1, 0]
+                               for f in fp.fs] for alpha in fp.alphas]
 
     def test_theta_out_of_range(self):
         fp = allocate_eval_points(3, 2, 31)

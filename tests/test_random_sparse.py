@@ -18,7 +18,7 @@ def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
     fp = allocate_eval_points(n, spec.y, q)
     model = draw_model(m_count, length, q, seed)
     realized = rs.realize_regions(plan, length)[0]
-    states = rs.init_region_states(model, fp, realized, seed + 1, 0)
+    states = rs.init_region_states(model, fp, realized, CounterNoise(seed + 1))
     sets = rs.draw_bit_sets(plan, seed + 2)[0]
     return plan, spec, fp, model, realized, states, sets
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pruw.config import ExperimentConfig
-from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
+from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.harness import Session
 from pruw.storage import (
     DRAW_CHUNK,
@@ -66,17 +66,17 @@ N = 30
 WIDTHS = {"basic": 14, "topr-1": 7, "topr-2": 13, "random-1": 3, "random-2": 3}
 
 
-def init_layout(layout, model, q, disable_noise):
+def init_layout(layout, model, q, noise):
     kind, _, case = layout.partition("-")
     if kind == "basic":
         fp = allocate_eval_points(N, 14, q)
-        return init_basic(model, fp, 15, 1, 1, 5, disable_noise)
+        return init_basic(model, fp, 15, 1, 1, noise)
     if kind == "topr":
         fp = allocate_eval_points(N, topr_subpacketization(N, int(case)), q)
-        return init_topr(model, fp, int(case), 5, disable_noise)
+        return init_topr(model, fp, int(case), noise)
     ell_r, ell_w = (2, 3) if case == "1" else (3, 2)
     fp = allocate_eval_points(N, 3, q)
-    return init_random_sparse(model, fp, int(case), ell_r, ell_w, 5, disable_noise)
+    return init_random_sparse(model, fp, int(case), ell_r, ell_w, noise)
 
 
 class TestSetupKernelWorstCase:
@@ -96,7 +96,7 @@ class TestSetupKernelWorstCase:
         # more subpackets than one draw chunk, and a padded tail
         m_count, length = 2, (DRAW_CHUNK + 1) * WIDTHS[layout] + 1
         model = [[q - 1] * length for _ in range(m_count)]
-        states = init_layout(layout, model, q, noise == "off")
+        states = init_layout(layout, model, q, ZeroNoise() if noise == "off" else CounterNoise(5))
         lay, fp = states[0].layout, states[0].fp
         for st in states:
             alpha = fp.alphas[st.db_index - 1]

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pruw import storage
 from pruw.errors import ConfigError, IntegrityError
-from pruw.field import CounterNoise, PrimeField, allocate_eval_points, kernel_dtype
+from pruw.field import CounterNoise, PrimeField, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.storage import (
     DRAW_CHUNK,
     draw_model,
@@ -42,10 +41,10 @@ def subpacket_stream(noise, q, layout, m_count, s):
     return chunk[k * count :]
 
 
-def reference_cells(model, fp, layout, seed, disable_noise):
+def reference_cells(model, fp, layout, seed, noise_off):
     """Every database's cells, one cell at a time from the layout's formula:
     W + (f_j - alpha) * mask on the affine layouts, W / (f_j - alpha) + mask
-    on the random one."""
+    on the random one; with the noise off, W or W / (f_j - alpha)."""
     q, width, (m_count, length), values = fp.q, layout.width, model.shape, model.tolist()
     noise = CounterNoise(seed)
     subpackets = -(-length // width)
@@ -60,7 +59,7 @@ def reference_cells(model, fp, layout, seed, disable_noise):
                 col = []
                 for m in range(m_count):
                     w = values[m][pos] if pos < length else 0
-                    mask = 0 if disable_noise else mask_value(
+                    mask = 0 if noise_off else mask_value(
                         streams[s], q, j, m, m_count, layout.noise_terms, alpha)
                     if layout.affine_mask:
                         col.append((w + (f_j - alpha) * mask) % q)
@@ -72,21 +71,21 @@ def reference_cells(model, fp, layout, seed, disable_noise):
     return out
 
 
-def init_layout(layout, model, n, q, ells, seed, disable_noise=False):
-    """States of one layout ("basic", "topr-<case>", "random-<case>"); raises
-    ConfigError where N or q admits none."""
+def init_layout(layout, model, n, q, ells, noise):
+    """States of one layout ("basic", "topr-<case>", "random-<case>") masked
+    from the source ``noise``; raises ConfigError where N or q admits none."""
     kind, _, case = layout.partition("-")
     lo, hi = sorted(ells)
     if kind == "basic":
         t_storage = (n + 1) // 2
         fp = allocate_eval_points(n, n - t_storage - 1, q)
-        return init_basic(model, fp, t_storage, 1, 1, seed, disable_noise)
+        return init_basic(model, fp, t_storage, 1, 1, noise)
     if kind == "topr":
         fp = allocate_eval_points(n, topr_subpacketization(n, int(case)), q)
-        return init_topr(model, fp, int(case), seed, disable_noise)
+        return init_topr(model, fp, int(case), noise)
     ell_r, ell_w = (lo, hi) if case == "1" else (hi, lo)
     fp = allocate_eval_points(n, hi, q)
-    return init_random_sparse(model, fp, int(case), ell_r, ell_w, seed, disable_noise)
+    return init_random_sparse(model, fp, int(case), ell_r, ell_w, noise)
 
 
 LAYOUTS = ("basic", "topr-1", "topr-2", "random-1", "random-2")
@@ -95,7 +94,7 @@ LAYOUTS = ("basic", "topr-1", "topr-2", "random-1", "random-2")
 def small_basic(q=11, n=4, m=2, length=6, seed=5):
     fp = allocate_eval_points(n, 1, q)
     model = draw_model(m, length, q, 0)
-    states = init_basic(model, fp, 2, 1, 1, seed)
+    states = init_basic(model, fp, 2, 1, 1, CounterNoise(seed))
     return fp, model, states
 
 
@@ -108,14 +107,14 @@ class TestInitBasic:
     def test_constraint_examples(self):
         fp = allocate_eval_points(4, 1, 127)
         model = draw_model(1, 4, 127, 0)
-        init_basic(model, fp, 2, 1, 1, 0)  # N=4 optimal: ell=1
+        init_basic(model, fp, 2, 1, 1, CounterNoise(0))  # N=4 optimal: ell=1
         with pytest.raises(ConfigError):
-            init_basic(model, fp, 1, 1, 1, 0)  # below the privacy floor
+            init_basic(model, fp, 1, 1, 1, CounterNoise(0))  # below the privacy floor
 
     def test_ten_databases(self):
         fp = allocate_eval_points(10, 4, 127)
         model = draw_model(1, 8, 127, 0)
-        states = init_basic(model, fp, 5, 1, 1, 0)
+        states = init_basic(model, fp, 5, 1, 1, CounterNoise(0))
         assert states[0].layout.ell == 4
 
     def test_cells_match_formula(self):
@@ -153,7 +152,7 @@ class TestRoundTrips:
     def test_basic_padding(self):
         fp = allocate_eval_points(6, 2, 127)
         model = draw_model(2, 7, 127, 2)  # pads to 8
-        states = init_basic(model, fp, 3, 1, 1, 9)
+        states = init_basic(model, fp, 3, 1, 1, CounterNoise(9))
         assert states[0].padded_length == 8
         assert np.array_equal(reconstruct_plain(states), model)
 
@@ -161,17 +160,17 @@ class TestRoundTrips:
         for case, ell in ((1, 2), (2, 3)):
             fp = allocate_eval_points(10, ell, 127)
             model = draw_model(2, 5 * ell, 127, 3)
-            states = init_topr(model, fp, case, 4)
+            states = init_topr(model, fp, case, CounterNoise(4))
             assert states[0].layout.ell == ell
             assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_sparse_cases(self):
         fp = allocate_eval_points(6, 8, 127)
         model = draw_model(2, 24, 127, 4)
-        states = init_random_sparse(model, fp, 1, 6, 8, 11)
+        states = init_random_sparse(model, fp, 1, 6, 8, CounterNoise(11))
         assert np.array_equal(reconstruct_plain(states), model)
         fp2 = allocate_eval_points(10, 6, 127)
-        states2 = init_random_sparse(model, fp2, 2, 6, 4, 11)
+        states2 = init_random_sparse(model, fp2, 2, 6, 4, CounterNoise(11))
         assert np.array_equal(reconstruct_plain(states2), model)
 
     def test_tamper_detected(self):
@@ -183,7 +182,7 @@ class TestRoundTrips:
     def test_padding_cell_named(self):
         fp = allocate_eval_points(6, 2, 127)
         model = draw_model(2, 7, 127, 2)  # position 7 is padding
-        states = init_basic(model, fp, 3, 1, 1, 9)
+        states = init_basic(model, fp, 3, 1, 1, CounterNoise(9))
         # the same step in every replica keeps the cell consistent, so only
         # the padding check sees it
         for st in states:
@@ -195,7 +194,7 @@ class TestRoundTrips:
     def test_decoded_model_is_an_array_with_list_values(self):
         fp = allocate_eval_points(6, 2, 127)
         model = draw_model(2, 7, 127, 2)
-        rec = reconstruct_plain(init_basic(model, fp, 3, 1, 1, 9))
+        rec = reconstruct_plain(init_basic(model, fp, 3, 1, 1, CounterNoise(9)))
         assert rec.shape == (2, 7) and rec.dtype == kernel_dtype(127)
         assert rec.tolist() == model.tolist() and type(rec.tolist()[0][0]) is int
 
@@ -208,7 +207,7 @@ class TestRoundTrips:
         ell = n - t1 - 1
         fp = allocate_eval_points(n, ell, 127)
         model = draw_model(rng.randint(1, 3), rng.randint(1, 12), 127, seed)
-        states = init_basic(model, fp, t1, 1, 1, seed)
+        states = init_basic(model, fp, t1, 1, 1, CounterNoise(seed))
         assert np.array_equal(reconstruct_plain(states), model)
 
 
@@ -230,8 +229,8 @@ class TestTopRShape:
     def test_noise_degree_by_case(self):
         fp = allocate_eval_points(10, 3, 127)
         model = draw_model(1, 6, 127, 0)
-        s1 = init_topr(model, allocate_eval_points(10, 2, 127), 1, 0)
-        s2 = init_topr(model, fp, 2, 0)
+        s1 = init_topr(model, allocate_eval_points(10, 2, 127), 1, CounterNoise(0))
+        s2 = init_topr(model, fp, 2, CounterNoise(0))
         assert s1[0].layout.mask_degree == 4  # 2 * ell
         assert s2[0].layout.mask_degree == 4  # ell + 1
 
@@ -241,21 +240,21 @@ class TestRandomSparseInit:
         fp = allocate_eval_points(6, 8, 127)
         model = draw_model(1, 24, 127, 0)
         with pytest.raises(ConfigError):
-            init_random_sparse(model, fp, 1, 8, 6, 0)  # case 1 needs ell_w > ell_r
+            init_random_sparse(model, fp, 1, 8, 6, CounterNoise(0))  # case 1 needs ell_w > ell_r
         with pytest.raises(ConfigError):
-            init_random_sparse(model, fp, 2, 6, 8, 0)  # case 2 needs ell_r >= ell_w
+            init_random_sparse(model, fp, 2, 6, 8, CounterNoise(0))  # case 2 needs ell_r >= ell_w
 
     def test_tie_is_case_2(self):
         fp = allocate_eval_points(10, 4, 127)
         model = draw_model(1, 8, 127, 0)
-        states = init_random_sparse(model, fp, 2, 4, 4, 0)
+        states = init_random_sparse(model, fp, 2, 4, 4, CounterNoise(0))
         assert states[0].layout.y == 4
 
     def test_noise_terms_by_parity(self):
         fp = allocate_eval_points(11, 6, 127)
         model = draw_model(1, 12, 127, 0)
-        s1 = init_random_sparse(model, fp, 1, 4, 6, 0)
-        s2 = init_random_sparse(model, fp, 2, 6, 4, 0)
+        s1 = init_random_sparse(model, fp, 1, 4, 6, CounterNoise(0))
+        s2 = init_random_sparse(model, fp, 2, 6, 4, CounterNoise(0))
         assert s1[0].layout.noise_terms == 5  # floor(11/2)
         assert s2[0].layout.noise_terms == 6  # ceil(11/2)
 
@@ -264,7 +263,7 @@ class TestCellDistributions:
     """Security surrogate: masked cells are uniform and model-independent."""
 
     @pytest.fixture
-    def laws(self, monkeypatch):
+    def laws(self):
         """Exact law of every database's cell for w=0 and w=5: N=4 basic keeps
         2 mask coefficients per cell, so all 7^2 streams of the one subpacket
         run through the real init."""
@@ -285,8 +284,7 @@ class TestCellDistributions:
         for w in (0, 5):
             laws[w] = [Counter() for _ in range(4)]
             for draws in itertools.product(range(q), repeat=2):
-                monkeypatch.setattr(storage, "CounterNoise", lambda seed, d=draws: Playback(d))
-                states = init_basic([[w]], fp, 2, 1, 1, 0)
+                states = init_basic([[w]], fp, 2, 1, 1, Playback(draws))
                 for law, st_ in zip(laws[w], states):
                     law[st_.cells[0][0][0]] += 1
         return q, laws
@@ -333,7 +331,7 @@ class TestSharedDraw:
         # two full chunks and a partial one
         model = draw_model(2, (2 * DRAW_CHUNK + 3) * 4, 127, 1)
         streams.clear()
-        states = init_layout(layout, model, n, 127, (3, 4), seed=6)
+        states = init_layout(layout, model, n, 127, (3, 4), CounterNoise(6))
         lay, subpackets = states[0].layout, states[0].subpackets
         per_subpacket = lay.width * 2 * lay.noise_terms
         assert subpackets > 2 * DRAW_CHUNK
@@ -353,23 +351,24 @@ class TestSharedDraw:
         length=st.integers(min_value=1, max_value=13),
         ells=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
-        disable_noise=st.booleans(),
+        noise_off=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
     @example(layout="basic", n=5, q=3_037_000_493, m=2, length=7, ells=(1, 2), seed=1,
-             disable_noise=False)
+             noise_off=False)
     @example(layout="topr-2", n=8, q=3_037_000_507, m=2, length=7, ells=(1, 2), seed=2,
-             disable_noise=False)
+             noise_off=False)
     @example(layout="random-1", n=7, q=2**64 + 13, m=2, length=7, ells=(2, 3), seed=3,
-             disable_noise=False)
+             noise_off=False)
     # more subpackets than two draw chunks, with a padded tail
     @example(layout="topr-1", n=6, q=127, m=1, length=2 * DRAW_CHUNK + 5, ells=(1, 1), seed=4,
-             disable_noise=False)
-    def test_cells_match_reference(self, layout, n, q, m, length, ells, seed, disable_noise):
+             noise_off=False)
+    def test_cells_match_reference(self, layout, n, q, m, length, ells, seed, noise_off):
         model = draw_model(m, length, q, seed)
+        noise = ZeroNoise() if noise_off else CounterNoise(seed)
         try:
-            states = init_layout(layout, model, n, q, ells, seed, disable_noise)
+            states = init_layout(layout, model, n, q, ells, noise)
         except ConfigError:
             assume(False)
-        expected = reference_cells(model, states[0].fp, states[0].layout, seed, disable_noise)
+        expected = reference_cells(model, states[0].fp, states[0].layout, seed, noise_off)
         assert [st_.cells.tolist() for st_ in states] == expected

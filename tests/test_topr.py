@@ -24,7 +24,7 @@ def build_session(case, n=10, p=5, m_count=3, q=127, seed=0, perm=PERM_FIXTURE):
     ell = topr_subpacketization(n, case)
     fp = allocate_eval_points(n, ell, q)
     model = draw_model(m_count, p * ell, q, seed)
-    states = init_topr(model, fp, case, seed + 1)
+    states = init_topr(model, fp, case, CounterNoise(seed + 1))
     setup = topr.coordinator_setup(p, ell, case, fp, seed + 2, perm=perm)
     return fp, model, states, setup
 
@@ -51,10 +51,10 @@ def reference_reversing(setup, n):
     return mat
 
 
-def build_query(case, theta, fp, ell, m_count, noise, disable_noise=False):
+def build_query(case, theta, fp, ell, m_count, noise):
     if case == 1:
-        return topr.build_query_case1(theta, fp, ell, m_count, noise, disable_noise)
-    return topr.build_query_case2(theta, fp, ell, m_count, noise, disable_noise)
+        return topr.build_query_case1(theta, fp, ell, m_count, noise)
+    return topr.build_query_case2(theta, fp, ell, m_count, noise)
 
 
 class TestCoordinatorSetup:
