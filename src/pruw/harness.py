@@ -214,11 +214,15 @@ class Session:
 
 def run_session(cfg: ExperimentConfig, thetas: list[int] | None = None) -> SessionResult:
     """Run ``cfg.iterations`` iterations, iteration i at ``thetas[i]`` when
-    ``thetas`` is given (one per iteration) and at ``cfg.theta`` otherwise."""
+    ``thetas`` is given (one per iteration) and at ``cfg.theta`` otherwise.
+    A random session's one-time queries are built for ``cfg.theta``, so any
+    other theta there is refused before the session is built."""
     if thetas is None:
         thetas = [cfg.theta] * cfg.iterations
     elif len(thetas) != cfg.iterations:
         raise ConfigError(f"{len(thetas)} thetas given for {cfg.iterations} iterations")
+    elif cfg.scheme == "random" and any(theta != cfg.theta for theta in thetas):
+        raise ConfigError("the one-time queries pin theta for the whole session")
     session = Session(cfg)
     iterations = [session.run_iteration(theta) for theta in thetas]
     return SessionResult(config=cfg, iterations=iterations, log=session.log)

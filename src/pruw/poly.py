@@ -17,15 +17,16 @@ Every step after the answers is a fixed linear map of the evaluation
 constants, built once per field and shape from plain-int code and applied
 to all subpackets at once by :func:`apply_rows`: the user's combined update
 (:func:`combine_map`, from :func:`combine_update` on unit vectors), the
-decoder's inverse (:func:`decode_inverse`, from :func:`solve_decode` on
-unit right-hand sides) and the storage oracle's map (from
-:func:`lagrange_interpolate` on unit vectors, once per field).  The
-application splits the map into 16-bit limbs and sums the products
-unreduced, reducing each output once (:func:`~pruw.field.mod_einsum`), so it
-is exact on int64 without reducing every product.  Verification deliberately
-keeps two independent code paths: the residual checks and the oracle
-interpolate in Lagrange form, the decoder runs Gaussian elimination, so a
-shared bug cannot vouch for itself; only the application is shared.
+decoder's inverse (:func:`decode_inverse`, one Gauss-Jordan pass over the
+augmented system ``[A | I]``, O(N^3)) and the storage oracle's map (the
+:func:`lagrange_basis`, from one master polynomial in O(N^2), once per
+field).  The application splits the map into 16-bit limbs and sums the
+products unreduced, reducing each output once
+(:func:`~pruw.field.mod_einsum`), so it is exact on int64 without reducing
+every product.  Verification deliberately keeps two independent code
+paths: the residual checks and the oracle interpolate in Lagrange form, the
+decoder runs Gaussian elimination, so a shared bug cannot vouch for itself;
+only the application is shared.
 Everything but :func:`apply_rows` runs on plain ints without numpy.
 """
 
@@ -136,31 +137,45 @@ def build_query(
     return blocks
 
 
-def lagrange_interpolate(field: PrimeField, xs, ys) -> list[int]:
-    """Coefficients (ascending powers) of the unique poly through the points."""
-    if len(xs) != len(ys):
-        raise DomainError("point count mismatch")
+def lagrange_basis(field: PrimeField, xs) -> list[list[int]]:
+    """Coefficients (ascending powers) of every Lagrange basis polynomial over
+    the nodes: row i is ``prod_{j != i} (x - x_j) / (x_i - x_j)``.
+
+    The master polynomial ``prod_j (x - x_j)`` is formed once; basis i is its
+    quotient by ``(x - x_i)`` (synthetic division) scaled by one inverse, so
+    the whole basis is O(N^2) with N inversions (Berrut & Trefethen,
+    "Barycentric Lagrange Interpolation", SIAM Review 2004).
+    """
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation nodes must be distinct")
     q = field.q
     n = len(xs)
-    coeffs = [0] * n
-    for i in range(n):
-        # basis_i(x) = prod_{j != i} (x - x_j) / (x_i - x_j)
-        basis = [1]
-        denom = 1
-        for j in range(n):
-            if j == i:
-                continue
-            new = [0] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] = (new[k] - c * xs[j]) % q
-                new[k + 1] = (new[k + 1] + c) % q
-            basis = new
-            denom = denom * (xs[i] - xs[j]) % q
-        scale = ys[i] * field.inv(denom) % q
-        for k, c in enumerate(basis):
-            coeffs[k] = (coeffs[k] + scale * c) % q
+    master = [1]
+    for x in xs:
+        # times (x - x_j): the shifted coefficients minus x_j times the old
+        master = [(up - x * c) % q for up, c in zip([0] + master, master + [0])]
+    basis = []
+    for xi in xs:
+        quot = [0] * n
+        carry = 0
+        for k in range(n, 0, -1):
+            carry = (master[k] + carry * xi) % q
+            quot[k - 1] = carry
+        # the quotient at x_i is prod_{j != i} (x_i - x_j)
+        scale = field.inv(field.poly_eval(quot, xi))
+        basis.append([c * scale % q for c in quot])
+    return basis
+
+
+def lagrange_interpolate(field: PrimeField, xs, ys) -> list[int]:
+    """Coefficients (ascending powers) of the unique poly through the points:
+    ``sum_i ys[i] * basis_i`` over the :func:`lagrange_basis`."""
+    if len(xs) != len(ys):
+        raise DomainError("point count mismatch")
+    q = field.q
+    coeffs = [0] * len(xs)
+    for y, basis in zip(ys, lagrange_basis(field, xs)):
+        coeffs = [(c + y * b) % q for c, b in zip(coeffs, basis)]
     return coeffs
 
 
@@ -272,35 +287,40 @@ def decode_row(field: PrimeField, alpha: int, f_subset, power_count: int) -> lis
     return row
 
 
-def solve_decode(field: PrimeField, system: DecodeSystem) -> list[int]:
-    """Gaussian elimination over the field; the caller reads off the leading
-    entries as the decoded bits."""
-    n = len(system.rows)
-    if n == 0 or any(len(r) != n for r in system.rows) or len(system.rhs) != n:
+def _eliminate(field: PrimeField, rows, rhs) -> list[list[int]]:
+    """Gauss-Jordan elimination of the square ``rows`` against the
+    right-hand sides ``rhs`` (one list per row, one column per right-hand
+    side), all in one pass over the augmented system with one pivot
+    inversion per column.  Returns the solutions, one list per unknown."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows) or len(rhs) != n:
         raise DomainError("decode system must be square with matching rhs")
     q = field.q
-    a = [list(row) for row in system.rows]
-    b = list(system.rhs)
+    a = [list(row) + list(b) for row, b in zip(rows, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] % q != 0), None)
         if pivot is None:
             raise DomainError("singular decode system (check evaluation points)")
         a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
+        # columns left of col are already zero in the pivot row
         inv = field.inv(a[col][col])
-        a[col] = [v * inv % q for v in a[col]]
-        b[col] = b[col] * inv % q
+        a[col][col:] = [v * inv % q for v in a[col][col:]]
         for r in range(n):
             if r != col and a[r][col] % q != 0:
                 factor = a[r][col]
-                a[r] = [(v - factor * w) % q for v, w in zip(a[r], a[col])]
-                b[r] = (b[r] - factor * b[col]) % q
-    return b
+                a[r][col:] = [(v - factor * w) % q for v, w in zip(a[r][col:], a[col][col:])]
+    return [row[n:] for row in a]
+
+
+def solve_decode(field: PrimeField, system: DecodeSystem) -> list[int]:
+    """Gaussian elimination over the field; the caller reads off the leading
+    entries as the decoded bits."""
+    return [x for (x,) in _eliminate(field, system.rows, [[b] for b in system.rhs])]
 
 
 def unit_vectors(n: int) -> list[list[int]]:
-    """The n unit vectors of length n; linear maps are built column by column
-    from them."""
+    """The n unit vectors of length n: the identity's rows, and the inputs
+    a linear map is built from column by column."""
     return [[int(i == k) for i in range(n)] for k in range(n)]
 
 
@@ -309,14 +329,15 @@ def decode_inverse(field: PrimeField, alphas: tuple, f_subset: tuple,
                    power_count: int) -> tuple[tuple[int, ...], ...]:
     """Leading rows of the inverse of the decode system, one per bit constant.
 
-    The system has one :func:`decode_row` per alpha.  Column c of the inverse
-    is :func:`solve_decode` on the c-th unit right-hand side, so row k dotted
-    with the answers (:func:`apply_rows`) gives exactly the k-th unknown that
-    solving the system itself would.  Built once per (field, shape).
+    The system has one :func:`decode_row` per alpha.  One Gauss-Jordan pass
+    over ``[rows | I]`` (the elimination :func:`solve_decode` runs) leaves
+    the inverse on the right, so row k dotted with the answers
+    (:func:`apply_rows`) gives exactly the k-th unknown that solving the
+    system itself would.  Built once per (field, shape).
     """
     rows = [decode_row(field, a, f_subset, power_count) for a in alphas]
-    cols = [solve_decode(field, DecodeSystem(rows=rows, rhs=e)) for e in unit_vectors(len(rows))]
-    return tuple(tuple(col[k] for col in cols) for k in range(len(f_subset)))
+    inverse = _eliminate(field, rows, unit_vectors(len(rows)))
+    return tuple(tuple(row) for row in inverse[: len(f_subset)])
 
 
 @functools.lru_cache(maxsize=256)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, IntegrityError
 from .field import CounterNoise, FieldParams, kernel_dtype, mod_einsum
-from .poly import apply_rows, lagrange_interpolate, unit_vectors
+from .poly import apply_rows, lagrange_basis
 
 KIND_BASIC = "basic"
 KIND_TOPR = "topr"
@@ -335,10 +335,9 @@ def init_random_sparse(
 @functools.lru_cache(maxsize=64)
 def _lagrange_basis(fp: FieldParams) -> tuple[tuple[int, ...], ...]:
     """Column n: the coefficients of the n-th Lagrange basis polynomial over
-    the database constants, :func:`lagrange_interpolate` of the n-th unit
-    vector.  Built once per field."""
-    return tuple(tuple(lagrange_interpolate(fp.field, fp.alphas, e))
-                 for e in unit_vectors(fp.n_databases))
+    the database constants, from :func:`~pruw.poly.lagrange_basis` (one
+    master polynomial, one inverse per constant).  Built once per field."""
+    return tuple(tuple(col) for col in lagrange_basis(fp.field, fp.alphas))
 
 
 @functools.lru_cache(maxsize=256)
@@ -374,7 +373,7 @@ def reconstruct_plain(states: list[DatabaseState]):
     act as a consistency check, and every padding cell must decode to zero.
     The first bad cell in (s, j, m) order raises IntegrityError naming it.
     Interpolation is a fixed linear map per bit constant (:func:`_oracle_map`,
-    from a Lagrange basis built once per field); for each bit the N
+    from the Lagrange basis built once per field in O(N^2)); for each bit the N
     databases' cells are copied into one contiguous ``(N, S * M)`` slab and
     the weights and parity rows are applied to it in one limb-split
     :func:`~pruw.poly.apply_rows` call.  It never calls the decoders'

@@ -159,6 +159,22 @@ class TestRandomIteration:
         with pytest.raises(ConfigError):
             session.run_iteration(theta=2)
 
+    def test_run_session_refuses_other_theta_before_setup(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a session was built for a theta it cannot read")
+
+        monkeypatch.setattr(harness, "Session", refuse)
+        cfg = ExperimentConfig(scheme="random", n=6, m=2, l=30, d_read=Fraction(1, 3),
+                               d_write=Fraction(1, 5), seed=3, iterations=2)
+        with pytest.raises(ConfigError, match="^the one-time queries pin theta"):
+            run_session(cfg, thetas=[1, 2])
+
+    def test_run_session_accepts_configured_theta(self):
+        cfg = ExperimentConfig(scheme="random", n=6, m=2, l=30, d_read=Fraction(1, 3),
+                               d_write=Fraction(1, 5), seed=3, iterations=2, theta=2)
+        res = run_session(cfg, thetas=[2, 2])
+        assert [it.theta for it in res.iterations] == [2, 2]
+
     def test_three_iteration_soak(self):
         cfg = ExperimentConfig(scheme="random", n=10, m=2, l=40, seed=8,
                                d_read=Fraction(1, 10), d_write=Fraction(1, 10),

@@ -1,6 +1,7 @@
 """The oracle and the decoders as fixed linear maps, against per-cell and
 per-subpacket references: interpolating every cell on its own, and solving
-every subpacket's own decode system."""
+every subpacket's own decode system; and the maps' one-pass builders
+against their definitions."""
 
 import random
 
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from pruw import basic, topr
 from pruw import random_sparse as rs
-from pruw.errors import IntegrityError
-from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
+from pruw.errors import DomainError, IntegrityError
+from pruw.field import CounterNoise, PrimeField, allocate_eval_points, kernel_dtype
 from pruw.poly import (
     DecodeSystem,
     apply_rows,
     decode_inverse,
     decode_row,
+    lagrange_basis,
     lagrange_interpolate,
     poly_degree,
     solve_decode,
@@ -195,3 +197,95 @@ class TestDecoderMaps:
             f_subset = [fs[i - 1] for i in j_read[t]]
             want = solve_own_system(fp, alphas, f_subset, len(dbs) - len(f_subset), answers)
             assert [decoded[s * ell_r + i - 1] for i in j_read[t]] == want
+
+
+BUILDER_PRIMES = (127, 2**31 - 1, 2**61 - 1)  # the last is above the int64 kernel bound
+
+
+def distinct_residues(rng, q, count):
+    """``count`` distinct nonzero residues mod q."""
+    return rng.sample(range(1, min(q, 2**62)), count)
+
+
+def product_form_basis(field, xs):
+    """basis_i = prod_{j != i} (x - x_j) / (x_i - x_j), multiplied out factor by factor."""
+    q = field.q
+    out = []
+    for i, xi in enumerate(xs):
+        coeffs, denom = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                coeffs = [(up - xj * c) % q for up, c in zip([0] + coeffs, coeffs + [0])]
+                denom = denom * (xi - xj) % q
+        scale = field.inv(denom)
+        out.append([c * scale % q for c in coeffs])
+    return out
+
+
+class TestMapBuilders:
+    """The one-pass builders give exactly the maps of their definitions."""
+
+    @given(st.integers(2, 40), st.sampled_from(BUILDER_PRIMES), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_basis_matches_its_definition(self, n, q, seed):
+        field = PrimeField(q)
+        xs = distinct_residues(random.Random(seed), q, n)
+        basis = lagrange_basis(field, xs)
+        assert basis == product_form_basis(field, xs)
+        units = [[int(i == k) for i in range(n)] for k in range(n)]
+        assert basis == [lagrange_interpolate(field, xs, e) for e in units]
+
+    @given(st.integers(2, 40), st.sampled_from(BUILDER_PRIMES), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_inverse_matches_solve_decode(self, n, q, seed):
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        k = rng.randint(1, n)
+        points = distinct_residues(rng, q, n + k)
+        alphas, f_subset = tuple(points[:n]), tuple(points[n:])
+        rows = [decode_row(field, a, f_subset, n - k) for a in alphas]
+        inverse = decode_inverse.__wrapped__(field, alphas, f_subset, n - k)
+        # the leading rows of the inverse: times the system they give the identity's
+        assert [[sum(x * row[c] for x, row in zip(inv_row, rows)) % q for c in range(n)]
+                for inv_row in inverse] == [[int(i == c) for i in range(n)] for c in range(k)]
+        # and column c is solve_decode on the c-th unit right-hand side
+        for c in rng.sample(range(n), min(n, 3)):
+            e = [int(i == c) for i in range(n)]
+            col = solve_decode(field, DecodeSystem(rows=rows, rhs=e))
+            assert [row[c] for row in inverse] == col[:k]
+
+    def test_inversion_counts(self, monkeypatch):
+        n, k = 12, 4
+        fp = allocate_eval_points(n, k, 2**31 - 1)
+        calls = []
+        real_inv = PrimeField.inv
+        monkeypatch.setattr(PrimeField, "inv", lambda self, a: calls.append(a) or real_inv(self, a))
+        lagrange_basis(fp.field, fp.alphas)
+        assert len(calls) == n
+        calls.clear()
+        decode_inverse.__wrapped__(fp.field, fp.alphas, fp.fs, n - k)
+        # n * k reciprocals in the decode rows, then one pivot inversion per column
+        assert len(calls) == n * k + n
+
+    def test_singular_system_raises(self):
+        fp = allocate_eval_points(6, 2, 127)
+        alphas = fp.alphas[:5] + fp.alphas[:1]  # a repeated row
+        with pytest.raises(DomainError, match="singular"):
+            decode_inverse.__wrapped__(fp.field, alphas, fp.fs, 4)
+        with pytest.raises(DomainError, match="distinct"):
+            lagrange_basis(fp.field, alphas)
+
+    def test_oracle_and_decoders_stay_apart(self, monkeypatch):
+        # two independent paths: a shared bug cannot vouch for itself
+        from pruw import poly, storage
+
+        def forbidden(*args):
+            raise AssertionError("the oracle and the decoders share a builder")
+
+        fp = allocate_eval_points(10, 4, 127)
+        monkeypatch.setattr(poly, "_eliminate", forbidden)
+        storage._lagrange_basis.__wrapped__(fp)
+        monkeypatch.undo()
+        for name in ("lagrange_basis", "lagrange_interpolate"):
+            monkeypatch.setattr(poly, name, forbidden)
+        decode_inverse.__wrapped__(fp.field, fp.alphas, fp.fs, 6)

@@ -2,9 +2,10 @@
 
 Every config that passes ``validate()`` either is rejected at set-up with a
 ``PruwError``, or runs every iteration with the decode and the written
-storage equal to the plain oracle.  Small N and q, unaligned L, 1-3 iterations, noise on.
-The random scheme's distortion budget and costs are not asserted: on
-unaligned L, ``realize_regions`` can overrun the budget (a known defect).
+storage equal to the plain oracle.  Small q, N up to 24 (basic), unaligned
+L, 1-3 iterations, noise on.  The random scheme's distortion budget and
+costs are not asserted: on unaligned L, ``realize_regions`` can overrun the
+budget (a known defect).
 """
 
 import math
@@ -39,7 +40,7 @@ def _run(cfg):
 
 @st.composite
 def basic_configs(draw):
-    n = draw(st.integers(4, 8))
+    n = draw(st.integers(4, 24))
     budget = draw(st.none() | st.tuples(st.integers(1, n), st.integers(1, 2), st.integers(1, 2)))
     cfg = ExperimentConfig(
         scheme="basic", n=n, m=draw(st.integers(1, 3)), l=draw(st.integers(1, 13)),
@@ -110,3 +111,11 @@ def test_topr_round_trips_and_costs(cfg):
 @settings(max_examples=150, deadline=None)
 def test_random_round_trips(cfg):
     _run(cfg)
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_basic_large_n_round_trip(n):
+    # the fixed maps at large N: the decoder inverse and the oracle basis
+    cfg = ExperimentConfig(scheme="basic", n=n, m=2, l=50, seed=7)
+    [it] = _run(cfg)
+    assert it.verdict
