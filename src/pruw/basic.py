@@ -4,8 +4,9 @@ Reading: the user hides the wanted submodel index inside masked reciprocal
 queries; each database returns one symbol per subpacket and the user solves
 an exact square system.  Writing: the user sends one combined update symbol
 per subpacket per database; each database privately decomposes it against
-the cached read query, using the per-bit scaling factor and the null-shaper
-factor, and folds the increment into its masked cells.  Databases in the
+the cached read query, using its per-bit write factors (the scaling factor
+times the null-shaper factor, :func:`~pruw.storage.write_factors`), and
+folds the increment into its masked cells.  Databases in the
 skip set receive nothing at all, yet the model still updates there because
 the increment polynomial vanishes at their evaluation constants.
 
@@ -25,7 +26,7 @@ from . import wire
 from .errors import ConfigError, DomainError
 from .field import FieldParams, allocate_eval_points, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
-from .storage import DatabaseState, answer, fold, init_basic
+from .storage import DatabaseState, answer, fold, init_basic, write_factors
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,6 @@ class ReadQuery:
     """
 
     theta: int
-    params: BasicParams
     blocks: list[list[list[int]]]  # [db-1][k][m]
 
     def block(self, n: int) -> list[list[int]]:
@@ -106,7 +106,7 @@ def build_read_query(
 ) -> ReadQuery:
     """Reciprocal query blocks with ``t_query`` mask terms per bit."""
     blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, noise, terms=params.t_query)
-    return ReadQuery(theta=theta, params=params, blocks=blocks)
+    return ReadQuery(theta=theta, blocks=blocks)
 
 
 def answer_read(state: DatabaseState, query: ReadQuery, s):
@@ -126,20 +126,7 @@ def decode_answers(fp: FieldParams, params: BasicParams, answers):
     if len(answers) != fp.n_databases:
         raise DomainError("need one answer per database")
     ell = params.ell
-    inverse = decode_inverse(fp.field, fp.alphas, fp.fs[:ell], params.t_storage + params.t_query)
-    return apply_rows(fp.q, inverse, answers)
-
-
-def null_shaper_factor(fp: FieldParams, skip_set, f: int, n: int) -> int:
-    """Diagonal factor prod_r (a_r - a_n) / prod_r (a_r - f) for the bit
-    constant value ``f``; zero on the skip set itself, 1 for an empty one.
-    ``n`` and the members of ``skip_set`` are 1-based database indices."""
-    q = fp.q
-    num, den = 1, 1
-    for r in skip_set:
-        num = num * (fp.alpha(r) - fp.alpha(n)) % q
-        den = den * (fp.alpha(r) - f) % q
-    return num * fp.field.inv(den) % q
+    return apply_rows(fp.q, decode_inverse(fp.field, fp.alphas, fp.fs[:ell]), answers)
 
 
 def build_write_symbols(
@@ -159,28 +146,17 @@ def build_write_symbols(
     import numpy as np
 
     ell, terms = params.ell, params.t_update
-    if any(len(deltas) != ell for deltas in deltas_by_subpacket):
-        raise DomainError(f"expected {ell} deltas per subpacket")
     count = len(deltas_by_subpacket)
     dtype = kernel_dtype(fp.q)
+    try:
+        deltas = np.asarray(deltas_by_subpacket, dtype=dtype)
+    except ValueError:  # ragged rows on int64; object arrays keep them as a 1-d array
+        deltas = None
+    if deltas is None or deltas.shape != (count, ell):
+        raise DomainError(f"expected {ell} deltas per subpacket")
     z = noise.symbol(fp.q, count * terms, "update-noise")
-    inputs = np.concatenate([np.array(deltas_by_subpacket, dtype=dtype).reshape(count, ell),
-                             np.asarray(z, dtype=dtype).reshape(count, terms)], axis=1)
+    inputs = np.concatenate([deltas, np.asarray(z, dtype=dtype).reshape(count, terms)], axis=1)
     return apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
-
-
-def apply_write(state: DatabaseState, query: ReadQuery, u_symbols, factors: list[int]) -> None:
-    """Database side: decompose the combined symbols, one per subpacket, into
-    the increments and fold them into storage.  ``factors[k]`` is the
-    database's (f_k - a_n) times its null-shaper factor for bit k."""
-    import numpy as np
-
-    params = query.params
-    if state.db_index in params.skip_set:
-        raise DomainError("databases in the skip set receive no write payload")
-    q = state.fp.q
-    fold(q, state.cells, query.block(state.db_index),
-         np.outer(u_symbols, np.array(factors, dtype=state.cells.dtype)) % q)
 
 
 def write_round(
@@ -201,17 +177,12 @@ def write_round(
     if len(deltas_by_subpacket) != states[0].subpackets:
         raise DomainError("need one delta block per subpacket")
     symbols = build_write_symbols(deltas_by_subpacket, params, fp, noise)
-    skip = set(params.skip_set)
+    skip = params.skip_set
+    factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[: params.ell], skip)
     for st in states:
-        if st.db_index in skip:
-            continue
-        # the decomposition factors depend only on the constants: once per round
-        alpha = fp.alpha(st.db_index)
-        factors = [
-            (f - alpha) * null_shaper_factor(fp, params.skip_set, f, st.db_index) % fp.q
-            for f in fp.fs[: params.ell]
-        ]
-        apply_write(st, query, symbols[st.db_index - 1], factors)
+        n = st.db_index
+        if n not in skip:
+            fold(fp.q, st.cells, query.block(n), symbols[n - 1][:, None] * factors[n - 1] % fp.q)
     return symbols
 
 

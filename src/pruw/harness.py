@@ -36,7 +36,10 @@ makes the same few calls whatever L is.
 storage block, carrying its symbol count), and both steps may add
 scheme-specific keys to ``detail``.  The remaining members are:
 
-* ``costs()``: the closed-form ``(C_R, C_W)`` the meter must report;
+* ``costs()``: the closed-form ``(C_R, C_W)``, which the meter reports
+  only where nothing is padded or rounded (basic when ell divides L, random
+  on an :func:`aligned_length`, top-r in its first iteration); no verdict
+  compares the two;
 * ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget.
 
 A position missing from the read or write positions is distortion.

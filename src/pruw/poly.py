@@ -11,7 +11,10 @@ over the cells: ``answer`` (the masked inner products a read returns) and
 The write paths combine the per-bit updates of a subpacket into one symbol
 per database (a Lagrange-style combination evaluated at that database's
 constant); the read paths invert square systems whose rows mix reciprocal
-terms ``1/(f_i - alpha_n)`` with plain powers of ``alpha_n``.
+terms ``1/(f_i - alpha_n)`` with plain powers of ``alpha_n``: one row per
+answering database and as many powers as make it square, so the shape
+follows from the constants.  The factors a write folds with depend on the
+cell form and live in :mod:`pruw.storage`.
 
 Every step after the answers is a fixed linear map of the evaluation
 constants, built once per field and shape from plain-int code and applied
@@ -325,16 +328,18 @@ def unit_vectors(n: int) -> list[list[int]]:
 
 
 @functools.lru_cache(maxsize=256)
-def decode_inverse(field: PrimeField, alphas: tuple, f_subset: tuple,
-                   power_count: int) -> tuple[tuple[int, ...], ...]:
+def decode_inverse(field: PrimeField, alphas: tuple,
+                   f_subset: tuple) -> tuple[tuple[int, ...], ...]:
     """Leading rows of the inverse of the decode system, one per bit constant.
 
-    The system has one :func:`decode_row` per alpha.  One Gauss-Jordan pass
-    over ``[rows | I]`` (the elimination :func:`solve_decode` runs) leaves
-    the inverse on the right, so row k dotted with the answers
+    The system is square, one :func:`decode_row` per alpha with
+    ``len(alphas) - len(f_subset)`` powers.  One Gauss-Jordan pass over
+    ``[rows | I]`` (the elimination :func:`solve_decode` runs) leaves the
+    inverse on the right, so row k dotted with the answers
     (:func:`apply_rows`) gives exactly the k-th unknown that solving the
-    system itself would.  Built once per (field, shape).
+    system itself would.  Built once per (field, constants).
     """
+    power_count = len(alphas) - len(f_subset)
     rows = [decode_row(field, a, f_subset, power_count) for a in alphas]
     inverse = _eliminate(field, rows, unit_vectors(len(rows)))
     return tuple(tuple(row) for row in inverse[: len(f_subset)])

@@ -11,8 +11,12 @@ per super-subpacket pattern and reused; they are one-time messages and stay
 off the cost meter.
 
 Region boundaries are realized on each region's lcm grid (whole
-super-subpackets); the realized fractions are what the meter reports, and
-any padding is confined to the zero-distortion region.
+super-subpackets); the realized fractions are what the meter reports.  The
+first region takes the remainder, padded to its grid.  The padding costs no
+distortion only if that region carries none; on a single-region plan, or
+one where only one phase splits, pad bits take correct-bit slots from real
+positions and can overrun the budget (N=10, L=2000, d=(1/3, 1/5) reads
+667/2000 with 10 pad bits).
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import wire
-from .basic import null_shaper_factor
 from .errors import ConfigError, DomainError
 from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
-from .storage import DatabaseState, answer, fold, init_random_sparse
+from .storage import DatabaseState, answer, fold, init_random_sparse, write_factors
 
 # Bound on the symbols of a session's one-time queries, N * M * sum over the
 # realized regions of (read_patterns * ell_r + write_patterns * ell_w).
@@ -195,8 +198,8 @@ def realize_regions(plan: SparsePlan, length: int) -> list[RealizedRegion]:
     """Cut the model into whole super-subpackets per region.
 
     Later (higher-distortion) regions are floored to their grid; the first
-    region absorbs the remainder and any padding, which is harmless there
-    because the canonical first region carries zero distortion.
+    region absorbs the remainder, padded to its grid, which can overrun the
+    budget unless that region carries no distortion (see the module doc).
     """
     specs = [r for r in plan.regions if r.lam > 0]
     if not specs:
@@ -289,9 +292,9 @@ def write_databases(n: int, case: int) -> list[int]:
     return list(range(1, n + 1))
 
 
-def _pattern_fs(fp: FieldParams, t: int, phase_ell: int, y: int) -> list[int]:
+def _pattern_fs(fp: FieldParams, t: int, phase_ell: int, y: int) -> tuple[int, ...]:
     """Bit constants of pattern t (1-based), following the cyclic layout."""
-    return [fp.f(g_index((t - 1) * phase_ell + i, y)) for i in range(1, phase_ell + 1)]
+    return tuple(fp.f(g_index((t - 1) * phase_ell + i, y)) for i in range(1, phase_ell + 1))
 
 
 def build_read_queries(
@@ -349,9 +352,7 @@ def _jset_positions(total_bits: int, ell: int, jsets):
 def _pattern_rows(state: DatabaseState, ell: int, patterns: int, t: int):
     """The cell rows of pattern t's subpackets (t, t + patterns, ... for a
     phase subpacketization ell), as a ``(count, ell, M)`` view."""
-    blocks = state.rows(0, state.padded_length).reshape(state.padded_length // ell, ell,
-                                                        state.m_count)
-    return blocks[t - 1 :: patterns]
+    return state.cells.reshape(-1, ell, state.m_count)[t - 1 :: patterns]
 
 
 def region_read(
@@ -371,17 +372,14 @@ def region_read(
     import numpy as np
 
     spec = realized.spec
-    n = fp.n_databases
-    dbs = read_databases(n, spec.case)
-    base = len(j_read[0])
-    power_count = len(dbs) - base
+    dbs = read_databases(fp.n_databases, spec.case)
     alphas = tuple(fp.alpha(db) for db in dbs)
     positions = _jset_positions(realized.total_bits, spec.ell_r, j_read)
     values = np.empty(positions.shape, dtype=kernel_dtype(fp.q))
     for t in range(1, spec.read_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
         f_subset = tuple(fs[i - 1] for i in j_read[t - 1])
-        inverse = decode_inverse(fp.field, alphas, f_subset, power_count)
+        inverse = decode_inverse(fp.field, alphas, f_subset)
         answers = np.stack([
             answer(fp.q, _pattern_rows(states[db - 1], spec.ell_r, spec.read_patterns, t),
                    queries[t - 1][db - 1])
@@ -433,11 +431,10 @@ def region_write(
         sub_fs = tuple(fs[i - 1] for i in j_write[t - 1])
         us = apply_rows(q, combine_map(fp.field, sub_fs, alphas, 1),
                         inputs[t - 1 :: spec.write_patterns].T)
+        factors = write_factors(fp, states[0].layout.affine_mask, fs, skip)
         for db, u in zip(dbs, us):
-            # the null-shaper factors depend only on the constants
-            diag = np.array([null_shaper_factor(fp, skip, f, db) for f in fs], dtype=u.dtype)
             fold(q, _pattern_rows(states[db - 1], spec.ell_w, spec.write_patterns, t),
-                 queries[t - 1][db - 1], np.outer(u, diag) % q)
+                 queries[t - 1][db - 1], np.outer(u, factors[db - 1]) % q)
     return positions.reshape(-1), subpackets * len(dbs)
 
 
@@ -455,7 +452,8 @@ class DistortionReport:
 
 
 def costs_random(n: int, plan: SparsePlan) -> tuple[Fraction, Fraction]:
-    """Lambda-weighted exact costs of the plan (what the meter must match)."""
+    """Lambda-weighted exact costs of the plan (what the meter reports on an
+    aligned length)."""
     read = Fraction(0)
     write = Fraction(0)
     for spec in plan.regions:

@@ -1,10 +1,15 @@
 """Noise-masked replicated storage for the three scheme variants.
 
-Each database holds, per subpacket, per bit, per submodel, one masked symbol:
+Each database holds, per subpacket, per bit, per submodel, one masked symbol
+in the cell form of its :class:`Layout`:
 
 * basic:      ``W + (f_j - alpha_n) * mask(alpha_n)`` with ``t_storage`` terms,
 * top-r:      same shape with the case-specific mask degree (2*ell or ell+1),
 * random:     ``W / (f_j - alpha_n) + mask(alpha_n)`` on a cyclic f layout.
+
+A write folds with :func:`write_factors` (the null-shaper factor over the
+skip set, times (f_j - alpha_n) on the affine form), built here once per
+deployment, and the oracle undoes the form.
 
 The mask coefficients are identical across databases (only alpha varies);
 they come from the noise source that ``init_basic``, ``init_topr`` and
@@ -38,15 +43,12 @@ one per subpacket.  numpy is imported inside the functions that use it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, IntegrityError
 from .field import CounterNoise, FieldParams, kernel_dtype, mod_einsum
 from .poly import apply_rows, lagrange_basis
-
-KIND_BASIC = "basic"
-KIND_TOPR = "topr"
-KIND_RANDOM = "random"
 
 # subpackets whose mask coefficients are drawn as one stream before their
 # cells are laid into the databases; bounds the coefficients held at once
@@ -61,77 +63,16 @@ def draw_model(m_count: int, length: int, q: int, seed: int):
 
 
 @dataclass(frozen=True)
-class BasicLayout:
-    kind = KIND_BASIC
-    t_storage: int
-    t_query: int
-    t_update: int
-    ell: int
+class Layout:
+    """The cell form of one storage block: ``kind`` tags its mask streams,
+    ``width`` is its bits per subpacket and ``noise_terms`` its mask
+    coefficients per cell; the cells are ``W + (f - alpha) * mask`` when
+    ``affine_mask`` is set and ``W / (f - alpha) + mask`` otherwise."""
 
-    @property
-    def width(self) -> int:
-        return self.ell
-
-    @property
-    def noise_terms(self) -> int:
-        return self.t_storage
-
-    @property
-    def affine_mask(self) -> bool:
-        # cell = W + (f - alpha) * mask
-        return True
-
-
-@dataclass(frozen=True)
-class TopRLayout:
-    kind = KIND_TOPR
-    case: int
-    ell: int
-
-    @property
-    def width(self) -> int:
-        return self.ell
-
-    @property
-    def mask_degree(self) -> int:
-        return 2 * self.ell if self.case == 1 else self.ell + 1
-
-    @property
-    def noise_terms(self) -> int:
-        return self.mask_degree + 1
-
-    @property
-    def affine_mask(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class RandomLayout:
-    kind = KIND_RANDOM
-    case: int
-    ell_r: int
-    ell_w: int
-    n_databases: int
-
-    @property
-    def y(self) -> int:
-        return max(self.ell_r, self.ell_w)
-
-    @property
-    def width(self) -> int:
-        return self.y
-
-    @property
-    def noise_terms(self) -> int:
-        half = self.n_databases // 2
-        if self.case == 1:
-            return half  # mask degree floor(N/2) - 1
-        return self.n_databases - half  # mask degree ceil(N/2) - 1
-
-    @property
-    def affine_mask(self) -> bool:
-        # cell = W / (f - alpha) + mask
-        return False
+    kind: str
+    width: int
+    noise_terms: int
+    affine_mask: bool
 
 
 @dataclass
@@ -146,7 +87,7 @@ class DatabaseState:
 
     db_index: int
     fp: FieldParams
-    layout: object
+    layout: Layout
     m_count: int
     length: int
     cells: object
@@ -158,12 +99,6 @@ class DatabaseState:
     @property
     def padded_length(self) -> int:
         return self.subpackets * self.layout.width
-
-    def rows(self, lo: int, count: int):
-        """The ``(count, M)`` cell rows at flat bit positions lo .. lo+count-1,
-        counted row-major over (subpacket, bit); a view of the cells, so
-        :func:`fold` updates storage in place."""
-        return self.cells.reshape(-1, self.m_count)[lo : lo + count]
 
 
 def answer(q: int, rows, qvecs, coefs=None):
@@ -200,6 +135,33 @@ def fold(q: int, rows, qvecs, factors) -> None:
     step = np.multiply(np.asarray(factors, dtype=dtype)[..., None], np.asarray(qvecs, dtype=dtype))
     step += rows
     np.remainder(step, q, out=rows)
+
+
+@functools.lru_cache(maxsize=256)
+def write_factors(fp: FieldParams, affine_mask: bool, fs: tuple, skip: tuple):
+    """The factors each database folds a write with, a read-only
+    ``(N, len(fs))`` array of :func:`kernel_dtype` built once per (field,
+    cell form, bit constants, skip set).
+
+    Row n - 1 is database n's null-shaper factor over the 1-based database
+    indices ``skip``, ``prod_r (a_r - a_n) / prod_r (a_r - f)`` at each bit
+    constant f in ``fs`` (1 for an empty skip set), times ``(f - a_n)`` on
+    the affine cells; it is zero exactly on the skip set.
+    """
+    import numpy as np
+
+    q = fp.q
+    skipped = [fp.alpha(r) for r in skip]
+    # the shaper's denominator depends on f alone: one inverse per constant
+    dens = [fp.field.inv(math.prod(a - f for a in skipped)) for f in fs]
+    rows = []
+    for alpha in fp.alphas:
+        num = math.prod(a - alpha for a in skipped)
+        rows.append([num * den * (f - alpha if affine_mask else 1) % q
+                     for f, den in zip(fs, dens)])
+    out = np.array(rows, dtype=kernel_dtype(q))
+    out.setflags(write=False)
+    return out
 
 
 def _build_states(model, fp: FieldParams, layout, noise) -> list[DatabaseState]:
@@ -274,8 +236,7 @@ def init_basic(
     ell = n - t_storage - t_query
     if len(fp.fs) < ell:
         raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
-    layout = BasicLayout(t_storage=t_storage, t_query=t_query, t_update=t_update, ell=ell)
-    return _build_states(model, fp, layout, noise)
+    return _build_states(model, fp, Layout("basic", ell, t_storage, True), noise)
 
 
 def topr_subpacketization(n: int, case: int) -> int:
@@ -304,8 +265,9 @@ def init_topr(
     ell = topr_subpacketization(fp.n_databases, case)
     if len(fp.fs) < ell:
         raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
-    layout = TopRLayout(case=case, ell=ell)
-    return _build_states(model, fp, layout, noise)
+    # mask degree 2 * ell (case 1) or ell + 1 (case 2)
+    terms = (2 * ell if case == 1 else ell + 1) + 1
+    return _build_states(model, fp, Layout("topr", ell, terms, True), noise)
 
 
 def init_random_sparse(
@@ -326,10 +288,13 @@ def init_random_sparse(
         raise ConfigError("case 2 requires ell_r >= ell_w")
     if case not in (1, 2):
         raise ConfigError(f"unknown case {case}")
-    layout = RandomLayout(case=case, ell_r=ell_r, ell_w=ell_w, n_databases=fp.n_databases)
-    if len(fp.fs) < layout.y:
-        raise ConfigError(f"need {layout.y} bit constants, field params carry {len(fp.fs)}")
-    return _build_states(model, fp, layout, noise)
+    width = max(ell_r, ell_w)
+    if len(fp.fs) < width:
+        raise ConfigError(f"need {width} bit constants, field params carry {len(fp.fs)}")
+    # mask degree floor(N/2) - 1 (case 1) or ceil(N/2) - 1 (case 2)
+    half = fp.n_databases // 2
+    terms = half if case == 1 else fp.n_databases - half
+    return _build_states(model, fp, Layout("random", width, terms, False), noise)
 
 
 @functools.lru_cache(maxsize=64)

@@ -29,7 +29,7 @@ from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
 from .field import CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype
 from .poly import apply_rows, build_query, combine_map, decode_inverse
-from .storage import DatabaseState, TopRLayout, answer, fold, init_topr, topr_subpacketization
+from .storage import DatabaseState, answer, fold, init_topr, topr_subpacketization, write_factors
 
 # Bound on the symbols of the shared reversing noise, side * P with side P
 # (case 1) or P * ell (case 2), which a session draws in its first iteration.
@@ -217,41 +217,23 @@ def build_query_case2(theta, fp, ell, m_count, noise):
     return build_query(theta, fp, fp.fs[:ell], m_count, noise, reciprocal=False)
 
 
-def _check_states(setup: PermutationSetup, states: list[DatabaseState]) -> TopRLayout:
-    layout = states[0].layout
-    if not isinstance(layout, TopRLayout):
-        raise ConfigError("states were not initialized for the sparse-position scheme")
-    if layout.case != setup.case or layout.ell != setup.ell:
-        raise ConfigError("coordinator setup and storage disagree on case/subpacketization")
-    expected = topr_subpacketization(states[0].fp.n_databases, layout.case)
-    if layout.ell != expected:
-        raise ConfigError("database count does not fit the case's subpacketization")
-    if states[0].subpackets != setup.p_subpackets:
-        raise ConfigError("storage subpacket count does not match the permutation")
-    return layout
-
-
 def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_tilde):
     """Database-side answers, an array with one per permuted subpacket index
     in ``v_tilde``: the row inner products with the query, computed once,
     weighted by the database's :meth:`PermutationSetup.weights`."""
     import numpy as np
 
-    rows = state.rows(0, state.padded_length)
+    rows = state.cells.reshape(-1, state.m_count)
     qvecs = np.tile(np.asarray(query_block, dtype=rows.dtype), (state.subpackets, 1))
     return answer(state.fp.q, rows, qvecs, setup.weights(state.db_index, v_tilde))
 
 
-def decode_sparse(fp: FieldParams, case: int, ell: int, answers):
+def decode_sparse(fp: FieldParams, ell: int, answers):
     """The ell bits behind one answer per database, or (ell, V) bits behind
     an (N, V) answer matrix."""
-    n = fp.n_databases
-    power_count = (3 * ell + 2) if case == 1 else (ell + 4)
-    if ell + power_count != n:
-        raise ConfigError("database count does not match the case's decode shape")
-    if len(answers) != n:
+    if len(answers) != fp.n_databases:
         raise DomainError("need one answer per database")
-    return apply_rows(fp.q, decode_inverse(fp.field, fp.alphas, fp.fs[:ell], power_count), answers)
+    return apply_rows(fp.q, decode_inverse(fp.field, fp.alphas, fp.fs[:ell]), answers)
 
 
 def read_sparse(
@@ -269,7 +251,6 @@ def read_sparse(
     """
     import numpy as np
 
-    _check_states(setup, states)
     if any(not 1 <= v <= setup.p_subpackets for v in v_tilde):
         raise DomainError("permuted subpacket index out of range")
     true = np.array([setup.true_index(v) for v in v_tilde], dtype=np.intp)
@@ -277,7 +258,7 @@ def read_sparse(
         return true, np.zeros((0, setup.ell), dtype=states[0].cells.dtype)
     answers = np.stack([answer_sparse(st, setup, query_blocks[st.db_index - 1], v_tilde)
                         for st in states])
-    return true, decode_sparse(states[0].fp, setup.case, setup.ell, answers).T
+    return true, decode_sparse(states[0].fp, setup.ell, answers).T
 
 
 def select_top_r(scores, r: Fraction, p_subpackets: int) -> list[int]:
@@ -313,7 +294,6 @@ def write_sparse(
     let every database fold the un-permuted increments into storage."""
     import numpy as np
 
-    _check_states(setup, states)
     fp = states[0].fp
     ell = setup.ell
     chosen = select_top_r(scores, r, setup.p_subpackets)
@@ -346,8 +326,6 @@ def apply_sparse_write(
 ) -> None:
     """Database side: rebuild the permuted update vector, un-permute it with
     the noisy reversing matrix, and add the per-subpacket increments."""
-    import numpy as np
-
     if len(set(positions)) != len(positions):
         raise ProtocolError("duplicate permuted positions in write payload")
     if any(not 1 <= k <= setup.p_subpackets for k in positions):
@@ -356,12 +334,11 @@ def apply_sparse_write(
         return
     fp = state.fp
     q = fp.q
-    dtype = state.cells.dtype
     weights = setup.weights(state.db_index, positions)
     # t[p] = sum_v symbols[v] * weights[v][p], one value per (subpacket, bit)
     t_vec = apply_rows(q, (symbols,), weights)[0].reshape(state.subpackets, setup.ell)
-    scales = np.array([(f - fp.alpha(state.db_index)) % q for f in fp.fs[: setup.ell]], dtype=dtype)
-    fold(q, state.cells, query_block, t_vec * scales % q)
+    factors = write_factors(fp, state.layout.affine_mask, fp.fs[: setup.ell], ())
+    fold(q, state.cells, query_block, t_vec * factors[state.db_index - 1] % q)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Basic scheme: parameters, queries, decoding, write rounds, costs."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ import pytest
 
 from pruw import basic
 from pruw.errors import ConfigError, DomainError
-from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points
+from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.poly import lagrange_interpolate, poly_degree
-from pruw.storage import draw_model, init_basic, reconstruct_plain
+from pruw.storage import draw_model, init_basic, reconstruct_plain, write_factors
 
 
 def apply_updates_oracle(model, theta, deltas_flat, q):
@@ -19,6 +20,35 @@ def apply_updates_oracle(model, theta, deltas_flat, q):
     for pos, d in enumerate(deltas_flat[: model.shape[1]]):
         out[theta - 1][pos] = (out[theta - 1][pos] + d) % q
     return out
+
+
+def null_shaper_factor(fp, skip_set, f, n):
+    """Reference: prod_r (a_r - a_n) / prod_r (a_r - f) over the 1-based
+    database indices in ``skip_set``, for one bit constant and one database;
+    1 for an empty skip set."""
+    q = fp.q
+    num, den = 1, 1
+    for r in skip_set:
+        num = num * (fp.alpha(r) - fp.alpha(n)) % q
+        den = den * (fp.alpha(r) - f) % q
+    return num * fp.field.inv(den) % q
+
+
+def check_write_factors(fp, affine_mask, fs, skip):
+    """write_factors entry by entry against the null-shaper definition, times
+    (f - alpha_n) on the affine cells; zero rows exactly on the skip set."""
+    factors = write_factors(fp, affine_mask, fs, skip)
+    assert factors.shape == (fp.n_databases, len(fs))
+    assert factors.dtype == kernel_dtype(fp.q)
+    rows = factors.tolist()
+    for n, row in enumerate(rows, start=1):
+        assert row == [null_shaper_factor(fp, skip, f, n) * (f - fp.alpha(n) if affine_mask else 1)
+                       % fp.q for f in fs]
+    assert [n for n, row in enumerate(rows, start=1) if not any(row)] == sorted(skip)
+    assert all(all(row) for n, row in enumerate(rows, start=1) if n not in skip)
+    assert not factors.flags.writeable
+    with pytest.raises(ValueError):
+        factors[0, 0] = 1
 
 
 def build_session(n, q, m_count=2, length=None, seed=0):
@@ -139,11 +169,31 @@ class TestWriteRound:
                               apply_updates_oracle(model, theta, flat, 11))
 
     def test_null_shaper_zero_on_skip_set(self):
-        params, fp, _, _ = build_session(5, 127)
-        assert params.skip_set == (1,)
-        for k in range(1, params.ell + 1):
-            assert basic.null_shaper_factor(fp, params.skip_set, fp.f(k), 1) == 0
-            assert basic.null_shaper_factor(fp, params.skip_set, fp.f(k), 3) != 0
+        # the int64 kernel dtype and, above its bound, object arrays
+        for q, n in itertools.product((127, 2**61 - 1), range(4, 13)):
+            fp = allocate_eval_points(n, n, q)
+            # basic: every valid t_storage with t_query = t_update = 1, so
+            # skip sets of every size from 0 (or 1) up to N - 4
+            for t_storage in range((n + 1) // 2, n - 1):
+                params = basic.BasicParams(n=n, t_storage=t_storage, t_query=1, t_update=1)
+                check_write_factors(fp, True, fp.fs[: params.ell], params.skip_set)
+            # random: non-affine cells; odd N, case 2 skips the last database
+            check_write_factors(fp, False, fp.fs[: n // 2], (n,) if n % 2 else ())
+            # top-r: affine cells, no skip set
+            check_write_factors(fp, True, fp.fs[: n // 2 - 1], ())
+
+    @pytest.mark.parametrize("q", [127, 2**61 - 1])
+    def test_wrong_width_delta_block_rejected(self, q):
+        params, fp, model, states = build_session(6, q)
+        query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
+        count, ell = states[0].subpackets, params.ell
+        blocks = (np.zeros((count, ell + 1), dtype=kernel_dtype(q)),
+                  [[0] * (ell - 1) for _ in range(count)],
+                  [[0] * ell for _ in range(count - 1)] + [[0] * (ell + 1)])
+        for deltas in blocks:
+            with pytest.raises(DomainError, match=f"expected {ell} deltas per subpacket"):
+                basic.write_round(deltas, 1, params, fp, query, states, CounterNoise(1))
+        assert np.array_equal(reconstruct_plain(states), model)
 
     def test_skipped_database_unchanged_but_updated(self):
         # odd N: database 1 gets no payload and its cells stay bit-identical,

@@ -184,6 +184,30 @@ class TestRandomIteration:
         assert all(it.distortion.within_budget for it in res.iterations)
 
 
+class TestBuiltOnce:
+    """Every fixed map and write factor is built by a session's first
+    iteration; a later one inverts only what it draws afresh."""
+
+    @pytest.mark.parametrize("shape, inversions", [
+        (dict(scheme="random", n=9, m=2, l=97, d_read=Fraction(1, 5), d_write=Fraction(1, 3)),
+         0),
+        (dict(scheme="random", n=10, m=8, l=2000, d_read=Fraction(1, 3),
+              d_write=Fraction(1, 5)), 0),
+        # the N * ell reciprocals of basic's fresh read query, ell = 3 at N = 9
+        (dict(scheme="basic", n=9, m=2, l=97), 9 * 3),
+    ])
+    def test_second_iteration_inversions(self, monkeypatch, shape, inversions):
+        from pruw.field import PrimeField
+
+        session = Session(ExperimentConfig(seed=4, iterations=2, **shape))
+        session.run_iteration()
+        calls = []
+        real_inv = PrimeField.inv
+        monkeypatch.setattr(PrimeField, "inv", lambda self, a: calls.append(a) or real_inv(self, a))
+        session.run_iteration()
+        assert len(calls) == inversions
+
+
 class TestKernelBound:
     """Set-up kernels run on int64 up to q = 3,037,000,493 and on Python ints
     from the next prime; sessions on both sides reach a true verdict."""

@@ -115,7 +115,7 @@ class TestInitBasic:
         fp = allocate_eval_points(10, 4, 127)
         model = draw_model(1, 8, 127, 0)
         states = init_basic(model, fp, 5, 1, 1, CounterNoise(0))
-        assert states[0].layout.ell == 4
+        assert states[0].layout.width == 4
 
     def test_cells_match_formula(self):
         fp, model, states = small_basic()
@@ -161,7 +161,7 @@ class TestRoundTrips:
             fp = allocate_eval_points(10, ell, 127)
             model = draw_model(2, 5 * ell, 127, 3)
             states = init_topr(model, fp, case, CounterNoise(4))
-            assert states[0].layout.ell == ell
+            assert states[0].layout.width == ell
             assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_sparse_cases(self):
@@ -231,8 +231,8 @@ class TestTopRShape:
         model = draw_model(1, 6, 127, 0)
         s1 = init_topr(model, allocate_eval_points(10, 2, 127), 1, CounterNoise(0))
         s2 = init_topr(model, fp, 2, CounterNoise(0))
-        assert s1[0].layout.mask_degree == 4  # 2 * ell
-        assert s2[0].layout.mask_degree == 4  # ell + 1
+        assert s1[0].layout.noise_terms == 5  # mask degree 2 * ell
+        assert s2[0].layout.noise_terms == 5  # mask degree ell + 1
 
 
 class TestRandomSparseInit:
@@ -248,7 +248,7 @@ class TestRandomSparseInit:
         fp = allocate_eval_points(10, 4, 127)
         model = draw_model(1, 8, 127, 0)
         states = init_random_sparse(model, fp, 2, 4, 4, CounterNoise(0))
-        assert states[0].layout.y == 4
+        assert states[0].layout.width == 4
 
     def test_noise_terms_by_parity(self):
         fp = allocate_eval_points(11, 6, 127)

@@ -297,13 +297,6 @@ class TestReadSparse:
                 lo = (s - 1) * setup.ell
                 assert bits == model[theta - 1][lo : lo + setup.ell].tolist()
 
-    def test_case_mismatch_rejected(self):
-        fp, model, states, setup = build_session(1)
-        other = topr.coordinator_setup(5, 3, 2, allocate_eval_points(10, 3, 127), 0)
-        query = build_query(1, 1, fp, setup.ell, 3, CounterNoise(0))
-        with pytest.raises(ConfigError):
-            topr.read_sparse(1, [1], other, states, query)
-
 
 class TestWriteSparse:
     def test_worked_example_positions(self):
