@@ -10,10 +10,14 @@ shared by all databases, and a database only ever applies column v of it
 (case 1) or the sum over block column v (case 2).  The coordinator's setup
 therefore holds that noise once, reduced to those columns, as a numpy array
 of :func:`~pruw.field.kernel_dtype` drawn from one counter stream per block
-column, and derives each database's un-permuting weights from it in one
-vectorised step.  Position symbols are
-charged as ceil(log_q P) field symbols by the meter; the closed-form costs
-keep the fractional logarithm and both are reported.
+column.  Since the noise is shared, a phase applies it to every database at
+once: one contraction of the noise columns with the ``(N, P * ell)`` row
+products (read) or the ``(V, N)`` write symbols (write), each database's
+constant as a scale (case 1) and the sparse base term at perm(v) added
+after.  No database ever builds its own ``(V, P * ell)`` weights.
+
+Position symbols are charged as ceil(log_q P) field symbols by the meter;
+the closed-form costs keep the fractional logarithm and both are reported.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype
+from .field import (CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype,
+                    mod_einsum)
 from .poly import apply_rows, build_query, combine_map, decode_inverse
-from .storage import DatabaseState, answer, fold, init_topr, topr_subpacketization, write_factors
+from .storage import DatabaseState, fold, init_topr, topr_subpacketization, write_factors
 
 # Bound on the symbols of the shared reversing noise, side * P with side P
 # (case 1) or P * ell (case 2), which a session draws in its first iteration.
@@ -70,7 +75,9 @@ class PermutationSetup:
     (perm(i), i), plus the noise matrix Z that all databases share: scaled
     by prod_j (f_j - alpha_n) in case 1, added as is in case 2.  The setup
     holds Z once, reduced to the columns the databases apply, and draws it
-    at first use; the inverse permutation is also built at first use.
+    at first use; :func:`answer_sparse` and :func:`apply_sparse_write` apply
+    it to all databases in one contraction per phase.  The inverse
+    permutation is also built at first use.
     """
 
     perm: tuple[int, ...]
@@ -118,35 +125,6 @@ class PermutationSetup:
             self._noise = np.stack([z.sum(axis=1) % q for z in self._noise_blocks()], axis=1)
         return self._noise
 
-    def weights(self, n: int, v_perm):
-        """Database n's un-permuting weights for the permuted indices
-        ``v_perm`` (any order), a (len(v_perm), P * ell) array with one
-        column per (subpacket, bit) in storage order.
-
-        Row k is column v = v_perm[k] of the reversing matrix repeated over
-        the bits (case 1), or the sums over its block column v (case 2): the
-        shared noise's column v-1 times prod_j (f_j - alpha_n) plus a 1 at
-        row perm(v)-1 (case 1), or the column as is plus (f_j - alpha_n)^-1
-        at row (perm(v)-1) * ell + j (case 2).
-        """
-        import numpy as np
-
-        q, ell = self.fp.q, self.ell
-        const = _reversing_constants(self.fp, ell, self.case)[n - 1]
-        cols = np.asarray(v_perm, dtype=np.intp) - 1
-        at = np.arange(len(cols))
-        rows = np.asarray(self.perm, dtype=np.intp)[cols] - 1
-        z = self.reversing_noise()[:, cols]
-        if self.case == 1:
-            z *= const
-            z[rows, at] += 1
-            z %= q
-            return z.repeat(ell, axis=0).T
-        gamma = np.array(const, dtype=z.dtype)
-        rows = rows[:, None] * ell + np.arange(ell)
-        z[rows, at[:, None]] = (z[rows, at[:, None]] + gamma) % q
-        return z.T
-
     def base_matrix(self, n: int):
         """Database n's reversing matrix without noise, as an array of
         :func:`kernel_dtype`: a 1 at (perm(i), i) in case 1; in case 2 the
@@ -166,9 +144,9 @@ class PermutationSetup:
 
     def reversing_matrix(self, n: int):
         """Noise-added reversing matrix held by database n (1-based), as a
-        dense array of :func:`kernel_dtype`: the reference that
-        :meth:`weights` is checked against.  Sessions never build it.  The
-        dense noise is drawn once per setup, from the same streams as
+        dense array of :func:`kernel_dtype`: the reference that the shared-noise
+        contractions are checked against.  Sessions never build it.  The dense
+        noise is drawn once per setup, from the same streams as
         :meth:`reversing_noise`; the matrix itself is rebuilt on every call.
         """
         import numpy as np
@@ -217,15 +195,41 @@ def build_query_case2(theta, fp, ell, m_count, noise):
     return build_query(theta, fp, fp.fs[:ell], m_count, noise, reciprocal=False)
 
 
-def answer_sparse(state: DatabaseState, setup: PermutationSetup, query_block, v_tilde):
-    """Database-side answers, an array with one per permuted subpacket index
-    in ``v_tilde``: the row inner products with the query, computed once,
-    weighted by the database's :meth:`PermutationSetup.weights`."""
+def answer_sparse(states: list[DatabaseState], setup: PermutationSetup, query_blocks, v_tilde):
+    """Every database's answers, an ``(N, V)`` array: row i holds database
+    ``states[i]``'s answer for each permuted subpacket index in ``v_tilde``.
+
+    Database n's answer at v is its row products with its query, weighted
+    by column v of its reversing matrix (repeated over the bits, case 1) or
+    by the sums over its block column v (case 2).  The row products are one
+    :func:`~pruw.field.mod_einsum` per database.  The shared noise meets all
+    of them in one contraction, scaled by prod_j (f_j - alpha_n) in case 1,
+    and the base term adds the products at perm(v): summed over the bits
+    (case 1) or weighted by (f_j - alpha_n)^-1 (case 2).
+    """
     import numpy as np
 
-    rows = state.cells.reshape(-1, state.m_count)
-    qvecs = np.tile(np.asarray(query_block, dtype=rows.dtype), (state.subpackets, 1))
-    return answer(state.fp.q, rows, qvecs, setup.weights(state.db_index, v_tilde))
+    fp, dtype = states[0].fp, states[0].cells.dtype
+    q = fp.q
+    # prods[i, s, j]: the inner product of cells[s, j] with query row j
+    prods = np.stack([
+        mod_einsum(q, "jm,sjm->sj", np.asarray(query_blocks[st.db_index - 1], dtype=dtype),
+                   st.cells)
+        for st in states
+    ])
+    cols = np.asarray(v_tilde, dtype=np.intp) - 1
+    rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
+    noise = setup.reversing_noise()[:, cols]
+    consts = _reversing_constants(fp, setup.ell, setup.case)
+    consts = np.array([consts[st.db_index - 1] for st in states], dtype=dtype)
+    if setup.case == 1:
+        sums = prods.sum(axis=2) % q
+        out = consts[:, None] * mod_einsum(q, "nk,vk->nv", sums, noise.T)
+        out += sums[:, rows]
+    else:
+        out = mod_einsum(q, "nk,vk->nv", prods.reshape(len(states), -1), noise.T)
+        out += mod_einsum(q, "nj,nvj->nv", consts, prods[:, rows])
+    return out % q
 
 
 def decode_sparse(fp: FieldParams, ell: int, answers):
@@ -256,8 +260,7 @@ def read_sparse(
     true = np.array([setup.true_index(v) for v in v_tilde], dtype=np.intp)
     if not v_tilde:
         return true, np.zeros((0, setup.ell), dtype=states[0].cells.dtype)
-    answers = np.stack([answer_sparse(st, setup, query_blocks[st.db_index - 1], v_tilde)
-                        for st in states])
+    answers = answer_sparse(states, setup, query_blocks, v_tilde)
     return true, decode_sparse(states[0].fp, setup.ell, answers).T
 
 
@@ -295,50 +298,80 @@ def write_sparse(
     import numpy as np
 
     fp = states[0].fp
-    ell = setup.ell
-    chosen = select_top_r(scores, r, setup.p_subpackets)
-    for s in chosen:
-        if len(deltas[s - 1]) != ell:
-            raise DomainError(f"expected {ell} updates for subpacket {s}")
+    ell, p = setup.ell, setup.p_subpackets
+    if len(scores) != p:
+        raise DomainError(f"expected {p} scores, got {len(scores)}")
+    if len(deltas) != p:
+        raise DomainError(f"expected updates for {p} subpackets, got {len(deltas)}")
+    try:
+        block = np.asarray(deltas, dtype=kernel_dtype(fp.q))
+    except ValueError:  # ragged rows
+        block = None
+    if block is None or block.shape != (p, ell):
+        bad = next((s for s, row in enumerate(deltas, 1) if np.shape(row) != (ell,)), 1)
+        raise DomainError(f"expected {ell} updates for subpacket {bad}")
+    chosen = select_top_r(scores, r, p)
     # one noise symbol per chosen subpacket, in ascending true order
     zs = noise.symbol(fp.q, len(chosen), "update-noise")
-    inputs = np.array([list(deltas[s - 1]) + [z] for s, z in zip(chosen, zs)],
-                      dtype=kernel_dtype(fp.q)).reshape(len(chosen), ell + 1)
+    inputs = np.concatenate([block[np.asarray(chosen, dtype=np.intp) - 1], zs[:, None]], axis=1)
     symbols = apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, 1), inputs.T)
-    per_true = dict(zip(chosen, symbols.T.tolist()))
-    pairs = sorted((setup.permuted_index(s), s) for s in chosen)
-    positions = [pos for pos, _ in pairs]
-    values = [per_true[s] for _, s in pairs]
-    for st in states:
-        apply_sparse_write(
-            st, setup, query_blocks[st.db_index - 1], positions,
-            [v[st.db_index - 1] for v in values],
-        )
-    return SparseWriteResult(positions=positions, values=values, chosen_true=chosen)
+    permuted = [setup.permuted_index(s) for s in chosen]
+    order = sorted(range(len(chosen)), key=permuted.__getitem__)
+    positions = [permuted[k] for k in order]
+    values = symbols.T[order]
+    apply_sparse_write(states, setup, query_blocks, positions, values)
+    return SparseWriteResult(positions=positions, values=values.tolist(), chosen_true=chosen)
 
 
 def apply_sparse_write(
-    state: DatabaseState,
+    states: list[DatabaseState],
     setup: PermutationSetup,
-    query_block,
+    query_blocks,
     positions: list[int],
-    symbols: list[int],
+    symbols,
 ) -> None:
-    """Database side: rebuild the permuted update vector, un-permute it with
-    the noisy reversing matrix, and add the per-subpacket increments."""
+    """Database side of a write, for every database in ``states``:
+    ``symbols[k][i]`` is the symbol for ``positions[k]`` at ``states[i]``.
+
+    Each database rebuilds its permuted update vector, un-permutes it with
+    its noisy reversing matrix and adds the per-subpacket increments.  The
+    shared noise's columns meet the ``(V, N)`` symbols in one contraction,
+    scaled by prod_j (f_j - alpha_n) in case 1; the base term adds each
+    symbol at its perm(v), times (f_j - alpha_n)^-1 at bit j in case 2.
+    Each database then folds its increments times its
+    :func:`~pruw.storage.write_factors` row.
+    """
+    import numpy as np
+
     if len(set(positions)) != len(positions):
         raise ProtocolError("duplicate permuted positions in write payload")
     if any(not 1 <= k <= setup.p_subpackets for k in positions):
         raise ProtocolError("permuted position out of range")
     if not positions:
         return
-    fp = state.fp
-    q = fp.q
-    weights = setup.weights(state.db_index, positions)
-    # t[p] = sum_v symbols[v] * weights[v][p], one value per (subpacket, bit)
-    t_vec = apply_rows(q, (symbols,), weights)[0].reshape(state.subpackets, setup.ell)
-    factors = write_factors(fp, state.layout.affine_mask, fp.fs[: setup.ell], ())
-    fold(q, state.cells, query_block, t_vec * factors[state.db_index - 1] % q)
+    fp, dtype = states[0].fp, states[0].cells.dtype
+    q, ell = fp.q, setup.ell
+    sym = np.asarray(symbols, dtype=dtype)
+    if sym.shape != (len(positions), len(states)):
+        raise ProtocolError("write payload needs one symbol per position and database")
+    cols = np.asarray(positions, dtype=np.intp) - 1
+    rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
+    noise = setup.reversing_noise()[:, cols]
+    consts = _reversing_constants(fp, ell, setup.case)
+    consts = np.array([consts[st.db_index - 1] for st in states], dtype=dtype)
+    # t[i, k] = sum_v noise[k, v] * sym[v, i], before each database's base term
+    t = mod_einsum(q, "nv,kv->nk", sym.T, noise)
+    if setup.case == 1:
+        t *= consts[:, None]
+        t[:, rows] += sym.T
+        t = t[:, :, None]  # one increment for every bit of a subpacket
+    else:
+        t = t.reshape(len(states), -1, ell)
+        t[:, rows] += consts[:, None, :] * sym.T[:, :, None]
+    factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[:ell], ())
+    steps = t % q * factors[[st.db_index - 1 for st in states]][:, None, :] % q
+    for st, step in zip(states, steps):
+        fold(q, st.cells, query_blocks[st.db_index - 1], step)
 
 
 @dataclass(frozen=True)

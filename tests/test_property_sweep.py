@@ -56,12 +56,14 @@ def basic_configs(draw):
 @st.composite
 def topr_configs(draw):
     case = draw(st.sampled_from((1, 2)))
-    n = draw(st.sampled_from((6, 10) if case == 1 else (6, 8, 10)))
+    n = draw(st.sampled_from((6, 10, 14) if case == 1 else (6, 8, 10, 12, 14)))
     p = draw(st.integers(1, 8))
     rate = st.builds(Fraction, st.integers(0, 8), st.just(8))
+    # the int64 limb path at its largest prime, and the object path
+    q = draw(st.sampled_from(PRIMES + (3_037_000_493, 2**61 - 1)))
     return ExperimentConfig(
         scheme="topr", n=n, m=draw(st.integers(1, 3)), p=p, case=case,
-        q=draw(st.sampled_from(PRIMES)), r=draw(rate), r_prime=draw(rate),
+        q=q, r=draw(rate), r_prime=draw(rate),
         seed=draw(st.integers(0, 2**32)), iterations=draw(st.integers(1, 3)),
     )
 

@@ -10,10 +10,11 @@ import pytest
 
 from pruw import topr
 from pruw.config import ExperimentConfig
-from pruw.errors import ConfigError, ProtocolError
+from pruw.errors import ConfigError, DomainError, ProtocolError
 from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
-from pruw.harness import run_session
-from pruw.storage import draw_model, init_topr, reconstruct_plain
+from pruw.harness import Session, run_session
+from pruw.poly import apply_rows
+from pruw.storage import answer, draw_model, fold, init_topr, reconstruct_plain, write_factors
 
 PERM_FIXTURE = (2, 5, 1, 3, 4)
 
@@ -49,6 +50,35 @@ def reference_reversing(setup, n):
             r, c = (true - 1) * block + j, i * block + j
             mat[r][c] = (mat[r][c] + entry) % q
     return mat
+
+
+def weights(setup, n, v_perm):
+    """Database n's un-permuting weights for the permuted indices ``v_perm``
+    (any order), a (len(v_perm), P * ell) array with one column per
+    (subpacket, bit) in storage order: the per-database reference for the
+    sessions' all-database contractions.
+
+    Row k is column v = v_perm[k] of the reversing matrix repeated over the
+    bits (case 1), or the sums over its block column v (case 2): the shared
+    noise's column v-1 times prod_j (f_j - alpha_n) plus a 1 at row
+    perm(v)-1 (case 1), or the column as is plus (f_j - alpha_n)^-1 at row
+    (perm(v)-1) * ell + j (case 2).
+    """
+    q, ell = setup.fp.q, setup.ell
+    const = topr._reversing_constants(setup.fp, ell, setup.case)[n - 1]
+    cols = np.asarray(v_perm, dtype=np.intp) - 1
+    at = np.arange(len(cols))
+    rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
+    z = setup.reversing_noise()[:, cols]
+    if setup.case == 1:
+        z *= const
+        z[rows, at] += 1
+        z %= q
+        return z.repeat(ell, axis=0).T
+    gamma = np.array(const, dtype=z.dtype)
+    rows = rows[:, None] * ell + np.arange(ell)
+    z[rows, at[:, None]] = (z[rows, at[:, None]] + gamma) % q
+    return z.T
 
 
 def build_query(case, theta, fp, ell, m_count, noise):
@@ -161,7 +191,7 @@ class TestColumnWeights:
                     expected = [row[v - 1] for row in rev for _ in range(ell)]
                 else:
                     expected = [sum(row[(v - 1) * ell : v * ell]) % q for row in rev]
-                got = setup.weights(n, [v])[0].tolist()
+                got = weights(setup, n, [v])[0].tolist()
                 assert got == expected
                 assert all(type(w) is int for w in got)
 
@@ -192,11 +222,11 @@ class TestWeights:
         for n in range(1, fp.n_databases + 1):
             expected = self.dense_columns(setup, n)
             for v in range(1, setup.p_subpackets + 1):
-                assert setup.weights(n, [v]).tolist() == [expected[v - 1]]
+                assert weights(setup, n, [v]).tolist() == [expected[v - 1]]
             # an index list in any order, of any length
             for count in (setup.p_subpackets, 2):
                 order = rng.sample(range(1, setup.p_subpackets + 1), count)
-                got = setup.weights(n, order)
+                got = weights(setup, n, order)
                 assert got.dtype == kernel_dtype(q)
                 assert got.tolist() == [expected[v - 1] for v in order]
 
@@ -213,7 +243,7 @@ class TestWeights:
         monkeypatch.setattr(CounterNoise, "symbol", counting)
         assert setup._noise is None
         for n in range(1, fp.n_databases + 1):
-            setup.weights(n, [1, 3])
+            weights(setup, n, [1, 3])
         block = 1 if case == 1 else setup.ell
         side = setup.p_subpackets * block
         tag = "rev1" if case == 1 else "rev2"
@@ -233,6 +263,78 @@ class TestWeights:
         res = run_session(cfg)
         assert res.verdict
         assert all(it.detail["read_ok"] and it.detail["write_ok"] for it in res.iterations)
+
+
+class TestAllDatabases:
+    """A phase un-permutes for every database in one shared-noise
+    contraction; its answers and folds must equal the per-database
+    reference: the row products weighted by :func:`weights`, and the fold
+    of the weighted symbols."""
+
+    @staticmethod
+    def v_sets(p, rng):
+        shuffled = list(range(1, p + 1))
+        rng.shuffle(shuffled)
+        return [[], [rng.randint(1, p)], list(range(1, p + 1)), shuffled]
+
+    # the default modulus, the largest prime on the int64 path and the next
+    @pytest.mark.parametrize("q", [127, 3_037_000_493, 3_037_000_507])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_answers_match_reference(self, case, q):
+        fp, _, states, setup = build_session(case, q=q, perm=None, seed=6)
+        query = build_query(case, 2, fp, setup.ell, 3, CounterNoise(7))
+        for v in self.v_sets(setup.p_subpackets, random.Random(case * q)):
+            got = topr.answer_sparse(states, setup, query, v)
+            want = []
+            for st in states:
+                rows = st.cells.reshape(-1, st.m_count)
+                qvecs = np.tile(np.asarray(query[st.db_index - 1], dtype=rows.dtype),
+                                (st.subpackets, 1))
+                want.append(answer(q, rows, qvecs, weights(setup, st.db_index, v)).tolist())
+            assert got.shape == (fp.n_databases, len(v))
+            assert got.dtype == kernel_dtype(q)
+            assert got.tolist() == want
+            assert all(type(a) is int for row in got.tolist() for a in row)
+
+    @pytest.mark.parametrize("q", [127, 3_037_000_493, 3_037_000_507])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_folds_match_reference(self, case, q):
+        fp, _, states, setup = build_session(case, q=q, perm=None, seed=8)
+        query = build_query(case, 1, fp, setup.ell, 3, CounterNoise(9))
+        factors = write_factors(fp, True, fp.fs[: setup.ell], ())
+        rng = random.Random(case + q)
+        for positions in self.v_sets(setup.p_subpackets, rng):
+            symbols = CounterNoise(len(positions)).symbol(
+                q, len(positions) * fp.n_databases, "symbols").reshape(len(positions), fp.n_databases)
+            want = [st.cells.copy() for st in states]
+            if positions:
+                for st, cells in zip(states, want):
+                    n = st.db_index
+                    t = apply_rows(q, (symbols[:, n - 1],), weights(setup, n, positions))[0]
+                    t = t.reshape(st.subpackets, setup.ell)
+                    fold(q, cells, query[n - 1], t * factors[n - 1] % q)
+            topr.apply_sparse_write(states, setup, query, positions, symbols)
+            for st, cells in zip(states, want):
+                assert st.cells.dtype == cells.dtype
+                assert st.cells.tolist() == cells.tolist()
+
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_one_noise_use_per_phase(self, case, n, monkeypatch):
+        original = topr.PermutationSetup.reversing_noise
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(topr.PermutationSetup, "reversing_noise", counting)
+        cfg = ExperimentConfig(scheme="topr", n=n, m=2, p=8, case=case, q=127, seed=3,
+                               r=Fraction(1, 2), r_prime=Fraction(1, 2))
+        it = Session(cfg).run_iteration()
+        assert it.detail["v_tilde"] and it.detail["write_positions"]
+        assert it.detail["read_ok"] and it.detail["write_ok"]
+        assert len(calls) == 2
 
 
 class TestInversePermutation:
@@ -379,11 +481,42 @@ class TestWriteSparse:
             lo = (s - 1) * setup.ell
             assert rec[1][lo : lo + setup.ell].tolist() == model[1][lo : lo + setup.ell].tolist()
 
+    @pytest.mark.parametrize("q", [127, 2**61 - 1])
+    @pytest.mark.parametrize("kind", ["short", "wide", "ragged", "short_scores"])
+    def test_malformed_inputs_rejected(self, kind, q):
+        fp, model, states, setup = build_session(1, q=q)
+        query = build_query(1, 1, fp, setup.ell, 3, CounterNoise(15))
+        ell = setup.ell
+        deltas = [[1] * ell for _ in range(5)]
+        scores = [5, 4, 3, 2, 1]
+        if kind == "short":
+            deltas = deltas[:2]
+        elif kind == "wide":
+            deltas = [[1] * (ell + 1) for _ in range(5)]
+        elif kind == "ragged":
+            deltas[2] = [1] * (ell + 1)
+        else:
+            scores = scores[:3]
+        message = {"short": "updates for 5 subpackets", "wide": f"{ell} updates for subpacket 1",
+                   "ragged": f"{ell} updates for subpacket 3", "short_scores": "5 scores"}[kind]
+        with pytest.raises(DomainError, match=message):
+            topr.write_sparse(deltas, scores, Fraction(2, 5), 1, setup, states, query,
+                              CounterNoise(16))
+        assert np.array_equal(reconstruct_plain(states), model)
+
     def test_duplicate_positions_rejected(self):
         fp, model, states, setup = build_session(1)
         query = build_query(1, 1, fp, setup.ell, 3, CounterNoise(0))
         with pytest.raises(ProtocolError):
-            topr.apply_sparse_write(states[0], setup, query[0], [3, 3], [1, 2])
+            topr.apply_sparse_write(states, setup, query, [3, 3], [[1] * 10, [2] * 10])
+
+    def test_payload_needs_a_symbol_per_database(self):
+        fp, model, states, setup = build_session(1)
+        query = build_query(1, 1, fp, setup.ell, 3, CounterNoise(0))
+        for symbols in ([[1] * 9, [2] * 9], [[1] * 10]):
+            with pytest.raises(ProtocolError, match="one symbol per position and database"):
+                topr.apply_sparse_write(states, setup, query, [3, 4], symbols)
+        assert np.array_equal(reconstruct_plain(states), model)
 
 
 class TestPositionPrivacy:
