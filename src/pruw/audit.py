@@ -120,10 +120,10 @@ def make_query_sampler(scheme: str, q: int, m_count: int, case: int = 1):
 
     elif scheme == "random":
         spec = rs.RegionSpec(lam=Fraction(1), ell_r=1, ell_w=1, case=2)
-        j_read = ((1,),)
+        region = rs.Region(spec, start=0, real_bits=1, j_read=((1,),), j_write=((1,),))
 
         def sample(theta, noise):
-            return rs.build_read_queries(theta, fp, spec, j_read, m_count, noise)[0][0][0]
+            return rs.build_read_queries(theta, fp, region, m_count, noise)[0][0][0]
 
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, kernel_dtype
+from .field import FieldParams, allocate_eval_points, kernel_dtype, symbol_array
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_basic, write_factors
 
@@ -148,11 +148,8 @@ def build_write_symbols(
     ell, terms = params.ell, params.t_update
     count = len(deltas_by_subpacket)
     dtype = kernel_dtype(fp.q)
-    try:
-        deltas = np.asarray(deltas_by_subpacket, dtype=dtype)
-    except ValueError:  # ragged rows on int64; object arrays keep them as a 1-d array
-        deltas = None
-    if deltas is None or deltas.shape != (count, ell):
+    deltas = symbol_array(deltas_by_subpacket, fp.q, (count, ell))
+    if deltas is None:
         raise DomainError(f"expected {ell} deltas per subpacket")
     z = noise.symbol(fp.q, count * terms, "update-noise")
     inputs = np.concatenate([deltas, np.asarray(z, dtype=dtype).reshape(count, terms)], axis=1)
@@ -212,7 +209,7 @@ class BasicScheme:
         p = self.params
         self.states = init_basic(model, self.fp, p.t_storage, p.t_query, p.t_update,
                                  noise.derive("storage"))
-        self.storage = [(0, self.length, self.states)]
+        self.storage = [(0, self.states)]
 
     def read(self, theta, iteration, noise, record, detail):
         import numpy as np

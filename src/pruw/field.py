@@ -169,6 +169,21 @@ def kernel_dtype(q: int):
     return np.int64 if (q - 1) ** 2 < 1 << 63 else object
 
 
+def symbol_array(values, q: int, shape: tuple):
+    """``values`` as a ``shape`` array of :func:`kernel_dtype`, or None if
+    they do not form one.  Object arrays hold Python ints: numpy integers
+    overflow in products with the fixed maps' coefficients."""
+    import numpy as np
+
+    try:
+        out = np.asarray(values, dtype=kernel_dtype(q))
+    except ValueError:  # ragged rows on int64
+        return None
+    if out.shape != shape:
+        return None
+    return np.frompyfunc(int, 1, 1)(out) if out.dtype == object else out
+
+
 LIMB_BITS = 16
 
 

@@ -11,9 +11,9 @@ hold everything that differs.  Each is built as ``Scheme(cfg)`` and offers:
   ``(M, length)`` model array, drawing their privacy noise from the root
   ``noise`` (under "storage", and the random scheme's one-time queries
   under "one-time-queries");
-* ``storage``: ``(start, real_bits, states)`` blocks; model positions
-  ``start .. start + real_bits - 1`` live in ``states``, whose tail beyond
-  them is zero padding;
+* ``storage``: ``(start, states)`` blocks; model positions ``start ..
+  start + states[0].length - 1`` live in ``states``, which storage
+  zero-pads to whole layout periods (``padded_length``);
 * ``read(theta, iteration, noise, record, detail)``: records the read
   frames and returns the pair ``(positions, symbols)``: the model positions
   it decoded and their decoded symbols;
@@ -125,20 +125,20 @@ def next_prime_above(x: int) -> int:
     return candidate
 
 
-def _write_mismatch(oracle, start: int, real_bits: int, got) -> dict | None:
-    """First (submodel, position, expected, got) where a storage block's
-    decoded ``(M, length)`` array and the oracle's slice of it, zero-padded
-    to the block, differ."""
+def _write_mismatch(oracle, storage) -> dict | None:
+    """First (submodel, position, expected, got), block by block, where a
+    storage block's decoded ``(M, length)`` array and the oracle's slice of
+    it differ."""
     import numpy as np
 
-    want = np.zeros_like(got)
-    want[:, :real_bits] = oracle[:, start : start + real_bits]
-    bad = np.flatnonzero(want != got)
-    if not len(bad):
-        return None
-    m, k = divmod(int(bad[0]), got.shape[1])
-    return {"submodel": m + 1, "position": start + k, "expected": int(want[m, k]),
-            "got": int(got[m, k])}
+    for start, states in storage:
+        got = reconstruct_plain(states)
+        bad = np.flatnonzero(oracle[:, start : start + got.shape[1]] != got)
+        if len(bad):
+            m, k = divmod(int(bad[0]), got.shape[1])
+            return {"submodel": m + 1, "position": start + k,
+                    "expected": int(oracle[m, start + k]), "got": int(got[m, k])}
+    return None
 
 
 class Session:
@@ -185,12 +185,7 @@ class Session:
         write_pos, delta = scheme.write(theta, CounterNoise(derive_seed(cfg.seed, f"update-{i}")),
                                         self.noise.derive(f"update-{i}"), record, detail)
         truth[write_pos] = (truth[write_pos] + delta) % cfg.q  # each position named once
-        write_mismatch = None
-        for start, real_bits, states in scheme.storage:
-            write_mismatch = _write_mismatch(self.oracle, start, real_bits,
-                                             reconstruct_plain(states))
-            if write_mismatch is not None:
-                break
+        write_mismatch = _write_mismatch(self.oracle, scheme.storage)
         detail["read_ok"] = read_mismatch is None
         detail["write_ok"] = write_mismatch is None
         if read_mismatch is not None:
@@ -206,8 +201,8 @@ class Session:
                 write_budget=scheme.budget[1],
                 read_measured=Fraction(length - len(read_pos), length),
                 write_measured=Fraction(length - len(write_pos), length),
-                pad_bits=sum(states[0].length - real_bits
-                             for _, real_bits, states in scheme.storage),
+                pad_bits=sum(states[0].padded_length - states[0].length
+                             for _, states in scheme.storage),
             )
             verdict = verdict and report.within_budget
         self.iteration_index += 1

@@ -10,17 +10,21 @@ cyclically with period y = max(ell_r, ell_w), so queries are defined once
 per super-subpacket pattern and reused; they are one-time messages and stay
 off the cost meter.
 
-Region boundaries are realized on each region's lcm grid (whole
+Each realized :class:`Region` records its spec, its model slice and its J
+sets, drawn once per session from the one ``bit-sets`` stream: region by
+region in realized order, each region's read patterns before its write
+patterns.  Regions are realized on their lcm grids (whole
 super-subpackets); the realized fractions are what the meter reports.  The
-first region takes the remainder, padded to its grid.  The padding costs no
-distortion only if that region carries none; on a single-region plan, or
-one where only one phase splits, pad bits take correct-bit slots from real
-positions and can overrun the budget (N=10, L=2000, d=(1/3, 1/5) reads
-667/2000 with 10 pad bits).
+first region takes the remainder, which its storage pads to the region's
+period.  The padding costs no distortion only if that region carries none;
+on a single-region plan, or one where only one phase splits, pad bits take
+correct-bit slots from real positions and can overrun the budget (N=10,
+L=2000, d=(1/3, 1/5) reads 667/2000 with 10 pad bits).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype
+from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype, symbol_array
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_random_sparse, write_factors
 
@@ -183,99 +187,59 @@ def plan_from_subpacketizations(n: int, ell_r: int, ell_w: int) -> SparsePlan:
 
 
 @dataclass(frozen=True)
-class RealizedRegion:
+class Region:
+    """One realized region: model positions ``start .. start + real_bits -
+    1`` under ``spec``, with its per-pattern correct-bit (J) sets, 1-based
+    within the subpacket."""
+
     spec: RegionSpec
-    start: int        # first real model position covered (0-based)
-    real_bits: int    # real positions covered
-    total_bits: int   # storage extent, a multiple of spec.period
-
-    @property
-    def pad_bits(self) -> int:
-        return self.total_bits - self.real_bits
+    start: int
+    real_bits: int
+    j_read: tuple[tuple[int, ...], ...]
+    j_write: tuple[tuple[int, ...], ...]
 
 
-def realize_regions(plan: SparsePlan, length: int) -> list[RealizedRegion]:
-    """Cut the model into whole super-subpackets per region.
+def realize_regions(plan: SparsePlan, length: int, seed: int) -> list[Region]:
+    """Cut the model into whole super-subpackets per region and draw each
+    region's J sets (see the module doc for the draw order).
 
     Later (higher-distortion) regions are floored to their grid; the first
-    region absorbs the remainder, padded to its grid, which can overrun the
-    budget unless that region carries no distortion (see the module doc).
+    region takes the remainder, which storage pads to its grid and which can
+    overrun the budget unless that region carries no distortion.
     """
     specs = [r for r in plan.regions if r.lam > 0]
     if not specs:
         raise ConfigError("plan has no regions")
-    sizes = []
-    remaining = length
-    for spec in specs[1:][::-1]:
-        size = (spec.lam * length).__floor__() // spec.period * spec.period
-        size = min(size, remaining)
-        sizes.append(size)
-        remaining -= size
-    sizes = sizes[::-1]
-    first_real = remaining
-    first_total = -(-first_real // specs[0].period) * specs[0].period
-    out = [RealizedRegion(spec=specs[0], start=0, real_bits=first_real, total_bits=first_total)]
-    pos = first_real
-    for spec, size in zip(specs[1:], sizes):
-        out.append(RealizedRegion(spec=spec, start=pos, real_bits=size, total_bits=size))
-        pos += size
-    return out
-
-
-@dataclass(frozen=True)
-class RegionBitSets:
-    """Per-pattern correct-bit index sets (1-based within the subpacket)."""
-
-    read: tuple[tuple[int, ...], ...]
-    write: tuple[tuple[int, ...], ...]
-
-
-def draw_bit_sets(plan: SparsePlan, seed: int) -> list[RegionBitSets]:
-    """Draw every J set once for the session; fixed thereafter."""
+    sizes = [0] * len(specs)
+    for i in range(len(specs) - 1, 0, -1):
+        floor = (specs[i].lam * length).__floor__() // specs[i].period * specs[i].period
+        sizes[i] = min(floor, length - sum(sizes))
+    sizes[0] = length - sum(sizes)
     rng = random.Random(derive_seed(seed, "bit-sets"))
-    base = plan.base
-    out = []
-    for spec in plan.regions:
-        read = tuple(
-            tuple(sorted(rng.sample(range(1, spec.ell_r + 1), base)))
-            for _ in range(spec.read_patterns)
-        )
-        write = tuple(
-            tuple(sorted(rng.sample(range(1, spec.ell_w + 1), base)))
-            for _ in range(spec.write_patterns)
-        )
-        out.append(RegionBitSets(read=read, write=write))
-    return out
 
+    def draw(ell: int, patterns: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(rng.sample(range(1, ell + 1), plan.base)))
+                     for _ in range(patterns))
 
-def validate_bit_sets(plan: SparsePlan, sets: list[RegionBitSets]) -> None:
-    base = plan.base
-    for spec, rs in zip(plan.regions, sets):
-        if len(rs.read) != spec.read_patterns or len(rs.write) != spec.write_patterns:
-            raise ConfigError("bit-set pattern count does not match the plan")
-        for j in rs.read:
-            if len(j) != base or not all(1 <= i <= spec.ell_r for i in j):
-                raise ConfigError(f"read bit set must pick {base} indices within the subpacket")
-        for j in rs.write:
-            if len(j) != base or not all(1 <= i <= spec.ell_w for i in j):
-                raise ConfigError(f"write bit set must pick {base} indices within the subpacket")
+    starts = itertools.accumulate(sizes[:-1], initial=0)
+    # arguments evaluate left to right: read patterns are drawn before write
+    return [Region(spec, start, size, draw(spec.ell_r, spec.read_patterns),
+                   draw(spec.ell_w, spec.write_patterns))
+            for spec, start, size in zip(specs, starts, sizes)]
 
 
 def init_region_states(
     model,
     fp: FieldParams,
-    realized: RealizedRegion,
+    region: Region,
     noise,
 ) -> list[DatabaseState]:
     """The region's states over its slice of the ``(M, L)`` model array,
-    zero-padded to the region's storage extent, masked with draws from
-    ``noise``."""
-    import numpy as np
-
-    spec = realized.spec
-    sub = np.zeros((len(model), realized.total_bits), dtype=model.dtype)
-    sub[:, : realized.real_bits] = model[:, realized.start : realized.start + realized.real_bits]
-    return init_random_sparse(sub, fp, spec.case, spec.ell_r, spec.ell_w, noise)
+    masked with draws from ``noise``; storage pads the slice to the
+    region's period."""
+    spec = region.spec
+    return init_random_sparse(model[:, region.start : region.start + region.real_bits], fp,
+                              spec.case, spec.ell_r, spec.ell_w, noise)
 
 
 def read_databases(n: int, case: int) -> list[int]:
@@ -297,55 +261,44 @@ def _pattern_fs(fp: FieldParams, t: int, phase_ell: int, y: int) -> tuple[int, .
     return tuple(fp.f(g_index((t - 1) * phase_ell + i, y)) for i in range(1, phase_ell + 1))
 
 
-def build_read_queries(
-    theta: int,
-    fp: FieldParams,
-    spec: RegionSpec,
-    j_read,
-    m_count: int,
-    noise,
-    tag=(),
-):
-    """One-time read queries: queries[t-1][n-1][i][m] over the patterns.
+def build_read_queries(theta: int, fp: FieldParams, region: Region, m_count: int, noise,
+                       tag=()):
+    """The region's one-time read queries: queries[t-1][n-1][i][m] over the
+    patterns.
 
     Indicators on the J-set bits, masked by (f - alpha) times free noise;
     pattern t's masks are drawn under (*tag, "read", t)."""
+    spec = region.spec
     return [
         build_query(theta, fp, _pattern_fs(fp, t, spec.ell_r, spec.y), m_count, noise,
-                    reciprocal=False, selected=j_read[t - 1], tag=(*tag, "read", t))
+                    reciprocal=False, selected=region.j_read[t - 1], tag=(*tag, "read", t))
         for t in range(1, spec.read_patterns + 1)
     ]
 
 
-def build_write_queries(
-    theta: int,
-    fp: FieldParams,
-    spec: RegionSpec,
-    j_write,
-    m_count: int,
-    noise,
-    tag=(),
-):
-    """One-time write queries: queries[t-1][n-1][i][m].
+def build_write_queries(theta: int, fp: FieldParams, region: Region, m_count: int, noise,
+                        tag=()):
+    """The region's one-time write queries: queries[t-1][n-1][i][m].
 
     Reciprocal indicators on the J-set bits masked by free noise; the
     reciprocal puts the decomposed update directly into the storage shape.
     Pattern t's masks are drawn under (*tag, "write", t).
     """
+    spec = region.spec
     return [
         build_query(theta, fp, _pattern_fs(fp, t, spec.ell_w, spec.y), m_count, noise,
-                    selected=j_write[t - 1], tag=(*tag, "write", t))
+                    selected=region.j_write[t - 1], tag=(*tag, "write", t))
         for t in range(1, spec.write_patterns + 1)
     ]
 
 
-def _jset_positions(total_bits: int, ell: int, jsets):
+def _jset_positions(padded_length: int, ell: int, jsets):
     """Row s: the region-local positions (0-based) of the J set of subpacket
     s, which follows pattern s mod len(jsets); a ``(subpackets, |J|)``
     ``np.intp`` array, ascending when read row by row."""
     import numpy as np
 
-    s = np.arange(total_bits // ell, dtype=np.intp)
+    s = np.arange(padded_length // ell, dtype=np.intp)
     return s[:, None] * ell + (np.array(jsets, dtype=np.intp) - 1)[s % len(jsets)]
 
 
@@ -357,24 +310,24 @@ def _pattern_rows(state: DatabaseState, ell: int, patterns: int, t: int):
 
 def region_read(
     fp: FieldParams,
-    realized: RealizedRegion,
+    region: Region,
     states: list[DatabaseState],
     queries,
-    j_read,
 ):
     """Decode the faithful bits of every reading subpacket in the region.
 
-    Returns the J-set positions only, region-local (0-based), ascending and
-    as an ``np.intp`` array, with their decoded symbols; everything else is
-    distortion by construction.  Each read pattern is one batch: one answer
-    call per database and one decode over all of its subpackets.
+    Returns the model positions of the J-set bits that are real (not
+    padding), ascending and as an ``np.intp`` array, with their decoded
+    symbols; everything else is distortion by construction.  Each read
+    pattern is one batch: one answer call per database and one decode over
+    all of its subpackets.
     """
     import numpy as np
 
-    spec = realized.spec
+    spec, j_read = region.spec, region.j_read
     dbs = read_databases(fp.n_databases, spec.case)
     alphas = tuple(fp.alpha(db) for db in dbs)
-    positions = _jset_positions(realized.total_bits, spec.ell_r, j_read)
+    positions = _jset_positions(states[0].padded_length, spec.ell_r, j_read)
     values = np.empty(positions.shape, dtype=kernel_dtype(fp.q))
     for t in range(1, spec.read_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_r, spec.y)
@@ -386,45 +339,49 @@ def region_read(
             for db in dbs
         ])
         values[t - 1 :: spec.read_patterns] = apply_rows(fp.q, inverse, answers).T
-    return positions.reshape(-1), values.reshape(-1)
+    real = positions < region.real_bits
+    return region.start + positions[real], values[real]
 
 
 def region_write(
     deltas,
     theta: int,
     fp: FieldParams,
-    realized: RealizedRegion,
+    region: Region,
     states: list[DatabaseState],
     queries,
-    j_write,
     noise,
     tag=(),
 ):
     """Apply one write round over the region.
 
-    ``deltas`` is the region-local update vector (length total_bits).
-    Returns the region-local positions written, ascending and as an
-    ``np.intp`` array, and the symbols sent per database.  The noise is one
-    symbol per writing subpacket, in subpacket order, drawn in one call
-    under ("update-noise", *tag); each write pattern is then one combine
-    over its subpackets and one fold per database.
+    ``deltas`` holds the region's ``real_bits`` updates; the padding's J-set
+    bits get a zero update, so the padding stays zero.  Returns the model
+    positions written, ascending and as an ``np.intp`` array, and the
+    symbols sent over all databases.  The noise is one symbol per writing
+    subpacket, in subpacket order, drawn in one call under
+    ("update-noise", *tag); each write pattern is then one combine over its
+    subpackets and one fold per database.
     """
     import numpy as np
 
-    spec = realized.spec
-    if len(deltas) != realized.total_bits:
+    spec, j_write = region.spec, region.j_write
+    q, dtype = fp.q, kernel_dtype(fp.q)
+    values = symbol_array(deltas, q, (region.real_bits,))
+    if values is None:
         raise DomainError("delta vector does not span the region")
     n = fp.n_databases
     dbs = write_databases(n, spec.case)
     # odd N, case 2: the excluded database is a one-element skip set
     skip = (n,) if len(dbs) < n else ()
-    subpackets = realized.total_bits // spec.ell_w
-    q, dtype = fp.q, kernel_dtype(fp.q)
+    padded_length = states[0].padded_length
+    subpackets = padded_length // spec.ell_w
     z = noise.symbol(q, subpackets, "update-noise", *tag)
     alphas = tuple(fp.alpha(db) for db in dbs)
-    positions = _jset_positions(realized.total_bits, spec.ell_w, j_write)
+    positions = _jset_positions(padded_length, spec.ell_w, j_write)
+    padded = np.concatenate([values, np.zeros(padded_length - region.real_bits, dtype=dtype)])
     # per subpacket: its J-set deltas, then its noise symbol
-    inputs = np.concatenate([np.asarray(deltas, dtype=dtype)[positions],
+    inputs = np.concatenate([padded[positions],
                              np.asarray(z, dtype=dtype).reshape(subpackets, 1)], axis=1)
     for t in range(1, spec.write_patterns + 1):
         fs = _pattern_fs(fp, t, spec.ell_w, spec.y)
@@ -435,7 +392,7 @@ def region_write(
         for db, u in zip(dbs, us):
             fold(q, _pattern_rows(states[db - 1], spec.ell_w, spec.write_patterns, t),
                  queries[t - 1][db - 1], np.outer(u, factors[db - 1]) % q)
-    return positions.reshape(-1), subpackets * len(dbs)
+    return region.start + positions[positions < region.real_bits], subpackets * len(dbs)
 
 
 @dataclass(frozen=True)
@@ -477,17 +434,17 @@ def costs_random_closed_form(n: int, d_read, d_write) -> tuple[Fraction, Fractio
 
 class RandomScheme:
     """Random sparsification in a session: one storage block per realized
-    region, with the bit sets and the one-time queries fixed at set-up for
-    the configured theta."""
+    region, with the regions' J sets and one-time queries fixed at set-up
+    for the configured theta."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.plan = optimize_plan(cfg.n, cfg.d_read, cfg.d_write)
         self.budget = (self.plan.d_read, self.plan.d_write)
-        self.realized = realize_regions(self.plan, cfg.l)
+        self.regions = realize_regions(self.plan, cfg.l, cfg.seed)
         symbols = cfg.n * cfg.m * sum(
             r.spec.read_patterns * r.spec.ell_r + r.spec.write_patterns * r.spec.ell_w
-            for r in self.realized
+            for r in self.regions
         )
         if symbols > QUERY_SYMBOL_LIMIT:
             raise ConfigError(
@@ -495,20 +452,17 @@ class RandomScheme:
                 f"one-time query symbols, above the limit of {QUERY_SYMBOL_LIMIT}"
             )
         self.length = cfg.l
-        self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.realized), cfg.q)
-        self.bit_sets = draw_bit_sets(self.plan, cfg.seed)
-        validate_bit_sets(self.plan, self.bit_sets)
+        self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.regions), cfg.q)
 
     def init_storage(self, model, noise) -> None:
         cfg, storage, queries = self.cfg, noise.derive("storage"), noise.derive("one-time-queries")
-        self.read_queries, self.write_queries, self.storage = [], [], []
-        for idx, (reg, sets) in enumerate(zip(self.realized, self.bit_sets)):
-            self.read_queries.append(build_read_queries(cfg.theta, self.fp, reg.spec, sets.read,
-                                                        cfg.m, queries, (idx,)))
-            self.write_queries.append(build_write_queries(cfg.theta, self.fp, reg.spec,
-                                                          sets.write, cfg.m, queries, (idx,)))
-            self.storage.append((reg.start, reg.real_bits, init_region_states(
-                model, self.fp, reg, storage.derive(f"region-{idx}"))))
+        # per region: its (read, write) one-time queries and its storage block
+        self.queries = [(build_read_queries(cfg.theta, self.fp, reg, cfg.m, queries, (idx,)),
+                         build_write_queries(cfg.theta, self.fp, reg, cfg.m, queries, (idx,)))
+                        for idx, reg in enumerate(self.regions)]
+        self.storage = [(reg.start, init_region_states(model, self.fp, reg,
+                                                       storage.derive(f"region-{idx}")))
+                        for idx, reg in enumerate(self.regions)]
 
     def read(self, theta, iteration, noise, record, detail):
         import numpy as np
@@ -518,7 +472,7 @@ class RandomScheme:
             raise ConfigError("the one-time queries pin theta for the whole session")
         # one-time queries are uploaded on the first iteration only
         if iteration == 0:
-            for reg in self.realized:
+            for reg in self.regions:
                 spec = reg.spec
                 for n in range(1, cfg.n + 1):
                     record(wire.READ_Q, wire.PHASE_READ, wire.UP, n,
@@ -526,19 +480,18 @@ class RandomScheme:
                     record(wire.WRITE_QGEN, wire.PHASE_WRITE, wire.UP, n,
                            spec.write_patterns * spec.ell_w * cfg.m, metered=False)
         positions, symbols = [], []
-        for reg, (_, _, states), queries, sets in zip(self.realized, self.storage,
-                                                      self.read_queries, self.bit_sets):
-            pos, values = region_read(self.fp, reg, states, queries, sets.read)
+        for reg, (_, states), (queries, _) in zip(self.regions, self.storage, self.queries):
+            pos, values = region_read(self.fp, reg, states, queries)
             for db in read_databases(cfg.n, reg.spec.case):
                 record(wire.READ_A, wire.PHASE_READ, wire.DOWN, db,
-                       reg.total_bits // reg.spec.ell_r)
-            real = pos < reg.real_bits
-            positions.append(reg.start + pos[real])
-            symbols.append(values[real])
+                       states[0].padded_length // reg.spec.ell_r)
+            positions.append(pos)
+            symbols.append(values)
         detail["regions"] = [
             {"lam": str(reg.spec.lam), "ell_r": reg.spec.ell_r, "ell_w": reg.spec.ell_w,
-             "case": reg.spec.case, "real_bits": reg.real_bits, "pad_bits": reg.pad_bits}
-            for reg in self.realized
+             "case": reg.spec.case, "real_bits": reg.real_bits,
+             "pad_bits": states[0].padded_length - states[0].length}
+            for reg, (_, states) in zip(self.regions, self.storage)
         ]
         return np.concatenate(positions), np.concatenate(symbols)
 
@@ -548,16 +501,14 @@ class RandomScheme:
         cfg = self.cfg
         deltas = data.symbol(self.fp.q, self.length, "delta")
         positions = []
-        for idx, (reg, (_, _, states), queries, sets) in enumerate(zip(
-                self.realized, self.storage, self.write_queries, self.bit_sets)):
-            region = np.zeros(reg.total_bits, dtype=deltas.dtype)
-            region[: reg.real_bits] = deltas[reg.start : reg.start + reg.real_bits]
-            written, _ = region_write(region, theta, self.fp, reg, states, queries, sets.write,
-                                      noise, (idx,))
+        for idx, (reg, (start, states), (_, queries)) in enumerate(zip(
+                self.regions, self.storage, self.queries)):
+            written, _ = region_write(deltas[start : start + reg.real_bits], theta, self.fp, reg,
+                                      states, queries, noise, (idx,))
             for db in write_databases(cfg.n, reg.spec.case):
                 record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
-                       reg.total_bits // reg.spec.ell_w)
-            positions.append(reg.start + written[written < reg.real_bits])
+                       states[0].padded_length // reg.spec.ell_w)
+            positions.append(written)
         positions = np.concatenate(positions)
         return positions, deltas[positions]
 

@@ -67,12 +67,16 @@ class Layout:
     """The cell form of one storage block: ``kind`` tags its mask streams,
     ``width`` is its bits per subpacket and ``noise_terms`` its mask
     coefficients per cell; the cells are ``W + (f - alpha) * mask`` when
-    ``affine_mask`` is set and ``W / (f - alpha) + mask`` otherwise."""
+    ``affine_mask`` is set and ``W / (f - alpha) + mask`` otherwise.
+    ``period``, a multiple of ``width``, is the grid the block is padded to
+    with zeros: ``width`` on the basic and top-r layouts, lcm(ell_r, ell_w)
+    on the random one, whose read and write subpackets both tile it."""
 
     kind: str
     width: int
     noise_terms: int
     affine_mask: bool
+    period: int
 
 
 @dataclass
@@ -82,7 +86,9 @@ class DatabaseState:
     ``cells[s, j, m]`` is the masked symbol of bit j (0-based within the
     subpacket) of submodel m in subpacket s, in a contiguous
     ``(subpackets, width, M)`` array of :func:`kernel_dtype`.  ``length`` is
-    the unpadded per-submodel symbol count this block covers.
+    the real per-submodel symbol count this block covers, on every layout;
+    the cells past it, up to ``padded_length`` (a multiple of the layout's
+    period), hold zeros.
     """
 
     db_index: int
@@ -101,26 +107,21 @@ class DatabaseState:
         return self.subpackets * self.layout.width
 
 
-def answer(q: int, rows, qvecs, coefs=None):
-    """Read answers: ``sum_k coefs[..., k] * <rows[..., k, :], qvecs[k]>`` mod
-    q, every coefficient 1 when ``coefs`` is None.
+def answer(q: int, rows, qvecs):
+    """Read answers: ``sum_k <rows[..., k, :], qvecs[k]>`` mod q.
 
     ``rows`` is a ``(..., K, M)`` array and ``qvecs`` is ``(K, M)``; the
     leading axes are a batch, so ``(S, K, M)`` rows give S answers.  The K
-    row products are computed once, so ``coefs`` of shape ``(R, K)`` give R
-    weighted answers of the same rows.  Both sums are
-    :func:`~pruw.field.mod_einsum` calls that split the query vectors, then
-    the coefficients, into 16-bit limbs: the products are summed unreduced
-    over M (then K), in chunks of at most T(q) terms, and each answer is
-    reduced once.
+    row products are one :func:`~pruw.field.mod_einsum` call that splits the
+    query vectors into 16-bit limbs: the products are summed unreduced over
+    M, in chunks of at most T(q) terms, and each is reduced once before the
+    K of them are summed.
     """
     import numpy as np
 
     dtype = rows.dtype
     products = mod_einsum(q, "km,...km->...k", np.asarray(qvecs, dtype=dtype), rows)
-    if coefs is None:
-        return np.sum(products, axis=-1) % q
-    return mod_einsum(q, "...k,...k->...", np.asarray(coefs, dtype=dtype), products)
+    return np.sum(products, axis=-1) % q
 
 
 def fold(q: int, rows, qvecs, factors) -> None:
@@ -166,7 +167,8 @@ def write_factors(fp: FieldParams, affine_mask: bool, fs: tuple, skip: tuple):
 
 def _build_states(model, fp: FieldParams, layout, noise) -> list[DatabaseState]:
     """Every database's cells for the ``(M, length)`` plain model, an array
-    or nested lists of residues, masked with draws from ``noise``."""
+    or nested lists of residues, zero-padded to whole layout periods and
+    masked with draws from ``noise``."""
     import numpy as np
 
     q = fp.q
@@ -174,10 +176,11 @@ def _build_states(model, fp: FieldParams, layout, noise) -> list[DatabaseState]:
     plain = np.asarray(model, dtype=dtype)
     m_count, length = plain.shape
     kind, width, terms = layout.kind, layout.width, layout.noise_terms
-    subpackets = -(-length // width)
-    if length % width:
-        # zero padding; np.pad would fill object arrays with numpy ints
-        pad = np.zeros((m_count, subpackets * width - length), dtype=dtype)
+    padded = -(-length // layout.period) * layout.period
+    subpackets = padded // width
+    if padded > length:
+        # np.pad would fill object arrays with numpy ints
+        pad = np.zeros((m_count, padded - length), dtype=dtype)
         plain = np.concatenate([plain, pad], axis=1)
     # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
     w = plain.reshape(m_count, subpackets, width).transpose(1, 2, 0)
@@ -236,7 +239,7 @@ def init_basic(
     ell = n - t_storage - t_query
     if len(fp.fs) < ell:
         raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
-    return _build_states(model, fp, Layout("basic", ell, t_storage, True), noise)
+    return _build_states(model, fp, Layout("basic", ell, t_storage, True, ell), noise)
 
 
 def topr_subpacketization(n: int, case: int) -> int:
@@ -267,7 +270,7 @@ def init_topr(
         raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
     # mask degree 2 * ell (case 1) or ell + 1 (case 2)
     terms = (2 * ell if case == 1 else ell + 1) + 1
-    return _build_states(model, fp, Layout("topr", ell, terms, True), noise)
+    return _build_states(model, fp, Layout("topr", ell, terms, True, ell), noise)
 
 
 def init_random_sparse(
@@ -294,7 +297,8 @@ def init_random_sparse(
     # mask degree floor(N/2) - 1 (case 1) or ceil(N/2) - 1 (case 2)
     half = fp.n_databases // 2
     terms = half if case == 1 else fp.n_databases - half
-    return _build_states(model, fp, Layout("random", width, terms, False), noise)
+    layout = Layout("random", width, terms, False, math.lcm(ell_r, ell_w))
+    return _build_states(model, fp, layout, noise)
 
 
 @functools.lru_cache(maxsize=64)
@@ -342,21 +346,17 @@ def reconstruct_plain(states: list[DatabaseState]):
     databases' cells are copied into one contiguous ``(N, S * M)`` slab and
     the weights and parity rows are applied to it in one limb-split
     :func:`~pruw.poly.apply_rows` call.  It never calls the decoders'
-    Gaussian elimination.  Returns the decoded ``(M, length)`` array.
+    Gaussian elimination.  Returns the decoded ``(M, length)`` array of the
+    block's real positions.
     """
     import numpy as np
 
     if not states:
         raise DomainError("no database states given")
-    fp = states[0].fp
-    layout = states[0].layout
+    first = states[0]
+    fp, layout, width = first.fp, first.layout, first.layout.width
     if len(states) != fp.n_databases:
         raise IntegrityError("need the full replication group to reconstruct")
-    first = states[0]
-    for st in states[1:]:
-        if st.layout != layout or st.m_count != first.m_count or st.subpackets != first.subpackets:
-            raise IntegrityError("database states disagree on shape")
-    width = layout.width
     plain = np.empty_like(first.cells)
     inconsistent = np.zeros(plain.shape, dtype=bool)
     slab = np.empty((len(states),) + plain[:, 0].shape, dtype=plain.dtype)  # [n, s, m]

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
 from .field import (CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype,
-                    mod_einsum)
+                    mod_einsum, symbol_array)
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, fold, init_topr, topr_subpacketization, write_factors
 
@@ -303,11 +303,8 @@ def write_sparse(
         raise DomainError(f"expected {p} scores, got {len(scores)}")
     if len(deltas) != p:
         raise DomainError(f"expected updates for {p} subpackets, got {len(deltas)}")
-    try:
-        block = np.asarray(deltas, dtype=kernel_dtype(fp.q))
-    except ValueError:  # ragged rows
-        block = None
-    if block is None or block.shape != (p, ell):
+    block = symbol_array(deltas, fp.q, (p, ell))
+    if block is None:
         bad = next((s for s, row in enumerate(deltas, 1) if np.shape(row) != (ell,)), 1)
         raise DomainError(f"expected {ell} updates for subpacket {bad}")
     chosen = select_top_r(scores, r, p)
@@ -463,7 +460,7 @@ class TopRScheme:
 
     def init_storage(self, model, noise) -> None:
         self.states = init_topr(model, self.fp, self.cfg.case, noise.derive("storage"))
-        self.storage = [(0, self.length, self.states)]
+        self.storage = [(0, self.states)]
 
     def read(self, theta, iteration, noise, record, detail):
         cfg, setup, clog = self.cfg, self.perm_setup, self.clog

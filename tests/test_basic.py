@@ -195,6 +195,21 @@ class TestWriteRound:
                 basic.write_round(deltas, 1, params, fp, query, states, CounterNoise(1))
         assert np.array_equal(reconstruct_plain(states), model)
 
+    def test_numpy_integer_deltas_on_the_object_path(self):
+        # numpy int64 update values at q = 2^61 - 1 write as their Python ints
+        q = 2**61 - 1
+        params, fp, model, states = build_session(6, q)
+        query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
+        count, ell = states[0].subpackets, params.ell
+        values = [[2**60 + k * ell + j for j in range(ell)] for k in range(count)]
+        want = basic.build_write_symbols(values, params, fp, CounterNoise(1))
+        as_numpy = [[np.int64(v) for v in row] for row in values]
+        assert basic.build_write_symbols(as_numpy, params, fp, CounterNoise(1)).tolist() \
+            == want.tolist()
+        basic.write_round(as_numpy, 1, params, fp, query, states, CounterNoise(1))
+        flat = [v for row in values for v in row]
+        assert np.array_equal(reconstruct_plain(states), apply_updates_oracle(model, 1, flat, q))
+
     def test_skipped_database_unchanged_but_updated(self):
         # odd N: database 1 gets no payload and its cells stay bit-identical,
         # yet the reconstructed model carries the update

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pruw.config import ExperimentConfig, parse_config_text
-from pruw.errors import ConfigError
+from pruw.errors import ConfigError, IntegrityError
 from pruw.field import kernel_dtype
 from pruw.harness import CostRow, Session, aligned_length, run_session, verify_costs
 from pruw import harness, topr
@@ -378,13 +378,60 @@ class TestFailureDetail:
                                d_read=Fraction(1, 3), d_write=Fraction(1, 5))
         session = Session(cfg)
         q = session.scheme.fp.q
-        reg = session.scheme.realized[-1]  # region-local position 1 is model position start + 1
+        reg = session.scheme.regions[-1]  # region-local position 1 is model position start + 1
         assert reg.start > 0 and reg.spec.y > 1
-        shift_plain(session.scheme.storage[-1][2], 0, 1, 1)
+        shift_plain(session.scheme.storage[-1][1], 0, 1, 1)
         it = session.run_iteration(1)
         want = session.oracle[1][reg.start + 1]
         assert it.detail["write_mismatch"] == {"submodel": 2, "position": reg.start + 1,
                                                "expected": want, "got": (want + 1) % q}
+
+
+# a padded basic block (ell = 4), top-r, and padded random plans: two
+# regions with the padding in the first, and the benchmark's single region
+# with 10 pad bits
+BLOCK_CONFIGS = {
+    "basic-padded": ExperimentConfig(scheme="basic", n=10, m=2, l=13, seed=5),
+    "topr": ExperimentConfig(scheme="topr", n=10, m=2, p=5, case=2, seed=5),
+    "random-two-regions": ExperimentConfig(scheme="random", n=10, m=2, l=37, seed=5,
+                                           d_read=Fraction(1, 10), d_write=Fraction(1, 10)),
+    "random-l2000": ExperimentConfig(scheme="random", n=10, m=8, l=2000, seed=5,
+                                     d_read=Fraction(1, 3), d_write=Fraction(1, 5)),
+}
+
+
+class TestBlockContract:
+    """Every scheme's storage blocks tile the model by their real lengths;
+    storage alone holds the padding, and a nonzero pad cell is named."""
+
+    @pytest.mark.parametrize("name", BLOCK_CONFIGS)
+    def test_blocks_tile_the_model(self, name):
+        session = Session(BLOCK_CONFIGS[name])
+        pos = 0
+        for start, states in session.scheme.storage:
+            assert start == pos
+            assert {st.length for st in states} == {states[0].length}
+            assert states[0].padded_length % states[0].layout.period == 0
+            pos += states[0].length
+        assert pos == session.scheme.length  # top-r's L is P * ell
+        it = session.run_iteration()
+        pads = [states[0].padded_length - states[0].length for _, states in session.scheme.storage]
+        if it.distortion is not None:
+            assert it.distortion.pad_bits == sum(pads) > 0
+            assert [r["pad_bits"] for r in it.detail["regions"]] == pads
+        else:
+            assert sum(pads) == (3 if name == "basic-padded" else 0)
+
+    @pytest.mark.parametrize("name, cell", [("random-two-regions", (5, 2, 0)),
+                                            ("random-l2000", (333, 2, 1))])
+    def test_nonzero_pad_cell_is_named(self, name, cell):
+        session = Session(BLOCK_CONFIGS[name])
+        start, states = session.scheme.storage[0]
+        s, j, m = cell
+        assert s * states[0].layout.width + j >= states[0].length  # a pad cell
+        shift_plain(states, s, j, m)
+        with pytest.raises(IntegrityError, match=rf"padding cell \(s={s}, j={j}, m={m}\)"):
+            session.run_iteration()
 
 
 class TestOracleArrays:

@@ -20,7 +20,7 @@ import pytest
 from pruw import basic
 from pruw import random_sparse as rs
 from pruw.errors import IntegrityError
-from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype, term_bound
+from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype, mod_einsum, term_bound
 from pruw.poly import (
     DecodeSystem,
     apply_rows,
@@ -48,6 +48,15 @@ def full(q, *shape):
     return np.full(shape, q - 1, dtype=kernel_dtype(q))
 
 
+def weighted_answer(q, rows, qvecs, coefs):
+    """``sum_k coefs[..., k] * <rows[..., k, :], qvecs[k]>`` mod q: the
+    per-bit row products of :func:`answer`, weighted as top-r weights them
+    with its reversing noise, by a second limb-split sum over K."""
+    dtype = rows.dtype
+    products = mod_einsum(q, "km,...km->...k", np.asarray(qvecs, dtype=dtype), rows)
+    return mod_einsum(q, "...k,...k->...", np.asarray(coefs, dtype=dtype), products)
+
+
 @pytest.mark.parametrize("q", EDGE)
 def test_dtype_switches_at_the_boundary(q):
     assert kernel_dtype(q) == (np.int64 if q == EDGE[0] else object)
@@ -60,9 +69,9 @@ class TestAllMaxResidues:
         inner = sum((q - 1) * (q - 1) for _ in range(M))  # one row product, unreduced
         weighted = K * (q - 1) * inner % q
         assert answer(q, rows, qvecs).tolist() == [K * inner % q] * S
-        assert answer(q, rows, qvecs, [[q - 1] * K] * S).tolist() == [weighted] * S
+        assert weighted_answer(q, rows, qvecs, [[q - 1] * K] * S).tolist() == [weighted] * S
         # (R, K) coefficients weight the same row products R ways
-        assert answer(q, rows[0], qvecs, [[q - 1] * K] * 2).tolist() == [weighted] * 2
+        assert weighted_answer(q, rows[0], qvecs, [[q - 1] * K] * 2).tolist() == [weighted] * 2
 
     def test_fold(self, q):
         rows = full(q, S, K, M)
@@ -121,14 +130,14 @@ def test_region_without_subpackets(q):
 
     plan = rs.plan_from_subpacketizations(6, 2, 3)
     spec = plan.regions[0]
-    realized = rs.RealizedRegion(spec=spec, start=0, real_bits=0, total_bits=0)
-    sets = rs.draw_bit_sets(plan, 1)[0]
+    [region] = rs.realize_regions(plan, 0, 1)
+    assert (region.start, region.real_bits) == (0, 0)
     noise = CounterNoise(1)
-    rq = rs.build_read_queries(1, fp, spec, sets.read, 2, noise)
-    wq = rs.build_write_queries(1, fp, spec, sets.write, 2, noise)
-    positions, values = rs.region_read(fp, realized, states, rq, sets.read)
+    rq = rs.build_read_queries(1, fp, region, 2, noise)
+    wq = rs.build_write_queries(1, fp, region, 2, noise)
+    positions, values = rs.region_read(fp, region, states, rq)
     assert len(positions) == len(values) == 0
-    written, sent = rs.region_write([], 1, fp, realized, states, wq, sets.write, noise)
+    written, sent = rs.region_write([], 1, fp, region, states, wq, noise)
     assert len(written) == 0 and sent == 0
 
 
@@ -175,13 +184,13 @@ class TestPastTheTermBound:
         for qvec in ([q - 1] * count, worst_limbs(q, count)):
             inner = (q - 1) * sum(qvec) % q
             want = [(a + b) * inner % q for a, b in coefs]
-            assert answer(q, rows, [qvec, qvec], coefs).tolist() == want
+            assert weighted_answer(q, rows, [qvec, qvec], coefs).tolist() == want
 
     def test_answer_with_coefs_over_a_long_row_axis(self, q, count):
         # K = count rows of one symbol each: the coefficient sum is the long one
         rows, qvecs = full(q, count, 1), [[1]] * count
         for coef in ([q - 1] * count, worst_limbs(q, count)):
-            assert answer(q, rows, qvecs, [coef]).tolist() == [(q - 1) * sum(coef) % q]
+            assert weighted_answer(q, rows, qvecs, [coef]).tolist() == [(q - 1) * sum(coef) % q]
 
     def test_apply_rows_over_a_long_input_axis(self, q, count):
         vec = full(q, count, 3)
@@ -216,18 +225,19 @@ class TestAgainstObjectPath:
         (coefs, coefs_o), (wide, wide_o) = pair(rng, s, k), pair(rng, 4, k)
         got, want = answer(Q64, rows, qv), answer(Q64, rows_o, qv_o)
         assert (got.dtype, want.dtype) == (np.int64, object) and got.tolist() == want.tolist()
-        assert answer(Q64, rows, qv, coefs).tolist() == answer(Q64, rows_o, qv_o, coefs_o).tolist()
+        assert (weighted_answer(Q64, rows, qv, coefs).tolist()
+                == weighted_answer(Q64, rows_o, qv_o, coefs_o).tolist())
         flat, flat_o = rows.reshape(-1, m), rows_o.reshape(-1, m)
         if len(flat):
             # top-r's form: every row at once, R weightings of the row products
             tiled, tiled_o = np.tile(qv, (s, 1)), np.tile(qv_o, (s, 1))
             (w, w_o) = pair(rng, 4, s * k)
-            assert (answer(Q64, flat, tiled, w).tolist()
-                    == answer(Q64, flat_o, tiled_o, w_o).tolist())
+            assert (weighted_answer(Q64, flat, tiled, w).tolist()
+                    == weighted_answer(Q64, flat_o, tiled_o, w_o).tolist())
         if s:
             # one row block weighted R ways
-            assert (answer(Q64, rows[0], qv, wide).tolist()
-                    == answer(Q64, rows_o[0], qv_o, wide_o).tolist())
+            assert (weighted_answer(Q64, rows[0], qv, wide).tolist()
+                    == weighted_answer(Q64, rows_o[0], qv_o, wide_o).tolist())
 
     def test_fold(self, shape, seed):
         rng = random.Random(seed)

@@ -174,11 +174,11 @@ class TestDecoderMaps:
         fp = allocate_eval_points(n, spec.y, 127)
         length = 2 * spec.period
         model = draw_model(2, length, 127, seed)
-        realized = rs.realize_regions(plan, length)[0]
-        states = rs.init_region_states(model, fp, realized, noise)
-        j_read = rs.draw_bit_sets(plan, seed)[0].read
-        queries = rs.build_read_queries(1, fp, spec, j_read, 2, noise)
-        positions, values = rs.region_read(fp, realized, states, queries, j_read)
+        region = rs.realize_regions(plan, length, seed)[0]
+        states = rs.init_region_states(model, fp, region, noise)
+        j_read = region.j_read
+        queries = rs.build_read_queries(1, fp, region, 2, noise)
+        positions, values = rs.region_read(fp, region, states, queries)
         decoded = dict(zip(positions.tolist(), values.tolist()))
 
         dbs = rs.read_databases(n, spec.case)

@@ -25,16 +25,26 @@ PRIMES = (13, 31, 127, 8191)
 
 def _run(cfg):
     """Every iteration's result, or None when set-up rejects the config;
-    an exception from an iteration fails the test."""
+    an exception from an iteration fails the test.  The storage blocks
+    must tile the model by their real lengths, and a distortion report
+    must count exactly the padding storage holds."""
     cfg.validate()
     try:
         session = Session(cfg)
     except PruwError:
         return None
+    pos, pad = 0, 0
+    for start, states in session.scheme.storage:
+        assert start == pos
+        pos += states[0].length
+        pad += states[0].padded_length - states[0].length
+    assert pos == session.scheme.length
     iterations = [session.run_iteration() for _ in range(cfg.iterations)]
     for it in iterations:
         assert it.detail["read_ok"], it.detail
         assert it.detail["write_ok"], it.detail
+        if it.distortion is not None:
+            assert it.distortion.pad_bits == pad
     return iterations
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from pruw import random_sparse as rs
 from pruw.errors import ConfigError
-from pruw.field import CounterNoise, allocate_eval_points
+from pruw.field import CounterNoise, allocate_eval_points, derive_seed
 from pruw.storage import draw_model, reconstruct_plain
 
 
@@ -17,10 +17,9 @@ def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
     spec = plan.regions[0]
     fp = allocate_eval_points(n, spec.y, q)
     model = draw_model(m_count, length, q, seed)
-    realized = rs.realize_regions(plan, length)[0]
-    states = rs.init_region_states(model, fp, realized, CounterNoise(seed + 1))
-    sets = rs.draw_bit_sets(plan, seed + 2)[0]
-    return plan, spec, fp, model, realized, states, sets
+    region = rs.realize_regions(plan, length, seed + 2)[0]
+    states = rs.init_region_states(model, fp, region, CounterNoise(seed + 1))
+    return plan, spec, fp, model, region, states
 
 
 class TestGIndex:
@@ -92,24 +91,50 @@ class TestOptimizer:
                 assert rs.costs_random(n, plan) == rs.costs_random_closed_form(n, d, d)
 
 
+def realized_states(plan, length, q=127, seed=0):
+    """Each realized region with its states, built from the model slice."""
+    fp = allocate_eval_points(plan.n, max(r.y for r in plan.regions), q)
+    model = draw_model(1, length, q, seed)
+    return [(reg, rs.init_region_states(model, fp, reg, CounterNoise(seed)))
+            for reg in rs.realize_regions(plan, length, seed)]
+
+
 class TestPlanRealization:
     def test_single_region(self):
         plan = rs.plan_from_subpacketizations(6, 6, 8)
-        realized = rs.realize_regions(plan, 48)
-        assert len(realized) == 1
-        assert realized[0].total_bits == 48 and realized[0].pad_bits == 0
+        [(reg, states)] = realized_states(plan, 48)
+        assert reg.real_bits == states[0].length == 48
+        assert states[0].padded_length == 48
 
     def test_split_alignment(self):
         plan = rs.optimize_plan(10, Fraction(1, 10), Fraction(1, 10))
-        realized = rs.realize_regions(plan, 40)
-        assert [(r.real_bits, r.pad_bits) for r in realized] == [(20, 0), (20, 0)]
+        blocks = realized_states(plan, 40)
+        assert [(r.real_bits, st[0].length, st[0].padded_length) for r, st in blocks] == [
+            (20, 20, 20), (20, 20, 20)]
 
     def test_padding_lands_in_first_region(self):
         plan = rs.optimize_plan(10, Fraction(1, 10), Fraction(1, 10))
-        realized = rs.realize_regions(plan, 37)
-        assert realized[1].real_bits % realized[1].spec.period == 0
-        assert realized[0].total_bits % realized[0].spec.period == 0
-        assert sum(r.real_bits for r in realized) == 37
+        (first, first_states), (second, second_states) = realized_states(plan, 37)
+        assert second.real_bits % second.spec.period == 0
+        assert second_states[0].padded_length == second_states[0].length == second.real_bits
+        assert first_states[0].length == first.real_bits
+        assert first_states[0].padded_length % first.spec.period == 0
+        assert first_states[0].padded_length > first.real_bits
+        assert first.real_bits + second.real_bits == 37 and second.start == first.real_bits
+
+    def test_bit_sets_follow_the_realized_order(self):
+        # one stream, region by region, read patterns before write patterns
+        plan = rs.optimize_plan(10, Fraction(1, 10), Fraction(1, 10))
+        rng = random.Random(derive_seed(4, "bit-sets"))
+        want = []
+        for spec in plan.regions:
+            for ell, patterns in ((spec.ell_r, spec.read_patterns),
+                                  (spec.ell_w, spec.write_patterns)):
+                want.append(tuple(tuple(sorted(rng.sample(range(1, ell + 1), plan.base)))
+                                  for _ in range(patterns)))
+        got = [sets for reg in rs.realize_regions(plan, 37, 4)
+               for sets in (reg.j_read, reg.j_write)]
+        assert got == want
 
     def test_super_subpacket_periodicity(self):
         # the f-assignment of reading subpacket s + gamma_r equals that of s
@@ -121,14 +146,6 @@ class TestPlanRealization:
             fs_b = rs._pattern_fs(fp, s + spec.gamma_r, 6, 8)
             assert fs_a == fs_b
 
-    def test_bit_set_validation(self):
-        plan = rs.plan_from_subpacketizations(10, 6, 4)
-        sets = rs.draw_bit_sets(plan, 0)
-        rs.validate_bit_sets(plan, sets)
-        bad = [rs.RegionBitSets(read=((1, 2, 3),), write=sets[0].write)]
-        with pytest.raises(ConfigError):
-            rs.validate_bit_sets(plan, bad)
-
 
 class TestCase1Protocol:
     def test_worked_layout_fixture(self):
@@ -138,17 +155,16 @@ class TestCase1Protocol:
         assert [fs[1], fs[4]] == [8, 3]
 
     def test_read_write_roundtrip(self):
-        plan, spec, fp, model, realized, states, sets = region_session(6, 6, 8, 48)
+        plan, spec, fp, model, region, states = region_session(6, 6, 8, 48)
         theta = 1
         rng = random.Random(3)
         noise = CounterNoise(3)
-        rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, noise)
-        positions, values = rs.region_read(fp, realized, states, rq, sets.read)
+        rq = rs.build_read_queries(theta, fp, region, 2, noise)
+        positions, values = rs.region_read(fp, region, states, rq)
         assert len(positions) and all(model[0][pos] == v for pos, v in zip(positions, values))
-        wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, noise)
+        wq = rs.build_write_queries(theta, fp, region, 2, noise)
         deltas = [rng.randrange(127) for _ in range(48)]
-        written, sent = rs.region_write(deltas, theta, fp, realized, states, wq,
-                                        sets.write, noise)
+        written, sent = rs.region_write(deltas, theta, fp, region, states, wq, noise)
         assert sent == (48 // 8) * 6
         expect = model.copy()
         for pos in written:
@@ -180,17 +196,16 @@ class TestCase2Protocol:
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_read_write_roundtrip(self, n):
-        plan, spec, fp, model, realized, states, sets = region_session(n, 6, 4, 24)
+        plan, spec, fp, model, region, states = region_session(n, 6, 4, 24)
         theta = 2
         rng = random.Random(5)
         noise = CounterNoise(5)
-        rq = rs.build_read_queries(theta, fp, spec, sets.read, 2, noise)
-        positions, values = rs.region_read(fp, realized, states, rq, sets.read)
+        rq = rs.build_read_queries(theta, fp, region, 2, noise)
+        positions, values = rs.region_read(fp, region, states, rq)
         assert all(model[1][pos] == v for pos, v in zip(positions, values))
-        wq = rs.build_write_queries(theta, fp, spec, sets.write, 2, noise)
+        wq = rs.build_write_queries(theta, fp, region, 2, noise)
         deltas = [rng.randrange(127) for _ in range(24)]
-        written, sent = rs.region_write(deltas, theta, fp, realized, states, wq,
-                                        sets.write, noise)
+        written, sent = rs.region_write(deltas, theta, fp, region, states, wq, noise)
         dbs = n - 1 if n % 2 == 1 else n
         assert sent == (24 // 4) * dbs
         expect = model.copy()
@@ -199,13 +214,13 @@ class TestCase2Protocol:
         assert np.array_equal(reconstruct_plain(states), expect)
 
     def test_odd_excluded_database_untouched(self):
-        plan, spec, fp, model, realized, states, sets = region_session(11, 6, 4, 24)
+        plan, spec, fp, model, region, states = region_session(11, 6, 4, 24)
         rng = random.Random(7)
         noise = CounterNoise(7)
-        wq = rs.build_write_queries(1, fp, spec, sets.write, 2, noise)
+        wq = rs.build_write_queries(1, fp, region, 2, noise)
         before = states[-1].cells.tolist()
         deltas = [rng.randrange(127) for _ in range(24)]
-        written, _ = rs.region_write(deltas, 1, fp, realized, states, wq, sets.write, noise)
+        written, _ = rs.region_write(deltas, 1, fp, region, states, wq, noise)
         assert states[-1].cells.tolist() == before
         # yet the reconstruction (which includes database N) carries the update
         expect = model.copy()
@@ -214,17 +229,33 @@ class TestCase2Protocol:
         assert np.array_equal(reconstruct_plain(states), expect)
 
 
+@pytest.mark.parametrize("shape", [(6, 6, 8), (11, 6, 4)])
+def test_numpy_integer_deltas_on_the_object_path(shape):
+    # numpy int64 update values at q = 2^61 - 1 write as their Python ints
+    q = 2**61 - 1
+    n, ell_r, ell_w = shape
+    plan, spec, fp, model, region, states = region_session(n, ell_r, ell_w, 24, q=q)
+    noise = CounterNoise(8)
+    wq = rs.build_write_queries(1, fp, region, 2, noise)
+    deltas = [np.int64(2**60 + k) for k in range(24)]
+    written, _ = rs.region_write(deltas, 1, fp, region, states, wq, noise)
+    assert len(written)
+    expect = model.copy()
+    for pos in written:
+        expect[0][pos] = (expect[0][pos] + int(deltas[pos])) % q
+    assert np.array_equal(reconstruct_plain(states), expect)
+
+
 class TestDistortion:
     def test_structural_distortion_formula(self):
         # measured distortion is (ell - base)/ell per phase, independent of
         # the planted values
-        plan, spec, fp, model, realized, states, sets = region_session(10, 6, 4, 24)
+        plan, spec, fp, model, region, states = region_session(10, 6, 4, 24)
         rng = random.Random(9)
         noise = CounterNoise(9)
-        rq = rs.build_read_queries(1, fp, spec, sets.read, 2, noise)
-        positions, _ = rs.region_read(fp, realized, states, rq, sets.read)
+        rq = rs.build_read_queries(1, fp, region, 2, noise)
+        positions, _ = rs.region_read(fp, region, states, rq)
         assert Fraction(24 - len(positions), 24) == Fraction(6 - 4, 6)
-        wq = rs.build_write_queries(1, fp, spec, sets.write, 2, noise)
-        written, _ = rs.region_write([0] * 24, 1, fp, realized, states, wq,
-                                     sets.write, noise)
+        wq = rs.build_write_queries(1, fp, region, 2, noise)
+        written, _ = rs.region_write([0] * 24, 1, fp, region, states, wq, noise)
         assert Fraction(24 - len(written), 24) == Fraction(4 - 4, 4)

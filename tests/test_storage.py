@@ -44,10 +44,11 @@ def subpacket_stream(noise, q, layout, m_count, s):
 def reference_cells(model, fp, layout, seed, noise_off):
     """Every database's cells, one cell at a time from the layout's formula:
     W + (f_j - alpha) * mask on the affine layouts, W / (f_j - alpha) + mask
-    on the random one; with the noise off, W or W / (f_j - alpha)."""
+    on the random one; with the noise off, W or W / (f_j - alpha).  The
+    model is zero-padded to whole layout periods."""
     q, width, (m_count, length), values = fp.q, layout.width, model.shape, model.tolist()
     noise = CounterNoise(seed)
-    subpackets = -(-length // width)
+    subpackets = -(-length // layout.period) * layout.period // width
     streams = [subpacket_stream(noise, q, layout, m_count, s) for s in range(subpackets)]
     out = []
     for alpha in fp.alphas:

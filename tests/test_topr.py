@@ -287,10 +287,12 @@ class TestAllDatabases:
             got = topr.answer_sparse(states, setup, query, v)
             want = []
             for st in states:
-                rows = st.cells.reshape(-1, st.m_count)
-                qvecs = np.tile(np.asarray(query[st.db_index - 1], dtype=rows.dtype),
-                                (st.subpackets, 1))
-                want.append(answer(q, rows, qvecs, weights(setup, st.db_index, v)).tolist())
+                # the per-bit row products, in storage order, weighted in Python ints
+                prods = [answer(q, st.cells[:, j : j + 1], query[st.db_index - 1][j : j + 1])
+                         for j in range(setup.ell)]
+                prods = [int(x) for x in np.stack(prods, axis=1).ravel()]
+                want.append([sum(int(w) * x for w, x in zip(row, prods)) % q
+                             for row in weights(setup, st.db_index, v).tolist()])
             assert got.shape == (fp.n_databases, len(v))
             assert got.dtype == kernel_dtype(q)
             assert got.tolist() == want
@@ -503,6 +505,23 @@ class TestWriteSparse:
             topr.write_sparse(deltas, scores, Fraction(2, 5), 1, setup, states, query,
                               CounterNoise(16))
         assert np.array_equal(reconstruct_plain(states), model)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_numpy_integer_deltas_on_the_object_path(self, case):
+        # numpy int64 update values at q = 2^61 - 1 write as their Python ints
+        q = 2**61 - 1
+        fp, model, states, setup = build_session(case, q=q)
+        query = build_query(case, 1, fp, setup.ell, 3, CounterNoise(17))
+        deltas = [[np.int64(2**60 + 2 * s + j) for j in range(setup.ell)] for s in range(5)]
+        res = topr.write_sparse(deltas, [10, 0, 0, 9, 0], Fraction(2, 5), 1, setup, states,
+                                query, CounterNoise(18))
+        assert res.chosen_true == [1, 4]
+        expect = model.copy()
+        for s in res.chosen_true:
+            for j in range(setup.ell):
+                pos = (s - 1) * setup.ell + j
+                expect[0][pos] = (expect[0][pos] + int(deltas[s - 1][j])) % q
+        assert np.array_equal(reconstruct_plain(states), expect)
 
     def test_duplicate_positions_rejected(self):
         fp, model, states, setup = build_session(1)
