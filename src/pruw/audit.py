@@ -109,8 +109,7 @@ def make_query_sampler(scheme: str, q: int, m_count: int, case: int = 1):
         params = basic.BasicParams(n=4, t_storage=2, t_query=1, t_update=1)
 
         def sample(theta, noise):
-            query = basic.build_read_query(theta, params, fp, m_count, noise)
-            return query.block(1)[0]
+            return basic.build_read_query(theta, params, fp, m_count, noise)[0][0]
 
     elif scheme == "topr":
         builder = topr.build_query_case1 if case == 1 else topr.build_query_case2

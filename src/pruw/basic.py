@@ -82,37 +82,23 @@ def costs_basic_general(params: BasicParams) -> tuple[Fraction, Fraction, Fracti
     return c_r, c_w, c_r + c_w
 
 
-@dataclass
-class ReadQuery:
-    """Masked read query; one block of ell M-vectors per database.
-
-    The mask vectors are shared across databases (only alpha varies), which
-    is what lets the write phase reuse the query for decomposition.
-    """
-
-    theta: int
-    blocks: list[list[list[int]]]  # [db-1][k][m]
-
-    def block(self, n: int) -> list[list[int]]:
-        return self.blocks[n - 1]
-
-
 def build_read_query(
     theta: int,
     params: BasicParams,
     fp: FieldParams,
     m_count: int,
     noise,
-) -> ReadQuery:
-    """Reciprocal query blocks with ``t_query`` mask terms per bit."""
-    blocks = build_query(theta, fp, fp.fs[: params.ell], m_count, noise, terms=params.t_query)
-    return ReadQuery(theta=theta, blocks=blocks)
+) -> list[list[list[int]]]:
+    """Reciprocal query blocks ``[n-1][k][m]``, ell M-vectors per database
+    with ``t_query`` mask terms per bit.  The masks are shared across
+    databases (only alpha varies), which lets the write reuse the query."""
+    return build_query(theta, fp, fp.fs[: params.ell], m_count, noise, terms=params.t_query)
 
 
-def answer_read(state: DatabaseState, query: ReadQuery, s):
-    """The inner product of subpacket s with the query, or an array of them
-    when ``s`` is a slice of subpackets."""
-    block = query.block(state.db_index)
+def answer_read(state: DatabaseState, query, s):
+    """The inner product of subpacket s with the database's query block, or
+    an array of them when ``s`` is a slice of subpackets."""
+    block = query[state.db_index - 1]
     ell = state.layout.width
     if len(block) != ell or any(len(v) != state.m_count for v in block):
         raise DomainError("query shape does not match storage shape")
@@ -157,30 +143,30 @@ def build_write_symbols(
 
 
 def write_round(
-    deltas_by_subpacket,
-    theta: int,
+    deltas,
     params: BasicParams,
     fp: FieldParams,
-    query: ReadQuery,
+    query,
     states: list[DatabaseState],
     noise,
-):
-    """Full write phase; returns the (N, S) symbols sent (for metering).
+) -> None:
+    """Full write phase for the block's ``(length,)`` real deltas; the
+    padding gets a zero update.  It reuses the same-session read ``query``,
+    as the decomposition requires, and so writes the submodel read."""
+    import numpy as np
 
-    The same-session read query is reused, as the decomposition requires.
-    """
-    if query.theta != theta:
-        raise DomainError("write must reuse the same-session read query")
-    if len(deltas_by_subpacket) != states[0].subpackets:
-        raise DomainError("need one delta block per subpacket")
-    symbols = build_write_symbols(deltas_by_subpacket, params, fp, noise)
+    length, padded_length = states[0].length, states[0].padded_length
+    values = symbol_array(deltas, fp.q, (length,))
+    if values is None:
+        raise DomainError(f"expected {length} deltas, one per position of the block")
+    padded = np.concatenate([values, np.zeros(padded_length - length, dtype=values.dtype)])
+    symbols = build_write_symbols(padded.reshape(-1, params.ell), params, fp, noise)
     skip = params.skip_set
     factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[: params.ell], skip)
     for st in states:
         n = st.db_index
         if n not in skip:
-            fold(fp.q, st.cells, query.block(n), symbols[n - 1][:, None] * factors[n - 1] % fp.q)
-    return symbols
+            fold(fp.q, st.cells, query[n - 1], symbols[n - 1][:, None] * factors[n - 1] % fp.q)
 
 
 class BasicScheme:
@@ -207,8 +193,7 @@ class BasicScheme:
 
     def init_storage(self, model, noise) -> None:
         p = self.params
-        self.states = init_basic(model, self.fp, p.t_storage, p.t_query, p.t_update,
-                                 noise.derive("storage"))
+        self.states = init_basic(model, self.fp, p.t_storage, p.t_query, noise.derive("storage"))
         self.storage = [(0, self.states)]
 
     def read(self, theta, iteration, noise, record, detail):
@@ -228,17 +213,14 @@ class BasicScheme:
         import numpy as np
 
         cfg, params = self.cfg, self.params
-        subpackets = self.states[0].subpackets
-        # padded tail positions must stay zero
-        deltas = np.zeros((subpackets, params.ell), dtype=kernel_dtype(self.fp.q))
-        deltas.reshape(-1)[: self.length] = data.symbol(self.fp.q, self.length, "delta")
-        write_round(deltas, theta, params, self.fp, self.query, self.states, noise)
+        deltas = data.symbol(self.fp.q, self.length, "delta")
+        write_round(deltas, params, self.fp, self.query, self.states, noise)
         skip = params.skip_set
         for n in range(1, cfg.n + 1):
             if n not in skip:
-                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, subpackets)
+                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, self.states[0].subpackets)
         detail["skip_set"] = list(skip)
-        return np.arange(self.length, dtype=np.intp), deltas.reshape(-1)[: self.length]
+        return np.arange(self.length, dtype=np.intp), deltas
 
     def costs(self):
         c_r, c_w, _ = costs_basic_general(self.params)

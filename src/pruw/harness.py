@@ -6,7 +6,8 @@ scheme classes (``basic.BasicScheme``, ``topr.TopRScheme``,
 ``random_sparse.RandomScheme``, keyed by config name in :data:`SCHEMES`)
 hold everything that differs.  Each is built as ``Scheme(cfg)`` and offers:
 
-* ``fp`` and ``length``: the field constants and the normalizing length;
+* ``length``: the normalizing length (each scheme also keeps its field
+  constants as ``fp``, which only the scheme itself reads);
 * ``init_storage(model, noise)``: builds the masked replicas of the
   ``(M, length)`` model array, drawing their privacy noise from the root
   ``noise`` (under "storage", and the random scheme's one-time queries
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import basic, random_sparse as rs, topr, wire
@@ -236,7 +237,6 @@ class CostRow:
     measured_cw: object
     analytic_cw: object
     match: bool
-    extra: dict = dc_field(default_factory=dict)
 
     def csv_line(self) -> str:
         return ",".join(
@@ -289,7 +289,6 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
         read: set[str] = set()
         scheme, n = _sweep_value(spec, read, "scheme", str), _sweep_value(spec, read, "n")
         seed = _sweep_value(spec, read, "seed", default=1)
-        extra: dict = {}
         if scheme == "basic":
             cfg = ExperimentConfig(scheme="basic", n=n, m=2, l=4 * basic.optimal_params(n).ell,
                                    q=_sweep_value(spec, read, "q", default=2**31 - 1), seed=seed)
@@ -305,13 +304,8 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
                                    position_base=q, case=case, r=r, r_prime=rp, seed=seed)
             cfg.validate()  # before the closed form, which assumes p >= 1 and q >= 2
             analytic = topr.costs_topr(n, p, q, r, rp, case)
-            extra = {"analytic_fractional_cr": str(analytic.read),
-                     "analytic_fractional_cw": str(analytic.write),
-                     "q_exec": q_exec}
             knobs = f"p={p};q={q};r={r};r'={rp};case={case}"
             if analytic.read_alt is not None:
-                extra["alt_cr"] = str(analytic.read_alt)
-                extra["alt_cw"] = str(analytic.write_alt)
                 knobs += f";alt_cr={analytic.read_alt};alt_cw={analytic.write_alt}"
         elif scheme == "random":
             d = _sweep_value(spec, read, "d", Fraction, 0)
@@ -322,8 +316,6 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
             cfg = ExperimentConfig(scheme="random", n=n, m=2, l=length,
                                    q=_sweep_value(spec, read, "q", default=2**31 - 1),
                                    d_read=d_read, d_write=d_write, seed=seed)
-            closed = rs.costs_random_closed_form(n, d_read, d_write)
-            extra = {"closed_form_cr": str(closed[0]), "closed_form_cw": str(closed[1])}
             knobs = f"d_read={d_read};d_write={d_write};l={length}"
         else:
             raise ConfigError(f"unknown scheme {scheme!r} in sweep")
@@ -339,6 +331,5 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
             measured_cr=ledger.c_read, analytic_cr=cr,
             measured_cw=ledger.c_write, analytic_cw=cw,
             match=ledger.c_read == cr and ledger.c_write == cw,
-            extra=extra,
         ))
     return rows

@@ -272,14 +272,6 @@ def null_shaper_residual(field: PrimeField, skip_alphas, f_k: int, alphas) -> Re
     return ResidualCheck(ok=degree <= bound, degree=degree, bound=bound, coeffs=tuple(coeffs))
 
 
-@dataclass
-class DecodeSystem:
-    """Square exact linear system collecting one answer row per database."""
-
-    rows: list[list[int]]
-    rhs: list[int]
-
-
 def decode_row(field: PrimeField, alpha: int, f_subset, power_count: int) -> list[int]:
     """One answer row: reciprocals of (f - alpha) then powers 0..power_count-1."""
     row = [field.inv((f - alpha) % field.q) for f in f_subset]
@@ -315,10 +307,11 @@ def _eliminate(field: PrimeField, rows, rhs) -> list[list[int]]:
     return [row[n:] for row in a]
 
 
-def solve_decode(field: PrimeField, system: DecodeSystem) -> list[int]:
-    """Gaussian elimination over the field; the caller reads off the leading
-    entries as the decoded bits."""
-    return [x for (x,) in _eliminate(field, system.rows, [[b] for b in system.rhs])]
+def solve_decode(field: PrimeField, rows, rhs) -> list[int]:
+    """Gaussian elimination of the square system ``rows`` (one answer row per
+    database) against the answers ``rhs``; the caller reads off the leading
+    entries as the decoded bits.  The reference for :func:`decode_inverse`."""
+    return [x for (x,) in _eliminate(field, rows, [[b] for b in rhs])]
 
 
 def unit_vectors(n: int) -> list[list[int]]:

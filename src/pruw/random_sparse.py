@@ -345,7 +345,6 @@ def region_read(
 
 def region_write(
     deltas,
-    theta: int,
     fp: FieldParams,
     region: Region,
     states: list[DatabaseState],
@@ -353,15 +352,15 @@ def region_write(
     noise,
     tag=(),
 ):
-    """Apply one write round over the region.
+    """Apply one write round over the region, through the one-time write
+    ``queries``, which fix the submodel written.
 
     ``deltas`` holds the region's ``real_bits`` updates; the padding's J-set
     bits get a zero update, so the padding stays zero.  Returns the model
-    positions written, ascending and as an ``np.intp`` array, and the
-    symbols sent over all databases.  The noise is one symbol per writing
-    subpacket, in subpacket order, drawn in one call under
-    ("update-noise", *tag); each write pattern is then one combine over its
-    subpackets and one fold per database.
+    positions written, ascending and as an ``np.intp`` array.  The noise is
+    one symbol per writing subpacket, in subpacket order, drawn in one call
+    under ("update-noise", *tag); each write pattern is then one combine
+    over its subpackets and one fold per database.
     """
     import numpy as np
 
@@ -392,7 +391,7 @@ def region_write(
         for db, u in zip(dbs, us):
             fold(q, _pattern_rows(states[db - 1], spec.ell_w, spec.write_patterns, t),
                  queries[t - 1][db - 1], np.outer(u, factors[db - 1]) % q)
-    return region.start + positions[positions < region.real_bits], subpackets * len(dbs)
+    return region.start + positions[positions < region.real_bits]
 
 
 @dataclass(frozen=True)
@@ -503,8 +502,8 @@ class RandomScheme:
         positions = []
         for idx, (reg, (start, states), (_, queries)) in enumerate(zip(
                 self.regions, self.storage, self.queries)):
-            written, _ = region_write(deltas[start : start + reg.real_bits], theta, self.fp, reg,
-                                      states, queries, noise, (idx,))
+            written = region_write(deltas[start : start + reg.real_bits], self.fp, reg, states,
+                                   queries, noise, (idx,))
             for db in write_databases(cfg.n, reg.spec.case):
                 record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
                        states[0].padded_length // reg.spec.ell_w)

@@ -222,23 +222,13 @@ def init_basic(
     fp: FieldParams,
     t_storage: int,
     t_query: int,
-    t_update: int,
     noise,
 ) -> list[DatabaseState]:
     """Build all replicas with masks drawn from ``noise``, shared across
-    databases."""
-    n = fp.n_databases
-    if min(t_storage, t_query, t_update) < 1:
-        raise ConfigError("all noise-term counts must be >= 1")
-    if 2 * t_storage < n + t_update - 1:
-        raise ConfigError(
-            f"t_storage={t_storage} too small: need 2*t_storage >= {n + t_update - 1}"
-        )
-    if t_storage > n - t_query - 1:
-        raise ConfigError(f"t_storage={t_storage} leaves no room for data (ell < 1)")
-    ell = n - t_storage - t_query
-    if len(fp.fs) < ell:
-        raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
+    databases, ell = N - t_storage - t_query bits per subpacket.
+    :class:`~pruw.basic.BasicParams` owns the budget (the privacy floor and
+    ell >= 1), and ``fp`` carries ell bit constants."""
+    ell = fp.n_databases - t_storage - t_query
     return _build_states(model, fp, Layout("basic", ell, t_storage, True, ell), noise)
 
 
@@ -265,9 +255,9 @@ def init_topr(
     case: int,
     noise,
 ) -> list[DatabaseState]:
+    """Build all replicas for a top-r case; :func:`topr_subpacketization`
+    owns the shape, and ``fp`` carries its ell bit constants."""
     ell = topr_subpacketization(fp.n_databases, case)
-    if len(fp.fs) < ell:
-        raise ConfigError(f"need {ell} bit constants, field params carry {len(fp.fs)}")
     # mask degree 2 * ell (case 1) or ell + 1 (case 2)
     terms = (2 * ell if case == 1 else ell + 1) + 1
     return _build_states(model, fp, Layout("topr", ell, terms, True, ell), noise)
@@ -281,23 +271,14 @@ def init_random_sparse(
     ell_w: int,
     noise,
 ) -> list[DatabaseState]:
-    if ell_r < 1 or ell_w < 1:
-        raise ConfigError("subpacketizations must be >= 1")
-    # ties (ell_r == ell_w) are admissible under either case; the plan's
-    # budget ordering decides which storage degree they get
-    if case == 1 and not ell_w >= ell_r:
-        raise ConfigError("case 1 requires ell_w >= ell_r")
-    if case == 2 and not ell_r >= ell_w:
-        raise ConfigError("case 2 requires ell_r >= ell_w")
-    if case not in (1, 2):
-        raise ConfigError(f"unknown case {case}")
-    width = max(ell_r, ell_w)
-    if len(fp.fs) < width:
-        raise ConfigError(f"need {width} bit constants, field params carry {len(fp.fs)}")
+    """Build all replicas of one random region.  The plan owns the shape: its
+    ells are at least ``base`` >= 1 and its case follows their ordering
+    (:class:`~pruw.random_sparse.RegionSpec`); ``fp`` carries max(ell_r,
+    ell_w) bit constants."""
     # mask degree floor(N/2) - 1 (case 1) or ceil(N/2) - 1 (case 2)
     half = fp.n_databases // 2
     terms = half if case == 1 else fp.n_databases - half
-    layout = Layout("random", width, terms, False, math.lcm(ell_r, ell_w))
+    layout = Layout("random", max(ell_r, ell_w), terms, False, math.lcm(ell_r, ell_w))
     return _build_states(model, fp, layout, noise)
 
 

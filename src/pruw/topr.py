@@ -168,11 +168,8 @@ def coordinator_setup(
 ) -> PermutationSetup:
     """Sample the secret permutation (seeded Fisher-Yates, uniform over P!)
     and derive the shared reversing noise.  ``perm`` overrides the draw for
-    fixtures."""
-    if p_subpackets < 1:
-        raise ConfigError("need at least one subpacket")
-    if case not in (1, 2):
-        raise ConfigError(f"unknown case {case}")
+    fixtures.  ``ExperimentConfig.validate`` owns P >= 1 and
+    :func:`~pruw.storage.topr_subpacketization` the case."""
     if perm is None:
         rng = random.Random(seed)
         order = list(range(1, p_subpackets + 1))
@@ -241,7 +238,6 @@ def decode_sparse(fp: FieldParams, ell: int, answers):
 
 
 def read_sparse(
-    theta: int,
     v_tilde: list[int],
     setup: PermutationSetup,
     states: list[DatabaseState],
@@ -252,6 +248,7 @@ def read_sparse(
 
     ``v_tilde`` holds permuted indices; the caller (user side) learns the
     true indices through the permutation it received from the coordinator.
+    The submodel is the one ``query_blocks`` asks for.
     """
     import numpy as np
 
@@ -274,27 +271,19 @@ def select_top_r(scores, r: Fraction, p_subpackets: int) -> list[int]:
     return sorted(order[:count])
 
 
-@dataclass
-class SparseWriteResult:
-    """What actually crossed the wire in the write phase."""
-
-    positions: list[int]            # permuted positions, ascending
-    values: list[list[int]]         # values[j][n-1]: symbol for pair j at db n
-    chosen_true: list[int]          # true subpacket indices that were written
-
-
 def write_sparse(
     deltas,                         # deltas[s-1]: the ell updates for subpacket s
     scores,
     r: Fraction,
-    theta: int,
     setup: PermutationSetup,
     states: list[DatabaseState],
     query_blocks,
     noise,
-) -> SparseWriteResult:
+) -> tuple[list[int], list[int]]:
     """One sparse write round: select, combine, permute positions, send, and
-    let every database fold the un-permuted increments into storage."""
+    let every database fold the un-permuted increments into storage through
+    the read's ``query_blocks``.  Returns the permuted positions sent and the
+    true subpacket indices written, both ascending."""
     import numpy as np
 
     fp = states[0].fp
@@ -317,7 +306,7 @@ def write_sparse(
     positions = [permuted[k] for k in order]
     values = symbols.T[order]
     apply_sparse_write(states, setup, query_blocks, positions, values)
-    return SparseWriteResult(positions=positions, values=values.tolist(), chosen_true=chosen)
+    return positions, chosen
 
 
 def apply_sparse_write(
@@ -477,7 +466,7 @@ class TopRScheme:
         for n in range(1, cfg.n + 1):
             record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
         record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
-        true, bits = read_sparse(theta, v_tilde, setup, self.states, self.query)
+        true, bits = read_sparse(v_tilde, setup, self.states, self.query)
         if v_tilde:
             for n in range(1, cfg.n + 1):
                 record(wire.READ_A, wire.PHASE_READ, wire.DOWN, n, len(v_tilde))
@@ -491,19 +480,18 @@ class TopRScheme:
         cfg, setup = self.cfg, self.perm_setup
         scores = cfg.scores if cfg.scores is not None else data.symbol(1 << 30, cfg.p, "scores")
         deltas = data.symbol(self.fp.q, cfg.p * setup.ell, "delta").reshape(cfg.p, setup.ell)
-        result = write_sparse(deltas, scores, Fraction(cfg.r), theta, setup, self.states,
-                              self.query, noise)
-        count = len(result.positions)
-        if count:
+        positions, chosen = write_sparse(deltas, scores, Fraction(cfg.r), setup, self.states,
+                                         self.query, noise)
+        if positions:
             for n in range(1, cfg.n + 1):
-                record(wire.SPARSE_POS, wire.PHASE_WRITE, wire.UP, n, count * self.clog)
-                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, count)
-        self.last_write_positions = result.positions
-        detail["write_positions"] = list(result.positions)
-        detail["chosen_true"] = list(result.chosen_true)
+                record(wire.SPARSE_POS, wire.PHASE_WRITE, wire.UP, n, len(positions) * self.clog)
+                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, len(positions))
+        self.last_write_positions = positions
+        detail["write_positions"] = list(positions)
+        detail["chosen_true"] = chosen
         detail["position_symbols"] = self.clog
-        chosen = np.array(result.chosen_true, dtype=np.intp)
-        return _bit_positions(chosen, setup.ell), deltas[chosen - 1].reshape(-1)
+        true = np.array(chosen, dtype=np.intp)
+        return _bit_positions(true, setup.ell), deltas[true - 1].reshape(-1)
 
     def costs(self):
         cfg = self.cfg

@@ -56,8 +56,7 @@ def build_session(n, q, m_count=2, length=None, seed=0):
     length = length if length is not None else 4 * params.ell
     fp = allocate_eval_points(n, params.ell, q)
     model = draw_model(m_count, length, q, seed)
-    states = init_basic(model, fp, params.t_storage, params.t_query, params.t_update,
-                        CounterNoise(seed + 1))
+    states = init_basic(model, fp, params.t_storage, params.t_query, CounterNoise(seed + 1))
     return params, fp, model, states
 
 
@@ -89,7 +88,7 @@ class TestReadQuery:
         q = basic.build_read_query(1, params, fp, 1, ZeroNoise())
         for n in range(1, 5):
             inv = fp.field.inv(fp.fs[0] - fp.alpha(n))
-            assert q.block(n) == [[inv]]
+            assert q[n - 1] == [[inv]]
 
     def test_theta_out_of_range(self):
         params, fp, _, _ = build_session(4, 11)
@@ -106,7 +105,7 @@ class TestReadQuery:
         masks = []
         for n in range(1, 5):
             inv = fp.field.inv(fp.fs[0] - fp.alpha(n))
-            masks.append((q.block(n)[0][1] - inv) % 127)
+            masks.append((q[n - 1][0][1] - inv) % 127)
         assert len(set(masks)) == 1
 
 
@@ -117,7 +116,7 @@ class TestReadRoundTrip:
         params = basic.optimal_params(n)
         fp = allocate_eval_points(n, params.ell, q)
         model = draw_model(1, 2, q, 3)
-        states = init_basic(model, fp, 2, 1, 1, ZeroNoise())
+        states = init_basic(model, fp, 2, 1, ZeroNoise())
         query = basic.build_read_query(1, params, fp, 1, ZeroNoise())
         for st in states:
             a = basic.answer_read(st, query, 0)
@@ -151,8 +150,7 @@ class TestWriteRound:
     def test_zero_delta_zero_noise_is_identity(self):
         params, fp, model, states = build_session(4, 11)
         query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
-        deltas = [[0] * params.ell for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, 1, params, fp, query, states, ZeroNoise())
+        basic.write_round([0] * states[0].length, params, fp, query, states, ZeroNoise())
         assert np.array_equal(reconstruct_plain(states), model)
 
     def test_random_write_matches_oracle(self):
@@ -161,12 +159,10 @@ class TestWriteRound:
         params, fp, model, states = build_session(4, 11, m_count=2)
         theta = 2
         query = basic.build_read_query(theta, params, fp, 2, noise)
-        deltas = [[rng.randrange(11) for _ in range(params.ell)]
-                  for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, theta, params, fp, query, states, noise)
-        flat = [d for block in deltas for d in block]
+        deltas = [rng.randrange(11) for _ in range(states[0].length)]
+        basic.write_round(deltas, params, fp, query, states, noise)
         assert np.array_equal(reconstruct_plain(states),
-                              apply_updates_oracle(model, theta, flat, 11))
+                              apply_updates_oracle(model, theta, deltas, 11))
 
     def test_null_shaper_zero_on_skip_set(self):
         # the int64 kernel dtype and, above its bound, object arrays
@@ -183,17 +179,30 @@ class TestWriteRound:
             check_write_factors(fp, True, fp.fs[: n // 2 - 1], ())
 
     @pytest.mark.parametrize("q", [127, 2**61 - 1])
-    def test_wrong_width_delta_block_rejected(self, q):
-        params, fp, model, states = build_session(6, q)
+    def test_wrong_length_delta_vector_rejected(self, q):
+        # a padded block (L = 7, ell = 2): the deltas span the real length
+        params, fp, model, states = build_session(6, q, length=7)
         query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
-        count, ell = states[0].subpackets, params.ell
-        blocks = (np.zeros((count, ell + 1), dtype=kernel_dtype(q)),
-                  [[0] * (ell - 1) for _ in range(count)],
-                  [[0] * ell for _ in range(count - 1)] + [[0] * (ell + 1)])
-        for deltas in blocks:
-            with pytest.raises(DomainError, match=f"expected {ell} deltas per subpacket"):
-                basic.write_round(deltas, 1, params, fp, query, states, CounterNoise(1))
+        length, padded = states[0].length, states[0].padded_length
+        assert (length, padded) == (7, 8)
+        vectors = (np.ones(padded, dtype=kernel_dtype(q)),  # too long: the padded length
+                   [1] * (length - 1),  # too short
+                   np.ones((1, length), dtype=kernel_dtype(q)),  # 2-D
+                   [[1] * params.ell for _ in range(states[0].subpackets)])  # per-subpacket
+        for deltas in vectors:
+            with pytest.raises(DomainError, match=f"expected {length} deltas"):
+                basic.write_round(deltas, params, fp, query, states, CounterNoise(1))
         assert np.array_equal(reconstruct_plain(states), model)
+
+    @pytest.mark.parametrize("q", [127, 2**61 - 1])
+    def test_padded_block_write_matches_oracle(self, q):
+        # storage pads the real-length deltas; the padding cells stay zero
+        rng = random.Random(5)
+        params, fp, model, states = build_session(6, q, length=7)
+        query = basic.build_read_query(2, params, fp, 2, CounterNoise(5))
+        deltas = [rng.randrange(q) for _ in range(7)]
+        basic.write_round(deltas, params, fp, query, states, CounterNoise(6))
+        assert np.array_equal(reconstruct_plain(states), apply_updates_oracle(model, 2, deltas, q))
 
     def test_numpy_integer_deltas_on_the_object_path(self):
         # numpy int64 update values at q = 2^61 - 1 write as their Python ints
@@ -206,8 +215,8 @@ class TestWriteRound:
         as_numpy = [[np.int64(v) for v in row] for row in values]
         assert basic.build_write_symbols(as_numpy, params, fp, CounterNoise(1)).tolist() \
             == want.tolist()
-        basic.write_round(as_numpy, 1, params, fp, query, states, CounterNoise(1))
         flat = [v for row in values for v in row]
+        basic.write_round([np.int64(v) for v in flat], params, fp, query, states, CounterNoise(1))
         assert np.array_equal(reconstruct_plain(states), apply_updates_oracle(model, 1, flat, q))
 
     def test_skipped_database_unchanged_but_updated(self):
@@ -219,14 +228,12 @@ class TestWriteRound:
         theta = 1
         query = basic.build_read_query(theta, params, fp, 2, noise)
         before = [row for block in states[0].cells.tolist() for row in block]
-        deltas = [[rng.randrange(127) for _ in range(params.ell)]
-                  for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, theta, params, fp, query, states, noise)
+        deltas = [rng.randrange(127) for _ in range(states[0].length)]
+        basic.write_round(deltas, params, fp, query, states, noise)
         after = [row for block in states[0].cells.tolist() for row in block]
         assert before == after
-        flat = [d for block in deltas for d in block]
         assert np.array_equal(reconstruct_plain(states),
-                              apply_updates_oracle(model, theta, flat, 127))
+                              apply_updates_oracle(model, theta, deltas, 127))
 
     def test_increment_has_storage_shape(self):
         # interpolating the written increment across databases gives degree
@@ -237,9 +244,8 @@ class TestWriteRound:
         theta = 1
         query = basic.build_read_query(theta, params, fp, 2, noise)
         snapshot = [st.cells.tolist() for st in states]
-        deltas = [[rng.randrange(127) for _ in range(params.ell)]
-                  for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, theta, params, fp, query, states, noise)
+        deltas = [rng.randrange(127) for _ in range(states[0].length)]
+        basic.write_round(deltas, params, fp, query, states, noise)
         s = 0
         for k in range(params.ell):
             for m in range(2):
@@ -249,7 +255,7 @@ class TestWriteRound:
                 ]
                 coeffs = lagrange_interpolate(fp.field, list(fp.alphas), incr)
                 assert poly_degree(coeffs) <= params.t_storage
-                expected = deltas[s][k] if (m + 1) == theta else 0
+                expected = deltas[s * params.ell + k] if (m + 1) == theta else 0
                 assert fp.field.poly_eval(coeffs, fp.fs[k]) == expected
 
     def test_other_submodels_untouched(self):
@@ -257,19 +263,11 @@ class TestWriteRound:
         noise = CounterNoise(17)
         params, fp, model, states = build_session(4, 127, m_count=3)
         query = basic.build_read_query(2, params, fp, 3, noise)
-        deltas = [[rng.randrange(127) for _ in range(params.ell)]
-                  for _ in range(states[0].subpackets)]
-        basic.write_round(deltas, 2, params, fp, query, states, noise)
+        deltas = [rng.randrange(127) for _ in range(states[0].length)]
+        basic.write_round(deltas, params, fp, query, states, noise)
         rec = reconstruct_plain(states)
         assert rec[0].tolist() == model[0].tolist()
         assert rec[2].tolist() == model[2].tolist()
-
-    def test_write_requires_same_session_query(self):
-        params, fp, model, states = build_session(4, 11)
-        query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
-        with pytest.raises(DomainError):
-            basic.write_round([[0]] * states[0].subpackets, 2, params, fp, query,
-                              states, CounterNoise(1))
 
     def test_three_iround_trips(self):
         rng = random.Random(23)
@@ -283,11 +281,9 @@ class TestWriteRound:
                 answers = [basic.answer_read(st, query, s) for st in states]
                 decoded.extend(basic.decode_answers(fp, params, answers))
             assert decoded[: oracle.shape[1]] == oracle[theta - 1].tolist()
-            deltas = [[rng.randrange(127) for _ in range(params.ell)]
-                      for _ in range(states[0].subpackets)]
-            basic.write_round(deltas, theta, params, fp, query, states, noise)
-            flat = [d for block in deltas for d in block]
-            oracle = apply_updates_oracle(oracle, theta, flat, 127)
+            deltas = [rng.randrange(127) for _ in range(states[0].length)]
+            basic.write_round(deltas, params, fp, query, states, noise)
+            oracle = apply_updates_oracle(oracle, theta, deltas, 127)
             assert np.array_equal(reconstruct_plain(states), oracle)
 
 

@@ -33,6 +33,19 @@ CONFIGS = {
     "random-overrun": (
         "scheme=random\nn=10\nm=2\nl=50\nq=127\nd_read=1/3\nd_write=1/5\nseed=3\niterations=2\n"
     ),
+    # q = 2^61 - 1: the object-array path of every kernel
+    "basic-q61-padded": (
+        "scheme=basic\nn=10\nm=2\nl=37\nq=2305843009213693951\nseed=5\niterations=2\n"
+    ),
+    "topr-case1-q61": (
+        "scheme=topr\nn=10\nm=2\np=9\nq=2305843009213693951\ncase=1\nr=1/3\nr_prime=1/3\n"
+        "seed=5\niterations=3\n"
+    ),
+    # two regions (ell 4 and 5), the first padded by 2 bits
+    "random-q61-two-regions": (
+        "scheme=random\nn=10\nm=2\nl=37\nq=2305843009213693951\nd_read=1/10\nd_write=1/10\n"
+        "seed=5\niterations=2\n"
+    ),
 }
 # noise off: the same protocol with every privacy-noise symbol zero.  The
 # noise never reaches the outputs, so these differ from their noise-on
@@ -86,6 +99,18 @@ RUN_DIGESTS = {
     "random-noise-off": (
         "88e8aca109bc4d2572db600aeb204f84b55e4eea198bac4515bd4fc6c4db3548",
         "68afb4881d4a70ae891648b7cd42f126fe3a7190ad1d12e309ebc9c6ff311120",
+    ),
+    "basic-q61-padded": (
+        "a906533e23a20c6ca335a6ad87a563aef2f1215a4c0ccb92982a70b04ad15ec6",
+        "aa13beea8d7550cf2a03246050928e9b1603341121f9870de01aa7ca18632f73",
+    ),
+    "topr-case1-q61": (
+        "4f0b6bdfa1620e27517b40da7013cbb93f019966bf2b3eb1bd4046e4f3d4e512",
+        "81fb995aa63516bcfd21df8d83f1ec28d57ba36a8e67ad7b321f11c065db52cd",
+    ),
+    "random-q61-two-regions": (
+        "9732050d30927003831f1907054e6290551f596dbb470413abd8f25db1cb57e0",
+        "a6d182fd1454aa40c991b162badf5c920150d776e67c8db73c93aab1d7c21aec",
     ),
 }
 

@@ -22,7 +22,6 @@ from pruw import random_sparse as rs
 from pruw.errors import IntegrityError
 from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype, mod_einsum, term_bound
 from pruw.poly import (
-    DecodeSystem,
     apply_rows,
     combine_map,
     combine_update,
@@ -90,7 +89,7 @@ class TestAllMaxResidues:
         got = basic.decode_answers(fp, params, full(q, 6, S))
         rows = [decode_row(fp.field, a, fp.fs[: params.ell], params.t_storage + params.t_query)
                 for a in fp.alphas]
-        want = solve_decode(fp.field, DecodeSystem(rows=rows, rhs=[q - 1] * 6))[: params.ell]
+        want = solve_decode(fp.field, rows, [q - 1] * 6)[: params.ell]
         assert got.T.tolist() == [want] * S
 
     def test_combine_map(self, q):
@@ -104,7 +103,7 @@ class TestAllMaxResidues:
         fp = allocate_eval_points(6, params.ell, q)
         length = S * params.ell
         states = init_basic(np.zeros((M, length), dtype=kernel_dtype(q)), fp, params.t_storage,
-                            params.t_query, params.t_update, CounterNoise(1))
+                            params.t_query, CounterNoise(1))
         for st in states:
             st.cells[...] = q - 1
         want = np.zeros((M, length), dtype=kernel_dtype(q))
@@ -137,8 +136,8 @@ def test_region_without_subpackets(q):
     wq = rs.build_write_queries(1, fp, region, 2, noise)
     positions, values = rs.region_read(fp, region, states, rq)
     assert len(positions) == len(values) == 0
-    written, sent = rs.region_write([], 1, fp, region, states, wq, noise)
-    assert len(written) == 0 and sent == 0
+    written = rs.region_write([], fp, region, states, wq, noise)
+    assert len(written) == 0
 
 
 # ---- the int64 limb path at its term bound T(q)
@@ -276,7 +275,7 @@ def layouts(seed):
     fp10 = allocate_eval_points(10, 3, Q64)
     for m_count in (1, 3):
         model = draw_model(m_count, 3 * 4 + 1, Q64, seed)
-        yield init_basic(model, fp, 3, 1, 1, CounterNoise(seed))
+        yield init_basic(model, fp, 3, 1, CounterNoise(seed))
         yield init_topr(draw_model(m_count, 3 * 4, Q64, seed + 1), fp10, 2, CounterNoise(seed))
         yield init_random_sparse(model, fp, 1, 2, 3, CounterNoise(seed))
     yield init_random_sparse(np.zeros((2, 0), dtype=kernel_dtype(Q64)), fp, 1, 2, 3,

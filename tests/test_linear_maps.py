@@ -15,7 +15,6 @@ from pruw import random_sparse as rs
 from pruw.errors import DomainError, IntegrityError
 from pruw.field import CounterNoise, PrimeField, allocate_eval_points, kernel_dtype
 from pruw.poly import (
-    DecodeSystem,
     apply_rows,
     decode_inverse,
     decode_row,
@@ -90,7 +89,7 @@ def storage_shapes(draw):
     fp = allocate_eval_points(n, width, q)
     model = draw_model(m_count, length, q, seed)
     if scheme == "basic":
-        states = init_basic(model, fp, t_storage, 1, 1, CounterNoise(seed))
+        states = init_basic(model, fp, t_storage, 1, CounterNoise(seed))
     elif scheme == "random":
         states = init_random_sparse(model, fp, case, ell_r, ell_w, CounterNoise(seed))
     else:
@@ -138,7 +137,7 @@ class TestOracleMap:
 
 def solve_own_system(fp, alphas, f_subset, power_count, answers):
     rows = [decode_row(fp.field, a, f_subset, power_count) for a in alphas]
-    return solve_decode(fp.field, DecodeSystem(rows=rows, rhs=list(answers)))[: len(f_subset)]
+    return solve_decode(fp.field, rows, list(answers))[: len(f_subset)]
 
 
 class TestDecoderMaps:
@@ -251,7 +250,7 @@ class TestMapBuilders:
         # and column c is solve_decode on the c-th unit right-hand side
         for c in rng.sample(range(n), min(n, 3)):
             e = [int(i == c) for i in range(n)]
-            col = solve_decode(field, DecodeSystem(rows=rows, rhs=e))
+            col = solve_decode(field, rows, e)
             assert [row[c] for row in inverse] == col[:k]
 
     def test_inversion_counts(self, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pruw.errors import DomainError
 from pruw.field import CounterNoise, PrimeField, ZeroNoise, allocate_eval_points
 from pruw.poly import (
-    DecodeSystem,
     build_query,
     combine_update,
     combined_update_residual,
@@ -266,20 +265,20 @@ class TestDecode:
             row = decode_row(field, fp.alpha(n), fp.fs[:ell], power_count)
             rows.append(row)
             rhs.append(sum(c * v for c, v in zip(row, bits + phis)) % 11)
-        sol = solve_decode(field, DecodeSystem(rows=rows, rhs=rhs))
+        sol = solve_decode(field, rows, rhs)
         assert sol[:ell] == bits
 
     def test_zero_answers(self):
         fp = allocate_eval_points(4, 1, 11)
         rows = [decode_row(fp.field, fp.alpha(n), fp.fs[:1], 3) for n in range(1, 5)]
-        sol = solve_decode(fp.field, DecodeSystem(rows=rows, rhs=[0, 0, 0, 0]))
+        sol = solve_decode(fp.field, rows, [0, 0, 0, 0])
         assert sol == [0, 0, 0, 0]
 
     def test_duplicate_rows_singular(self):
         fp = allocate_eval_points(4, 1, 11)
         row = decode_row(fp.field, fp.alpha(1), fp.fs[:1], 3)
         with pytest.raises(DomainError):
-            solve_decode(fp.field, DecodeSystem(rows=[row] * 4, rhs=[1, 2, 3, 4]))
+            solve_decode(fp.field, [row] * 4, [1, 2, 3, 4])
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60)
@@ -296,4 +295,4 @@ class TestDecode:
             row = decode_row(fp.field, fp.alpha(i), fp.fs[:ell], power_count)
             rows.append(row)
             rhs.append(sum(c * v for c, v in zip(row, unknowns)) % q)
-        assert solve_decode(fp.field, DecodeSystem(rows=rows, rhs=rhs)) == unknowns
+        assert solve_decode(fp.field, rows, rhs) == unknowns

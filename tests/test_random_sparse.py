@@ -90,6 +90,36 @@ class TestOptimizer:
                 plan = rs.optimize_plan(n, d, d)
                 assert rs.costs_random(n, plan) == rs.costs_random_closed_form(n, d, d)
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_region_shapes_are_what_storage_assumes(self, n):
+        # storage builds a region's cells from its spec unchecked: both ells
+        # at least base >= 1, case 1 only when ell_w >= ell_r, case 2 only
+        # when ell_r >= ell_w
+        budgets = [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
+        base = rs.correct_bits(n)
+        plans = [rs.optimize_plan(n, d_read, d_write) for d_read in budgets for d_write in budgets]
+        plans += [rs.plan_from_subpacketizations(n, ell_r, ell_w)
+                  for ell_r in range(base, base + 4) for ell_w in range(base, base + 4)]
+        for plan in plans:
+            assert plan.base == base >= 1
+            for spec in plan.regions:
+                assert min(spec.ell_r, spec.ell_w) >= plan.base
+                assert spec.case in (1, 2)
+                if spec.case == 1:
+                    assert spec.ell_w >= spec.ell_r
+                else:
+                    assert spec.ell_r >= spec.ell_w
+
+    def test_fixture_plans_are_what_storage_assumes(self):
+        # the explicit shapes the protocol tests pin
+        for n, ell_r, ell_w, case in ((6, 6, 8, 1), (6, 2, 3, 1), (10, 6, 4, 2), (11, 6, 4, 2),
+                                      (10, 4, 4, 2)):
+            [spec] = rs.plan_from_subpacketizations(n, ell_r, ell_w).regions
+            assert (spec.ell_r, spec.ell_w, spec.case) == (ell_r, ell_w, case)
+            assert min(ell_r, ell_w) >= rs.correct_bits(n) >= 1
+        with pytest.raises(ConfigError):
+            rs.plan_from_subpacketizations(10, 3, 4)  # below base = 4
+
 
 def realized_states(plan, length, q=127, seed=0):
     """Each realized region with its states, built from the model slice."""
@@ -164,8 +194,7 @@ class TestCase1Protocol:
         assert len(positions) and all(model[0][pos] == v for pos, v in zip(positions, values))
         wq = rs.build_write_queries(theta, fp, region, 2, noise)
         deltas = [rng.randrange(127) for _ in range(48)]
-        written, sent = rs.region_write(deltas, theta, fp, region, states, wq, noise)
-        assert sent == (48 // 8) * 6
+        written = rs.region_write(deltas, fp, region, states, wq, noise)
         expect = model.copy()
         for pos in written:
             expect[0][pos] = (expect[0][pos] + deltas[pos]) % 127
@@ -205,9 +234,7 @@ class TestCase2Protocol:
         assert all(model[1][pos] == v for pos, v in zip(positions, values))
         wq = rs.build_write_queries(theta, fp, region, 2, noise)
         deltas = [rng.randrange(127) for _ in range(24)]
-        written, sent = rs.region_write(deltas, theta, fp, region, states, wq, noise)
-        dbs = n - 1 if n % 2 == 1 else n
-        assert sent == (24 // 4) * dbs
+        written = rs.region_write(deltas, fp, region, states, wq, noise)
         expect = model.copy()
         for pos in written:
             expect[1][pos] = (expect[1][pos] + deltas[pos]) % 127
@@ -220,7 +247,7 @@ class TestCase2Protocol:
         wq = rs.build_write_queries(1, fp, region, 2, noise)
         before = states[-1].cells.tolist()
         deltas = [rng.randrange(127) for _ in range(24)]
-        written, _ = rs.region_write(deltas, 1, fp, region, states, wq, noise)
+        written = rs.region_write(deltas, fp, region, states, wq, noise)
         assert states[-1].cells.tolist() == before
         # yet the reconstruction (which includes database N) carries the update
         expect = model.copy()
@@ -238,7 +265,7 @@ def test_numpy_integer_deltas_on_the_object_path(shape):
     noise = CounterNoise(8)
     wq = rs.build_write_queries(1, fp, region, 2, noise)
     deltas = [np.int64(2**60 + k) for k in range(24)]
-    written, _ = rs.region_write(deltas, 1, fp, region, states, wq, noise)
+    written = rs.region_write(deltas, fp, region, states, wq, noise)
     assert len(written)
     expect = model.copy()
     for pos in written:
@@ -257,5 +284,5 @@ class TestDistortion:
         positions, _ = rs.region_read(fp, region, states, rq)
         assert Fraction(24 - len(positions), 24) == Fraction(6 - 4, 6)
         wq = rs.build_write_queries(1, fp, region, 2, noise)
-        written, _ = rs.region_write([0] * 24, 1, fp, region, states, wq, noise)
+        written = rs.region_write([0] * 24, fp, region, states, wq, noise)
         assert Fraction(24 - len(written), 24) == Fraction(4 - 4, 4)

@@ -70,7 +70,7 @@ def init_layout(layout, model, q, noise):
     kind, _, case = layout.partition("-")
     if kind == "basic":
         fp = allocate_eval_points(N, 14, q)
-        return init_basic(model, fp, 15, 1, 1, noise)
+        return init_basic(model, fp, 15, 1, noise)
     if kind == "topr":
         fp = allocate_eval_points(N, topr_subpacketization(N, int(case)), q)
         return init_topr(model, fp, int(case), noise)

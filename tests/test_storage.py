@@ -80,7 +80,7 @@ def init_layout(layout, model, n, q, ells, noise):
     if kind == "basic":
         t_storage = (n + 1) // 2
         fp = allocate_eval_points(n, n - t_storage - 1, q)
-        return init_basic(model, fp, t_storage, 1, 1, noise)
+        return init_basic(model, fp, t_storage, 1, noise)
     if kind == "topr":
         fp = allocate_eval_points(n, topr_subpacketization(n, int(case)), q)
         return init_topr(model, fp, int(case), noise)
@@ -95,7 +95,7 @@ LAYOUTS = ("basic", "topr-1", "topr-2", "random-1", "random-2")
 def small_basic(q=11, n=4, m=2, length=6, seed=5):
     fp = allocate_eval_points(n, 1, q)
     model = draw_model(m, length, q, 0)
-    states = init_basic(model, fp, 2, 1, 1, CounterNoise(seed))
+    states = init_basic(model, fp, 2, 1, CounterNoise(seed))
     return fp, model, states
 
 
@@ -105,17 +105,10 @@ class TestInitBasic:
         assert len(states) == 4
         assert states[0].subpackets == 6
 
-    def test_constraint_examples(self):
-        fp = allocate_eval_points(4, 1, 127)
-        model = draw_model(1, 4, 127, 0)
-        init_basic(model, fp, 2, 1, 1, CounterNoise(0))  # N=4 optimal: ell=1
-        with pytest.raises(ConfigError):
-            init_basic(model, fp, 1, 1, 1, CounterNoise(0))  # below the privacy floor
-
     def test_ten_databases(self):
         fp = allocate_eval_points(10, 4, 127)
         model = draw_model(1, 8, 127, 0)
-        states = init_basic(model, fp, 5, 1, 1, CounterNoise(0))
+        states = init_basic(model, fp, 5, 1, CounterNoise(0))
         assert states[0].layout.width == 4
 
     def test_cells_match_formula(self):
@@ -153,7 +146,7 @@ class TestRoundTrips:
     def test_basic_padding(self):
         fp = allocate_eval_points(6, 2, 127)
         model = draw_model(2, 7, 127, 2)  # pads to 8
-        states = init_basic(model, fp, 3, 1, 1, CounterNoise(9))
+        states = init_basic(model, fp, 3, 1, CounterNoise(9))
         assert states[0].padded_length == 8
         assert np.array_equal(reconstruct_plain(states), model)
 
@@ -183,7 +176,7 @@ class TestRoundTrips:
     def test_padding_cell_named(self):
         fp = allocate_eval_points(6, 2, 127)
         model = draw_model(2, 7, 127, 2)  # position 7 is padding
-        states = init_basic(model, fp, 3, 1, 1, CounterNoise(9))
+        states = init_basic(model, fp, 3, 1, CounterNoise(9))
         # the same step in every replica keeps the cell consistent, so only
         # the padding check sees it
         for st in states:
@@ -195,7 +188,7 @@ class TestRoundTrips:
     def test_decoded_model_is_an_array_with_list_values(self):
         fp = allocate_eval_points(6, 2, 127)
         model = draw_model(2, 7, 127, 2)
-        rec = reconstruct_plain(init_basic(model, fp, 3, 1, 1, CounterNoise(9)))
+        rec = reconstruct_plain(init_basic(model, fp, 3, 1, CounterNoise(9)))
         assert rec.shape == (2, 7) and rec.dtype == kernel_dtype(127)
         assert rec.tolist() == model.tolist() and type(rec.tolist()[0][0]) is int
 
@@ -208,7 +201,7 @@ class TestRoundTrips:
         ell = n - t1 - 1
         fp = allocate_eval_points(n, ell, 127)
         model = draw_model(rng.randint(1, 3), rng.randint(1, 12), 127, seed)
-        states = init_basic(model, fp, t1, 1, 1, CounterNoise(seed))
+        states = init_basic(model, fp, t1, 1, CounterNoise(seed))
         assert np.array_equal(reconstruct_plain(states), model)
 
 
@@ -237,14 +230,6 @@ class TestTopRShape:
 
 
 class TestRandomSparseInit:
-    def test_case_order_enforced(self):
-        fp = allocate_eval_points(6, 8, 127)
-        model = draw_model(1, 24, 127, 0)
-        with pytest.raises(ConfigError):
-            init_random_sparse(model, fp, 1, 8, 6, CounterNoise(0))  # case 1 needs ell_w > ell_r
-        with pytest.raises(ConfigError):
-            init_random_sparse(model, fp, 2, 6, 8, CounterNoise(0))  # case 2 needs ell_r >= ell_w
-
     def test_tie_is_case_2(self):
         fp = allocate_eval_points(10, 4, 127)
         model = draw_model(1, 8, 127, 0)
@@ -285,7 +270,7 @@ class TestCellDistributions:
         for w in (0, 5):
             laws[w] = [Counter() for _ in range(4)]
             for draws in itertools.product(range(q), repeat=2):
-                states = init_basic([[w]], fp, 2, 1, 1, Playback(draws))
+                states = init_basic([[w]], fp, 2, 1, Playback(draws))
                 for law, st_ in zip(laws[w], states):
                     law[st_.cells[0][0][0]] += 1
         return q, laws

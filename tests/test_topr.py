@@ -365,7 +365,7 @@ class TestReadSparse:
         fp, model, states, setup = build_session(case)
         theta = 2
         query = build_query(case, theta, fp, setup.ell, 3, CounterNoise(5))
-        true, bits = topr.read_sparse(theta, [2, 3], setup, states, query)
+        true, bits = topr.read_sparse([2, 3], setup, states, query)
         decoded = dict(zip(true.tolist(), bits.tolist()))
         assert sorted(decoded) == [1, 5]  # perm maps 2 -> 5, 3 -> 1
         for s, bits in decoded.items():
@@ -377,7 +377,7 @@ class TestReadSparse:
         fp, model, states, setup = build_session(case)
         theta = 1
         query = build_query(case, theta, fp, setup.ell, 3, CounterNoise(6))
-        true, bits = topr.read_sparse(theta, list(range(1, 6)), setup, states, query)
+        true, bits = topr.read_sparse(list(range(1, 6)), setup, states, query)
         decoded = dict(zip(true.tolist(), bits.tolist()))
         rec = reconstruct_plain(states)
         flat = []
@@ -395,7 +395,7 @@ class TestReadSparse:
             theta = rng.randint(1, 3)
             query = build_query(case, theta, fp, setup.ell, 3, noise)
             v = rng.sample(range(1, 6), 2)
-            true, bits = topr.read_sparse(theta, v, setup, states, query)
+            true, bits = topr.read_sparse(v, setup, states, query)
             decoded = dict(zip(true.tolist(), bits.tolist()))
             for s, bits in decoded.items():
                 lo = (s - 1) * setup.ell
@@ -411,12 +411,12 @@ class TestWriteSparse:
         query = build_query(1, theta, fp, setup.ell, 3, noise)
         scores = [10, 0, 0, 9, 0]  # non-zero subpackets 1 and 4
         deltas = [[rng.randrange(127) for _ in range(setup.ell)] for _ in range(5)]
-        res = topr.write_sparse(deltas, scores, Fraction(2, 5), theta, setup, states,
-                                query, noise)
-        assert res.chosen_true == [1, 4]
-        assert res.positions == [3, 5]
+        positions, chosen = topr.write_sparse(deltas, scores, Fraction(2, 5), setup, states,
+                                              query, noise)
+        assert chosen == [1, 4]
+        assert positions == [3, 5]
         expect = model.copy()
-        for s in res.chosen_true:
+        for s in chosen:
             lo = (s - 1) * setup.ell
             for k in range(setup.ell):
                 expect[theta - 1][lo + k] = (
@@ -431,9 +431,9 @@ class TestWriteSparse:
         query = build_query(1, 1, fp, setup.ell, 3, noise)
         deltas = [[0] * setup.ell for _ in range(5)]
         with pytest.warns(UserWarning):
-            res = topr.write_sparse(deltas, [1] * 5, Fraction(1, 100), 1, setup,
-                                    states, query, noise)
-        assert res.positions == []
+            positions, chosen = topr.write_sparse(deltas, [1] * 5, Fraction(1, 100), setup,
+                                                  states, query, noise)
+        assert positions == chosen == []
         assert np.array_equal(reconstruct_plain(states), model)
 
     @pytest.mark.parametrize("case", [1, 2])
@@ -445,10 +445,10 @@ class TestWriteSparse:
         query = build_query(case, theta, fp, setup.ell, 3, noise)
         scores = [rng.randrange(100) for _ in range(5)]
         deltas = [[rng.randrange(127) for _ in range(setup.ell)] for _ in range(5)]
-        res = topr.write_sparse(deltas, scores, Fraction(2, 5), theta, setup, states,
-                                query, noise)
+        _, chosen = topr.write_sparse(deltas, scores, Fraction(2, 5), setup, states, query,
+                                      noise)
         expect = model.copy()
-        for s in res.chosen_true:
+        for s in chosen:
             lo = (s - 1) * setup.ell
             for k in range(setup.ell):
                 expect[theta - 1][lo + k] = (
@@ -476,8 +476,7 @@ class TestWriteSparse:
         fp, model, states, setup = build_session(1, seed=14)
         query = build_query(1, 2, fp, setup.ell, 3, noise)
         deltas = [[rng.randrange(127) for _ in range(setup.ell)] for _ in range(5)]
-        res = topr.write_sparse(deltas, [9, 0, 0, 0, 0], Fraction(1, 5), 2, setup,
-                                states, query, noise)
+        topr.write_sparse(deltas, [9, 0, 0, 0, 0], Fraction(1, 5), setup, states, query, noise)
         rec = reconstruct_plain(states)
         for s in range(2, 6):  # untouched subpackets
             lo = (s - 1) * setup.ell
@@ -502,7 +501,7 @@ class TestWriteSparse:
         message = {"short": "updates for 5 subpackets", "wide": f"{ell} updates for subpacket 1",
                    "ragged": f"{ell} updates for subpacket 3", "short_scores": "5 scores"}[kind]
         with pytest.raises(DomainError, match=message):
-            topr.write_sparse(deltas, scores, Fraction(2, 5), 1, setup, states, query,
+            topr.write_sparse(deltas, scores, Fraction(2, 5), setup, states, query,
                               CounterNoise(16))
         assert np.array_equal(reconstruct_plain(states), model)
 
@@ -513,11 +512,11 @@ class TestWriteSparse:
         fp, model, states, setup = build_session(case, q=q)
         query = build_query(case, 1, fp, setup.ell, 3, CounterNoise(17))
         deltas = [[np.int64(2**60 + 2 * s + j) for j in range(setup.ell)] for s in range(5)]
-        res = topr.write_sparse(deltas, [10, 0, 0, 9, 0], Fraction(2, 5), 1, setup, states,
-                                query, CounterNoise(18))
-        assert res.chosen_true == [1, 4]
+        _, chosen = topr.write_sparse(deltas, [10, 0, 0, 9, 0], Fraction(2, 5), setup, states,
+                                      query, CounterNoise(18))
+        assert chosen == [1, 4]
         expect = model.copy()
-        for s in res.chosen_true:
+        for s in chosen:
             for j in range(setup.ell):
                 pos = (s - 1) * setup.ell + j
                 expect[0][pos] = (expect[0][pos] + int(deltas[s - 1][j])) % q
