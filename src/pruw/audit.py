@@ -135,15 +135,14 @@ def audit_query(
     theta_b: int,
     samples: int,
     q: int = 5,
-    m_count: int = 5,
     disable_noise: bool = False,
     threshold: float = TVD_THRESHOLD,
     case: int = 1,
 ) -> AuditResult:
-    """Exact TVD between the joint laws of the M query coordinates under two
-    submodel-index hypotheses, over every value of the builder's noise; the
-    noise-off control plays back the one all-zero draw."""
-    sampler = make_query_sampler(scheme, q, m_count, case)
+    """Exact TVD between the joint laws of the M = 5 query coordinates under
+    two submodel-index hypotheses, over every value of the builder's noise;
+    the noise-off control plays back the one all-zero draw."""
+    sampler = make_query_sampler(scheme, q, 5, case)
     counter = _Playback()
     sampler(theta_a, counter)
     _require_budget(q ** counter.taken, samples, f"the {scheme} query's noise")
@@ -158,7 +157,7 @@ def audit_query(
 
     return _result(f"query-tvd[{scheme}]", space, _exact_tvd(observe, (theta_a, theta_b), space),
                    threshold, (f"theta={theta_a}", f"theta={theta_b}"),
-                   {"support": q ** m_count})
+                   {"support": q ** 5})
 
 
 def audit_update(
@@ -215,12 +214,11 @@ def default_audit_suite(
     q: int = 5,
     seed: int = 0,
     disable_noise: bool = False,
-    p_subpackets: int = 5,
-    sparse_size: int = 2,
     tvd_threshold: float = TVD_THRESHOLD,
     case: int = 1,
 ) -> list[AuditResult]:
-    """The fixed per-scheme audit battery used by the command line.
+    """The fixed per-scheme audit battery used by the command line; top-r's
+    adds the position audit of sparse sets {1, 2} and {2, 3} of 5 subpackets.
 
     ``seed`` is accepted and unused: the audits enumerate every draw, so the
     results are the same for every seed."""
@@ -231,13 +229,7 @@ def default_audit_suite(
     ]
     if scheme == "topr":
         results.append(
-            audit_positions(
-                sparse_a=list(range(1, sparse_size + 1)),
-                sparse_b=list(range(2, sparse_size + 2)),
-                p_subpackets=p_subpackets,
-                samples=samples,
-                disable_noise=disable_noise,
-                threshold=tvd_threshold,
-            )
+            audit_positions([1, 2], [2, 3], 5, samples, disable_noise=disable_noise,
+                            threshold=tvd_threshold)
         )
     return results

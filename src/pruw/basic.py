@@ -19,12 +19,12 @@ them in with one :func:`~pruw.storage.fold` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, kernel_dtype, symbol_array
+from .field import FieldParams, allocate_eval_points, symbol_array
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_basic, write_factors
 
@@ -115,33 +115,6 @@ def decode_answers(fp: FieldParams, params: BasicParams, answers):
     return apply_rows(fp.q, decode_inverse(fp.field, fp.alphas, fp.fs[:ell]), answers)
 
 
-def build_write_symbols(
-    deltas_by_subpacket,
-    params: BasicParams,
-    fp: FieldParams,
-    noise,
-):
-    """User side: the (N, S) combined symbols, row n - 1 for database n, for
-    the ell deltas of each of the S subpackets (an (S, ell) array or lists).
-
-    The masking coefficients are shared across databases so each subpacket's
-    symbols are evaluations of one polynomial, which is what write
-    correctness needs.  They are one ``noise.symbol(q, S * t_update,
-    "update-noise")`` draw, t_update per subpacket in subpacket order.
-    """
-    import numpy as np
-
-    ell, terms = params.ell, params.t_update
-    count = len(deltas_by_subpacket)
-    dtype = kernel_dtype(fp.q)
-    deltas = symbol_array(deltas_by_subpacket, fp.q, (count, ell))
-    if deltas is None:
-        raise DomainError(f"expected {ell} deltas per subpacket")
-    z = noise.symbol(fp.q, count * terms, "update-noise")
-    inputs = np.concatenate([deltas, np.asarray(z, dtype=dtype).reshape(count, terms)], axis=1)
-    return apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
-
-
 def write_round(
     deltas,
     params: BasicParams,
@@ -151,18 +124,27 @@ def write_round(
     noise,
 ) -> None:
     """Full write phase for the block's ``(length,)`` real deltas; the
-    padding gets a zero update.  It reuses the same-session read ``query``,
-    as the decomposition requires, and so writes the submodel read."""
+    padding gets a zero update.  The user combines the ell deltas of each of
+    the S subpackets with t_update masking coefficients into one symbol per
+    subpacket per database.  The coefficients are shared across databases,
+    so each subpacket's symbols are evaluations of one polynomial, as write
+    correctness needs; they are one ``noise.symbol(q, S * t_update,
+    "update-noise")`` draw, t_update per subpacket in subpacket order.  Each
+    database decomposes its symbols against the same-session read ``query``,
+    so the write lands on the submodel read."""
     import numpy as np
 
     length, padded_length = states[0].length, states[0].padded_length
     values = symbol_array(deltas, fp.q, (length,))
     if values is None:
         raise DomainError(f"expected {length} deltas, one per position of the block")
+    ell, terms, count = params.ell, params.t_update, states[0].subpackets
     padded = np.concatenate([values, np.zeros(padded_length - length, dtype=values.dtype)])
-    symbols = build_write_symbols(padded.reshape(-1, params.ell), params, fp, noise)
+    z = np.asarray(noise.symbol(fp.q, count * terms, "update-noise"), dtype=values.dtype)
+    inputs = np.concatenate([padded.reshape(count, ell), z.reshape(count, terms)], axis=1)
+    symbols = apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
     skip = params.skip_set
-    factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[: params.ell], skip)
+    factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[:ell], skip)
     for st in states:
         n = st.db_index
         if n not in skip:
@@ -178,16 +160,9 @@ class BasicScheme:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        if cfg.t1 is None and cfg.t2 is None and cfg.t3 is None:
-            self.params = optimal_params(cfg.n)
-        else:
-            opt = optimal_params(cfg.n) if cfg.n >= 4 else None
-            self.params = BasicParams(
-                n=cfg.n,
-                t_storage=cfg.t1 if cfg.t1 is not None else (opt.t_storage if opt else 1),
-                t_query=cfg.t2 if cfg.t2 is not None else 1,
-                t_update=cfg.t3 if cfg.t3 is not None else 1,
-            )
+        overrides = {"t_storage": cfg.t1, "t_query": cfg.t2, "t_update": cfg.t3}
+        self.params = replace(optimal_params(cfg.n),
+                              **{k: v for k, v in overrides.items() if v is not None})
         self.fp = allocate_eval_points(cfg.n, self.params.ell, cfg.q)
         self.length = cfg.l
 
@@ -201,24 +176,20 @@ class BasicScheme:
 
         cfg, params = self.cfg, self.params
         self.query = build_read_query(theta, params, self.fp, cfg.m, noise)
-        for n in range(1, cfg.n + 1):
-            record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, params.ell * cfg.m)
+        record(wire.READ_Q, range(1, cfg.n + 1), params.ell * cfg.m)
         answers = np.stack([answer_read(st, self.query, slice(None)) for st in self.states])
         decoded = decode_answers(self.fp, params, answers).T.ravel()
-        for st in self.states:
-            record(wire.READ_A, wire.PHASE_READ, wire.DOWN, st.db_index, st.subpackets)
+        record(wire.READ_A, range(1, cfg.n + 1), self.states[0].subpackets)
         return np.arange(self.length, dtype=np.intp), decoded[: self.length]
 
-    def write(self, theta, data, noise, record, detail):
+    def write(self, data, noise, record, detail):
         import numpy as np
 
-        cfg, params = self.cfg, self.params
         deltas = data.symbol(self.fp.q, self.length, "delta")
-        write_round(deltas, params, self.fp, self.query, self.states, noise)
-        skip = params.skip_set
-        for n in range(1, cfg.n + 1):
-            if n not in skip:
-                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, self.states[0].subpackets)
+        write_round(deltas, self.params, self.fp, self.query, self.states, noise)
+        skip = self.params.skip_set
+        record(wire.WRITE_U, [n for n in range(1, self.cfg.n + 1) if n not in skip],
+               self.states[0].subpackets)
         detail["skip_set"] = list(skip)
         return np.arange(self.length, dtype=np.intp), deltas
 

@@ -1,8 +1,9 @@
 """Session orchestration: one read -> write -> verify loop for every scheme.
 
-A session owns the noise root, the wire log, the plain model and an oracle
-that is updated in plain arithmetic alongside the masked storage.  The
-scheme classes (``basic.BasicScheme``, ``topr.TopRScheme``,
+A session owns the noise root, the wire log and the oracle: the drawn plain
+model, which builds the masked storage and is then updated in plain
+arithmetic alongside it (storage keeps no reference to it).  The scheme
+classes (``basic.BasicScheme``, ``topr.TopRScheme``,
 ``random_sparse.RandomScheme``, keyed by config name in :data:`SCHEMES`)
 hold everything that differs.  Each is built as ``Scheme(cfg)`` and offers:
 
@@ -18,8 +19,9 @@ hold everything that differs.  Each is built as ``Scheme(cfg)`` and offers:
 * ``read(theta, iteration, noise, record, detail)``: records the read
   frames and returns the pair ``(positions, symbols)``: the model positions
   it decoded and their decoded symbols;
-* ``write(theta, data, noise, record, detail)``: records the write frames
-  and returns the pair ``(positions, deltas)`` for what was written.
+* ``write(data, noise, record, detail)``: records the write frames and
+  returns the pair ``(positions, deltas)`` for what was written, through
+  the query its read cached or its one-time write queries.
 
 Both pairs are arrays: ``np.intp`` positions, each named once, and symbols
 of :func:`~pruw.field.kernel_dtype`, index for index.
@@ -33,9 +35,11 @@ whatever the root, since the update values ("delta") and top-r's "scores"
 are data, not privacy noise.  Each draw is one ``symbol`` call under a tag
 naming its use ("mask", "update-noise" beside those two), so an iteration
 makes the same few calls whatever L is.
-``record`` logs and meters one message (one call per kind, database and
-storage block, carrying its symbol count), and both steps may add
-scheme-specific keys to ``detail``.  The remaining members are:
+``record(kind, dbs, symbols)`` logs and meters one message of ``kind``
+and ``symbols`` symbols to or from each database in ``dbs``, in order (0
+is the coordinator); the kind alone fixes its phase, direction and
+metering (:data:`~pruw.wire.KINDS`).  Both steps may add scheme-specific
+keys to ``detail``.  The remaining members are:
 
 * ``costs()``: the closed-form ``(C_R, C_W)``, which the meter reports
   only where nothing is padded or rounded (basic when ell divides L, random
@@ -152,10 +156,9 @@ class Session:
         self.iteration_index = 0
         self.noise = ZeroNoise() if cfg.disable_noise else CounterNoise(cfg.seed)
         self.scheme = SCHEMES[cfg.scheme](cfg)
-        self.model = draw_model(cfg.m, self.scheme.length, cfg.q, derive_seed(cfg.seed, "model"))
-        self.scheme.init_storage(self.model, self.noise)
-        # the model as the writes leave it, updated in plain arithmetic
-        self.oracle = self.model.copy()
+        # the drawn model, then updated in plain arithmetic as the writes land
+        self.oracle = draw_model(cfg.m, self.scheme.length, cfg.q, derive_seed(cfg.seed, "model"))
+        self.scheme.init_storage(self.oracle, self.noise)
 
     def run_iteration(self, theta: int | None = None) -> IterationResult:
         """Read, write, then check the decoded symbols and every storage
@@ -167,14 +170,14 @@ class Session:
         theta = cfg.theta if theta is None else theta
         if not 1 <= theta <= cfg.m:
             raise ConfigError(f"theta={theta} outside 1..{cfg.m}")
-        self.log.session = self.iteration_index
+        i = self.iteration_index
         ledger = wire.CostLedger(normalizer=scheme.length)
 
-        def record(*args, **kwargs):
-            ledger.add(self.log.record(*args, **kwargs))
+        def record(kind, dbs, symbols):
+            for db in dbs:
+                ledger.add(self.log.record(i, kind, db, symbols))
 
         detail: dict = {}
-        i = self.iteration_index
         truth = self.oracle[theta - 1]
         read_pos, got = scheme.read(theta, i, self.noise.derive(f"query-{i}"), record, detail)
         bad = np.flatnonzero(truth[read_pos] != got)
@@ -183,7 +186,7 @@ class Session:
             k = bad[0]
             read_mismatch = {"position": int(read_pos[k]), "expected": int(truth[read_pos[k]]),
                              "got": int(got[k])}
-        write_pos, delta = scheme.write(theta, CounterNoise(derive_seed(cfg.seed, f"update-{i}")),
+        write_pos, delta = scheme.write(CounterNoise(derive_seed(cfg.seed, f"update-{i}")),
                                         self.noise.derive(f"update-{i}"), record, detail)
         truth[write_pos] = (truth[write_pos] + delta) % cfg.q  # each position named once
         write_mismatch = _write_mismatch(self.oracle, scheme.storage)

@@ -83,10 +83,6 @@ class RegionSpec:
     def write_patterns(self) -> int:
         return math.lcm(self.ell_w, self.y) // self.ell_w
 
-    @property
-    def gamma_r(self) -> int:
-        return self.period // self.ell_r
-
 
 @dataclass(frozen=True)
 class SparsePlan:
@@ -474,16 +470,13 @@ class RandomScheme:
             for reg in self.regions:
                 spec = reg.spec
                 for n in range(1, cfg.n + 1):
-                    record(wire.READ_Q, wire.PHASE_READ, wire.UP, n,
-                           spec.read_patterns * spec.ell_r * cfg.m)
-                    record(wire.WRITE_QGEN, wire.PHASE_WRITE, wire.UP, n,
-                           spec.write_patterns * spec.ell_w * cfg.m, metered=False)
+                    record(wire.READ_Q, [n], spec.read_patterns * spec.ell_r * cfg.m)
+                    record(wire.WRITE_QGEN, [n], spec.write_patterns * spec.ell_w * cfg.m)
         positions, symbols = [], []
         for reg, (_, states), (queries, _) in zip(self.regions, self.storage, self.queries):
             pos, values = region_read(self.fp, reg, states, queries)
-            for db in read_databases(cfg.n, reg.spec.case):
-                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, db,
-                       states[0].padded_length // reg.spec.ell_r)
+            record(wire.READ_A, read_databases(cfg.n, reg.spec.case),
+                   states[0].padded_length // reg.spec.ell_r)
             positions.append(pos)
             symbols.append(values)
         detail["regions"] = [
@@ -494,19 +487,17 @@ class RandomScheme:
         ]
         return np.concatenate(positions), np.concatenate(symbols)
 
-    def write(self, theta, data, noise, record, detail):
+    def write(self, data, noise, record, detail):
         import numpy as np
 
-        cfg = self.cfg
         deltas = data.symbol(self.fp.q, self.length, "delta")
         positions = []
         for idx, (reg, (start, states), (_, queries)) in enumerate(zip(
                 self.regions, self.storage, self.queries)):
             written = region_write(deltas[start : start + reg.real_bits], self.fp, reg, states,
                                    queries, noise, (idx,))
-            for db in write_databases(cfg.n, reg.spec.case):
-                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, db,
-                       states[0].padded_length // reg.spec.ell_w)
+            record(wire.WRITE_U, write_databases(self.cfg.n, reg.spec.case),
+                   states[0].padded_length // reg.spec.ell_w)
             positions.append(written)
         positions = np.concatenate(positions)
         return positions, deltas[positions]

@@ -454,7 +454,7 @@ class TopRScheme:
     def read(self, theta, iteration, noise, record, detail):
         cfg, setup, clog = self.cfg, self.perm_setup, self.clog
         # permutation delivery to the user, charged per the cost accounting
-        record(wire.PERM_SETUP, wire.PHASE_READ, wire.DOWN, 0, cfg.p * clog)
+        record(wire.PERM_SETUP, [0], cfg.p * clog)
         if iteration > 0:
             v_tilde = sorted(set(self.last_write_positions))
         elif cfg.v_tilde is not None:
@@ -463,18 +463,16 @@ class TopRScheme:
             v_tilde = list(range(1, round_half_up(Fraction(cfg.r_prime) * cfg.p) + 1))
         build = build_query_case1 if cfg.case == 1 else build_query_case2
         self.query = build(theta, self.fp, setup.ell, cfg.m, noise)
-        for n in range(1, cfg.n + 1):
-            record(wire.READ_Q, wire.PHASE_READ, wire.UP, n, setup.ell * cfg.m)
-        record(wire.DOWNLINK_SET, wire.PHASE_READ, wire.DOWN, 1, len(v_tilde) * clog)
+        record(wire.READ_Q, range(1, cfg.n + 1), setup.ell * cfg.m)
+        record(wire.DOWNLINK_SET, [1], len(v_tilde) * clog)
         true, bits = read_sparse(v_tilde, setup, self.states, self.query)
         if v_tilde:
-            for n in range(1, cfg.n + 1):
-                record(wire.READ_A, wire.PHASE_READ, wire.DOWN, n, len(v_tilde))
+            record(wire.READ_A, range(1, cfg.n + 1), len(v_tilde))
         detail["v_tilde"] = v_tilde
         detail["v_true"] = true.tolist()
         return _bit_positions(true, setup.ell), bits.reshape(-1)
 
-    def write(self, theta, data, noise, record, detail):
+    def write(self, data, noise, record, detail):
         import numpy as np
 
         cfg, setup = self.cfg, self.perm_setup
@@ -484,8 +482,8 @@ class TopRScheme:
                                          self.query, noise)
         if positions:
             for n in range(1, cfg.n + 1):
-                record(wire.SPARSE_POS, wire.PHASE_WRITE, wire.UP, n, len(positions) * self.clog)
-                record(wire.WRITE_U, wire.PHASE_WRITE, wire.UP, n, len(positions))
+                record(wire.SPARSE_POS, [n], len(positions) * self.clog)
+                record(wire.WRITE_U, [n], len(positions))
         self.last_write_positions = positions
         detail["write_positions"] = list(positions)
         detail["chosen_true"] = chosen

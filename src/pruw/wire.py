@@ -1,11 +1,13 @@
 """Simulated wire: frame records, symbol metering, and the cost ledger.
 
-Every message is logged once, with its symbol count.  Costs follow the
-normalized definitions: reading cost counts symbols downloaded in the read
-phase, writing cost counts symbols uploaded in the write phase, both divided
-by the (unpadded) submodel length.  One-time query uploads in the write
-phase are logged but flagged unmetered, mirroring how the closed forms
-amortize them away.
+Every message is logged once, with its symbol count.  :data:`KINDS` is the
+one place that says what a message costs: its kind alone fixes its phase,
+its direction and whether it is metered.  Costs follow the normalized
+definitions: reading cost counts symbols downloaded in the read phase,
+writing cost counts symbols uploaded in the write phase, both divided by
+the (unpadded) submodel length.  The random scheme's one-time write
+queries are logged but unmetered, mirroring how the closed forms amortize
+them away.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ DOWNLINK_SET = "DOWNLINK_SET"
 PERM_SETUP = "PERM_SETUP"
 WRITE_QGEN = "WRITE_QGEN"
 
-DOWN = "down"
-UP = "up"
-PHASE_READ = "read"
-PHASE_WRITE = "write"
+# kind -> (phase, direction, metered)
+KINDS = {
+    READ_Q: ("read", "up", True),
+    READ_A: ("read", "down", True),
+    PERM_SETUP: ("read", "down", True),
+    DOWNLINK_SET: ("read", "down", True),
+    WRITE_U: ("write", "up", True),
+    SPARSE_POS: ("write", "up", True),
+    WRITE_QGEN: ("write", "up", False),
+}
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,7 @@ class Frame:
     direction: str
     db: int          # 0 denotes the coordinator
     symbols: int
-    metered: bool = True
+    metered: bool
 
     def line(self) -> str:
         return (
@@ -48,16 +56,11 @@ class Frame:
 class FrameLog:
     def __init__(self):
         self.frames: list[Frame] = []
-        self._tick = 0
-        self.session = 0
 
-    def record(self, kind, phase, direction, db, symbols, metered=True) -> Frame:
-        frame = Frame(
-            tick=self._tick, session=self.session, kind=kind, phase=phase,
-            direction=direction, db=db, symbols=symbols, metered=metered,
-        )
+    def record(self, session, kind, db, symbols) -> Frame:
+        phase, direction, metered = KINDS[kind]
+        frame = Frame(len(self.frames), session, kind, phase, direction, db, symbols, metered)
         self.frames.append(frame)
-        self._tick += 1
         return frame
 
     def trace(self) -> str:
@@ -80,11 +83,11 @@ class CostLedger:
         key = (frame.phase, frame.direction, frame.metered)
         self.totals[key] = self.totals.get(key, 0) + frame.symbols
 
-    read_down = _total(PHASE_READ, DOWN)
-    read_up = _total(PHASE_READ, UP)
-    write_down = _total(PHASE_WRITE, DOWN)
-    write_up = _total(PHASE_WRITE, UP)
-    write_up_unmetered = _total(PHASE_WRITE, UP, metered=False)
+    read_down = _total("read", "down")
+    read_up = _total("read", "up")
+    write_down = _total("write", "down")
+    write_up = _total("write", "up")
+    write_up_unmetered = _total("write", "up", metered=False)
 
     @property
     def c_read(self) -> Fraction:

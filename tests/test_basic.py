@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pruw import basic
+from pruw.cli import main
 from pruw.errors import ConfigError, DomainError
 from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.poly import lagrange_interpolate, poly_degree
@@ -73,6 +74,18 @@ class TestParams:
     def test_too_few_databases(self):
         with pytest.raises(ConfigError):
             basic.optimal_params(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_budget_below_four_databases(self, n, tmp_path, capsys):
+        # t_query, t_update >= 1 force n <= 2 * t_storage <= 2n - 4
+        for t1, t2, t3 in itertools.product(range(1, 2 * n + 3), repeat=3):
+            with pytest.raises(ConfigError):
+                basic.BasicParams(n=n, t_storage=t1, t_query=t2, t_update=t3)
+        for overrides in ("t1=1\n", "t2=1\nt3=1\n", f"t1={n}\nt2=1\nt3=1\n"):
+            cfg = tmp_path / "cfg"
+            cfg.write_text(f"scheme=basic\nn={n}\nm=2\nl=4\nq=127\n{overrides}")
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert "the scheme needs at least 4 databases" in capsys.readouterr().err
 
     def test_bound_checks(self):
         with pytest.raises(ConfigError):
@@ -208,16 +221,14 @@ class TestWriteRound:
         # numpy int64 update values at q = 2^61 - 1 write as their Python ints
         q = 2**61 - 1
         params, fp, model, states = build_session(6, q)
+        twins = build_session(6, q)[3]
         query = basic.build_read_query(1, params, fp, 2, CounterNoise(0))
-        count, ell = states[0].subpackets, params.ell
-        values = [[2**60 + k * ell + j for j in range(ell)] for k in range(count)]
-        want = basic.build_write_symbols(values, params, fp, CounterNoise(1))
-        as_numpy = [[np.int64(v) for v in row] for row in values]
-        assert basic.build_write_symbols(as_numpy, params, fp, CounterNoise(1)).tolist() \
-            == want.tolist()
-        flat = [v for row in values for v in row]
-        basic.write_round([np.int64(v) for v in flat], params, fp, query, states, CounterNoise(1))
-        assert np.array_equal(reconstruct_plain(states), apply_updates_oracle(model, 1, flat, q))
+        values = [2**60 + k for k in range(states[0].length)]
+        basic.write_round(values, params, fp, query, states, CounterNoise(1))
+        basic.write_round([np.int64(v) for v in values], params, fp, query, twins,
+                          CounterNoise(1))
+        assert [st.cells.tolist() for st in twins] == [st.cells.tolist() for st in states]
+        assert np.array_equal(reconstruct_plain(twins), apply_updates_oracle(model, 1, values, q))
 
     def test_skipped_database_unchanged_but_updated(self):
         # odd N: database 1 gets no payload and its cells stay bit-identical,

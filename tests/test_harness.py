@@ -11,8 +11,9 @@ from pruw.config import ExperimentConfig, parse_config_text
 from pruw.errors import ConfigError, IntegrityError
 from pruw.field import kernel_dtype
 from pruw.harness import CostRow, Session, aligned_length, run_session, verify_costs
-from pruw import harness, topr
+from pruw import harness, topr, wire
 from pruw import random_sparse as rs
+from test_golden_digests import CONFIGS
 
 
 class TestBasicIteration:
@@ -275,6 +276,13 @@ class TestLedger:
         sessions = {f.session for f in res.log.frames}
         assert sessions == {0, 1}
         assert "sess=0" in res.log.frames[0].line()
+
+    def test_golden_configs_emit_exactly_the_kinds(self):
+        # every kind the cost table names is sent, and no other
+        emitted = set()
+        for text in CONFIGS.values():
+            emitted |= {f.kind for f in run_session(parse_config_text(text)).log.frames}
+        assert emitted == set(wire.KINDS)
 
     def test_every_frame_counted_once(self):
         cfg = ExperimentConfig(scheme="topr", n=10, m=2, p=5, q=127, case=1, seed=3,

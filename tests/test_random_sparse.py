@@ -169,11 +169,12 @@ class TestPlanRealization:
     def test_super_subpacket_periodicity(self):
         # the f-assignment of reading subpacket s + gamma_r equals that of s
         spec = rs.plan_from_subpacketizations(6, 6, 8).regions[0]
-        assert spec.gamma_r == 4
+        gamma_r = spec.period // spec.ell_r
+        assert gamma_r == 4
         fp = allocate_eval_points(6, 8, 127)
         for s in range(1, 5):
             fs_a = rs._pattern_fs(fp, s, 6, 8)
-            fs_b = rs._pattern_fs(fp, s + spec.gamma_r, 6, 8)
+            fs_b = rs._pattern_fs(fp, s + gamma_r, 6, 8)
             assert fs_a == fs_b
 
 

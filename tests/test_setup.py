@@ -125,13 +125,14 @@ def configs():
 
 class TestOneModelArray:
     @pytest.mark.parametrize("cfg", configs(), ids=lambda c: c.scheme)
-    def test_oracle_is_a_copy_of_the_model(self, cfg):
+    def test_storage_never_aliases_the_oracle(self, cfg):
+        # the drawn model is the oracle; storage keeps cells of its own
         session = Session(cfg)
-        model, oracle = session.model, session.oracle
-        assert np.array_equal(model, oracle) and not np.shares_memory(model, oracle)
-        before = model.copy()
-        oracle += 1
-        assert np.array_equal(model, before)
+        states = [st for _, block in session.scheme.storage for st in block]
+        assert not any(np.shares_memory(st.cells, session.oracle) for st in states)
+        before = [st.cells.copy() for st in states]
+        session.oracle += 1
+        assert all(np.array_equal(st.cells, cells) for st, cells in zip(states, before))
 
 
 class TestNoiseCalls:
