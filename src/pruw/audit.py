@@ -88,9 +88,9 @@ def _exact_tvd(observe, hypotheses, space) -> float:
     return float(Fraction(sum(abs(a[v] - b[v]) for v in a.keys() | b.keys()), 2 * len(space)))
 
 
-def _result(statistic, space, value, threshold, hypotheses, detail) -> AuditResult:
+def _result(statistic, space, value, hypotheses, detail) -> AuditResult:
     return AuditResult(statistic=statistic, samples=len(space), value=value,
-                       threshold=threshold, passed=value < threshold,
+                       threshold=TVD_THRESHOLD, passed=value < TVD_THRESHOLD,
                        hypotheses=hypotheses, detail=detail)
 
 
@@ -136,7 +136,6 @@ def audit_query(
     samples: int,
     q: int = 5,
     disable_noise: bool = False,
-    threshold: float = TVD_THRESHOLD,
     case: int = 1,
 ) -> AuditResult:
     """Exact TVD between the joint laws of the M = 5 query coordinates under
@@ -156,7 +155,7 @@ def audit_query(
         return coords
 
     return _result(f"query-tvd[{scheme}]", space, _exact_tvd(observe, (theta_a, theta_b), space),
-                   threshold, (f"theta={theta_a}", f"theta={theta_b}"),
+                   (f"theta={theta_a}", f"theta={theta_b}"),
                    {"support": q ** 5})
 
 
@@ -166,7 +165,6 @@ def audit_update(
     samples: int,
     q: int = 5,
     disable_noise: bool = False,
-    threshold: float = TVD_THRESHOLD,
 ) -> AuditResult:
     """Exact TVD of the combined-update symbol under two update-value
     hypotheses, over every value of its noise symbol."""
@@ -178,7 +176,7 @@ def audit_update(
         return combine_update(fp.field, [delta % q], [1], fp.alphas, [noise])[0]
 
     return _result("update-tvd", space, _exact_tvd(observe, (delta_a, delta_b), space),
-                   threshold, (f"delta={delta_a}", f"delta={delta_b}"), {"support": q})
+                   (f"delta={delta_a}", f"delta={delta_b}"), {"support": q})
 
 
 def audit_positions(
@@ -187,7 +185,6 @@ def audit_positions(
     p_subpackets: int,
     samples: int,
     disable_noise: bool = False,
-    threshold: float = TVD_THRESHOLD,
 ) -> AuditResult:
     """Exact TVD of the permuted position set under two true-sparse-set
     hypotheses, over every secret permutation of the subpackets."""
@@ -203,7 +200,7 @@ def audit_positions(
         return tuple(setup.permuted_set(true_set))
 
     hypotheses = (tuple(sorted(sparse_a)), tuple(sorted(sparse_b)))
-    return _result("positions-tvd", space, _exact_tvd(observe, hypotheses, space), threshold,
+    return _result("positions-tvd", space, _exact_tvd(observe, hypotheses, space),
                    (f"sparse={sorted(sparse_a)}", f"sparse={sorted(sparse_b)}"),
                    {"subsets": math.comb(p_subpackets, len(sparse_a))})
 
@@ -214,7 +211,6 @@ def default_audit_suite(
     q: int = 5,
     seed: int = 0,
     disable_noise: bool = False,
-    tvd_threshold: float = TVD_THRESHOLD,
     case: int = 1,
 ) -> list[AuditResult]:
     """The fixed per-scheme audit battery used by the command line; top-r's
@@ -223,13 +219,9 @@ def default_audit_suite(
     ``seed`` is accepted and unused: the audits enumerate every draw, so the
     results are the same for every seed."""
     results = [
-        audit_query(scheme, 1, 2, samples, q=q, disable_noise=disable_noise,
-                    threshold=tvd_threshold, case=case),
-        audit_update(1, 3, samples, q=q, disable_noise=disable_noise, threshold=tvd_threshold),
+        audit_query(scheme, 1, 2, samples, q=q, disable_noise=disable_noise, case=case),
+        audit_update(1, 3, samples, q=q, disable_noise=disable_noise),
     ]
     if scheme == "topr":
-        results.append(
-            audit_positions([1, 2], [2, 3], 5, samples, disable_noise=disable_noise,
-                            threshold=tvd_threshold)
-        )
+        results.append(audit_positions([1, 2], [2, 3], 5, samples, disable_noise=disable_noise))
     return results

@@ -90,8 +90,7 @@ def cmd_audit(args) -> int:
     if args.disable_noise:
         print(INSECURE_BANNER, file=sys.stderr)
     results = audit.default_audit_suite(args.scheme, samples=args.samples, q=args.q,
-                                        disable_noise=args.disable_noise,
-                                        tvd_threshold=args.tvd_threshold)
+                                        disable_noise=args.disable_noise)
     payload = json.dumps([r.as_dict() for r in results], sort_keys=True, indent=2) + "\n"
     _emit(payload, args.out)
     return 0 if all(r.passed for r in results) else 1
@@ -120,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enumeration budget: outcomes per hypothesis an audit may "
                               "enumerate (exit 3 when one needs more)")
     audit_p.add_argument("--q", type=int, default=5)
-    audit_p.add_argument("--tvd-threshold", type=float, dest="tvd_threshold",
-                         default=audit.TVD_THRESHOLD,
-                         help="TVD at or above which an audit fails (default: %(default)s)")
     audit_p.add_argument("--out", help="audits JSON path (stdout when omitted)")
     audit_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
     audit_p.set_defaults(func=cmd_audit)

@@ -22,4 +22,4 @@ class ProtocolError(PruwError):
 
 
 class InconclusiveError(PruwError):
-    """A statistical audit lacks the sample size to decide at its threshold."""
+    """An exact audit's draw space exceeds its enumeration budget."""

@@ -129,10 +129,6 @@ class FieldParams:
         """Evaluation constant of database ``n`` (1-based)."""
         return self.alphas[n - 1]
 
-    def f(self, i: int) -> int:
-        """Per-bit constant ``i`` (1-based)."""
-        return self.fs[i - 1]
-
 
 def allocate_eval_points(n_databases: int, f_count: int, q: int) -> FieldParams:
     """Deterministic allocation rule: f_i = i, alpha_n = f_count + n.

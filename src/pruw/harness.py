@@ -52,6 +52,7 @@ A position missing from the read or write positions is distortion.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -121,13 +122,6 @@ class SessionResult:
 
     def trace(self) -> str:
         return self.log.trace()
-
-
-def next_prime_above(x: int) -> int:
-    candidate = max(2, x + 1)
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
 
 
 def _write_mismatch(oracle, storage) -> dict | None:
@@ -260,15 +254,12 @@ CSV_HEADER = "scheme,N,knobs,measured_CR,analytic_CR,measured_CW,analytic_CW,mat
 
 
 def aligned_length(plan: rs.SparsePlan) -> int:
-    """Smallest model length realizing the plan's fractions exactly."""
-    base = math.lcm(*(reg.period for reg in plan.regions))
-    for k in range(1, 100000):
-        length = k * base
-        if all((reg.lam * length).denominator == 1
-               and int(reg.lam * length) % reg.period == 0
-               for reg in plan.regions):
-            return length
-    raise ConfigError("could not align the plan to a whole-subpacket grid")
+    """Smallest model length realizing the plan's fractions exactly: a
+    multiple of every region's period that gives each region (lam = a/b) a
+    whole number of periods, lam * L = 0 mod period."""
+    return math.lcm(*(math.lcm(reg.period, reg.lam.denominator * reg.period
+                               // math.gcd(reg.period, reg.lam.numerator))
+                      for reg in plan.regions))
 
 
 def _sweep_value(spec: dict, read: set, key: str, parse=int, default=None):
@@ -302,7 +293,8 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
             r = _sweep_value(spec, read, "r", Fraction, "1/5")
             rp = _sweep_value(spec, read, "r_prime", Fraction, "1/5")
             ell = topr_subpacketization(n, case)
-            q_exec = q if q > n + ell else next_prime_above(n + ell)
+            q_exec = q if q > n + ell else next(c for c in itertools.count(n + ell + 1)
+                                                if is_prime(c))
             cfg = ExperimentConfig(scheme="topr", n=n, m=2, p=p, q=q_exec,
                                    position_base=q, case=case, r=r, r_prime=rp, seed=seed)
             cfg.validate()  # before the closed form, which assumes p >= 1 and q >= 2

@@ -41,12 +41,6 @@ from .storage import DatabaseState, answer, fold, init_random_sparse, write_fact
 QUERY_SYMBOL_LIMIT = 1 << 21
 
 
-def g_index(x: int, y: int) -> int:
-    """Cyclic bit-constant index: x mod y, mapping multiples of y to y."""
-    r = x % y
-    return y if r == 0 else r
-
-
 def correct_bits(n: int) -> int:
     """Bits per subpacket that are read/written faithfully."""
     return n // 2 - 1
@@ -165,23 +159,6 @@ def _extents(segments):
         lo += seg.lam
 
 
-def plan_from_subpacketizations(n: int, ell_r: int, ell_w: int) -> SparsePlan:
-    """Single-region plan pinned to explicit subpacketizations (fixtures)."""
-    base = correct_bits(n)
-    if min(ell_r, ell_w) < base:
-        raise ConfigError(f"subpacketizations must be >= {base}")
-    d_read = Fraction(ell_r - base, ell_r)
-    d_write = Fraction(ell_w - base, ell_w)
-    region = RegionSpec(lam=Fraction(1), ell_r=ell_r, ell_w=ell_w,
-                        case=_region_case(ell_r, ell_w, d_read, d_write))
-    return SparsePlan(
-        n=n, d_read=d_read, d_write=d_write,
-        read_segments=(PhaseSegment(Fraction(1), ell_r),),
-        write_segments=(PhaseSegment(Fraction(1), ell_w),),
-        regions=(region,),
-    )
-
-
 @dataclass(frozen=True)
 class Region:
     """One realized region: model positions ``start .. start + real_bits -
@@ -253,8 +230,9 @@ def write_databases(n: int, case: int) -> list[int]:
 
 
 def _pattern_fs(fp: FieldParams, t: int, phase_ell: int, y: int) -> tuple[int, ...]:
-    """Bit constants of pattern t (1-based), following the cyclic layout."""
-    return tuple(fp.f(g_index((t - 1) * phase_ell + i, y)) for i in range(1, phase_ell + 1))
+    """Bit constants of pattern t (1-based), following the cyclic layout:
+    bit i of the pattern takes constant ((t - 1) * phase_ell + i) mod y."""
+    return tuple(fp.fs[((t - 1) * phase_ell + i) % y] for i in range(phase_ell))
 
 
 def build_read_queries(theta: int, fp: FieldParams, region: Region, m_count: int, noise,

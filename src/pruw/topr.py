@@ -371,15 +371,11 @@ class TopRCosts:
     write_alt: object = None
 
 
-def _log_term(p_subpackets: int, q: int):
-    """log_q P as an exact Fraction when P is an integer power of q."""
-    k = position_symbols(p_subpackets, q)
-    return Fraction(k) if q ** k == p_subpackets else math.log(p_subpackets, q)
-
-
 def costs_topr(n: int, p_subpackets: int, q: int, r, r_prime, case: int) -> TopRCosts:
     ell = topr_subpacketization(n, case)
-    lam = _log_term(p_subpackets, q)
+    # log_q P, an exact Fraction when P is an integer power of q
+    k = position_symbols(p_subpackets, q)
+    lam = Fraction(k) if q ** k == p_subpackets else math.log(p_subpackets, q)
     r = Fraction(r)
     rp = Fraction(r_prime)
     if isinstance(lam, Fraction):

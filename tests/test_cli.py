@@ -164,16 +164,23 @@ class TestAuditCommand:
     def test_default_suite(self, tmp_path):
         out = tmp_path / "audits.json"
         assert main(["audit", "--scheme", "basic", "--samples", "20000",
-                     "--tvd-threshold", "0.05", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert all(entry["passed"] for entry in data)
 
     def test_disable_noise_fails(self, tmp_path, capsys):
         out = tmp_path / "audits.json"
         code = main(["audit", "--scheme", "basic", "--samples", "20000",
-                     "--tvd-threshold", "0.05", "--out", str(out), "--disable-noise"])
+                     "--out", str(out), "--disable-noise"])
         assert code == 1
         assert "INSECURE" in capsys.readouterr().err
+
+    def test_threshold_flag_is_gone(self, capsys):
+        # the audits are exact, so there is no threshold to tune
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--scheme", "basic", "--tvd-threshold", "0.05"])
+        assert exc.value.code == 2
+        assert "--tvd-threshold" in capsys.readouterr().err
 
     def test_inconclusive_exit_3(self):
         assert main(["audit", "--scheme", "basic", "--samples", "200"]) == 3

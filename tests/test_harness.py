@@ -540,6 +540,24 @@ class TestVerifyCosts:
         plan = rs.optimize_plan(10, Fraction(1, 10), Fraction(1, 10))
         assert aligned_length(plan) == 40
 
+    def test_aligned_length_is_the_smallest_aligned_multiple(self):
+        # reference: walk the multiples of the periods' lcm, with no cap, to
+        # the first that gives every region a whole number of periods
+        def search(plan):
+            step = math.lcm(*(reg.period for reg in plan.regions))
+            length = step
+            while not all((reg.lam * length).denominator == 1
+                          and int(reg.lam * length) % reg.period == 0
+                          for reg in plan.regions):
+                length += step
+            return length
+
+        for n in range(4, 13):
+            for k_read in range(1, 20):
+                for k_write in range(1, 10):
+                    plan = rs.optimize_plan(n, Fraction(k_read, 20), Fraction(k_write, 10))
+                    assert aligned_length(plan) == search(plan), (n, k_read, k_write)
+
     def test_csv_line_format(self):
         row = CostRow(scheme="basic", n=4, knobs="optimal", measured_cr=Fraction(4),
                       analytic_cr=Fraction(4), measured_cw=Fraction(4),

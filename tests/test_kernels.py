@@ -39,6 +39,8 @@ from pruw.storage import (
     reconstruct_plain,
 )
 
+from plans import fixture_plan
+
 EDGE = [3_037_000_493, 3_037_000_507]
 S, K, M = 3, 4, 5
 
@@ -127,7 +129,7 @@ def test_region_without_subpackets(q):
     assert states[0].cells.dtype == kernel_dtype(q)
     assert reconstruct_plain(states).shape == (2, 0)
 
-    plan = rs.plan_from_subpacketizations(6, 2, 3)
+    plan = fixture_plan(6, 2, 3)
     spec = plan.regions[0]
     [region] = rs.realize_regions(plan, 0, 1)
     assert (region.start, region.real_bits) == (0, 0)

@@ -25,6 +25,8 @@ from pruw.poly import (
 )
 from pruw.storage import draw_model, init_basic, init_random_sparse, init_topr, reconstruct_plain
 
+from plans import fixture_plan
+
 SMALL_PRIMES = (17, 31, 127, 2**31 - 1)
 
 
@@ -168,7 +170,7 @@ class TestDecoderMaps:
     def test_region_read_matches_per_subpacket_solve(self, shape, seed):
         n, ell_r, ell_w = shape
         noise = CounterNoise(seed)
-        plan = rs.plan_from_subpacketizations(n, ell_r, ell_w)
+        plan = fixture_plan(n, ell_r, ell_w)
         spec = plan.regions[0]
         fp = allocate_eval_points(n, spec.y, 127)
         length = 2 * spec.period

@@ -11,9 +11,11 @@ from pruw.errors import ConfigError
 from pruw.field import CounterNoise, allocate_eval_points, derive_seed
 from pruw.storage import draw_model, reconstruct_plain
 
+from plans import fixture_plan
+
 
 def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
-    plan = rs.plan_from_subpacketizations(n, ell_r, ell_w)
+    plan = fixture_plan(n, ell_r, ell_w)
     spec = plan.regions[0]
     fp = allocate_eval_points(n, spec.y, q)
     model = draw_model(m_count, length, q, seed)
@@ -22,19 +24,11 @@ def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
     return plan, spec, fp, model, region, states
 
 
-class TestGIndex:
-    def test_zero_residue_maps_to_period(self):
-        assert rs.g_index(8, 8) == 8
-        assert rs.g_index(16, 8) == 8
-
+class TestPatternConstants:
     def test_wraparound(self):
-        assert rs.g_index(9, 8) == 1
-
-    def test_worked_mapping(self):
-        # second reading subpacket of the (6, 8) layout touches f_7, f_8,
-        # f_1, f_2, f_3, f_4
-        got = [rs.g_index(6 + i, 8) for i in range(1, 7)]
-        assert got == [7, 8, 1, 2, 3, 4]
+        # the second reading subpacket of the (6, 8) layout wraps past f_8:
+        # f_7, f_8, f_1, f_2, f_3, f_4
+        assert rs._pattern_fs(allocate_eval_points(6, 8, 127), 2, 6, 8) == (7, 8, 1, 2, 3, 4)
 
 
 class TestOptimizer:
@@ -98,7 +92,7 @@ class TestOptimizer:
         budgets = [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
         base = rs.correct_bits(n)
         plans = [rs.optimize_plan(n, d_read, d_write) for d_read in budgets for d_write in budgets]
-        plans += [rs.plan_from_subpacketizations(n, ell_r, ell_w)
+        plans += [fixture_plan(n, ell_r, ell_w)
                   for ell_r in range(base, base + 4) for ell_w in range(base, base + 4)]
         for plan in plans:
             assert plan.base == base >= 1
@@ -114,11 +108,20 @@ class TestOptimizer:
         # the explicit shapes the protocol tests pin
         for n, ell_r, ell_w, case in ((6, 6, 8, 1), (6, 2, 3, 1), (10, 6, 4, 2), (11, 6, 4, 2),
                                       (10, 4, 4, 2)):
-            [spec] = rs.plan_from_subpacketizations(n, ell_r, ell_w).regions
+            [spec] = fixture_plan(n, ell_r, ell_w).regions
             assert (spec.ell_r, spec.ell_w, spec.case) == (ell_r, ell_w, case)
             assert min(ell_r, ell_w) >= rs.correct_bits(n) >= 1
-        with pytest.raises(ConfigError):
-            rs.plan_from_subpacketizations(10, 3, 4)  # below base = 4
+        with pytest.raises(ConfigError, match="outside"):
+            fixture_plan(10, 3, 4)  # below base = 4: a negative budget
+
+    def test_fixture_plans_have_one_region_on_the_grid(self):
+        for n in range(4, 25):
+            base = rs.correct_bits(n)
+            for ell_r in range(base, base + 8):
+                for ell_w in range(base, base + 8):
+                    plan = fixture_plan(n, ell_r, ell_w)
+                    case = rs._region_case(ell_r, ell_w, plan.d_read, plan.d_write)
+                    assert plan.regions == (rs.RegionSpec(Fraction(1), ell_r, ell_w, case),)
 
 
 def realized_states(plan, length, q=127, seed=0):
@@ -131,7 +134,7 @@ def realized_states(plan, length, q=127, seed=0):
 
 class TestPlanRealization:
     def test_single_region(self):
-        plan = rs.plan_from_subpacketizations(6, 6, 8)
+        plan = fixture_plan(6, 6, 8)
         [(reg, states)] = realized_states(plan, 48)
         assert reg.real_bits == states[0].length == 48
         assert states[0].padded_length == 48
@@ -168,7 +171,7 @@ class TestPlanRealization:
 
     def test_super_subpacket_periodicity(self):
         # the f-assignment of reading subpacket s + gamma_r equals that of s
-        spec = rs.plan_from_subpacketizations(6, 6, 8).regions[0]
+        spec = fixture_plan(6, 6, 8).regions[0]
         gamma_r = spec.period // spec.ell_r
         assert gamma_r == 4
         fp = allocate_eval_points(6, 8, 127)
