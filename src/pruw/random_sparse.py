@@ -14,12 +14,13 @@ Each realized :class:`Region` records its spec, its model slice and its J
 sets, drawn once per session from the one ``bit-sets`` stream: region by
 region in realized order, each region's read patterns before its write
 patterns.  Regions are realized on their lcm grids (whole
-super-subpackets); the realized fractions are what the meter reports.  The
-first region takes the remainder, which its storage pads to the region's
-period.  The padding costs no distortion only if that region carries none;
-on a single-region plan, or one where only one phase splits, pad bits take
-correct-bit slots from real positions and can overrun the budget (N=10,
-L=2000, d=(1/3, 1/5) reads 667/2000 with 10 pad bits).
+super-subpackets); the realized fractions are what the meter reports.
+Each region is floored to its period.  The remainder goes to the first
+region when it carries no distortion (ell_r = ell_w = base, as whenever
+both phases split), and otherwise to a zero-distortion tail region (lam 0,
+ell_r = ell_w = base) whose J sets are the whole subpacket, drawn last so
+that no earlier region's draws move.  Padding costs symbols, never
+distortion.
 """
 
 from __future__ import annotations
@@ -176,18 +177,22 @@ def realize_regions(plan: SparsePlan, length: int, seed: int) -> list[Region]:
     """Cut the model into whole super-subpackets per region and draw each
     region's J sets (see the module doc for the draw order).
 
-    Later (higher-distortion) regions are floored to their grid; the first
-    region takes the remainder, which storage pads to its grid and which can
-    overrun the budget unless that region carries no distortion.
+    Every region is floored to its period.  A zero-distortion first region
+    (ell_r = ell_w = base) takes the remainder; otherwise a nonzero
+    remainder becomes a zero-distortion tail region, appended last with its
+    J sets (the whole subpacket) drawn last, so padding never takes
+    correct-bit slots from a distortive region.
     """
-    specs = [r for r in plan.regions if r.lam > 0]
-    if not specs:
-        raise ConfigError("plan has no regions")
-    sizes = [0] * len(specs)
-    for i in range(len(specs) - 1, 0, -1):
-        floor = (specs[i].lam * length).__floor__() // specs[i].period * specs[i].period
-        sizes[i] = min(floor, length - sum(sizes))
-    sizes[0] = length - sum(sizes)
+    specs = list(plan.regions)
+    sizes = [(spec.lam * length).__floor__() // spec.period * spec.period for spec in specs]
+    remainder = length - sum(sizes)
+    if specs[0].ell_r == specs[0].ell_w == plan.base:
+        sizes[0] += remainder
+    elif remainder:
+        specs.append(RegionSpec(lam=Fraction(0), ell_r=plan.base, ell_w=plan.base,
+                                case=_region_case(plan.base, plan.base, plan.d_read,
+                                                  plan.d_write)))
+        sizes.append(remainder)
     rng = random.Random(derive_seed(seed, "bit-sets"))
 
     def draw(ell: int, patterns: int) -> tuple[tuple[int, ...], ...]:
@@ -231,7 +236,7 @@ def write_databases(n: int, case: int) -> list[int]:
 
 def _pattern_fs(fp: FieldParams, t: int, phase_ell: int, y: int) -> tuple[int, ...]:
     """Bit constants of pattern t (1-based), following the cyclic layout:
-    bit i of the pattern takes constant ((t - 1) * phase_ell + i) mod y."""
+    its bit i (0-based) takes ``fs[((t - 1) * phase_ell + i) mod y]``."""
     return tuple(fp.fs[((t - 1) * phase_ell + i) % y] for i in range(phase_ell))
 
 

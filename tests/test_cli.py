@@ -82,7 +82,8 @@ class TestRun:
         assert "largest p" in capsys.readouterr().err
 
     def test_oversized_random_queries_exit_2(self, tmp_path, capsys, monkeypatch):
-        # valid budgets whose second region needs ~53.6M one-time query symbols
+        # valid budgets whose second region needs ~53.6M one-time query
+        # symbols; the zero-distortion tail adds 160
         def no_query(*args, **kwargs):
             raise AssertionError("a query was built for a config over the bound")
 
@@ -92,7 +93,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
-        assert "53600000" in err and str(1 << 21) in err and "d_read=999/1000" in err
+        assert "53600160" in err and str(1 << 21) in err and "d_read=999/1000" in err
 
     def test_insecure_banner(self, basic_cfg, tmp_path, capsys):
         out = tmp_path / "out.json"

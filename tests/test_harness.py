@@ -395,9 +395,9 @@ class TestFailureDetail:
                                                "expected": want, "got": (want + 1) % q}
 
 
-# a padded basic block (ell = 4), top-r, and padded random plans: two
-# regions with the padding in the first, and the benchmark's single region
-# with 10 pad bits
+# a padded basic block (ell = 4), top-r, and random plans: two regions with
+# the padding in the first, the benchmark's single region with an unpadded
+# zero-distortion tail, and the same plan at L = 2001, whose tail pads 3 bits
 BLOCK_CONFIGS = {
     "basic-padded": ExperimentConfig(scheme="basic", n=10, m=2, l=13, seed=5),
     "topr": ExperimentConfig(scheme="topr", n=10, m=2, p=5, case=2, seed=5),
@@ -405,7 +405,11 @@ BLOCK_CONFIGS = {
                                            d_read=Fraction(1, 10), d_write=Fraction(1, 10)),
     "random-l2000": ExperimentConfig(scheme="random", n=10, m=8, l=2000, seed=5,
                                      d_read=Fraction(1, 3), d_write=Fraction(1, 5)),
+    "random-padded-tail": ExperimentConfig(scheme="random", n=10, m=8, l=2001, seed=5,
+                                           d_read=Fraction(1, 3), d_write=Fraction(1, 5)),
 }
+PAD_BITS = {"basic-padded": 3, "topr": 0, "random-two-regions": 2, "random-l2000": 0,
+            "random-padded-tail": 3}
 
 
 class TestBlockContract:
@@ -424,17 +428,18 @@ class TestBlockContract:
         assert pos == session.scheme.length  # top-r's L is P * ell
         it = session.run_iteration()
         pads = [states[0].padded_length - states[0].length for _, states in session.scheme.storage]
+        assert sum(pads) == PAD_BITS[name]
         if it.distortion is not None:
-            assert it.distortion.pad_bits == sum(pads) > 0
+            assert it.distortion.pad_bits == sum(pads)
             assert [r["pad_bits"] for r in it.detail["regions"]] == pads
-        else:
-            assert sum(pads) == (3 if name == "basic-padded" else 0)
 
     @pytest.mark.parametrize("name, cell", [("random-two-regions", (5, 2, 0)),
-                                            ("random-l2000", (333, 2, 1))])
+                                            ("random-padded-tail", (5, 2, 1))])
     def test_nonzero_pad_cell_is_named(self, name, cell):
         session = Session(BLOCK_CONFIGS[name])
-        start, states = session.scheme.storage[0]
+        # the one padded block: the first region, or the tail
+        [states] = [states for _, states in session.scheme.storage
+                    if states[0].padded_length > states[0].length]
         s, j, m = cell
         assert s * states[0].layout.width + j >= states[0].length  # a pad cell
         shift_plain(states, s, j, m)

@@ -3,9 +3,9 @@
 Every config that passes ``validate()`` either is rejected at set-up with a
 ``PruwError``, or runs every iteration with the decode and the written
 storage equal to the plain oracle.  Small q, N up to 24 (basic), unaligned
-L, 1-3 iterations, noise on.  The random scheme's distortion budget and
-costs are not asserted: on unaligned L, ``realize_regions`` can overrun the
-budget (a known defect).
+L, 1-3 iterations, noise on.  Random runs also stay within their distortion
+budget on every iteration; their metered costs are not asserted, since the
+meter reports the closed form only on an aligned length.
 """
 
 import math
@@ -122,7 +122,23 @@ def test_topr_round_trips_and_costs(cfg):
 @given(random_configs())
 @settings(max_examples=150, deadline=None)
 def test_random_round_trips(cfg):
-    _run(cfg)
+    for it in _run(cfg) or ():
+        assert it.distortion.within_budget, it.distortion
+
+
+def test_random_grid_passes():
+    # the fixed grid: aligned and unaligned L, one-phase and two-phase
+    # splits, even and odd N
+    budgets_read = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
+    budgets_write = (Fraction(0), Fraction(1, 5), Fraction(1, 3))
+    configs = [ExperimentConfig(scheme="random", n=n, l=length, d_read=d_read,
+                                d_write=d_write, seed=3)
+               for n in range(4, 11) for d_read in budgets_read for d_write in budgets_write
+               for length in (60, 61, 97, 120)]
+    assert len(configs) == 336
+    for cfg in configs:
+        [it] = _run(cfg)
+        assert it.verdict, (cfg, it.distortion)
 
 
 @pytest.mark.parametrize("n", [30, 40])

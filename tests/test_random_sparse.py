@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from pruw import random_sparse as rs
+from pruw.config import parse_config_text
 from pruw.errors import ConfigError
 from pruw.field import CounterNoise, allocate_eval_points, derive_seed
+from pruw.harness import run_session
 from pruw.storage import draw_model, reconstruct_plain
 
 from plans import fixture_plan
@@ -179,6 +181,31 @@ class TestPlanRealization:
             fs_a = rs._pattern_fs(fp, s, 6, 8)
             fs_b = rs._pattern_fs(fp, s + gamma_r, 6, 8)
             assert fs_a == fs_b
+
+
+class TestRemainder:
+    def test_tail_is_whole_and_drawn_last(self):
+        # a distortive first region (ell 4/5): the 17 bits left over form a
+        # zero-distortion tail, and the regions keep the J sets they have at
+        # the aligned length
+        plan = rs.optimize_plan(10, Fraction(1, 4), Fraction(1, 5))
+        aligned = rs.realize_regions(plan, 240, 7)  # the aligned length
+        *regions, tail = rs.realize_regions(plan, 97, 7)
+        assert [(r.start, r.real_bits) for r in regions] == [(0, 20), (20, 60)]
+        assert (tail.spec, tail.start, tail.real_bits) == (
+            rs.RegionSpec(Fraction(0), 4, 4, case=2), 80, 17)
+        assert tail.j_read == tail.j_write == ((1, 2, 3, 4),)
+        assert ([(r.j_read, r.j_write) for r in regions]
+                == [(r.j_read, r.j_write) for r in aligned])
+
+    def test_l2000_stays_in_budget(self):
+        res = run_session(parse_config_text(
+            "scheme=random\nn=10\nl=2000\nd_read=1/3\nd_write=1/5\n"))
+        [it] = res.iterations
+        assert res.verdict
+        assert (it.distortion.read_measured, it.distortion.pad_bits) == (Fraction(33, 100), 0)
+        assert [(r["ell_r"], r["ell_w"], r["real_bits"]) for r in it.detail["regions"]] == [
+            (6, 5, 1980), (4, 4, 20)]
 
 
 class TestCase1Protocol:

@@ -160,7 +160,7 @@ class TestNoiseCalls:
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(scheme="basic", n=6, m=2, l=13, q=127, seed=5),
         ExperimentConfig(scheme="topr", n=10, m=2, p=5, q=127, case=2, seed=5),
-        # two regions, so two region tags
+        # two regions and a zero-distortion tail, so three region tags
         ExperimentConfig(scheme="random", n=10, m=2, l=60, seed=5,
                          d_read=Fraction(1, 4), d_write=Fraction(1, 5)),
     ], ids=lambda c: c.scheme)
@@ -177,7 +177,7 @@ class TestNoiseCalls:
         session = Session(cfg)
         for _ in range(2):
             session.run_iteration()
-        assert len(session.scheme.storage) == (2 if cfg.scheme == "random" else 1)
+        assert len(session.scheme.storage) == (3 if cfg.scheme == "random" else 1)
         assert len(streams) == len(set(streams))
 
     @pytest.mark.parametrize("length", [2000, 20000])

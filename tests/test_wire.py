@@ -17,9 +17,9 @@ SYMBOL_SUM_DIGESTS = {
     "basic-t-overrides": "4623f56d66d7fbe08408566f1bbad041d165fd376e6a947c04cd5c5834e902d8",
     "topr-case1-fixture": "309eecf7806fdad20704d66c2aaf7f48040e636798881c7943de170bd4ed82f8",
     "topr-case2-3-iterations": "46b68befa2bf74e9ce387e40e2db5ead923cac71f80df298d6533e2f38c18f29",
-    "random-odd-case1": "499032ecd69664bde39f1918fc4b9516617643374da8eed5d53ed87b7f7fd5d5",
-    "random-odd-case2": "750b8251907a78f1965bbe91d512546871c872aaf56dedf6a96595e2b0dd9871",
-    "random-overrun": "6bc64fd3dc1c202b705e473be0fc9651a726fa30b2ce31510f1c10d3b63e4e39",
+    "random-odd-case1": "860eb55dbec5aba3fd395b85791e97ed2183ac73cb0f6b4715c6d8a819d7495e",
+    "random-odd-case2": "d21464c7af0ed8d07c559479a182da3dab1c5e60981c7b0bc96202c136598a49",
+    "random-overrun": "85187477425ed13bb107177ea0e7961ff467249792cce0070c0bfdc949559a58",
 }
 
 
