@@ -41,10 +41,11 @@ is the coordinator); the kind alone fixes its phase, direction and
 metering (:data:`~pruw.wire.KINDS`).  Both steps may add scheme-specific
 keys to ``detail``.  The remaining members are:
 
-* ``costs()``: the closed-form ``(C_R, C_W)``, which the meter reports
-  only where nothing is padded or rounded (basic when ell divides L, random
-  on an :func:`aligned_length`, top-r in its first iteration); no verdict
-  compares the two;
+* ``costs()``: the ``(C_R, C_W)`` the scheme predicts.  Random's is exact
+  at every L, built from its storage blocks' sizes; basic's and top-r's
+  are closed forms, which the meter reports only where nothing is padded
+  or rounded (basic when ell divides L, top-r in its first iteration).  No
+  verdict compares the two;
 * ``budget``: ``None`` or the ``(d_read, d_write)`` distortion budget.
 
 A position missing from the read or write positions is distortion.

@@ -486,4 +486,13 @@ class RandomScheme:
         return positions, deltas[positions]
 
     def costs(self):
-        return costs_random(self.cfg.n, self.plan)
+        """The exact ``(C_R, C_W)`` at this L: over the storage blocks, the
+        answering databases times the block's read (write) subpackets,
+        summed and divided by L.  On an aligned L this is
+        :func:`costs_random`."""
+        n, read, write = self.cfg.n, 0, 0
+        for reg, (_, states) in zip(self.regions, self.storage):
+            padded, case = states[0].padded_length, reg.spec.case
+            read += len(read_databases(n, case)) * (padded // reg.spec.ell_r)
+            write += len(write_databases(n, case)) * (padded // reg.spec.ell_w)
+        return Fraction(read, self.length), Fraction(write, self.length)

@@ -4,8 +4,7 @@ Every config that passes ``validate()`` either is rejected at set-up with a
 ``PruwError``, or runs every iteration with the decode and the written
 storage equal to the plain oracle.  Small q, N up to 24 (basic), unaligned
 L, 1-3 iterations, noise on.  Random runs also stay within their distortion
-budget on every iteration; their metered costs are not asserted, since the
-meter reports the closed form only on an aligned length.
+budget and meter exactly their scheme's ``costs()`` on every iteration.
 """
 
 import math
@@ -27,7 +26,8 @@ def _run(cfg):
     """Every iteration's result, or None when set-up rejects the config;
     an exception from an iteration fails the test.  The storage blocks
     must tile the model by their real lengths, and a distortion report
-    must count exactly the padding storage holds."""
+    must count exactly the padding storage holds, and a random run's meter
+    must equal its ``costs()``, which is exact at every L."""
     cfg.validate()
     try:
         session = Session(cfg)
@@ -45,6 +45,7 @@ def _run(cfg):
         assert it.detail["write_ok"], it.detail
         if it.distortion is not None:
             assert it.distortion.pad_bits == pad
+            assert (it.ledger.c_read, it.ledger.c_write) == session.scheme.costs()
     return iterations
 
 

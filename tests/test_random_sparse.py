@@ -10,7 +10,7 @@ from pruw import random_sparse as rs
 from pruw.config import parse_config_text
 from pruw.errors import ConfigError
 from pruw.field import CounterNoise, allocate_eval_points, derive_seed
-from pruw.harness import run_session
+from pruw.harness import Session, run_session
 from pruw.storage import draw_model, reconstruct_plain
 
 from plans import fixture_plan
@@ -206,6 +206,15 @@ class TestRemainder:
         assert (it.distortion.read_measured, it.distortion.pad_bits) == (Fraction(33, 100), 0)
         assert [(r["ell_r"], r["ell_w"], r["real_bits"]) for r in it.detail["regions"]] == [
             (6, 5, 1980), (4, 4, 20)]
+
+    def test_l2000_costs_are_exact(self):
+        # the unaligned L meters the realized blocks, not the lambda-weighted
+        # (5/3, 2): 10 * (330 + 5) read and 10 * (396 + 5) write subpackets
+        session = Session(parse_config_text(
+            "scheme=random\nn=10\nl=2000\nd_read=1/3\nd_write=1/5\n"))
+        ledger = session.run_iteration().ledger
+        assert session.scheme.costs() == (Fraction(67, 40), Fraction(401, 200))
+        assert (ledger.c_read, ledger.c_write) == session.scheme.costs()
 
 
 class TestCase1Protocol:
