@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import basic, random_sparse as rs, topr
 from .errors import ConfigError, InconclusiveError
-from .field import allocate_eval_points
+from .field import CounterNoise, allocate_eval_points
 from .poly import combine_update
 
 TVD_THRESHOLD = 0.02
@@ -194,9 +194,10 @@ def audit_positions(
     fp = _observer_fp(5)
     identity = tuple(range(1, p_subpackets + 1))
     space = [identity] if disable_noise else list(itertools.permutations(identity))
+    source = CounterNoise(0)  # never read: the override replaces the only draw
 
     def observe(true_set, perm):
-        setup = topr.coordinator_setup(p_subpackets, 1, 1, fp, 0, perm=perm)
+        setup = topr.coordinator_setup(p_subpackets, 1, 1, fp, source, perm=perm)
         return tuple(setup.permuted_set(true_set))
 
     hypotheses = (tuple(sorted(sparse_a)), tuple(sorted(sparse_b)))

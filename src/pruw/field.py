@@ -6,14 +6,17 @@ entry of a numpy array of :func:`kernel_dtype` in the kernels.  Arithmetic
 goes through a :class:`PrimeField` handle or :func:`mod_einsum`, and nothing
 ever touches floating point.
 
-Every field-element noise symbol comes from one primitive,
-:meth:`CounterNoise.symbol`: SHAKE-256 streams addressed by (seed, tag), in
-the counter-based style of Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3" (SC 2011).  The model, the storage masks (one stream per set-up
-chunk), top-r's reversing noise and every user message's masks, deltas and
-update noise are each one stream under a tag naming the use, so a draw is
-one call whatever its length, and any block of cells can be regenerated
-from the session seed without keeping the whole tensor in memory.
+Every random draw comes from one primitive, :meth:`CounterNoise.symbol`:
+SHAKE-256 streams addressed by (seed, tag), in the counter-based style of
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).
+The model, the storage masks (one stream per set-up chunk), top-r's
+reversing noise and every user message's masks, deltas and update noise
+are each one stream under a tag naming the use, so a draw is one call
+whatever its length, and any block of cells can be regenerated from the
+session seed without keeping the whole tensor in memory.  The uniform
+orders behind top-r's secret permutation and the random scheme's J sets
+come from the same streams, through :meth:`CounterNoise.orders`, so every
+draw is a function of (seed, tag) alone, not of the draws made before it.
 :meth:`CounterNoise.derive` gives the independent stream family under a
 label, keyed by :func:`derive_seed`.  :class:`ZeroNoise` has the same two
 methods and draws only zeros: it is the noise-off control, the same
@@ -30,6 +33,7 @@ running the audits never loads it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -259,6 +263,23 @@ class CounterNoise:
             if len(vals) >= count:
                 return vals[:count].astype(kernel_dtype(q))
             words *= 2
+
+    def orders(self, n: int, rows: int, *tag) -> list[list[int]]:
+        """``rows`` independent uniform orders of ``range(n)``, as lists: row
+        r lists the indices of its n keys, smallest key first.  The ``rows *
+        n`` keys are one :meth:`symbol` draw mod 2^31 under (*tag, attempt),
+        redrawn under the next attempt while any row holds a tie.
+        Independent uniform keys are exchangeable, so given distinct keys
+        each of a row's n! rankings is equally likely, and rows drawn
+        independently stay so: the orders are exactly uniform.  A plain
+        sort ranks the keys: at tens of keys it costs less than numpy's
+        first sort call.
+        """
+        for attempt in itertools.count():
+            keys = self.symbol(1 << 31, rows * n, *tag, attempt).tolist()
+            keyed = [keys[r * n : (r + 1) * n] for r in range(rows)]
+            if all(len(set(row)) == n for row in keyed):
+                return [sorted(range(n), key=row.__getitem__) for row in keyed]
 
     def derive(self, label: str) -> CounterNoise:
         """The independent source under ``label``: seeded with

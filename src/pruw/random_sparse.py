@@ -11,15 +11,15 @@ per super-subpacket pattern and reused; they are one-time messages and stay
 off the cost meter.
 
 Each realized :class:`Region` records its spec, its model slice and its J
-sets, drawn once per session from the one ``bit-sets`` stream: region by
-region in realized order, each region's read patterns before its write
-patterns.  Regions are realized on their lcm grids (whole
-super-subpackets); the realized fractions are what the meter reports.
-Each region is floored to its period.  The remainder goes to the first
-region when it carries no distortion (ell_r = ell_w = base, as whenever
-both phases split), and otherwise to a zero-distortion tail region (lam 0,
-ell_r = ell_w = base) whose J sets are the whole subpacket, drawn last so
-that no earlier region's draws move.  Padding costs symbols, never
+sets, drawn once per session: a phase's J sets are the first base entries
+of uniform orders from one counter stream tagged (region index, "read" |
+"write"), so no region's sets depend on any other draw.  Regions are
+realized on their lcm grids (whole super-subpackets); the realized
+fractions are what the meter reports.  Each region is floored to its
+period.  The remainder goes to the first region when it carries no
+distortion (ell_r = ell_w = base, as whenever both phases split), and
+otherwise to a zero-distortion tail region (lam 0, ell_r = ell_w = base)
+whose J sets are the whole subpacket.  Padding costs symbols, never
 distortion.
 """
 
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError
-from .field import FieldParams, allocate_eval_points, derive_seed, kernel_dtype, symbol_array
+from .field import CounterNoise, FieldParams, allocate_eval_points, kernel_dtype, symbol_array
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, answer, fold, init_random_sparse, write_factors
 
@@ -173,15 +172,17 @@ class Region:
     j_write: tuple[tuple[int, ...], ...]
 
 
-def realize_regions(plan: SparsePlan, length: int, seed: int) -> list[Region]:
+def realize_regions(plan: SparsePlan, length: int, noise) -> list[Region]:
     """Cut the model into whole super-subpackets per region and draw each
-    region's J sets (see the module doc for the draw order).
+    region's J sets from ``noise``: region idx's read (write) patterns take
+    the first base entries of the rows of one ``noise.orders`` call tagged
+    (idx, "read" | "write"), sorted and 1-based.
 
     Every region is floored to its period.  A zero-distortion first region
     (ell_r = ell_w = base) takes the remainder; otherwise a nonzero
-    remainder becomes a zero-distortion tail region, appended last with its
-    J sets (the whole subpacket) drawn last, so padding never takes
-    correct-bit slots from a distortive region.
+    remainder becomes a zero-distortion tail region, appended last with the
+    whole subpacket as its J sets, so padding never takes correct-bit slots
+    from a distortive region.
     """
     specs = list(plan.regions)
     sizes = [(spec.lam * length).__floor__() // spec.period * spec.period for spec in specs]
@@ -193,17 +194,15 @@ def realize_regions(plan: SparsePlan, length: int, seed: int) -> list[Region]:
                                 case=_region_case(plan.base, plan.base, plan.d_read,
                                                   plan.d_write)))
         sizes.append(remainder)
-    rng = random.Random(derive_seed(seed, "bit-sets"))
 
-    def draw(ell: int, patterns: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(rng.sample(range(1, ell + 1), plan.base)))
-                     for _ in range(patterns))
+    def draw(ell: int, patterns: int, *tag) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(i + 1 for i in row[: plan.base]))
+                     for row in noise.orders(ell, patterns, *tag))
 
     starts = itertools.accumulate(sizes[:-1], initial=0)
-    # arguments evaluate left to right: read patterns are drawn before write
-    return [Region(spec, start, size, draw(spec.ell_r, spec.read_patterns),
-                   draw(spec.ell_w, spec.write_patterns))
-            for spec, start, size in zip(specs, starts, sizes)]
+    return [Region(spec, start, size, draw(spec.ell_r, spec.read_patterns, idx, "read"),
+                   draw(spec.ell_w, spec.write_patterns, idx, "write"))
+            for idx, (spec, start, size) in enumerate(zip(specs, starts, sizes))]
 
 
 def init_region_states(
@@ -419,7 +418,8 @@ class RandomScheme:
         self.cfg = cfg
         self.plan = optimize_plan(cfg.n, cfg.d_read, cfg.d_write)
         self.budget = (self.plan.d_read, self.plan.d_write)
-        self.regions = realize_regions(self.plan, cfg.l, cfg.seed)
+        self.regions = realize_regions(self.plan, cfg.l,
+                                       CounterNoise(cfg.seed).derive("bit-sets"))
         symbols = cfg.n * cfg.m * sum(
             r.spec.read_patterns * r.spec.ell_r + r.spec.write_patterns * r.spec.ell_w
             for r in self.regions

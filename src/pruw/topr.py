@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import (CounterNoise, FieldParams, allocate_eval_points, derive_seed, kernel_dtype,
-                    mod_einsum, symbol_array)
+from .field import (CounterNoise, FieldParams, allocate_eval_points, kernel_dtype, mod_einsum,
+                    symbol_array)
 from .poly import apply_rows, build_query, combine_map, decode_inverse
 from .storage import DatabaseState, fold, init_topr, topr_subpacketization, write_factors
 
@@ -75,17 +74,18 @@ class PermutationSetup:
     (perm(i), i), plus the noise matrix Z that all databases share: scaled
     by prod_j (f_j - alpha_n) in case 1, added as is in case 2.  The setup
     holds Z once, reduced to the columns the databases apply, and draws it
-    at first use; :func:`answer_sparse` and :func:`apply_sparse_write` apply
-    it to all databases in one contraction per phase.  The inverse
-    permutation is also built at first use.
+    at first use from ``noise``, the source the permutation came from;
+    :func:`answer_sparse` and :func:`apply_sparse_write` apply it to all
+    databases in one contraction per phase.  The inverse permutation is
+    also built at first use.
     """
 
     perm: tuple[int, ...]
     case: int
     ell: int
     fp: FieldParams
-    noise_seed: int
-    _noise: object = dc_field(default=None, init=False, repr=False, compare=False)
+    noise: object
+    _reversing: object = dc_field(default=None, init=False, repr=False, compare=False)
     _dense_noise: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -108,22 +108,22 @@ class PermutationSetup:
     def _noise_blocks(self):
         """The shared noise's block columns, one counter stream each: a
         (side, block) array for v = 0 .. P-1, tagged ("rev1" | "rev2", v)."""
-        noise = CounterNoise(self.noise_seed)
         tag, block = ("rev1", 1) if self.case == 1 else ("rev2", self.ell)
         side = self.p_subpackets * block
         for v in range(self.p_subpackets):
-            yield noise.symbol(self.fp.q, side * block, tag, v).reshape(side, block)
+            yield self.noise.symbol(self.fp.q, side * block, tag, v).reshape(side, block)
 
     def reversing_noise(self):
         """The shared noise as the databases apply it, a (side, P) array of
         :func:`kernel_dtype`: column v-1 is Z's column v (case 1) or the sum
         mod q over Z's block column v (case 2).  Drawn at first use."""
-        if self._noise is None:
+        if self._reversing is None:
             import numpy as np
 
             q = self.fp.q
-            self._noise = np.stack([z.sum(axis=1) % q for z in self._noise_blocks()], axis=1)
-        return self._noise
+            self._reversing = np.stack([z.sum(axis=1) % q for z in self._noise_blocks()],
+                                       axis=1)
+        return self._reversing
 
     def base_matrix(self, n: int):
         """Database n's reversing matrix without noise, as an array of
@@ -163,23 +163,21 @@ def coordinator_setup(
     ell: int,
     case: int,
     fp: FieldParams,
-    seed: int,
+    noise,
     perm: tuple[int, ...] | None = None,
 ) -> PermutationSetup:
-    """Sample the secret permutation (seeded Fisher-Yates, uniform over P!)
-    and derive the shared reversing noise.  ``perm`` overrides the draw for
-    fixtures.  ``ExperimentConfig.validate`` owns P >= 1 and
+    """Draw the secret permutation, uniform over P!, as one order from
+    ``noise`` under ("perm",) (:meth:`~pruw.field.CounterNoise.orders`),
+    and keep ``noise`` for the shared reversing noise.  ``perm`` overrides
+    the draw for fixtures.  ``ExperimentConfig.validate`` owns P >= 1 and
     :func:`~pruw.storage.topr_subpacketization` the case."""
     if perm is None:
-        rng = random.Random(seed)
-        order = list(range(1, p_subpackets + 1))
-        rng.shuffle(order)
-        perm = tuple(order)
+        perm = tuple(i + 1 for i in noise.orders(p_subpackets, 1, "perm")[0])
     else:
         perm = tuple(perm)
         if sorted(perm) != list(range(1, p_subpackets + 1)):
             raise ConfigError("permutation override is not a permutation of 1..P")
-    return PermutationSetup(perm=perm, case=case, ell=ell, fp=fp, noise_seed=seed)
+    return PermutationSetup(perm=perm, case=case, ell=ell, fp=fp, noise=noise)
 
 
 def build_query_case1(theta, fp, ell, m_count, noise):
@@ -439,7 +437,7 @@ class TopRScheme:
         self.length = cfg.p * ell
         self.fp = allocate_eval_points(cfg.n, ell, cfg.q)
         self.perm_setup = coordinator_setup(cfg.p, ell, cfg.case, self.fp,
-                                            derive_seed(cfg.seed, "perm"), perm=cfg.perm)
+                                            CounterNoise(cfg.seed).derive("perm"), perm=cfg.perm)
         self.clog = position_symbols(cfg.p, cfg.position_base or cfg.q)
         self.last_write_positions: list[int] = []
 

@@ -1,6 +1,7 @@
 """Field arithmetic, evaluation-point allocation, and noise sources."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -244,10 +245,13 @@ class TestCounterStream:
         assert noise.symbol(q, k, "rev2", 3).tolist() == longer[:k]
 
     def test_cross_process_determinism(self):
-        draw = ("from pruw.field import CounterNoise; "
-                f"print(json.dumps([CounterNoise(3).symbol(q, 500, 'random', 9).tolist() "
-                f"for q in {STREAM_MODULI!r}]))")
-        here = [CounterNoise(3).symbol(q, 500, "random", 9).tolist() for q in STREAM_MODULI]
+        # the streams and the orders ranked from them
+        draw = ("from pruw.field import CounterNoise; noise = CounterNoise(3); "
+                f"print(json.dumps([[noise.symbol(q, 500, 'random', 9).tolist() "
+                f"for q in {STREAM_MODULI!r}], noise.orders(40, 5, 'perm')]))")
+        noise = CounterNoise(3)
+        here = [[noise.symbol(q, 500, "random", 9).tolist() for q in STREAM_MODULI],
+                noise.orders(40, 5, "perm")]
         for hash_seed in ("0", "12345"):
             proc = subprocess.run(
                 [sys.executable, "-c", "import json; " + draw],
@@ -261,6 +265,51 @@ class TestCounterStream:
         assert kernel_dtype(3_037_000_493) is np.int64
         assert (3_037_000_493 - 1) ** 2 < 2**63 <= (3_037_000_507 - 1) ** 2
         assert kernel_dtype(3_037_000_507) is object
+
+
+class TestOrders:
+    """Uniform orders: each row ranks its keys, drawn mod 2^31 from one
+    stream under (*tag, attempt), redrawn under the next attempt on a tie."""
+
+    def test_ranks_the_first_attempts_keys(self):
+        noise = CounterNoise(8)
+        keys = noise.symbol(1 << 31, 4 * 6, "j", 0).reshape(4, 6)
+        assert noise.orders(6, 4, "j") == np.argsort(keys, axis=1).tolist()
+
+    def test_every_order_of_three_appears_across_tags(self):
+        noise = CounterNoise(0)
+        seen = Counter(tuple(noise.orders(3, 1, "perm", t)[0]) for t in range(600))
+        assert set(seen) == set(itertools.permutations(range(3)))
+        sigma = (600 * (1 / 6) * (5 / 6)) ** 0.5
+        assert all(abs(c - 100) < 5 * sigma for c in seen.values())
+
+    def test_tie_redraws_under_the_next_attempt(self, monkeypatch):
+        calls = []
+        real = CounterNoise.symbol
+
+        def tied(self, q, count, *tag):
+            calls.append((q, count, tag))
+            if tag[-1] == 0:  # row 1 holds the key 5 twice
+                return np.array([7, 3, 9, 1, 5, 5], dtype=np.int64)
+            return real(self, q, count, *tag)
+
+        monkeypatch.setattr(CounterNoise, "symbol", tied)
+        got = CounterNoise(2).orders(3, 2, "t")
+        assert calls == [(1 << 31, 6, ("t", 0)), (1 << 31, 6, ("t", 1))]
+        keys = real(CounterNoise(2), 1 << 31, 6, "t", 1).reshape(2, 3)
+        assert got == np.argsort(keys, axis=1).tolist()
+
+    def test_rows_are_independent(self):
+        # the orders of adjacent rows: all 36 pairs, chi-squared at 0.01
+        rows = [tuple(row) for row in CounterNoise(4).orders(3, 2000, "rows")]
+        pairs = Counter(zip(rows[::2], rows[1::2]))
+        assert len(pairs) == 36
+        expected = 1000 / 36
+        stat = sum((c - expected) ** 2 / expected for c in pairs.values())
+        assert stat < chi2.ppf(0.99, df=35)
+
+    def test_single_element(self):
+        assert CounterNoise(0).orders(1, 3, "t") == [[0], [0], [0]]
 
 
 class TestInverse:

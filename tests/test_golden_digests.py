@@ -74,7 +74,7 @@ RUN_DIGESTS = {
         "c04fd8e3943f2cbe39ba9f4cfc9b2f9b169240ce8524e8c82785e2dc8d7b968a",
     ),
     "topr-case2-3-iterations": (
-        "5f1414bca76d848d045008cb71fbf657b440b5d235a7909247568e98c15e898e",
+        "8387193ae9c26d1b1b6cf9029243b2dadef83b969c9e22ed9af5a99ec8d5524a",
         "4e55ef60658e4d8db8f87c5bc0f50a26cdd14afed6b1b24309d1fa5561e98648",
     ),
     "random-odd-case1": (
@@ -94,7 +94,7 @@ RUN_DIGESTS = {
         "b7b63f6a6b551c8f8b4a48167f7e6200d3866a87ad8b318a6c51e795f1150327",
     ),
     "topr-case2-noise-off": (
-        "c8103cf7b2b56ec87add16fbc3add19897f669222340a4e1f0cd3eef62d1fd36",
+        "731c2d35c625af87c5729dedc3ed745aadfceb9fde043636a505f8b3a16236bd",
         "4e55ef60658e4d8db8f87c5bc0f50a26cdd14afed6b1b24309d1fa5561e98648",
     ),
     "random-noise-off": (
@@ -106,7 +106,7 @@ RUN_DIGESTS = {
         "aa13beea8d7550cf2a03246050928e9b1603341121f9870de01aa7ca18632f73",
     ),
     "topr-case1-q61": (
-        "4f0b6bdfa1620e27517b40da7013cbb93f019966bf2b3eb1bd4046e4f3d4e512",
+        "9ca814f6d3d522fd813596e38364f99b4ddef20946789c5c1c9d6dec922aeae3",
         "81fb995aa63516bcfd21df8d83f1ec28d57ba36a8e67ad7b321f11c065db52cd",
     ),
     "random-q61-two-regions": (

@@ -131,7 +131,7 @@ def test_region_without_subpackets(q):
 
     plan = fixture_plan(6, 2, 3)
     spec = plan.regions[0]
-    [region] = rs.realize_regions(plan, 0, 1)
+    [region] = rs.realize_regions(plan, 0, CounterNoise(1))
     assert (region.start, region.real_bits) == (0, 0)
     noise = CounterNoise(1)
     rq = rs.build_read_queries(1, fp, region, 2, noise)

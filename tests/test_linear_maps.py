@@ -175,7 +175,7 @@ class TestDecoderMaps:
         fp = allocate_eval_points(n, spec.y, 127)
         length = 2 * spec.period
         model = draw_model(2, length, 127, seed)
-        region = rs.realize_regions(plan, length, seed)[0]
+        region = rs.realize_regions(plan, length, CounterNoise(seed))[0]
         states = rs.init_region_states(model, fp, region, noise)
         j_read = region.j_read
         queries = rs.build_read_queries(1, fp, region, 2, noise)

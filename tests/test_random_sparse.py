@@ -9,7 +9,7 @@ import pytest
 from pruw import random_sparse as rs
 from pruw.config import parse_config_text
 from pruw.errors import ConfigError
-from pruw.field import CounterNoise, allocate_eval_points, derive_seed
+from pruw.field import CounterNoise, allocate_eval_points
 from pruw.harness import Session, run_session
 from pruw.storage import draw_model, reconstruct_plain
 
@@ -21,7 +21,7 @@ def region_session(n, ell_r, ell_w, length, q=127, m_count=2, seed=0):
     spec = plan.regions[0]
     fp = allocate_eval_points(n, spec.y, q)
     model = draw_model(m_count, length, q, seed)
-    region = rs.realize_regions(plan, length, seed + 2)[0]
+    region = rs.realize_regions(plan, length, CounterNoise(seed + 2))[0]
     states = rs.init_region_states(model, fp, region, CounterNoise(seed + 1))
     return plan, spec, fp, model, region, states
 
@@ -131,7 +131,7 @@ def realized_states(plan, length, q=127, seed=0):
     fp = allocate_eval_points(plan.n, max(r.y for r in plan.regions), q)
     model = draw_model(1, length, q, seed)
     return [(reg, rs.init_region_states(model, fp, reg, CounterNoise(seed)))
-            for reg in rs.realize_regions(plan, length, seed)]
+            for reg in rs.realize_regions(plan, length, CounterNoise(seed))]
 
 
 class TestPlanRealization:
@@ -157,19 +157,19 @@ class TestPlanRealization:
         assert first_states[0].padded_length > first.real_bits
         assert first.real_bits + second.real_bits == 37 and second.start == first.real_bits
 
-    def test_bit_sets_follow_the_realized_order(self):
-        # one stream, region by region, read patterns before write patterns
-        plan = rs.optimize_plan(10, Fraction(1, 10), Fraction(1, 10))
-        rng = random.Random(derive_seed(4, "bit-sets"))
-        want = []
-        for spec in plan.regions:
-            for ell, patterns in ((spec.ell_r, spec.read_patterns),
-                                  (spec.ell_w, spec.write_patterns)):
-                want.append(tuple(tuple(sorted(rng.sample(range(1, ell + 1), plan.base)))
-                                  for _ in range(patterns)))
-        got = [sets for reg in rs.realize_regions(plan, 37, 4)
-               for sets in (reg.j_read, reg.j_write)]
-        assert got == want
+    def test_bit_sets_are_drawn_by_block_and_phase(self):
+        # block idx's read (write) J sets lead the rows of one direct draw
+        # under (idx, "read" | "write"), sorted and 1-based; the tail too
+        plan = rs.optimize_plan(10, Fraction(1, 4), Fraction(1, 5))
+        regions = rs.realize_regions(plan, 97, CounterNoise(4))
+        assert len(regions) == 3
+        for idx, reg in enumerate(regions):
+            for phase, ell, patterns, sets in (
+                    ("read", reg.spec.ell_r, reg.spec.read_patterns, reg.j_read),
+                    ("write", reg.spec.ell_w, reg.spec.write_patterns, reg.j_write)):
+                orders = CounterNoise(4).orders(ell, patterns, idx, phase)
+                assert sets == tuple(tuple(sorted(i + 1 for i in row[:plan.base]))
+                                     for row in orders)
 
     def test_super_subpacket_periodicity(self):
         # the f-assignment of reading subpacket s + gamma_r equals that of s
@@ -184,13 +184,13 @@ class TestPlanRealization:
 
 
 class TestRemainder:
-    def test_tail_is_whole_and_drawn_last(self):
+    def test_tail_is_whole_and_moves_no_region(self):
         # a distortive first region (ell 4/5): the 17 bits left over form a
         # zero-distortion tail, and the regions keep the J sets they have at
         # the aligned length
         plan = rs.optimize_plan(10, Fraction(1, 4), Fraction(1, 5))
-        aligned = rs.realize_regions(plan, 240, 7)  # the aligned length
-        *regions, tail = rs.realize_regions(plan, 97, 7)
+        aligned = rs.realize_regions(plan, 240, CounterNoise(7))  # the aligned length
+        *regions, tail = rs.realize_regions(plan, 97, CounterNoise(7))
         assert [(r.start, r.real_bits) for r in regions] == [(0, 20), (20, 60)]
         assert (tail.spec, tail.start, tail.real_bits) == (
             rs.RegionSpec(Fraction(0), 4, 4, case=2), 80, 17)

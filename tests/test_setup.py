@@ -2,13 +2,16 @@
 kernel at worst-case magnitudes, the one model array a session holds, and
 the counter-noise calls a session makes."""
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pruw
 from pruw.config import ExperimentConfig
 from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.harness import Session
@@ -135,11 +138,36 @@ class TestOneModelArray:
         assert all(np.array_equal(st.cells, cells) for st, cells in zip(states, before))
 
 
+class TestOneRandomnessFamily:
+    """Every draw in the package is a counter stream: no module imports
+    ``random``, and no session builds a Mersenne generator."""
+
+    def test_no_module_imports_random(self):
+        for path in sorted(Path(pruw.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "random" for name in names), path.name
+
+    @pytest.mark.parametrize("cfg", configs(), ids=lambda c: c.scheme)
+    def test_sessions_build_no_mersenne_generator(self, cfg, monkeypatch):
+        def no_mersenne(*args):
+            raise AssertionError(f"a {cfg.scheme} session built a random.Random")
+
+        monkeypatch.setattr(random, "Random", no_mersenne)
+        session = Session(cfg)
+        for _ in range(2):
+            assert session.run_iteration().verdict
+
+
 class TestNoiseCalls:
     """Every draw is one counter-noise call under its own (seed, tag), so
     the calls a basic session makes do not grow with L: one for the model
-    and one per set-up chunk, then a fixed few per iteration, and no
-    Mersenne stream at all."""
+    and one per set-up chunk, then a fixed few per iteration."""
 
     @pytest.fixture
     def tags(self, monkeypatch):
@@ -150,11 +178,7 @@ class TestNoiseCalls:
             tags.append(tag)
             return real(self, q, count, *tag)
 
-        def no_mersenne(*args):
-            raise AssertionError("a basic session built a random.Random")
-
         monkeypatch.setattr(CounterNoise, "symbol", counting)
-        monkeypatch.setattr(random, "Random", no_mersenne)
         return tags
 
     @pytest.mark.parametrize("cfg", [

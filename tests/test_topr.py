@@ -26,7 +26,7 @@ def build_session(case, n=10, p=5, m_count=3, q=127, seed=0, perm=PERM_FIXTURE):
     fp = allocate_eval_points(n, ell, q)
     model = draw_model(m_count, p * ell, q, seed)
     states = init_topr(model, fp, case, CounterNoise(seed + 1))
-    setup = topr.coordinator_setup(p, ell, case, fp, seed + 2, perm=perm)
+    setup = topr.coordinator_setup(p, ell, case, fp, CounterNoise(seed + 2), perm=perm)
     return fp, model, states, setup
 
 
@@ -38,7 +38,7 @@ def reference_reversing(setup, n):
     fp, q, ell = setup.fp, setup.fp.q, setup.ell
     block = 1 if setup.case == 1 else ell
     side = setup.p_subpackets * block
-    noise = CounterNoise(setup.noise_seed)
+    noise = setup.noise
     tag = "rev1" if setup.case == 1 else "rev2"
     columns = [noise.symbol(q, side * block, tag, v).tolist() for v in range(setup.p_subpackets)]
     scale = math.prod(f - fp.alpha(n) for f in fp.fs[:ell]) % q if setup.case == 1 else 1
@@ -90,18 +90,18 @@ def build_query(case, theta, fp, ell, m_count, noise):
 class TestCoordinatorSetup:
     def test_reversing_matrix_p3(self):
         fp = allocate_eval_points(10, 2, 127)
-        setup = topr.coordinator_setup(3, 2, 1, fp, 0, perm=(2, 3, 1))
+        setup = topr.coordinator_setup(3, 2, 1, fp, CounterNoise(0), perm=(2, 3, 1))
         assert setup.base_matrix(1).tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
     def test_singleton(self):
         fp = allocate_eval_points(10, 2, 127)
-        setup = topr.coordinator_setup(1, 2, 1, fp, 0)
+        setup = topr.coordinator_setup(1, 2, 1, fp, CounterNoise(0))
         assert setup.perm == (1,)
         assert setup.base_matrix(1).tolist() == [[1]]
 
     def test_case2_blocks(self):
         fp = allocate_eval_points(10, 3, 127)
-        setup = topr.coordinator_setup(3, 3, 2, fp, 0, perm=(2, 3, 1))
+        setup = topr.coordinator_setup(3, 3, 2, fp, CounterNoise(0), perm=(2, 3, 1))
         mat = setup.base_matrix(4)
         alpha = fp.alpha(4)
         gamma = [fp.field.inv(fp.fs[j] - alpha) for j in range(3)]
@@ -121,7 +121,7 @@ class TestCoordinatorSetup:
         for j in range(setup.ell):
             scale = scale * (fp.fs[j] - alpha) % 127
         base = setup.base_matrix(1).tolist()
-        noise = CounterNoise(setup.noise_seed)
+        noise = setup.noise
         for c in range(5):
             column = noise.symbol(127, 5, "rev1", c).tolist()
             for r in range(5):
@@ -165,7 +165,7 @@ class TestCoordinatorSetup:
         counts = {}
         trials = 6000
         for seed in range(trials):
-            s = topr.coordinator_setup(3, 2, 1, fp, seed)
+            s = topr.coordinator_setup(3, 2, 1, fp, CounterNoise(seed))
             counts[s.perm] = counts.get(s.perm, 0) + 1
         assert len(counts) == 6
         assert all(abs(c - trials / 6) < 5 * (trials * (1 / 6) * (5 / 6)) ** 0.5
@@ -174,7 +174,7 @@ class TestCoordinatorSetup:
     def test_bad_perm_override(self):
         fp = allocate_eval_points(10, 2, 127)
         with pytest.raises(ConfigError):
-            topr.coordinator_setup(3, 2, 1, fp, 0, perm=(1, 1, 2))
+            topr.coordinator_setup(3, 2, 1, fp, CounterNoise(0), perm=(1, 1, 2))
 
 
 class TestColumnWeights:
@@ -241,7 +241,7 @@ class TestWeights:
             return original(self, q, count, *tag)
 
         monkeypatch.setattr(CounterNoise, "symbol", counting)
-        assert setup._noise is None
+        assert setup._reversing is None
         for n in range(1, fp.n_databases + 1):
             weights(setup, n, [1, 3])
         block = 1 if case == 1 else setup.ell
@@ -342,15 +342,15 @@ class TestAllDatabases:
 class TestInversePermutation:
     def test_built_lazily(self):
         fp = allocate_eval_points(10, 2, 127)
-        setup = topr.coordinator_setup(7, 2, 1, fp, 3)
-        assert "_inverse" not in vars(setup) and setup._noise is None
+        setup = topr.coordinator_setup(7, 2, 1, fp, CounterNoise(3))
+        assert "_inverse" not in vars(setup) and setup._reversing is None
         assert setup.permuted_index(setup.perm[4]) == 5
         assert "_inverse" in vars(setup)
 
     def test_matches_linear_search(self):
         fp = allocate_eval_points(10, 2, 127)
         for seed in range(20):
-            setup = topr.coordinator_setup(9, 2, 1, fp, seed)
+            setup = topr.coordinator_setup(9, 2, 1, fp, CounterNoise(seed))
             for true in range(1, 10):
                 assert setup.permuted_index(true) == setup.perm.index(true) + 1
                 assert setup.true_index(setup.permuted_index(true)) == true
