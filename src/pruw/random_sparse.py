@@ -133,8 +133,6 @@ def optimize_plan(n: int, d_read, d_write) -> SparsePlan:
     cuts = sorted(cuts)
     regions = []
     for a, b in zip(cuts, cuts[1:]):
-        if b == a:
-            continue
         mid = (a + b) / 2
         ell_r = next(seg.ell for seg, lo, hi in _extents(read_segments) if lo <= mid < hi)
         ell_w = next(seg.ell for seg, lo, hi in _extents(write_segments) if lo <= mid < hi)

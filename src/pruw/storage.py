@@ -107,21 +107,26 @@ class DatabaseState:
         return self.subpackets * self.layout.width
 
 
-def answer(q: int, rows, qvecs):
-    """Read answers: ``sum_k <rows[..., k, :], qvecs[k]>`` mod q.
+def row_products(q: int, rows, qvecs):
+    """The K row products of a read, ``<rows[..., k, :], qvecs[k]>`` mod q.
 
     ``rows`` is a ``(..., K, M)`` array and ``qvecs`` is ``(K, M)``; the
-    leading axes are a batch, so ``(S, K, M)`` rows give S answers.  The K
-    row products are one :func:`~pruw.field.mod_einsum` call that splits the
-    query vectors into 16-bit limbs: the products are summed unreduced over
-    M, in chunks of at most T(q) terms, and each is reduced once before the
-    K of them are summed.
+    leading axes are a batch, kept in the ``(..., K)`` result.  The products
+    are one :func:`~pruw.field.mod_einsum` call that splits the query vectors
+    into 16-bit limbs: each is summed unreduced over M, in chunks of at most
+    T(q) terms, and reduced once.
     """
     import numpy as np
 
-    dtype = rows.dtype
-    products = mod_einsum(q, "km,...km->...k", np.asarray(qvecs, dtype=dtype), rows)
-    return np.sum(products, axis=-1) % q
+    return mod_einsum(q, "km,...km->...k", np.asarray(qvecs, dtype=rows.dtype), rows)
+
+
+def answer(q: int, rows, qvecs):
+    """Read answers: the K :func:`row_products` summed mod q, so ``(S, K, M)``
+    rows give S answers."""
+    import numpy as np
+
+    return np.sum(row_products(q, rows, qvecs), axis=-1) % q
 
 
 def fold(q: int, rows, qvecs, factors) -> None:

@@ -7,9 +7,10 @@ so neither the true positions nor the zero-valued updates ever leak.
 
 Every database's reversing matrix is a sparse base plus one noise matrix
 shared by all databases, and a database only ever applies column v of it
-(case 1) or the sum over block column v (case 2).  The coordinator's setup
-therefore holds that noise once, reduced to those columns, as a numpy array
-of :func:`~pruw.field.kernel_dtype` drawn from one counter stream per block
+(case 1) or the sum over block column v (case 2).  No dense matrix is
+built: the setup holds that noise once, reduced to those columns
+(:meth:`PermutationSetup.reversing_matrix`), as an array of
+:func:`~pruw.field.kernel_dtype` drawn from one counter stream per block
 column.  Since the noise is shared, a phase applies it to every database at
 once: one contraction of the noise columns with the ``(N, P * ell)`` row
 products (read) or the ``(V, N)`` write symbols (write), each database's
@@ -30,10 +31,10 @@ from fractions import Fraction
 
 from . import wire
 from .errors import ConfigError, DomainError, ProtocolError
-from .field import (CounterNoise, FieldParams, allocate_eval_points, kernel_dtype, mod_einsum,
-                    symbol_array)
+from .field import CounterNoise, FieldParams, allocate_eval_points, mod_einsum, symbol_array
 from .poly import apply_rows, build_query, combine_map, decode_inverse
-from .storage import DatabaseState, fold, init_topr, topr_subpacketization, write_factors
+from .storage import (DatabaseState, fold, init_topr, row_products, topr_subpacketization,
+                      write_factors)
 
 # Bound on the symbols of the shared reversing noise, side * P with side P
 # (case 1) or P * ell (case 2), which a session draws in its first iteration.
@@ -72,9 +73,10 @@ class PermutationSetup:
     ``perm[i-1]`` is the true index assigned to permuted slot i.  Database
     n's reversing matrix has a 1 (case 1) or a reciprocal block (case 2) at
     (perm(i), i), plus the noise matrix Z that all databases share: scaled
-    by prod_j (f_j - alpha_n) in case 1, added as is in case 2.  The setup
-    holds Z once, reduced to the columns the databases apply, and draws it
-    at first use from ``noise``, the source the permutation came from;
+    by prod_j (f_j - alpha_n) in case 1, added as is in case 2.  Neither
+    the dense matrices nor Z itself are kept: :meth:`reversing_matrix` is Z
+    reduced to the columns the databases apply, drawn at first use from
+    ``noise``, the source the permutation came from, and
     :func:`answer_sparse` and :func:`apply_sparse_write` apply it to all
     databases in one contraction per phase.  The inverse permutation is
     also built at first use.
@@ -86,7 +88,6 @@ class PermutationSetup:
     fp: FieldParams
     noise: object
     _reversing: object = dc_field(default=None, init=False, repr=False, compare=False)
-    _dense_noise: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p_subpackets(self) -> int:
@@ -105,57 +106,23 @@ class PermutationSetup:
     def permuted_set(self, true_set) -> list[int]:
         return sorted(self._inverse[s] for s in true_set)
 
-    def _noise_blocks(self):
-        """The shared noise's block columns, one counter stream each: a
-        (side, block) array for v = 0 .. P-1, tagged ("rev1" | "rev2", v)."""
-        tag, block = ("rev1", 1) if self.case == 1 else ("rev2", self.ell)
-        side = self.p_subpackets * block
-        for v in range(self.p_subpackets):
-            yield self.noise.symbol(self.fp.q, side * block, tag, v).reshape(side, block)
-
-    def reversing_noise(self):
-        """The shared noise as the databases apply it, a (side, P) array of
-        :func:`kernel_dtype`: column v-1 is Z's column v (case 1) or the sum
-        mod q over Z's block column v (case 2).  Drawn at first use."""
+    def reversing_matrix(self):
+        """The noise all databases' reversing matrices share, reduced to the
+        columns they apply: a (side, P) array of :func:`~pruw.field.kernel_dtype`
+        whose column v-1 is Z's column v (case 1) or the sum mod q over Z's
+        block column v (case 2).  Drawn at first use, one counter stream
+        ("rev1" | "rev2", v) per block column."""
         if self._reversing is None:
             import numpy as np
 
             q = self.fp.q
-            self._reversing = np.stack([z.sum(axis=1) % q for z in self._noise_blocks()],
-                                       axis=1)
+            tag, block = ("rev1", 1) if self.case == 1 else ("rev2", self.ell)
+            side = self.p_subpackets * block
+            self._reversing = np.stack([
+                self.noise.symbol(q, side * block, tag, v).reshape(side, block).sum(axis=1) % q
+                for v in range(self.p_subpackets)
+            ], axis=1)
         return self._reversing
-
-    def base_matrix(self, n: int):
-        """Database n's reversing matrix without noise, as an array of
-        :func:`kernel_dtype`: a 1 at (perm(i), i) in case 1; in case 2 the
-        block at (perm(i), i) is diagonal, its entry j (f_j - alpha_n)^-1."""
-        import numpy as np
-
-        p = self.p_subpackets
-        if self.case == 1:
-            block, diag = 1, [1]
-        else:
-            block = self.ell
-            diag = list(_reversing_constants(self.fp, block, 2)[n - 1])
-        mat = np.zeros((p * block, p * block), dtype=kernel_dtype(self.fp.q))
-        rows = ((np.array(self.perm) - 1)[:, None] * block + np.arange(block)).ravel()
-        mat[rows, np.arange(p * block)] = diag * p
-        return mat
-
-    def reversing_matrix(self, n: int):
-        """Noise-added reversing matrix held by database n (1-based), as a
-        dense array of :func:`kernel_dtype`: the reference that the shared-noise
-        contractions are checked against.  Sessions never build it.  The dense
-        noise is drawn once per setup, from the same streams as
-        :meth:`reversing_noise`; the matrix itself is rebuilt on every call.
-        """
-        import numpy as np
-
-        if self._dense_noise is None:
-            self._dense_noise = np.concatenate(list(self._noise_blocks()), axis=1)
-        q = self.fp.q
-        scale = _reversing_constants(self.fp, self.ell, 1)[n - 1] if self.case == 1 else 1
-        return (self.base_matrix(n) + self._dense_noise * scale % q) % q
 
 
 def coordinator_setup(
@@ -190,33 +157,39 @@ def build_query_case2(theta, fp, ell, m_count, noise):
     return build_query(theta, fp, fp.fs[:ell], m_count, noise, reciprocal=False)
 
 
+def _reversal(states: list[DatabaseState], setup: PermutationSetup, indices):
+    """What un-permuting the permuted indices ``indices`` (1-based) needs at
+    every database in ``states``: the base rows perm(v) - 1, the shared
+    noise's columns v - 1 and each database's constant (case 1's noise
+    scale, case 2's diagonal), in ``states`` order."""
+    import numpy as np
+
+    cols = np.asarray(indices, dtype=np.intp) - 1
+    rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
+    consts = _reversing_constants(states[0].fp, setup.ell, setup.case)
+    consts = np.array([consts[st.db_index - 1] for st in states], dtype=states[0].cells.dtype)
+    return rows, setup.reversing_matrix()[:, cols], consts
+
+
 def answer_sparse(states: list[DatabaseState], setup: PermutationSetup, query_blocks, v_tilde):
     """Every database's answers, an ``(N, V)`` array: row i holds database
     ``states[i]``'s answer for each permuted subpacket index in ``v_tilde``.
 
-    Database n's answer at v is its row products with its query, weighted
-    by column v of its reversing matrix (repeated over the bits, case 1) or
-    by the sums over its block column v (case 2).  The row products are one
-    :func:`~pruw.field.mod_einsum` per database.  The shared noise meets all
-    of them in one contraction, scaled by prod_j (f_j - alpha_n) in case 1,
+    Database n's answer at v is its row products with its query
+    (:func:`~pruw.storage.row_products`), weighted by column v of its
+    reversing matrix (repeated over the bits, case 1) or by the sums over
+    its block column v (case 2).  The shared noise meets all databases'
+    products in one contraction, scaled by prod_j (f_j - alpha_n) in case 1,
     and the base term adds the products at perm(v): summed over the bits
     (case 1) or weighted by (f_j - alpha_n)^-1 (case 2).
     """
     import numpy as np
 
-    fp, dtype = states[0].fp, states[0].cells.dtype
-    q = fp.q
+    q = states[0].fp.q
     # prods[i, s, j]: the inner product of cells[s, j] with query row j
-    prods = np.stack([
-        mod_einsum(q, "jm,sjm->sj", np.asarray(query_blocks[st.db_index - 1], dtype=dtype),
-                   st.cells)
-        for st in states
-    ])
-    cols = np.asarray(v_tilde, dtype=np.intp) - 1
-    rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
-    noise = setup.reversing_noise()[:, cols]
-    consts = _reversing_constants(fp, setup.ell, setup.case)
-    consts = np.array([consts[st.db_index - 1] for st in states], dtype=dtype)
+    prods = np.stack([row_products(q, st.cells, query_blocks[st.db_index - 1])
+                      for st in states])
+    rows, noise, consts = _reversal(states, setup, v_tilde)
     if setup.case == 1:
         sums = prods.sum(axis=2) % q
         out = consts[:, None] * mod_einsum(q, "nk,vk->nv", sums, noise.T)
@@ -338,11 +311,7 @@ def apply_sparse_write(
     sym = np.asarray(symbols, dtype=dtype)
     if sym.shape != (len(positions), len(states)):
         raise ProtocolError("write payload needs one symbol per position and database")
-    cols = np.asarray(positions, dtype=np.intp) - 1
-    rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
-    noise = setup.reversing_noise()[:, cols]
-    consts = _reversing_constants(fp, ell, setup.case)
-    consts = np.array([consts[st.db_index - 1] for st in states], dtype=dtype)
+    rows, noise, consts = _reversal(states, setup, positions)
     # t[i, k] = sum_v noise[k, v] * sym[v, i], before each database's base term
     t = mod_einsum(q, "nv,kv->nk", sym.T, noise)
     if setup.case == 1:
@@ -374,23 +343,15 @@ def costs_topr(n: int, p_subpackets: int, q: int, r, r_prime, case: int) -> TopR
     # log_q P, an exact Fraction when P is an integer power of q
     k = position_symbols(p_subpackets, q)
     lam = Fraction(k) if q ** k == p_subpackets else math.log(p_subpackets, q)
-    r = Fraction(r)
-    rp = Fraction(r_prime)
-    if isinstance(lam, Fraction):
-        read = (lam + rp * (n + lam)) / ell
-        write = r * n * (1 + lam) / ell
-    else:
-        read = (lam + float(rp) * (n + lam)) / ell
-        write = float(r) * n * (1 + lam) / ell
+    # r and r' in lam's type: exact Fractions, or floats beside a float log
+    r, rp = (type(lam)(Fraction(x)) for x in (r, r_prime))
+    read = (lam + rp * (n + lam)) / ell
+    write = r * n * (1 + lam) / ell
     if case == 1:
         return TopRCosts(read=read, write=write)
     # alternative form normalizes with denominator (1 - 2/N)
-    if isinstance(lam, Fraction):
-        read_alt = Fraction(2 * rp * n + 2 * lam * (1 + rp), n - 2)
-        write_alt = Fraction(2 * r * n * (1 + lam), n - 2)
-    else:
-        read_alt = (2 * float(rp) * n + 2 * lam * (1 + float(rp))) / (n - 2)
-        write_alt = 2 * float(r) * n * (1 + lam) / (n - 2)
+    read_alt = (2 * rp * n + 2 * lam * (1 + rp)) / (n - 2)
+    write_alt = 2 * r * n * (1 + lam) / (n - 2)
     return TopRCosts(read=read, write=write, read_alt=read_alt, write_alt=write_alt)
 
 

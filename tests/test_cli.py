@@ -95,6 +95,23 @@ class TestRun:
         assert "config error:" in err
         assert "53600160" in err and str(1 << 21) in err and "d_read=999/1000" in err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", "scheme=random\nn=3\n", "the scheme needs at least 4 databases"),
+        ("run", "scheme=basic\nn=10\nt1=0\n", "all noise-term counts must be >= 1"),
+        ("run", "scheme=basic\nn=0\n", "n, m, and l must be positive"),
+        ("run", "scheme=basic\niterations=0\n", "iterations must be positive"),
+        ("run", "scheme=topr\ncase=3\n", "case must be 1 or 2"),
+        ("cost-table", "scheme=foo n=4\n", "unknown scheme 'foo' in sweep"),
+    ])
+    def test_refusal_exit_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        flag = "--config" if command == "run" else "--spec"
+        assert main([command, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert "Traceback" not in err
+
     def test_insecure_banner(self, basic_cfg, tmp_path, capsys):
         out = tmp_path / "out.json"
         main(["run", "--config", basic_cfg, "--out", str(out), "--disable-noise"])

@@ -25,6 +25,11 @@ class TestBasicIteration:
         assert it.ledger.c_read == 4
         assert it.ledger.c_write == 4
 
+    def test_theta_outside_range_refused(self):
+        session = Session(ExperimentConfig(scheme="basic", n=4, m=2, l=8, q=11, seed=3))
+        with pytest.raises(ConfigError, match=r"^theta=0 outside 1\.\.2$"):
+            session.run_iteration(theta=0)
+
     def test_metered_matches_closed_form(self):
         from pruw.basic import costs_basic
 

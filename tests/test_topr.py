@@ -1,5 +1,6 @@
 """Top-r sparsification: permutation setup, sparse reads/writes, costs."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ import pytest
 from pruw import topr
 from pruw.config import ExperimentConfig
 from pruw.errors import ConfigError, DomainError, ProtocolError
-from pruw.field import CounterNoise, allocate_eval_points, kernel_dtype
-from pruw.harness import Session, run_session
+from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
+from pruw.harness import Session
 from pruw.poly import apply_rows
 from pruw.storage import answer, draw_model, fold, init_topr, reconstruct_plain, write_factors
 
@@ -52,6 +53,11 @@ def reference_reversing(setup, n):
     return mat
 
 
+def base_pattern(setup, n):
+    """Database n's reversing matrix without noise: the permutation's base."""
+    return reference_reversing(dataclasses.replace(setup, noise=ZeroNoise()), n)
+
+
 def weights(setup, n, v_perm):
     """Database n's un-permuting weights for the permuted indices ``v_perm``
     (any order), a (len(v_perm), P * ell) array with one column per
@@ -69,7 +75,7 @@ def weights(setup, n, v_perm):
     cols = np.asarray(v_perm, dtype=np.intp) - 1
     at = np.arange(len(cols))
     rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
-    z = setup.reversing_noise()[:, cols]
+    z = setup.reversing_matrix()[:, cols]
     if setup.case == 1:
         z *= const
         z[rows, at] += 1
@@ -91,18 +97,18 @@ class TestCoordinatorSetup:
     def test_reversing_matrix_p3(self):
         fp = allocate_eval_points(10, 2, 127)
         setup = topr.coordinator_setup(3, 2, 1, fp, CounterNoise(0), perm=(2, 3, 1))
-        assert setup.base_matrix(1).tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert base_pattern(setup, 1) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
     def test_singleton(self):
         fp = allocate_eval_points(10, 2, 127)
         setup = topr.coordinator_setup(1, 2, 1, fp, CounterNoise(0))
         assert setup.perm == (1,)
-        assert setup.base_matrix(1).tolist() == [[1]]
+        assert base_pattern(setup, 1) == [[1]]
 
     def test_case2_blocks(self):
         fp = allocate_eval_points(10, 3, 127)
         setup = topr.coordinator_setup(3, 3, 2, fp, CounterNoise(0), perm=(2, 3, 1))
-        mat = setup.base_matrix(4)
+        mat = base_pattern(setup, 4)
         alpha = fp.alpha(4)
         gamma = [fp.field.inv(fp.fs[j] - alpha) for j in range(3)]
         # block (perm(i), i) carries the reciprocal diagonal
@@ -115,12 +121,12 @@ class TestCoordinatorSetup:
 
     def test_denoised_reversing_matrix_is_permutation(self):
         fp, _, _, setup = build_session(1)
-        noisy = setup.reversing_matrix(3)
+        noisy = reference_reversing(setup, 3)
         alpha = fp.alpha(3)
         scale = 1
         for j in range(setup.ell):
             scale = scale * (fp.fs[j] - alpha) % 127
-        base = setup.base_matrix(1).tolist()
+        base = base_pattern(setup, 1)
         noise = setup.noise
         for c in range(5):
             column = noise.symbol(127, 5, "rev1", c).tolist()
@@ -131,32 +137,11 @@ class TestCoordinatorSetup:
         assert all(sum(row) == 1 for row in base)
         assert all(sum(col) == 1 for col in zip(*base))
 
-    @pytest.mark.parametrize("case", [1, 2])
-    def test_shared_noise_drawn_once(self, case, monkeypatch):
-        fp, _, _, setup = build_session(case)
-        block = 1 if case == 1 else setup.ell
-        original = CounterNoise.symbol
-        streams = []
-
-        def counting(self, q, count, *tag):
-            streams.append((count, tag))
-            return original(self, q, count, *tag)
-
-        monkeypatch.setattr(CounterNoise, "symbol", counting)
-        mats = [setup.reversing_matrix(n) for n in range(1, fp.n_databases + 1)]
-        # one stream per block column, side * block symbols, for all N matrices
-        tag = "rev1" if case == 1 else "rev2"
-        side = setup.p_subpackets * block
-        assert streams == [(side * block, (tag, v)) for v in range(setup.p_subpackets)]
-        # every database's matrix is its own base plus the same noise
-        for n, mat in enumerate(mats, start=1):
-            assert mat.tolist() == reference_reversing(setup, n)
-
     def test_reversal_restores_order(self):
         fp, _, _, setup = build_session(1)
         vec = [10, 20, 30, 40, 50]
         permuted = [vec[setup.perm[i] - 1] for i in range(5)]
-        base = setup.base_matrix(1).tolist()
+        base = base_pattern(setup, 1)
         restored = [sum(base[r][c] * permuted[c] for c in range(5)) for r in range(5)]
         assert restored == vec
 
@@ -198,13 +183,13 @@ class TestColumnWeights:
 
 class TestWeights:
     """Each database's weights come from the one shared noise matrix; they
-    must equal the dense reversing matrix's columns (case 1, repeated over
-    the bits) or block-column sums (case 2)."""
+    must equal the reference reversing matrix's columns (case 1, repeated
+    over the bits) or block-column sums (case 2)."""
 
     @staticmethod
     def dense_columns(setup, n):
         # one row per permuted index v, in storage order
-        rev = setup.reversing_matrix(n).tolist()
+        rev = reference_reversing(setup, n)
         q, ell = setup.fp.q, setup.ell
         out = []
         for v in range(1, setup.p_subpackets + 1):
@@ -248,21 +233,9 @@ class TestWeights:
         side = setup.p_subpackets * block
         tag = "rev1" if case == 1 else "rev2"
         assert streams == [(side * block, (tag, v)) for v in range(setup.p_subpackets)]
-        noise = setup.reversing_noise()
+        noise = setup.reversing_matrix()
         assert noise.shape == (side, setup.p_subpackets)
         assert noise.dtype == kernel_dtype(fp.q)
-
-    @pytest.mark.parametrize("case", [1, 2])
-    def test_session_builds_no_dense_matrix(self, case, monkeypatch):
-        def refuse(self, n):
-            raise AssertionError("a session built a dense reversing matrix")
-
-        monkeypatch.setattr(topr.PermutationSetup, "reversing_matrix", refuse)
-        cfg = ExperimentConfig(scheme="topr", n=10, m=3, p=12, case=case, q=127, seed=5,
-                               iterations=3, r=Fraction(1, 3), r_prime=Fraction(1, 3))
-        res = run_session(cfg)
-        assert res.verdict
-        assert all(it.detail["read_ok"] and it.detail["write_ok"] for it in res.iterations)
 
 
 class TestAllDatabases:
@@ -323,14 +296,14 @@ class TestAllDatabases:
     @pytest.mark.parametrize("n", [6, 10])
     @pytest.mark.parametrize("case", [1, 2])
     def test_one_noise_use_per_phase(self, case, n, monkeypatch):
-        original = topr.PermutationSetup.reversing_noise
+        original = topr.PermutationSetup.reversing_matrix
         calls = []
 
         def counting(self):
             calls.append(1)
             return original(self)
 
-        monkeypatch.setattr(topr.PermutationSetup, "reversing_noise", counting)
+        monkeypatch.setattr(topr.PermutationSetup, "reversing_matrix", counting)
         cfg = ExperimentConfig(scheme="topr", n=n, m=2, p=8, case=case, q=127, seed=3,
                                r=Fraction(1, 2), r_prime=Fraction(1, 2))
         it = Session(cfg).run_iteration()
@@ -594,6 +567,53 @@ class TestCosts:
         c = topr.costs_topr(10, 30, 5, Fraction(1, 5), Fraction(1, 5), 1)
         assert isinstance(c.read, float)
         assert abs(c.read - (4 * 0.2 + 0.4 * 1.2 * math.log(30, 5)) / 0.8) < 1e-12
+
+    # repr of each cost at a fractional log_5 P, pinned before the float and
+    # Fraction forms shared one formula: (case, P, r, r') -> costs
+    FLOAT_COSTS = {
+        (1, 26, "1/5", "1/5"): (2.214621519544285, 3.0243691992404753),
+        (1, 26, "1/5", "1/3"): (3.016246132826983, 3.0243691992404753),
+        (1, 26, "1/3", "1/5"): (2.214621519544285, 5.040615332067459),
+        (1, 26, "1/3", "1/3"): (3.016246132826983, 5.040615332067459),
+        (1, 30, "1/5", "1/5"): (2.267969651535627, 3.1132827525593787),
+        (1, 30, "1/5", "1/3"): (3.075521835039585, 3.1132827525593787),
+        (1, 30, "1/3", "1/5"): (2.267969651535627, 5.188804587598964),
+        (1, 30, "1/3", "1/3"): (3.075521835039585, 5.188804587598964),
+        (1, 64, "1/5", "1/5"): (2.5504356090642153, 3.5840593484403582),
+        (1, 64, "1/5", "1/3"): (3.389372898960239, 3.5840593484403582),
+        (1, 64, "1/3", "1/5"): (2.5504356090642153, 5.973432247400597),
+        (1, 64, "1/3", "1/3"): (3.389372898960239, 5.973432247400597),
+        (2, 26, "1/5", "1/5"): (1.4764143463628567, 2.0162461328269834,
+                                1.1073107597721425, 1.5121845996202377),
+        (2, 26, "1/5", "1/3"): (2.0108307552179885, 2.0162461328269834,
+                                1.5081230664134917, 1.5121845996202377),
+        (2, 26, "1/3", "1/5"): (1.4764143463628567, 3.360410221378306,
+                                1.1073107597721425, 2.5203076660337294),
+        (2, 26, "1/3", "1/3"): (2.0108307552179885, 3.360410221378306,
+                                1.5081230664134917, 2.5203076660337294),
+        (2, 30, "1/5", "1/5"): (1.511979767690418, 2.0755218350395856,
+                                1.1339848257678136, 1.5566413762796893),
+        (2, 30, "1/5", "1/3"): (2.0503478900263903, 2.0755218350395856,
+                                1.5377609175197928, 1.5566413762796893),
+        (2, 30, "1/3", "1/5"): (1.511979767690418, 3.4592030583993094,
+                                1.1339848257678136, 2.594402293799482),
+        (2, 30, "1/3", "1/3"): (2.0503478900263903, 3.4592030583993094,
+                                1.5377609175197928, 2.594402293799482),
+        (2, 64, "1/5", "1/5"): (1.7002904060428101, 2.389372898960239,
+                                1.2752178045321074, 1.7920296742201791),
+        (2, 64, "1/5", "1/3"): (2.259581932640159, 2.389372898960239,
+                                1.6946864494801193, 1.7920296742201791),
+        (2, 64, "1/3", "1/5"): (1.7002904060428101, 3.982288164933731,
+                                1.2752178045321074, 2.9867161237002984),
+        (2, 64, "1/3", "1/3"): (2.259581932640159, 3.982288164933731,
+                                1.6946864494801193, 2.9867161237002984),
+    }
+
+    @pytest.mark.parametrize("case, p, r, r_prime", list(FLOAT_COSTS))
+    def test_float_costs_pinned(self, case, p, r, r_prime):
+        c = topr.costs_topr(10, p, 5, Fraction(r), Fraction(r_prime), case)
+        got = (c.read, c.write) if case == 1 else (c.read, c.write, c.read_alt, c.write_alt)
+        assert [repr(x) for x in got] == [repr(x) for x in self.FLOAT_COSTS[case, p, r, r_prime]]
 
     def test_position_symbols(self):
         assert topr.position_symbols(25, 5) == 2
