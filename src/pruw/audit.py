@@ -2,14 +2,17 @@
 
 Privacy here means: everything one database sees is identically distributed
 no matter which submodel is touched or what the update values are.  Each
-audit enumerates every outcome of the randomness the real builders draw
-(the query's noise symbols, the update's noise symbol, or the secret
-permutation of subpacket positions) under two hypotheses, and reports the
-exact total variation distance between the two distributions of the view.
-The query audit compares the joint distribution of all M coordinates, so a
-leak that no marginal or pair shows still counts.  Nothing is sampled: the
-value is 0 exactly when the view is independent of the hypothesis, and the
-noise-off controls read 1.
+audit counts the view under two hypotheses over every outcome of the
+randomness the real builders draw, and reports the exact total variation
+distance between the two laws.  The query and update builders run once per
+hypothesis over every draw at once: each noise symbol is played back as a
+:class:`_Lane` that holds its value under every draw vector, the builder's
+arithmetic applies lane by lane, and the law is counted from the lanes.  The
+position audit runs once per secret permutation, since a permutation draw is
+not arithmetic.  The query audit compares the joint distribution of all M
+coordinates, so a leak that no marginal or pair shows still counts.  Nothing
+is sampled: the value is 0 exactly when the view is independent of the
+hypothesis, and the noise-off controls read 1.
 
 All observables come from the real message builders, observed through a
 single database's view (one evaluation constant): that is exactly the scope
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -57,6 +61,61 @@ class AuditResult:
         }
 
 
+def _lanewise(op, reflected=False):
+    """A :class:`_Lane` method applying ``op`` lane by lane with an int or a
+    lane: ``self op other``, or ``other op self`` when ``reflected``."""
+
+    def method(self, other):
+        if isinstance(other, _Lane):
+            other = other.values
+        elif isinstance(other, int):
+            other = itertools.repeat(other)
+        else:
+            return NotImplemented
+        args = (other, self.values) if reflected else (self.values, other)
+        return _Lane(list(map(op, *args)))
+
+    return method
+
+
+class _Lane:
+    """One draw symbol, or an expression in draw symbols, across every draw
+    vector of an enumerated space: ``values[i]`` is its value under vector i.
+
+    ``+``, ``-``, ``*`` and ``%`` (with ints or lanes) and unary ``-`` apply
+    lane by lane.  A builder that branched on a draw would need one call per
+    draw, so truth values and comparisons raise ``TypeError``, and a lane is
+    unhashable."""
+
+    __slots__ = ("values",)
+    __hash__ = None
+
+    def __init__(self, values: list[int]):
+        self.values = values
+
+    __add__, __radd__ = _lanewise(operator.add), _lanewise(operator.add, True)
+    __sub__, __rsub__ = _lanewise(operator.sub), _lanewise(operator.sub, True)
+    __mul__, __rmul__ = _lanewise(operator.mul), _lanewise(operator.mul, True)
+    __mod__ = _lanewise(operator.mod)
+
+    def __neg__(self):
+        return _Lane(list(map(operator.neg, self.values)))
+
+    def _refuse(self, *_):
+        raise TypeError("a draw lane has no truth value and no order")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+def _lanes(q: int, k: int, size: int) -> list[_Lane]:
+    """The k draw symbols over the first ``size`` draw vectors in base-q
+    order: lane i holds digit i (most significant first) of each vector's
+    index, so ``size = q**k`` is every draw and ``size = 1`` the all-zero
+    one."""
+    steps = [q ** (k - 1 - i) for i in range(k)]
+    return [_Lane([x // step % q for x in range(size)]) for step in steps]
+
+
 class _Playback:
     """Stand-in for :class:`~pruw.field.CounterNoise` whose ``symbol``
     returns the next ``count`` of the given draws as a plain list, whatever
@@ -81,15 +140,32 @@ def _require_budget(size: int, samples: int, what: str) -> None:
         )
 
 
-def _exact_tvd(observe, hypotheses, space) -> float:
-    """Total variation distance between the laws of ``observe(h, draw)``
-    for the two hypotheses, with ``draw`` uniform over the list ``space``."""
-    a, b = (Counter(observe(h, draw) for draw in space) for h in hypotheses)
-    return float(Fraction(sum(abs(a[v] - b[v]) for v in a.keys() | b.keys()), 2 * len(space)))
+def _joint_law(coords, size: int) -> Counter:
+    """How often each tuple of ``coords`` (lanes over ``size`` draw vectors,
+    or ints that no draw moves) occurs."""
+    return Counter(zip(*(c.values if isinstance(c, _Lane) else itertools.repeat(c, size)
+                         for c in coords)))
 
 
-def _result(statistic, space, value, hypotheses, detail) -> AuditResult:
-    return AuditResult(statistic=statistic, samples=len(space), value=value,
+def _query_law(sampler, theta: int, lanes: list[_Lane], size: int) -> Counter:
+    """The joint law of ``sampler``'s coordinates under ``theta``, from one
+    call that plays back ``lanes``; the builder must take exactly them."""
+    noise = _Playback(lanes)
+    coords = sampler(theta, noise)
+    if noise.taken != len(lanes):
+        raise InconclusiveError(f"the builder drew {noise.taken} noise symbols under "
+                                f"theta={theta}, but {len(lanes)} in the probe")
+    return _joint_law(coords, size)
+
+
+def _exact_tvd(a: Counter, b: Counter) -> float:
+    """Total variation distance between two laws counted over the same
+    number of equally likely draws: the mass ``a`` puts above ``b``."""
+    return float(Fraction(sum((a - b).values()), sum(a.values())))
+
+
+def _result(statistic, samples, value, hypotheses, detail) -> AuditResult:
+    return AuditResult(statistic=statistic, samples=samples, value=value,
                        threshold=TVD_THRESHOLD, passed=value < TVD_THRESHOLD,
                        hypotheses=hypotheses, detail=detail)
 
@@ -142,19 +218,13 @@ def audit_query(
     two submodel-index hypotheses, over every value of the builder's noise;
     the noise-off control plays back the one all-zero draw."""
     sampler = make_query_sampler(scheme, q, 5, case)
-    counter = _Playback()
-    sampler(theta_a, counter)
-    _require_budget(q ** counter.taken, samples, f"the {scheme} query's noise")
-    space = ([(0,) * counter.taken] if disable_noise
-             else list(itertools.product(range(q), repeat=counter.taken)))
-
-    def observe(theta, draws):
-        noise = _Playback(draws)
-        coords = tuple(sampler(theta, noise))
-        assert noise.taken == len(draws), "the builder's draw count changed"
-        return coords
-
-    return _result(f"query-tvd[{scheme}]", space, _exact_tvd(observe, (theta_a, theta_b), space),
+    probe = _Playback()
+    sampler(theta_a, probe)
+    _require_budget(q ** probe.taken, samples, f"the {scheme} query's noise")
+    size = 1 if disable_noise else q ** probe.taken
+    lanes = _lanes(q, probe.taken, size)
+    laws = [_query_law(sampler, theta, lanes, size) for theta in (theta_a, theta_b)]
+    return _result(f"query-tvd[{scheme}]", size, _exact_tvd(*laws),
                    (f"theta={theta_a}", f"theta={theta_b}"),
                    {"support": q ** 5})
 
@@ -170,12 +240,11 @@ def audit_update(
     hypotheses, over every value of its noise symbol."""
     fp = _observer_fp(q)
     _require_budget(q, samples, "the update's noise")
-    space = [0] if disable_noise else list(range(q))
-
-    def observe(delta, noise):
-        return combine_update(fp.field, [delta % q], [1], fp.alphas, [noise])[0]
-
-    return _result("update-tvd", space, _exact_tvd(observe, (delta_a, delta_b), space),
+    size = 1 if disable_noise else q
+    noise = _lanes(q, 1, size)
+    laws = [_joint_law(combine_update(fp.field, [delta % q], [1], fp.alphas, noise), size)
+            for delta in (delta_a, delta_b)]
+    return _result("update-tvd", size, _exact_tvd(*laws),
                    (f"delta={delta_a}", f"delta={delta_b}"), {"support": q})
 
 
@@ -195,13 +264,10 @@ def audit_positions(
     identity = tuple(range(1, p_subpackets + 1))
     space = [identity] if disable_noise else list(itertools.permutations(identity))
     source = CounterNoise(0)  # never read: the override replaces the only draw
-
-    def observe(true_set, perm):
-        setup = topr.coordinator_setup(p_subpackets, 1, 1, fp, source, perm=perm)
-        return tuple(setup.permuted_set(true_set))
-
-    hypotheses = (tuple(sorted(sparse_a)), tuple(sorted(sparse_b)))
-    return _result("positions-tvd", space, _exact_tvd(observe, hypotheses, space),
+    laws = [Counter(tuple(topr.coordinator_setup(p_subpackets, 1, 1, fp, source, perm=perm)
+                          .permuted_set(true_set)) for perm in space)
+            for true_set in (sparse_a, sparse_b)]
+    return _result("positions-tvd", len(space), _exact_tvd(*laws),
                    (f"sparse={sorted(sparse_a)}", f"sparse={sorted(sparse_b)}"),
                    {"subsets": math.comb(p_subpackets, len(sparse_a))})
 

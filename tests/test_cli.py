@@ -218,10 +218,17 @@ class TestEntryPoint:
 
     def test_numpy_off_import_and_audit_paths(self):
         # numpy is loaded by storage set-up only: the command line's import
-        # and the audits never load it, and set-up never loads numpy.random
+        # and every scheme's audits, live and noise-off, through the library
+        # and through `pruw audit`, never load it, and set-up never loads
+        # numpy.random
         for code in (
-            "import sys, pruw.cli; from pruw import audit; "
-            "audit.default_audit_suite('topr', q=5); sys.exit('numpy' in sys.modules)",
+            "import os, sys, pruw.cli; from pruw import audit\n"
+            "for scheme in ('basic', 'topr', 'random'):\n"
+            "    for off in (False, True):\n"
+            "        audit.default_audit_suite(scheme, q=5, disable_noise=off)\n"
+            "        argv = ['audit', '--scheme', scheme, '--out', os.devnull]\n"
+            "        assert pruw.cli.main(argv + ['--disable-noise'] * off) == off\n"
+            "sys.exit('numpy' in sys.modules)",
             "import sys; from pruw import harness, config; "
             "assert harness.run_session(config.parse_config_text("
             "'scheme=basic\\nn=4\\nm=1\\nl=2\\nq=11\\n')).verdict; "

@@ -512,23 +512,27 @@ class TestWriteSparse:
 
 class TestPositionPrivacy:
     def test_permuted_positions_uniform_over_subsets(self):
-        # chi-square over all C(5,2) subsets at significance 0.01
+        # chi-square over all C(5,2) subsets at significance 0.01; each trial
+        # draws its permutation as a session does, one per seed for both sets
         from scipy.stats import chi2
 
-        p, size, trials = 5, 2, 20_000
+        from pruw.storage import topr_subpacketization
+
+        p, size, trials, case = 5, 2, 20_000, 1
+        ell = topr_subpacketization(10, case)
+        fp = allocate_eval_points(10, ell, 127)
         subsets = list(combinations(range(1, p + 1), size))
         index = {s: i for i, s in enumerate(subsets)}
-        for true_set in ((1, 4), (2, 3)):
-            rng = random.Random(hash(true_set) & 0xFFFF)
-            counts = [0] * len(subsets)
-            for _ in range(trials):
-                order = list(range(1, p + 1))
-                rng.shuffle(order)
-                positions = tuple(sorted(order.index(s) + 1 for s in true_set))
-                counts[index[positions]] += 1
-            expected = trials / len(subsets)
-            stat = sum((c - expected) ** 2 / expected for c in counts)
-            assert stat < chi2.ppf(0.99, df=len(subsets) - 1)
+        true_sets = ((1, 4), (2, 3))
+        counts = {true_set: [0] * len(subsets) for true_set in true_sets}
+        for seed in range(trials):
+            setup = topr.coordinator_setup(p, ell, case, fp, CounterNoise(seed).derive("perm"))
+            for true_set in true_sets:
+                counts[true_set][index[tuple(setup.permuted_set(true_set))]] += 1
+        expected = trials / len(subsets)
+        for true_set in true_sets:
+            stat = sum((c - expected) ** 2 / expected for c in counts[true_set])
+            assert stat < chi2.ppf(0.99, df=len(subsets) - 1), (true_set, stat)
 
 
 class TestCosts:
