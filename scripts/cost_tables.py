@@ -28,14 +28,15 @@ def main() -> int:
               verify_costs([{"scheme": "basic", "n": n} for n in range(4, 13)]))
 
     topr_specs = [
-        {"scheme": "topr", "n": 10, "p": 25, "q": 5, "r": "1/5", "r_prime": "1/5",
+        {"scheme": "topr", "n": 10, "p": 25, "position_base": 5, "r": "1/5", "r_prime": "1/5",
          "case": case}
         for case in (1, 2)
     ]
     write_csv(out_dir / "costs_topr.csv", verify_costs(topr_specs))
 
     random_specs = [
-        {"scheme": "random", "n": 10, "d": d} for d in ("0", "1/10", "1/5", "3/10", "2/5")
+        {"scheme": "random", "n": 10, "d_read": d, "d_write": d}
+        for d in ("0", "1/10", "1/5", "3/10", "2/5")
     ] + [
         {"scheme": "random", "n": 11, "d_read": "0", "d_write": "1/4"},
     ]

@@ -112,8 +112,15 @@ def _lanes(q: int, k: int, size: int) -> list[_Lane]:
     order: lane i holds digit i (most significant first) of each vector's
     index, so ``size = q**k`` is every draw and ``size = 1`` the all-zero
     one."""
-    steps = [q ** (k - 1 - i) for i in range(k)]
-    return [_Lane([x // step % q for x in range(size)]) for step in steps]
+    lanes = []
+    for i in range(k):
+        step = q ** (k - 1 - i)
+        # digit i runs 0 .. q-1, each held for step vectors, then repeats
+        cycle = []
+        for digit in range(min(q, -(-size // step))):
+            cycle += [digit] * step
+        lanes.append(_Lane((cycle * -(-size // len(cycle)))[:size]))
+    return lanes
 
 
 class _Playback:

@@ -29,21 +29,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_cfg(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "scheme", None):
-        cfg.scheme = args.scheme
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "disable_noise", False):
-        cfg.disable_noise = True
-    cfg.validate()
-    return cfg
-
-
 def _maybe_trace(result, out_path: str | None) -> None:
     if os.environ.get("PRUW_LOG") != "frames":
         return
@@ -56,7 +41,9 @@ def _maybe_trace(result, out_path: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    if args.disable_noise:
+        cfg.disable_noise = True
     if cfg.disable_noise:
         print(INSECURE_BANNER, file=sys.stderr)
     result = run_session(cfg)
@@ -70,16 +57,12 @@ def cmd_cost_table(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                entry = {}
-                for token in line.split():
+                tokens = raw.split("#", 1)[0].split()
+                for token in tokens:
                     if "=" not in token:
                         raise ConfigError(f"bad sweep token {token!r}")
-                    key, value = token.split("=", 1)
-                    entry[key] = value
-                specs.append(entry)
+                if tokens:
+                    specs.append(dict(token.split("=", 1) for token in tokens))
     rows = verify_costs(specs)
     lines = [CSV_HEADER] + [row.csv_line() for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
@@ -103,13 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("--config", help="key=value config file")
     run_p.add_argument("--out", help="result JSON path (stdout when omitted)")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--scheme", choices=("basic", "topr", "random"))
     run_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
     run_p.set_defaults(func=cmd_run)
 
     cost_p = sub.add_parser("cost-table", help="measured vs analytic cost sweep")
-    cost_p.add_argument("--spec", help="sweep file: one run per line, key=value tokens")
+    cost_p.add_argument("--spec", help="sweep file: one run config per line, key=value tokens")
     cost_p.add_argument("--out", help="CSV path (stdout when omitted)")
     cost_p.set_defaults(func=cmd_cost_table)
 

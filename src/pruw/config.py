@@ -89,12 +89,28 @@ _INT_KEYS = {"q", "n", "m", "l", "seed", "theta", "iterations", "t1", "t2", "t3"
 _FRACTION_KEYS = {"r", "r_prime", "d_read", "d_write"}
 _LIST_KEYS = {"v_tilde", "perm", "scores"}
 _BOOL_KEYS = {"disable_noise"}
+_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+
+def build_config(settings) -> ExperimentConfig:
+    """The validated config from ``(where, key, value)`` settings applied in
+    order, each value as a config file writes it; an unknown key or a value
+    that does not parse is refused naming its ``where``."""
+    cfg = ExperimentConfig()
+    for where, key, value in settings:
+        if key not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            setattr(cfg, key, _coerce(key, str(value)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{where}: bad value {key}={value!r}: {exc}") from exc
+    cfg.validate()
+    return cfg
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key=value format ('#' starts a comment)."""
-    cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
+    settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,14 +118,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            setattr(cfg, key, _coerce(key, value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    cfg.validate()
-    return cfg
+        settings.append((f"line {lineno}", key, value))
+    return build_config(settings)
 
 
 def _coerce(key: str, value: str):

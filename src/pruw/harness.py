@@ -28,9 +28,11 @@ of :func:`~pruw.field.kernel_dtype`, index for index.
 
 The root is a :class:`~pruw.field.CounterNoise` on the config seed, or the
 all-zero :class:`~pruw.field.ZeroNoise` when ``disable_noise`` is set; the
-session picks it once and no step below branches on it.  A read's ``noise``
-is the root derived under "query-<i>" for iteration i, and a write's under
-"update-<i>".  A write's ``data`` is the counter source under "update-<i>"
+session picks it once and no step below branches on it.  (The scheme
+constructors draw top-r's permutation, "perm", and random's J sets,
+"bit-sets", from their own ``CounterNoise(cfg.seed)`` whatever the root.)
+A read's ``noise`` is the root derived under "query-<i>" for iteration i,
+and a write's under "update-<i>".  A write's ``data`` is the counter source under "update-<i>"
 whatever the root, since the update values ("delta") and top-r's "scores"
 are data, not privacy noise.  Each draw is one ``symbol`` call under a tag
 naming its use ("mask", "update-noise" beside those two), so an iteration
@@ -53,17 +55,16 @@ A position missing from the read or write positions is distortion.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import basic, random_sparse as rs, topr, wire
-from .config import ExperimentConfig
+from .config import ExperimentConfig, build_config
 from .errors import ConfigError
-from .field import CounterNoise, ZeroNoise, derive_seed, is_prime
-from .storage import draw_model, reconstruct_plain, topr_subpacketization
+from .field import CounterNoise, ZeroNoise, derive_seed
+from .storage import draw_model, reconstruct_plain
 
 SCHEMES = {"basic": basic.BasicScheme, "topr": topr.TopRScheme, "random": rs.RandomScheme}
 
@@ -237,18 +238,11 @@ class CostRow:
     match: bool
 
     def csv_line(self) -> str:
-        return ",".join(
-            [
-                self.scheme,
-                str(self.n),
-                self.knobs,
-                str(self.measured_cr),
-                str(self.analytic_cr),
-                str(self.measured_cw),
-                str(self.analytic_cw),
-                "true" if self.match else "false",
-            ]
-        )
+        # a list-valued knob (perm=2,1,3) holds commas, so its cell is quoted
+        knobs = f'"{self.knobs}"' if "," in self.knobs else self.knobs
+        costs = (self.measured_cr, self.analytic_cr, self.measured_cw, self.analytic_cw)
+        return ",".join([self.scheme, str(self.n), knobs, *map(str, costs),
+                         "true" if self.match else "false"])
 
 
 CSV_HEADER = "scheme,N,knobs,measured_CR,analytic_CR,measured_CW,analytic_CW,match"
@@ -263,67 +257,34 @@ def aligned_length(plan: rs.SparsePlan) -> int:
                       for reg in plan.regions))
 
 
-def _sweep_value(spec: dict, read: set, key: str, parse=int, default=None):
-    """``spec[key]`` parsed and ``key`` added to ``read``; a key without a
-    default is required."""
-    read.add(key)
-    if key not in spec and default is None:
-        raise ConfigError(f"sweep line {spec} lacks the key {key!r}")
-    try:
-        return parse(spec.get(key, default))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"sweep key {key}={spec[key]!r} does not parse as "
-                          f"{parse.__name__}") from None
-
-
 def verify_costs(specs: list[dict]) -> list[CostRow]:
-    """Run each sweep line's configuration and set its metered costs
-    against the scheme's closed form."""
+    """Run each sweep line, a run config given as ``{key: value}`` in config
+    syntax, and set its metered costs against the scheme's prediction.  A
+    basic or random line that sets no ``l`` runs at its aligned length; a
+    top-r case-2 row's knobs add the alternative published normalization.
+    The knobs are the keys, besides scheme and n, that differ from the
+    default config."""
+    default = ExperimentConfig().as_dict()
     rows = []
     for spec in specs:
-        read: set[str] = set()
-        scheme, n = _sweep_value(spec, read, "scheme", str), _sweep_value(spec, read, "n")
-        seed = _sweep_value(spec, read, "seed", default=1)
-        if scheme == "basic":
-            cfg = ExperimentConfig(scheme="basic", n=n, m=2, l=4 * basic.optimal_params(n).ell,
-                                   q=_sweep_value(spec, read, "q", default=2**31 - 1), seed=seed)
-            knobs = "optimal"
-        elif scheme == "topr":
-            p, q = _sweep_value(spec, read, "p"), _sweep_value(spec, read, "q")
-            case = _sweep_value(spec, read, "case", default=1)
-            r = _sweep_value(spec, read, "r", Fraction, "1/5")
-            rp = _sweep_value(spec, read, "r_prime", Fraction, "1/5")
-            ell = topr_subpacketization(n, case)
-            q_exec = q if q > n + ell else next(c for c in itertools.count(n + ell + 1)
-                                                if is_prime(c))
-            cfg = ExperimentConfig(scheme="topr", n=n, m=2, p=p, q=q_exec,
-                                   position_base=q, case=case, r=r, r_prime=rp, seed=seed)
-            cfg.validate()  # before the closed form, which assumes p >= 1 and q >= 2
-            analytic = topr.costs_topr(n, p, q, r, rp, case)
-            knobs = f"p={p};q={q};r={r};r'={rp};case={case}"
-            if analytic.read_alt is not None:
-                knobs += f";alt_cr={analytic.read_alt};alt_cw={analytic.write_alt}"
-        elif scheme == "random":
-            d = _sweep_value(spec, read, "d", Fraction, 0)
-            d_read = _sweep_value(spec, read, "d_read", Fraction, d)
-            d_write = _sweep_value(spec, read, "d_write", Fraction, d)
-            length = (_sweep_value(spec, read, "l", default=0)
-                      or aligned_length(rs.optimize_plan(n, d_read, d_write)))
-            cfg = ExperimentConfig(scheme="random", n=n, m=2, l=length,
-                                   q=_sweep_value(spec, read, "q", default=2**31 - 1),
-                                   d_read=d_read, d_write=d_write, seed=seed)
-            knobs = f"d_read={d_read};d_write={d_write};l={length}"
-        else:
-            raise ConfigError(f"unknown scheme {scheme!r} in sweep")
-        unknown = sorted(spec.keys() - read)
-        if unknown:
-            raise ConfigError(f"sweep line {spec} has keys the {scheme} scheme does not "
-                              f"read: {', '.join(unknown)}")
+        where = "sweep line " + repr(" ".join(f"{key}={value}" for key, value in spec.items()))
+        cfg = build_config((where, key, value) for key, value in spec.items())
+        if "l" not in spec and cfg.scheme == "basic":
+            cfg.l = 4 * basic.BasicScheme(cfg).params.ell
+        elif "l" not in spec and cfg.scheme == "random":
+            cfg.l = aligned_length(rs.optimize_plan(cfg.n, cfg.d_read, cfg.d_write))
+        knobs = ";".join(f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
+                         for key, value in cfg.as_dict().items()
+                         if key not in ("scheme", "n") and value != default[key])
+        if cfg.scheme == "topr" and cfg.case == 2:
+            alt = topr.costs_topr(cfg.n, cfg.p, cfg.position_base or cfg.q, cfg.r, cfg.r_prime,
+                                  cfg.case)
+            knobs += f";alt_cr={alt.read_alt};alt_cw={alt.write_alt}"
         session = Session(cfg)
         ledger = session.run_iteration().ledger
         cr, cw = session.scheme.costs()
         rows.append(CostRow(
-            scheme=scheme, n=n, knobs=knobs,
+            scheme=cfg.scheme, n=cfg.n, knobs=knobs,
             measured_cr=ledger.c_read, analytic_cr=cr,
             measured_cw=ledger.c_write, analytic_cw=cw,
             match=ledger.c_read == cr and ledger.c_write == cw,

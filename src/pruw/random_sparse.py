@@ -170,17 +170,13 @@ class Region:
     j_write: tuple[tuple[int, ...], ...]
 
 
-def realize_regions(plan: SparsePlan, length: int, noise) -> list[Region]:
-    """Cut the model into whole super-subpackets per region and draw each
-    region's J sets from ``noise``: region idx's read (write) patterns take
-    the first base entries of the rows of one ``noise.orders`` call tagged
-    (idx, "read" | "write"), sorted and 1-based.
+def region_layout(plan: SparsePlan, length: int) -> list[tuple[RegionSpec, int, int]]:
+    """``(spec, start, size)`` per region of an L-bit model, in model order.
 
     Every region is floored to its period.  A zero-distortion first region
     (ell_r = ell_w = base) takes the remainder; otherwise a nonzero
-    remainder becomes a zero-distortion tail region, appended last with the
-    whole subpacket as its J sets, so padding never takes correct-bit slots
-    from a distortive region.
+    remainder becomes a zero-distortion tail region, appended last, so
+    padding never takes correct-bit slots from a distortive region.
     """
     specs = list(plan.regions)
     sizes = [(spec.lam * length).__floor__() // spec.period * spec.period for spec in specs]
@@ -192,15 +188,23 @@ def realize_regions(plan: SparsePlan, length: int, noise) -> list[Region]:
                                 case=_region_case(plan.base, plan.base, plan.d_read,
                                                   plan.d_write)))
         sizes.append(remainder)
+    return list(zip(specs, itertools.accumulate(sizes[:-1], initial=0), sizes))
+
+
+def realize_regions(plan: SparsePlan, length: int, noise) -> list[Region]:
+    """The :func:`region_layout` regions with their J sets drawn from
+    ``noise``: region idx's read (write) patterns take the first base
+    entries of the rows of one ``noise.orders`` call tagged (idx, "read" |
+    "write"), sorted and 1-based, so a tail region's sets are the whole
+    subpacket."""
 
     def draw(ell: int, patterns: int, *tag) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(i + 1 for i in row[: plan.base]))
                      for row in noise.orders(ell, patterns, *tag))
 
-    starts = itertools.accumulate(sizes[:-1], initial=0)
     return [Region(spec, start, size, draw(spec.ell_r, spec.read_patterns, idx, "read"),
                    draw(spec.ell_w, spec.write_patterns, idx, "write"))
-            for idx, (spec, start, size) in enumerate(zip(specs, starts, sizes))]
+            for idx, (spec, start, size) in enumerate(region_layout(plan, length))]
 
 
 def init_region_states(
@@ -416,17 +420,17 @@ class RandomScheme:
         self.cfg = cfg
         self.plan = optimize_plan(cfg.n, cfg.d_read, cfg.d_write)
         self.budget = (self.plan.d_read, self.plan.d_write)
-        self.regions = realize_regions(self.plan, cfg.l,
-                                       CounterNoise(cfg.seed).derive("bit-sets"))
         symbols = cfg.n * cfg.m * sum(
-            r.spec.read_patterns * r.spec.ell_r + r.spec.write_patterns * r.spec.ell_w
-            for r in self.regions
+            spec.read_patterns * spec.ell_r + spec.write_patterns * spec.ell_w
+            for spec, _, _ in region_layout(self.plan, cfg.l)
         )
         if symbols > QUERY_SYMBOL_LIMIT:
             raise ConfigError(
                 f"d_read={self.plan.d_read}, d_write={self.plan.d_write} need {symbols} "
                 f"one-time query symbols, above the limit of {QUERY_SYMBOL_LIMIT}"
             )
+        self.regions = realize_regions(self.plan, cfg.l,
+                                       CounterNoise(cfg.seed).derive("bit-sets"))
         self.length = cfg.l
         self.fp = allocate_eval_points(cfg.n, max(r.spec.y for r in self.regions), cfg.q)
 

@@ -142,6 +142,13 @@ class TestLanes:
             itertools.product(range(3), repeat=3))
         assert [lane.values for lane in _lanes(3, 2, 1)] == [[0], [0]]
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lanes_match_per_element_digits(self, q, k):
+        for size in (1, q ** k):
+            expected = [[x // q ** (k - 1 - i) % q for x in range(size)] for i in range(k)]
+            assert [lane.values for lane in _lanes(q, k, size)] == expected
+
     def test_arithmetic_lane_by_lane(self):
         a, b = _lanes(5, 2, 25)
         pairs = list(itertools.product(range(5), repeat=2))

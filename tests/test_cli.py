@@ -101,7 +101,8 @@ class TestRun:
         ("run", "scheme=basic\nn=0\n", "n, m, and l must be positive"),
         ("run", "scheme=basic\niterations=0\n", "iterations must be positive"),
         ("run", "scheme=topr\ncase=3\n", "case must be 1 or 2"),
-        ("cost-table", "scheme=foo n=4\n", "unknown scheme 'foo' in sweep"),
+        ("cost-table", "scheme=foo n=4\n",
+         "unknown scheme 'foo'; expected one of ('basic', 'topr', 'random')"),
     ])
     def test_refusal_exit_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "input"
@@ -111,6 +112,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--scheme", "topr")])
+    def test_config_key_flags_are_gone(self, basic_cfg, capsys, flag, value):
+        # seed and scheme are config keys; the config file is the one place to set them
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", basic_cfg, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_insecure_banner(self, basic_cfg, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -155,7 +164,7 @@ class TestCostTable:
     def test_random_sweep_rate_line(self, tmp_path):
         spec = tmp_path / "sweep.txt"
         spec.write_text(
-            "scheme=random n=10 d=0\nscheme=random n=10 d=1/10\nscheme=random n=10 d=1/5\n"
+            "".join(f"scheme=random n=10 d_read={d} d_write={d}\n" for d in ("0", "1/10", "1/5"))
         )
         out = tmp_path / "costs.csv"
         main(["cost-table", "--spec", str(spec), "--out", str(out)])
@@ -163,10 +172,9 @@ class TestCostTable:
         assert [r[4] for r in rows] == ["5/2", "9/4", "2"]
 
     @pytest.mark.parametrize("line, named", [
-        ("scheme=topr n=10", "'p'"),
         ("scheme=basic n=ten", "n='ten'"),
         ("scheme=topr n=10 p=0 q=5", "p must be positive"),
-        ("scheme=topr n=10 p=5 q=1", "position_base must be at least 2"),
+        ("scheme=topr n=10 p=5 position_base=1", "position_base must be at least 2"),
         ("scheme=random n=10 d_raed=1/5", "d_raed"),
     ])
     def test_malformed_sweep_line_is_config_error(self, tmp_path, capsys, line, named):
@@ -176,6 +184,33 @@ class TestCostTable:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [
+        "scheme=basic n=7 l=16 seed=3",
+        "scheme=topr n=10 p=25 position_base=5 case=2",
+        "scheme=random n=10 l=40 d_read=1/10 d_write=1/5",
+    ])
+    def test_sweep_line_meters_like_its_run_config(self, tmp_path, line):
+        spec, cfg = tmp_path / "sweep.txt", tmp_path / "run.cfg"
+        spec.write_text(line + "\n")
+        cfg.write_text(line.replace(" ", "\n") + "\n")
+        csv_out, run_out = tmp_path / "costs.csv", tmp_path / "run.json"
+        assert main(["cost-table", "--spec", str(spec), "--out", str(csv_out)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        row = csv_out.read_text().splitlines()[1].split(",")
+        ledger = json.loads(run_out.read_text())["ledger"]
+        assert (row[3], row[5]) == (ledger["c_read"], ledger["c_write"])
+
+    @pytest.mark.parametrize("line, named", [
+        ("scheme=random n=10 d_raed=1/5", "unknown key 'd_raed'"),
+        ("scheme=random n=10 d_read=1/0", "bad value d_read='1/0'"),
+        ("scheme=topr n=10 perm=2,x", "bad value perm='2,x'"),
+    ])
+    def test_bad_key_or_value_names_its_line(self, tmp_path, capsys, line, named):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text(line + "\n")
+        assert main(["cost-table", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: sweep line {line!r}: {named}")
 
 
 class TestAuditCommand:

@@ -529,9 +529,7 @@ class TestVerifyCosts:
 
     def test_random_sweep_matches_rate_line(self):
         rows = verify_costs([
-            {"scheme": "random", "n": 10, "d": "0"},
-            {"scheme": "random", "n": 10, "d": "1/10"},
-            {"scheme": "random", "n": 10, "d": "1/5"},
+            {"scheme": "random", "n": 10, "d_read": d, "d_write": d} for d in ("0", "1/10", "1/5")
         ])
         assert [row.analytic_cr for row in rows] == [
             Fraction(5, 2), Fraction(9, 4), Fraction(2),
@@ -540,8 +538,8 @@ class TestVerifyCosts:
 
     def test_topr_integral_log_fixture(self):
         rows = verify_costs([
-            {"scheme": "topr", "n": 10, "p": 25, "q": 5, "r": "1/5", "r_prime": "1/5",
-             "case": 1},
+            {"scheme": "topr", "n": 10, "p": 25, "position_base": 5, "r": "1/5",
+             "r_prime": "1/5", "case": 1},
         ])
         assert rows[0].match
         assert rows[0].measured_cr == Fraction(11, 5)
@@ -567,6 +565,18 @@ class TestVerifyCosts:
                 for k_write in range(1, 10):
                     plan = rs.optimize_plan(n, Fraction(k_read, 20), Fraction(k_write, 10))
                     assert aligned_length(plan) == search(plan), (n, k_read, k_write)
+
+    def test_knobs_are_the_keys_off_their_defaults(self):
+        # p=5, r=1/5 and seed=1 are defaults; a list knob's commas get a quoted cell
+        [row] = verify_costs([{"scheme": "topr", "n": 10, "p": 5, "r": "1/5", "seed": 1,
+                               "perm": "2,1,3,5,4"}])
+        assert row.knobs == "perm=2,1,3,5,4"
+        assert row.csv_line() == 'topr,10,"perm=2,1,3,5,4",8/5,8/5,2,2,true'
+
+    def test_basic_line_without_l_aligns_to_its_own_ell(self):
+        # t1=6 leaves ell = 3, so the line runs at l = 12 and meters the closed form
+        [row] = verify_costs([{"scheme": "basic", "n": 10, "t1": 6}])
+        assert row.knobs == "l=12;t1=6" and row.match
 
     def test_csv_line_format(self):
         row = CostRow(scheme="basic", n=4, knobs="optimal", measured_cr=Fraction(4),

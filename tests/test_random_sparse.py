@@ -198,6 +198,20 @@ class TestRemainder:
         assert ([(r.j_read, r.j_write) for r in regions]
                 == [(r.j_read, r.j_write) for r in aligned])
 
+    def test_layout_is_what_realization_cuts(self):
+        plan = rs.optimize_plan(10, Fraction(1, 4), Fraction(1, 5))
+        assert rs.region_layout(plan, 97) == [
+            (r.spec, r.start, r.real_bits) for r in rs.realize_regions(plan, 97, CounterNoise(7))]
+
+    def test_oversized_queries_refused_before_the_j_sets_are_drawn(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("J sets were drawn for a config over the bound")
+
+        monkeypatch.setattr(CounterNoise, "orders", no_draw)
+        cfg = parse_config_text("scheme=random\nn=10\nl=64\nd_read=999/1000\nd_write=997/1000\n")
+        with pytest.raises(ConfigError, match="need 53600160 one-time query symbols"):
+            rs.RandomScheme(cfg)
+
     def test_l2000_stays_in_budget(self):
         res = run_session(parse_config_text(
             "scheme=random\nn=10\nl=2000\nd_read=1/3\nd_write=1/5\n"))
