@@ -60,7 +60,7 @@ def cmd_cost_table(args) -> int:
                 tokens = raw.split("#", 1)[0].split()
                 for token in tokens:
                     if "=" not in token:
-                        raise ConfigError(f"bad sweep token {token!r}")
+                        raise ConfigError(f"sweep line {' '.join(tokens)!r}: bad token {token!r}")
                 if tokens:
                     specs.append(dict(token.split("=", 1) for token in tokens))
     rows = verify_costs(specs)

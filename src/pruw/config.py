@@ -93,9 +93,9 @@ _KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def build_config(settings) -> ExperimentConfig:
-    """The validated config from ``(where, key, value)`` settings applied in
-    order, each value as a config file writes it; an unknown key or a value
-    that does not parse is refused naming its ``where``."""
+    """The config from ``(where, key, value)`` settings applied in order, each
+    value as a config file writes it; an unknown key or a value that does not
+    parse is refused naming its ``where``.  The caller validates it."""
     cfg = ExperimentConfig()
     for where, key, value in settings:
         if key not in _KEYS:
@@ -104,7 +104,6 @@ def build_config(settings) -> ExperimentConfig:
             setattr(cfg, key, _coerce(key, str(value)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{where}: bad value {key}={value!r}: {exc}") from exc
-    cfg.validate()
     return cfg
 
 
@@ -119,7 +118,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         settings.append((f"line {lineno}", key, value))
-    return build_config(settings)
+    cfg = build_config(settings)
+    cfg.validate()
+    return cfg
 
 
 def _coerce(key: str, value: str):

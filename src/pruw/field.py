@@ -194,21 +194,36 @@ def term_bound(q: int) -> int:
     return ((1 << 63) - 1 - ((q - 1) << LIMB_BITS)) // ((q - 1) * ((1 << LIMB_BITS) - 1))
 
 
+def exact_or_residues(q: int, rows) -> tuple:
+    """A fixed integer map (equal-length rows) as :func:`mod_einsum`'s split
+    operand: exact while its unsplit bound holds, else reduced mod q."""
+    if max(abs(v) for row in rows for v in row) * (q - 1) * len(rows[0]) < 1 << 63:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(v % q for v in row) for row in rows)
+
+
 def mod_einsum(q: int, subscripts: str, split, other):
     """``einsum(subscripts, split, other) mod q`` for a sum over the last axis
-    of both operands, exact on residue arrays of :func:`kernel_dtype`.
+    of both operands, exact on residue arrays ``other`` of :func:`kernel_dtype`.
 
-    On int64, ``split`` (the small fixed operand: map rows, query vectors or
-    coefficients) is cut into 16-bit limbs.  Each limb part is one integer
-    einsum over the unreduced products, and each output is reduced once:
-    ``((hi . other mod q) * 2^16 + lo . other) mod q``.  That stays below
-    2^63 for at most :func:`term_bound` terms, so a longer axis is summed in
-    chunks of that many.  Object arrays sum Python ints and reduce once.
+    ``split`` is the small fixed operand (map rows, query vectors or
+    coefficients).  When ``max|split| * (q - 1) * terms < 2^63``, terms its
+    last axis and signed entries allowed, no sum can overflow int64, so it
+    is one einsum and one reduction.  Otherwise it holds residues, cut into
+    16-bit limbs: each limb part is one einsum over the unreduced products
+    and each output is reduced once, ``((hi . other mod q) * 2^16 + lo .
+    other) mod q``, below 2^63 for at most :func:`term_bound` terms, so a
+    longer axis is summed in chunks of that many.  Object arrays sum Python
+    ints.  A reduction is ``x - (x // q) * q``: numpy divides an int64
+    array by a scalar about four times faster than it takes the remainder.
     """
     import numpy as np
 
-    if other.dtype == object:
-        return np.einsum(subscripts, split, other) % q
+    if (other.dtype == object or not split.size
+            or int(np.abs(split).max()) * (q - 1) * split.shape[-1] < 1 << 63):
+        out = np.einsum(subscripts, split, other)
+        out -= out // q * q
+        return out
     bound = term_bound(q)
     if split.shape[-1] > bound:
         out = 0
@@ -217,10 +232,10 @@ def mod_einsum(q: int, subscripts: str, split, other):
                                     other[..., lo : lo + bound])) % q
         return out
     out = np.einsum(subscripts, split >> LIMB_BITS, other)
-    out %= q
+    out -= out // q * q
     out <<= LIMB_BITS
     out += np.einsum(subscripts, split & ((1 << LIMB_BITS) - 1), other)
-    out %= q
+    out -= out // q * q
     return out
 
 

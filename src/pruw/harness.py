@@ -269,10 +269,16 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
     for spec in specs:
         where = "sweep line " + repr(" ".join(f"{key}={value}" for key, value in spec.items()))
         cfg = build_config((where, key, value) for key, value in spec.items())
-        if "l" not in spec and cfg.scheme == "basic":
-            cfg.l = 4 * basic.BasicScheme(cfg).params.ell
-        elif "l" not in spec and cfg.scheme == "random":
-            cfg.l = aligned_length(rs.optimize_plan(cfg.n, cfg.d_read, cfg.d_write))
+        try:
+            cfg.validate()
+            if "l" not in spec and cfg.scheme == "basic":
+                cfg.l = 4 * basic.BasicScheme(cfg).params.ell
+            elif "l" not in spec and cfg.scheme == "random":
+                cfg.l = aligned_length(rs.optimize_plan(cfg.n, cfg.d_read, cfg.d_write))
+            session = Session(cfg)
+            ledger = session.run_iteration().ledger
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         knobs = ";".join(f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
                          for key, value in cfg.as_dict().items()
                          if key not in ("scheme", "n") and value != default[key])
@@ -280,8 +286,6 @@ def verify_costs(specs: list[dict]) -> list[CostRow]:
             alt = topr.costs_topr(cfg.n, cfg.p, cfg.position_base or cfg.q, cfg.r, cfg.r_prime,
                                   cfg.case)
             knobs += f";alt_cr={alt.read_alt};alt_cw={alt.write_alt}"
-        session = Session(cfg)
-        ledger = session.run_iteration().ledger
         cr, cw = session.scheme.costs()
         rows.append(CostRow(
             scheme=cfg.scheme, n=cfg.n, knobs=knobs,

@@ -21,15 +21,15 @@ constants, built once per field and shape from plain-int code and applied
 to all subpackets at once by :func:`apply_rows`: the user's combined update
 (:func:`combine_map`, from :func:`combine_update` on unit vectors), the
 decoder's inverse (:func:`decode_inverse`, one Gauss-Jordan pass over the
-augmented system ``[A | I]``, O(N^3)) and the storage oracle's map (the
-:func:`lagrange_basis`, from one master polynomial in O(N^2), once per
-field).  The application splits the map into 16-bit limbs and sums the
-products unreduced, reducing each output once
-(:func:`~pruw.field.mod_einsum`), so it is exact on int64 without reducing
-every product.  Verification deliberately keeps two independent code
-paths: the residual checks and the oracle interpolate in Lagrange form, the
-decoder runs Gaussian elimination, so a shared bug cannot vouch for itself;
-only the application is shared.
+augmented system ``[A | I]``, O(N^3)) and the storage oracle's integer
+extrapolation and finite differences (built in :mod:`pruw.storage`).  The
+application sums the products unreduced and reduces each output once
+(:func:`~pruw.field.mod_einsum`: one einsum for a small exact integer map,
+16-bit limbs for residues), so it is exact on int64.  Verification keeps
+independent code paths: the residual checks interpolate in Lagrange form
+(:func:`lagrange_basis`), the oracle extrapolates over consecutive
+constants, the decoder runs Gaussian elimination, so a shared bug cannot
+vouch for itself; only the application is shared.
 Everything but :func:`apply_rows` runs on plain ints without numpy.
 """
 
@@ -361,9 +361,10 @@ def apply_rows(q: int, rows, vec):
 
     ``vec`` is one vector, or a batch with the map's input on its leading
     axis (an ``(N, S)`` matrix gives ``(R, S)``).  The map is the split
-    operand of :func:`~pruw.field.mod_einsum`: on int64 its 16-bit limbs are
-    each summed against ``vec`` unreduced and every output is reduced once,
-    in chunks of at most T(q) input terms, so ``vec`` is never copied or
+    operand of :func:`~pruw.field.mod_einsum`: on int64 a small exact
+    integer map is summed against ``vec`` in one einsum, a map of residues
+    limb by limb in chunks of at most T(q) input terms, and every output is
+    reduced once, so ``vec`` is never copied or
     multiplied out into an ``(R, N, ...)`` temporary.  An array in gives an
     array of its dtype back; a list runs on :func:`kernel_dtype` and gives
     Python ints (nested for a batch).

@@ -18,11 +18,12 @@ all-zero :class:`~pruw.field.ZeroNoise` that stores the model in the
 clear), one stream per :data:`DRAW_CHUNK` subpackets tagged (kind, chunk)
 holding, subpacket after subpacket, each one's width * M * noise_terms
 coefficients, so any chunk is reproducible without ever materializing the
-mask tensors.  Set-up
-draws each chunk's stream once, in one call, so the draw costs the same
-whatever N is, and evaluates it at every alpha_n by the fixed
-(N, noise_terms) power map [alpha_n^i]: one :func:`~pruw.field.mod_einsum`
-per chunk for all N databases, then one scale, add and reduction per cell.
+mask tensors.  Set-up draws each chunk's stream once, in one call, so the
+draw costs the same whatever N is.  The constants of
+:func:`~pruw.field.allocate_eval_points` are small integers, so N affine
+cells are one exact map [1, (f_j - alpha_n) alpha_n^i] over [W, z_0 ..
+z_{t-1}], and random ones add ``W / (f_j - alpha_n)`` to the exact power
+map [alpha_n^i]: one :func:`~pruw.field.mod_einsum` per chunk, one reduction.
 The plain model is one more stream, tagged ("model",): :func:`draw_model`.
 
 A database's cells are one contiguous ``(subpackets, width, M)`` numpy
@@ -32,10 +33,10 @@ object arrays of Python ints above), the n-th slice of the
 :func:`answer` (the masked inner products a read returns), :func:`fold` (a
 write's scaled copy of the cached query, added in place) and the oracle
 :func:`reconstruct_plain`.  Their sums of products go through
-:func:`~pruw.field.mod_einsum`, which delays the reduction: the fixed
-operand is split into 16-bit limbs, the products are summed unreduced, at
-most T(q) of them at a time, and each output is reduced once.  A fold adds
-a single product to each cell and reduces once.  Each kernel takes a
+:func:`~pruw.field.mod_einsum`, which delays the reduction: a small exact
+integer operand is summed in one einsum, a residue operand in 16-bit limbs,
+at most T(q) products at a time, and each output is reduced once.  A fold
+adds a single product to each cell and reduces once.  Each kernel takes a
 leading batch axis, so a scheme makes one call per database and phase, not
 one per subpacket.  numpy is imported inside the functions that use it.
 """
@@ -47,8 +48,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, IntegrityError
-from .field import CounterNoise, FieldParams, kernel_dtype, mod_einsum
-from .poly import apply_rows, lagrange_basis
+from .field import CounterNoise, FieldParams, exact_or_residues, kernel_dtype, mod_einsum
+from .poly import apply_rows
 
 # subpackets whose mask coefficients are drawn as one stream before their
 # cells are laid into the databases; bounds the coefficients held at once
@@ -189,32 +190,36 @@ def _build_states(model, fp: FieldParams, layout, noise) -> list[DatabaseState]:
         plain = np.concatenate([plain, pad], axis=1)
     # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
     w = plain.reshape(m_count, subpackets, width).transpose(1, 2, 0)
-    # mask[n, s, j, m] = <z[s, j, m, :], powers[n]>, powers[n] = [alpha_n^i].
-    # scale[n, j] is (f_j - alpha_n), multiplying the mask on the affine
-    # layouts, or its inverse, multiplying w on the random one.
-    powers = np.array([[pow(alpha, i, q) for i in range(terms)] for alpha in fp.alphas],
-                      dtype=dtype)
+    # one exact map over [w, z] (affine) or z (random: w / (f_j - alpha_n) added)
     fs = fp.fs[:width]
     if layout.affine_mask:
-        scale = [[(f - alpha) % q for f in fs] for alpha in fp.alphas]
+        rows = [[1] + [(f - alpha) * alpha**i for i in range(terms)]
+                for alpha in fp.alphas for f in fs]
+        shape = (len(fp.alphas), width, terms + 1)
     else:
-        scale = [[fp.field.inv(f - alpha) for f in fs] for alpha in fp.alphas]
-    scale = np.array(scale, dtype=dtype)[:, None, :, None]
+        rows = [[alpha**i for i in range(terms)] for alpha in fp.alphas]
+        shape = (len(fp.alphas), terms)
+        scale = np.array([[fp.field.inv(f - alpha) for f in fs] for alpha in fp.alphas],
+                         dtype=dtype)[:, None, :, None]
+    rows = np.array(exact_or_residues(q, rows), dtype=dtype).reshape(shape)
     cells = np.empty((len(fp.alphas), subpackets, width, m_count), dtype=dtype)
     for lo in range(0, subpackets, DRAW_CHUNK):
         hi = min(lo + DRAW_CHUNK, subpackets)
         # one stream per chunk, read as z[s, j, m, i]
         z = noise.symbol(q, (hi - lo) * width * m_count * terms, kind,
                          lo // DRAW_CHUNK).reshape(hi - lo, width, m_count, terms)
-        mask = mod_einsum(q, "ni,sjmi->nsjm", powers, z)
-        # each cell adds one product of residues to a residue before its
-        # reduction: at most q^2 - q < 2^63 on int64
         if layout.affine_mask:
-            mask *= scale
-            mask += w[lo:hi]
+            # [w, z] copied to [j, i, s, m] and read as [j, s, m, i]: the
+            # einsum's inner loop then runs along contiguous (s, m)
+            x = np.empty((width, terms + 1, hi - lo, m_count), dtype=dtype)
+            x[:, 0] = w[lo:hi].transpose(1, 0, 2)
+            x[:, 1:] = z.transpose(1, 3, 0, 2)
+            cells[:, lo:hi] = mod_einsum(q, "nji,jsmi->nsjm", rows, x.transpose(0, 2, 3, 1))
         else:
-            mask += w[lo:hi] * scale
-        np.remainder(mask, q, out=cells[:, lo:hi])
+            # the mask's residue plus one product of residues: below q^2 < 2^63
+            out = mod_einsum(q, "ni,sjmi->nsjm", rows, z)
+            out += w[lo:hi] * scale
+            np.remainder(out, q, out=cells[:, lo:hi])
     return [
         DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
                       length=length, cells=db_cells)
@@ -287,53 +292,46 @@ def init_random_sparse(
     return _build_states(model, fp, layout, noise)
 
 
-@functools.lru_cache(maxsize=64)
-def _lagrange_basis(fp: FieldParams) -> tuple[tuple[int, ...], ...]:
-    """Column n: the coefficients of the n-th Lagrange basis polynomial over
-    the database constants, from :func:`~pruw.poly.lagrange_basis` (one
-    master polynomial, one inverse per constant).  Built once per field."""
-    return tuple(tuple(col) for col in lagrange_basis(fp.field, fp.alphas))
-
-
 @functools.lru_cache(maxsize=256)
 def _oracle_map(fp: FieldParams, layout, j: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(evaluation weights, parity rows) taking bit j's N replicas to its
-    plain symbol.
+    plain symbol, as exact integers (:func:`~pruw.field.exact_or_residues`).
 
-    The coefficients of any cell's interpolant over the database constants
-    are the :func:`_lagrange_basis` columns applied to its replicas.  The
-    weights evaluate that interpolant at f_j; the parity rows are its
-    coefficients above the mask degree, which vanish on consistent storage.
-    The basis is the same for every j; only the evaluation at f_j and the
-    random layout's per-cell (f_j - alpha_n) rescale, folded into column n,
-    depend on it.
+    Each cell is g(alpha_n), g of degree t = noise_terms with g(f_j) = w
+    (the random layout's (f_j - alpha_n) rescale folded into column n).
+    This relies on :func:`~pruw.field.allocate_eval_points`' consecutive
+    constants: the weights extrapolate g from alpha_1 .. alpha_{t+1}, and
+    the parity rows, the (t+1)-th differences over each window of t + 2
+    constants, vanish exactly on consistent storage.
     """
-    q = fp.q
-    f_j = fp.fs[j]
-    cols = _lagrange_basis(fp)
+    n, t, a_1 = fp.n_databases, layout.noise_terms, fp.alphas[0]
+    if fp.alphas != tuple(range(a_1, a_1 + n)):
+        raise DomainError("the oracle needs consecutive database constants")
+    f_j, u = fp.fs[j], fp.fs[j] - a_1
+    # node i is alpha_1 + i: L_i(u) = prod_{k != i} (u - k) * (-1)^(t - i) / (i! (t - i)!)
+    rows = [[math.prod(u - k for k in range(t + 1) if k != i) * (-1) ** (t - i)
+             // (math.factorial(i) * math.factorial(t - i)) if i <= t else 0 for i in range(n)]]
+    rows += [[(-1) ** (k - r) * math.comb(t + 1, k - r) if k >= r else 0 for k in range(n)]
+             for r in range(n - t - 1)]
     if not layout.affine_mask:
-        cols = [[c * (f_j - alpha) % q for c in col] for alpha, col in zip(fp.alphas, cols)]
-    weights = tuple(fp.field.poly_eval(col, f_j) for col in cols)
-    parity = tuple(
-        tuple(col[k] for col in cols) for k in range(layout.noise_terms + 1, fp.n_databases)
-    )
-    return weights, parity
+        rows = [[c * (f_j - alpha) for c, alpha in zip(row, fp.alphas)] for row in rows]
+    weights, *parity = exact_or_residues(fp.q, rows)
+    return weights, tuple(parity)
 
 
 def reconstruct_plain(states: list[DatabaseState]):
     """Invert the masking across databases (test oracle, not a protocol step).
 
-    Interpolates each cell across the database constants and reads the plain
-    symbol off at the bit constant; the coefficients above the mask degree
-    act as a consistency check, and every padding cell must decode to zero.
-    The first bad cell in (s, j, m) order raises IntegrityError naming it.
-    Interpolation is a fixed linear map per bit constant (:func:`_oracle_map`,
-    from the Lagrange basis built once per field in O(N^2)); for each bit the N
-    databases' cells are copied into one contiguous ``(N, S * M)`` slab and
-    the weights and parity rows are applied to it in one limb-split
-    :func:`~pruw.poly.apply_rows` call.  It never calls the decoders'
-    Gaussian elimination.  Returns the decoded ``(M, length)`` array of the
-    block's real positions.
+    Extrapolates each cell across the database constants to the bit
+    constant; the finite differences of order above the mask degree act as
+    a consistency check, and every padding cell must decode to zero.  The
+    first bad cell in (s, j, m) order raises IntegrityError naming it.  Both
+    are one small exact integer map per bit constant (:func:`_oracle_map`,
+    built without a field inverse); for each bit the N databases' cells are
+    copied into one contiguous ``(N, S * M)`` slab and the map is applied to
+    it in one :func:`~pruw.poly.apply_rows` call, one unsplit einsum where
+    the map fits.  It never calls the decoders' Gaussian elimination.
+    Returns the decoded ``(M, length)`` array of the block's real positions.
     """
     import numpy as np
 

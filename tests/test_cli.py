@@ -110,7 +110,9 @@ class TestRun:
         flag = "--config" if command == "run" else "--spec"
         assert main([command, flag, str(path)]) == 2
         err = capsys.readouterr().err
-        assert err == f"config error: {message}\n"
+        # a sweep line's refusal names the line; a config file's stays bare
+        where = "" if command == "run" else f"sweep line {text.strip()!r}: "
+        assert err == f"config error: {where}{message}\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--scheme", "topr")])
@@ -290,3 +292,26 @@ class TestEntryPoint:
         main(["run", "--config", basic_cfg, "--out", str(out)])
         lib = run_session(load_config(basic_cfg)).result_json()
         assert out.read_text() == lib
+
+
+class TestSweepRefusals:
+    """Every refusal of a sweep line names that line, once, after the lines
+    before it ran."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("scheme=basic n5", "bad token 'n5'"),
+        ("scheme=random n=10 d_raed=1/5", "unknown key 'd_raed'"),
+        ("scheme=basic n=ten", "bad value n='ten': invalid literal for int() with base 10: 'ten'"),
+        ("scheme=topr n=10 p=0", "p must be positive"),
+        ("scheme=foo n=4", "unknown scheme 'foo'; expected one of ('basic', 'topr', 'random')"),
+        ("scheme=basic n=10 t1=0", "all noise-term counts must be >= 1"),
+        ("scheme=random n=3", "the scheme needs at least 4 databases"),
+        ("scheme=topr n=9", "case 1 needs N = 4*ell + 2; N=9 does not fit"),
+    ])
+    def test_refusal_names_its_line(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text(f"scheme=basic n=4\n{line}  # the refused line\n")
+        assert main(["cost-table", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: sweep line {line!r}: {message}\n"
+        assert err.count("sweep line") == 1

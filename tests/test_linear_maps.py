@@ -285,7 +285,10 @@ class TestMapBuilders:
 
         fp = allocate_eval_points(10, 4, 127)
         monkeypatch.setattr(poly, "_eliminate", forbidden)
-        storage._lagrange_basis.__wrapped__(fp)
+        monkeypatch.setattr(PrimeField, "inv", forbidden)
+        for affine in (True, False):
+            for j in range(4):
+                storage._oracle_map.__wrapped__(fp, storage.Layout("x", 4, 3, affine, 4), j)
         monkeypatch.undo()
         for name in ("lagrange_basis", "lagrange_interpolate"):
             monkeypatch.setattr(poly, name, forbidden)
