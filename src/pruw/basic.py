@@ -144,7 +144,7 @@ def write_round(
     inputs = np.concatenate([padded.reshape(count, ell), z.reshape(count, terms)], axis=1)
     symbols = apply_rows(fp.q, combine_map(fp.field, fp.fs[:ell], fp.alphas, terms), inputs.T)
     skip = params.skip_set
-    factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[:ell], skip)
+    factors = write_factors(fp, fp.fs[:ell], skip)
     for st in states:
         n = st.db_index
         if n not in skip:

@@ -42,8 +42,6 @@ def _maybe_trace(result, out_path: str | None) -> None:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.disable_noise:
-        cfg.disable_noise = True
     if cfg.disable_noise:
         print(INSECURE_BANNER, file=sys.stderr)
     result = run_session(cfg)
@@ -62,7 +60,7 @@ def cmd_cost_table(args) -> int:
                     if "=" not in token:
                         raise ConfigError(f"sweep line {' '.join(tokens)!r}: bad token {token!r}")
                 if tokens:
-                    specs.append(dict(token.split("=", 1) for token in tokens))
+                    specs.append([token.split("=", 1) for token in tokens])
     rows = verify_costs(specs)
     lines = [CSV_HEADER] + [row.csv_line() for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
@@ -86,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("--config", help="key=value config file")
     run_p.add_argument("--out", help="result JSON path (stdout when omitted)")
-    run_p.add_argument("--disable-noise", action="store_true", dest="disable_noise")
     run_p.set_defaults(func=cmd_run)
 
     cost_p = sub.add_parser("cost-table", help="measured vs analytic cost sweep")

@@ -94,12 +94,17 @@ _KEYS = {f.name for f in fields(ExperimentConfig)}
 
 def build_config(settings) -> ExperimentConfig:
     """The config from ``(where, key, value)`` settings applied in order, each
-    value as a config file writes it; an unknown key or a value that does not
-    parse is refused naming its ``where``.  The caller validates it."""
+    value as a config file writes it; an unknown key, a key set a second time
+    or a value that does not parse is refused naming its ``where``.  The
+    caller validates it."""
     cfg = ExperimentConfig()
+    seen = set()
     for where, key, value in settings:
         if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{where}: key {key!r} is set twice")
+        seen.add(key)
         try:
             setattr(cfg, key, _coerce(key, str(value)))
         except (ValueError, ZeroDivisionError) as exc:

@@ -257,23 +257,25 @@ def aligned_length(plan: rs.SparsePlan) -> int:
                       for reg in plan.regions))
 
 
-def verify_costs(specs: list[dict]) -> list[CostRow]:
-    """Run each sweep line, a run config given as ``{key: value}`` in config
-    syntax, and set its metered costs against the scheme's prediction.  A
-    basic or random line that sets no ``l`` runs at its aligned length; a
-    top-r case-2 row's knobs add the alternative published normalization.
-    The knobs are the keys, besides scheme and n, that differ from the
-    default config."""
+def verify_costs(specs) -> list[CostRow]:
+    """Run each sweep line, a run config given as ``{key: value}`` or as
+    ``(key, value)`` pairs in config syntax, and set its metered costs
+    against the scheme's prediction.  A basic or random line that sets no
+    ``l`` runs at its aligned length; a top-r case-2 row's knobs add the
+    alternative published normalization.  The knobs are the keys, besides
+    scheme and n, that differ from the default config."""
     default = ExperimentConfig().as_dict()
     rows = []
     for spec in specs:
-        where = "sweep line " + repr(" ".join(f"{key}={value}" for key, value in spec.items()))
-        cfg = build_config((where, key, value) for key, value in spec.items())
+        pairs = list(spec.items() if isinstance(spec, dict) else spec)
+        where = "sweep line " + repr(" ".join(f"{key}={value}" for key, value in pairs))
+        cfg = build_config((where, key, value) for key, value in pairs)
+        aligned = "l" not in dict(pairs)
         try:
             cfg.validate()
-            if "l" not in spec and cfg.scheme == "basic":
+            if aligned and cfg.scheme == "basic":
                 cfg.l = 4 * basic.BasicScheme(cfg).params.ell
-            elif "l" not in spec and cfg.scheme == "random":
+            elif aligned and cfg.scheme == "random":
                 cfg.l = aligned_length(rs.optimize_plan(cfg.n, cfg.d_read, cfg.d_write))
             session = Session(cfg)
             ledger = session.run_iteration().ledger

@@ -1,20 +1,21 @@
 """Polynomial kernels shared by all scheme variants.
 
 Every scheme's query comes from :func:`build_query`: at the wanted submodel
-either the reciprocal ``1/(f_k - alpha_n)`` or the indicator 1, plus a mask
-polynomial in ``alpha_n`` whose coefficients all databases share.  The
-indicator query is the reciprocal query scaled by ``(f_k - alpha_n)``.  The
-database side of every scheme is two array kernels in :mod:`pruw.storage`
-over the cells: ``answer`` (the masked inner products a read returns) and
-``fold`` (a write's scaled copy of the cached query, added in place).
+the reciprocal ``1/(f_k - alpha_n)``, or the indicator 1 (top-r case 2
+only), plus a mask polynomial in ``alpha_n`` whose coefficients all
+databases share.  The indicator query is the reciprocal query scaled by
+``(f_k - alpha_n)``.  The database side of every scheme is two array
+kernels in :mod:`pruw.storage` over the cells: ``answer`` (the masked
+inner products a read returns) and ``fold`` (a write's scaled copy of the
+cached query, added in place).
 
 The write paths combine the per-bit updates of a subpacket into one symbol
 per database (a Lagrange-style combination evaluated at that database's
 constant); the read paths invert square systems whose rows mix reciprocal
 terms ``1/(f_i - alpha_n)`` with plain powers of ``alpha_n``: one row per
 answering database and as many powers as make it square, so the shape
-follows from the constants.  The factors a write folds with depend on the
-cell form and live in :mod:`pruw.storage`.
+follows from the constants.  The factors a write folds with live in
+:mod:`pruw.storage`.
 
 Every step after the answers is a fixed linear map of the evaluation
 constants, built once per field and shape from plain-int code and applied

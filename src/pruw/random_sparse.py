@@ -246,12 +246,14 @@ def build_read_queries(theta: int, fp: FieldParams, region: Region, m_count: int
     """The region's one-time read queries: queries[t-1][n-1][i][m] over the
     patterns.
 
-    Indicators on the J-set bits, masked by (f - alpha) times free noise;
-    pattern t's masks are drawn under (*tag, "read", t)."""
+    Reciprocals on the J-set bits masked by free noise: the paper's
+    indicator query divided by (f - alpha), which the storage's
+    (f - alpha)-scaled cells turn back into the paper's answers.  Pattern
+    t's masks are drawn under (*tag, "read", t)."""
     spec = region.spec
     return [
         build_query(theta, fp, _pattern_fs(fp, t, spec.ell_r, spec.y), m_count, noise,
-                    reciprocal=False, selected=region.j_read[t - 1], tag=(*tag, "read", t))
+                    selected=region.j_read[t - 1], tag=(*tag, "read", t))
         for t in range(1, spec.read_patterns + 1)
     ]
 
@@ -260,9 +262,10 @@ def build_write_queries(theta: int, fp: FieldParams, region: Region, m_count: in
                         tag=()):
     """The region's one-time write queries: queries[t-1][n-1][i][m].
 
-    Reciprocal indicators on the J-set bits masked by free noise; the
-    reciprocal puts the decomposed update directly into the storage shape.
-    Pattern t's masks are drawn under (*tag, "write", t).
+    Reciprocals on the J-set bits masked by free noise, as for the read;
+    each database folds the decomposed update times its
+    :func:`~pruw.storage.write_factors` row, (f - alpha) included, into the
+    storage shape.  Pattern t's masks are drawn under (*tag, "write", t).
     """
     spec = region.spec
     return [
@@ -367,7 +370,7 @@ def region_write(
         sub_fs = tuple(fs[i - 1] for i in j_write[t - 1])
         us = apply_rows(q, combine_map(fp.field, sub_fs, alphas, 1),
                         inputs[t - 1 :: spec.write_patterns].T)
-        factors = write_factors(fp, states[0].layout.affine_mask, fs, skip)
+        factors = write_factors(fp, fs, skip)
         for db, u in zip(dbs, us):
             fold(q, _pattern_rows(states[db - 1], spec.ell_w, spec.write_patterns, t),
                  queries[t - 1][db - 1], np.outer(u, factors[db - 1]) % q)

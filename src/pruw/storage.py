@@ -1,15 +1,18 @@
 """Noise-masked replicated storage for the three scheme variants.
 
 Each database holds, per subpacket, per bit, per submodel, one masked symbol
-in the cell form of its :class:`Layout`:
-
-* basic:      ``W + (f_j - alpha_n) * mask(alpha_n)`` with ``t_storage`` terms,
-* top-r:      same shape with the case-specific mask degree (2*ell or ell+1),
-* random:     ``W / (f_j - alpha_n) + mask(alpha_n)`` on a cyclic f layout.
+``W + (f_j - alpha_n) * mask(alpha_n)`` on every :class:`Layout`.  The mask
+has ``t_storage`` terms on basic, degree 2*ell or ell+1 (by case) on top-r,
+and floor or ceil of N/2 terms on random's cyclic f layout.  The paper
+stores random's cells as ``W / (f_j - alpha_n) + mask(alpha_n)`` and reads
+them with indicator queries; here they are that times the public
+(f_j - alpha_n), read with the indicator query divided by it (the
+reciprocal form), so every answer is the paper's:
+(W + (f - a) P)(z + d / (f - a)) = (W / (f - a) + P)((f - a) z + d).
 
 A write folds with :func:`write_factors` (the null-shaper factor over the
-skip set, times (f_j - alpha_n) on the affine form), built here once per
-deployment, and the oracle undoes the form.
+skip set, times (f_j - alpha_n)), built here once per deployment, and the
+oracle undoes the form.
 
 The mask coefficients are identical across databases (only alpha varies);
 they come from the noise source that ``init_basic``, ``init_topr`` and
@@ -20,10 +23,9 @@ holding, subpacket after subpacket, each one's width * M * noise_terms
 coefficients, so any chunk is reproducible without ever materializing the
 mask tensors.  Set-up draws each chunk's stream once, in one call, so the
 draw costs the same whatever N is.  The constants of
-:func:`~pruw.field.allocate_eval_points` are small integers, so N affine
-cells are one exact map [1, (f_j - alpha_n) alpha_n^i] over [W, z_0 ..
-z_{t-1}], and random ones add ``W / (f_j - alpha_n)`` to the exact power
-map [alpha_n^i]: one :func:`~pruw.field.mod_einsum` per chunk, one reduction.
+:func:`~pruw.field.allocate_eval_points` are small integers, so N cells
+are one exact map [1, (f_j - alpha_n) alpha_n^i] over [W, z_0 .. z_{t-1}]:
+one :func:`~pruw.field.mod_einsum` per chunk, one reduction, no inverse.
 The plain model is one more stream, tagged ("model",): :func:`draw_model`.
 
 A database's cells are one contiguous ``(subpackets, width, M)`` numpy
@@ -65,19 +67,22 @@ def draw_model(m_count: int, length: int, q: int, seed: int):
 
 @dataclass(frozen=True)
 class Layout:
-    """The cell form of one storage block: ``kind`` tags its mask streams,
-    ``width`` is its bits per subpacket and ``noise_terms`` its mask
-    coefficients per cell; the cells are ``W + (f - alpha) * mask`` when
-    ``affine_mask`` is set and ``W / (f - alpha) + mask`` otherwise.
-    ``period``, a multiple of ``width``, is the grid the block is padded to
-    with zeros: ``width`` on the basic and top-r layouts, lcm(ell_r, ell_w)
-    on the random one, whose read and write subpackets both tile it."""
+    """The shape of one storage block, whose cells are all
+    ``W + (f - alpha) * mask``: ``kind`` tags its mask streams, ``width`` is
+    its bits per subpacket and ``noise_terms`` its mask coefficients per
+    cell.  ``period``, a multiple of ``width``, is the grid the block is
+    padded to with zeros: ``width`` on the basic and top-r layouts,
+    lcm(ell_r, ell_w) on the random one, whose read and write subpackets
+    both tile it."""
 
     kind: str
     width: int
     noise_terms: int
-    affine_mask: bool
     period: int
+
+    # every layout has the affine cell form; kept as a read-only constant,
+    # not a field, for perfbench/selftest.py, which reads it
+    affine_mask = True
 
 
 @dataclass
@@ -145,15 +150,15 @@ def fold(q: int, rows, qvecs, factors) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def write_factors(fp: FieldParams, affine_mask: bool, fs: tuple, skip: tuple):
+def write_factors(fp: FieldParams, fs: tuple, skip: tuple):
     """The factors each database folds a write with, a read-only
     ``(N, len(fs))`` array of :func:`kernel_dtype` built once per (field,
-    cell form, bit constants, skip set).
+    bit constants, skip set).
 
     Row n - 1 is database n's null-shaper factor over the 1-based database
     indices ``skip``, ``prod_r (a_r - a_n) / prod_r (a_r - f)`` at each bit
-    constant f in ``fs`` (1 for an empty skip set), times ``(f - a_n)`` on
-    the affine cells; it is zero exactly on the skip set.
+    constant f in ``fs`` (1 for an empty skip set), times ``(f - a_n)``; it
+    is zero exactly on the skip set.
     """
     import numpy as np
 
@@ -164,8 +169,7 @@ def write_factors(fp: FieldParams, affine_mask: bool, fs: tuple, skip: tuple):
     rows = []
     for alpha in fp.alphas:
         num = math.prod(a - alpha for a in skipped)
-        rows.append([num * den * (f - alpha if affine_mask else 1) % q
-                     for f, den in zip(fs, dens)])
+        rows.append([num * den * (f - alpha) % q for f, den in zip(fs, dens)])
     out = np.array(rows, dtype=kernel_dtype(q))
     out.setflags(write=False)
     return out
@@ -190,36 +194,22 @@ def _build_states(model, fp: FieldParams, layout, noise) -> list[DatabaseState]:
         plain = np.concatenate([plain, pad], axis=1)
     # w[s, j, m]: the plain symbol of bit j of submodel m in subpacket s
     w = plain.reshape(m_count, subpackets, width).transpose(1, 2, 0)
-    # one exact map over [w, z] (affine) or z (random: w / (f_j - alpha_n) added)
-    fs = fp.fs[:width]
-    if layout.affine_mask:
-        rows = [[1] + [(f - alpha) * alpha**i for i in range(terms)]
-                for alpha in fp.alphas for f in fs]
-        shape = (len(fp.alphas), width, terms + 1)
-    else:
-        rows = [[alpha**i for i in range(terms)] for alpha in fp.alphas]
-        shape = (len(fp.alphas), terms)
-        scale = np.array([[fp.field.inv(f - alpha) for f in fs] for alpha in fp.alphas],
-                         dtype=dtype)[:, None, :, None]
-    rows = np.array(exact_or_residues(q, rows), dtype=dtype).reshape(shape)
+    # one exact map over [w, z]
+    rows = [[1] + [(f - alpha) * alpha**i for i in range(terms)]
+            for alpha in fp.alphas for f in fp.fs[:width]]
+    rows = np.array(exact_or_residues(q, rows), dtype=dtype).reshape(-1, width, terms + 1)
     cells = np.empty((len(fp.alphas), subpackets, width, m_count), dtype=dtype)
     for lo in range(0, subpackets, DRAW_CHUNK):
         hi = min(lo + DRAW_CHUNK, subpackets)
         # one stream per chunk, read as z[s, j, m, i]
         z = noise.symbol(q, (hi - lo) * width * m_count * terms, kind,
                          lo // DRAW_CHUNK).reshape(hi - lo, width, m_count, terms)
-        if layout.affine_mask:
-            # [w, z] copied to [j, i, s, m] and read as [j, s, m, i]: the
-            # einsum's inner loop then runs along contiguous (s, m)
-            x = np.empty((width, terms + 1, hi - lo, m_count), dtype=dtype)
-            x[:, 0] = w[lo:hi].transpose(1, 0, 2)
-            x[:, 1:] = z.transpose(1, 3, 0, 2)
-            cells[:, lo:hi] = mod_einsum(q, "nji,jsmi->nsjm", rows, x.transpose(0, 2, 3, 1))
-        else:
-            # the mask's residue plus one product of residues: below q^2 < 2^63
-            out = mod_einsum(q, "ni,sjmi->nsjm", rows, z)
-            out += w[lo:hi] * scale
-            np.remainder(out, q, out=cells[:, lo:hi])
+        # [w, z] copied to [j, i, s, m] and read as [j, s, m, i]: the
+        # einsum's inner loop then runs along contiguous (s, m)
+        x = np.empty((width, terms + 1, hi - lo, m_count), dtype=dtype)
+        x[:, 0] = w[lo:hi].transpose(1, 0, 2)
+        x[:, 1:] = z.transpose(1, 3, 0, 2)
+        cells[:, lo:hi] = mod_einsum(q, "nji,jsmi->nsjm", rows, x.transpose(0, 2, 3, 1))
     return [
         DatabaseState(db_index=n, fp=fp, layout=layout, m_count=m_count,
                       length=length, cells=db_cells)
@@ -239,7 +229,7 @@ def init_basic(
     :class:`~pruw.basic.BasicParams` owns the budget (the privacy floor and
     ell >= 1), and ``fp`` carries ell bit constants."""
     ell = fp.n_databases - t_storage - t_query
-    return _build_states(model, fp, Layout("basic", ell, t_storage, True, ell), noise)
+    return _build_states(model, fp, Layout("basic", ell, t_storage, ell), noise)
 
 
 def topr_subpacketization(n: int, case: int) -> int:
@@ -270,7 +260,7 @@ def init_topr(
     ell = topr_subpacketization(fp.n_databases, case)
     # mask degree 2 * ell (case 1) or ell + 1 (case 2)
     terms = (2 * ell if case == 1 else ell + 1) + 1
-    return _build_states(model, fp, Layout("topr", ell, terms, True, ell), noise)
+    return _build_states(model, fp, Layout("topr", ell, terms, ell), noise)
 
 
 def init_random_sparse(
@@ -288,33 +278,31 @@ def init_random_sparse(
     # mask degree floor(N/2) - 1 (case 1) or ceil(N/2) - 1 (case 2)
     half = fp.n_databases // 2
     terms = half if case == 1 else fp.n_databases - half
-    layout = Layout("random", max(ell_r, ell_w), terms, False, math.lcm(ell_r, ell_w))
+    layout = Layout("random", max(ell_r, ell_w), terms, math.lcm(ell_r, ell_w))
     return _build_states(model, fp, layout, noise)
 
 
 @functools.lru_cache(maxsize=256)
-def _oracle_map(fp: FieldParams, layout, j: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _oracle_map(fp: FieldParams, t: int, j: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(evaluation weights, parity rows) taking bit j's N replicas to its
     plain symbol, as exact integers (:func:`~pruw.field.exact_or_residues`).
 
-    Each cell is g(alpha_n), g of degree t = noise_terms with g(f_j) = w
-    (the random layout's (f_j - alpha_n) rescale folded into column n).
-    This relies on :func:`~pruw.field.allocate_eval_points`' consecutive
-    constants: the weights extrapolate g from alpha_1 .. alpha_{t+1}, and
-    the parity rows, the (t+1)-th differences over each window of t + 2
-    constants, vanish exactly on consistent storage.
+    Each cell is g(alpha_n), g of degree t (the layout's noise_terms) with
+    g(f_j) = w, so the map depends on the field, t and j alone.  This relies
+    on :func:`~pruw.field.allocate_eval_points`' consecutive constants: the
+    weights extrapolate g from alpha_1 .. alpha_{t+1}, and the parity rows,
+    the (t+1)-th differences over each window of t + 2 constants, vanish
+    exactly on consistent storage.
     """
-    n, t, a_1 = fp.n_databases, layout.noise_terms, fp.alphas[0]
+    n, a_1 = fp.n_databases, fp.alphas[0]
     if fp.alphas != tuple(range(a_1, a_1 + n)):
         raise DomainError("the oracle needs consecutive database constants")
-    f_j, u = fp.fs[j], fp.fs[j] - a_1
+    u = fp.fs[j] - a_1
     # node i is alpha_1 + i: L_i(u) = prod_{k != i} (u - k) * (-1)^(t - i) / (i! (t - i)!)
     rows = [[math.prod(u - k for k in range(t + 1) if k != i) * (-1) ** (t - i)
              // (math.factorial(i) * math.factorial(t - i)) if i <= t else 0 for i in range(n)]]
     rows += [[(-1) ** (k - r) * math.comb(t + 1, k - r) if k >= r else 0 for k in range(n)]
              for r in range(n - t - 1)]
-    if not layout.affine_mask:
-        rows = [[c * (f_j - alpha) for c, alpha in zip(row, fp.alphas)] for row in rows]
     weights, *parity = exact_or_residues(fp.q, rows)
     return weights, tuple(parity)
 
@@ -338,7 +326,7 @@ def reconstruct_plain(states: list[DatabaseState]):
     if not states:
         raise DomainError("no database states given")
     first = states[0]
-    fp, layout, width = first.fp, first.layout, first.layout.width
+    fp, width = first.fp, first.layout.width
     if len(states) != fp.n_databases:
         raise IntegrityError("need the full replication group to reconstruct")
     plain = np.empty_like(first.cells)
@@ -347,7 +335,7 @@ def reconstruct_plain(states: list[DatabaseState]):
     for j in range(width):
         for n, st in enumerate(states):
             slab[n] = st.cells[:, j]
-        weights, parity = _oracle_map(fp, layout, j)
+        weights, parity = _oracle_map(fp, first.layout.noise_terms, j)
         out = apply_rows(fp.q, (weights,) + parity, slab)
         plain[:, j] = out[0]
         inconsistent[:, j] = (out[1:] != 0).any(axis=0)

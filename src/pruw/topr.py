@@ -321,7 +321,7 @@ def apply_sparse_write(
     else:
         t = t.reshape(len(states), -1, ell)
         t[:, rows] += consts[:, None, :] * sym.T[:, :, None]
-    factors = write_factors(fp, states[0].layout.affine_mask, fp.fs[:ell], ())
+    factors = write_factors(fp, fp.fs[:ell], ())
     steps = t % q * factors[[st.db_index - 1 for st in states]][:, None, :] % q
     for st, step in zip(states, steps):
         fold(q, st.cells, query_blocks[st.db_index - 1], step)

@@ -35,16 +35,15 @@ def null_shaper_factor(fp, skip_set, f, n):
     return num * fp.field.inv(den) % q
 
 
-def check_write_factors(fp, affine_mask, fs, skip):
+def check_write_factors(fp, fs, skip):
     """write_factors entry by entry against the null-shaper definition, times
-    (f - alpha_n) on the affine cells; zero rows exactly on the skip set."""
-    factors = write_factors(fp, affine_mask, fs, skip)
+    (f - alpha_n); zero rows exactly on the skip set."""
+    factors = write_factors(fp, fs, skip)
     assert factors.shape == (fp.n_databases, len(fs))
     assert factors.dtype == kernel_dtype(fp.q)
     rows = factors.tolist()
     for n, row in enumerate(rows, start=1):
-        assert row == [null_shaper_factor(fp, skip, f, n) * (f - fp.alpha(n) if affine_mask else 1)
-                       % fp.q for f in fs]
+        assert row == [null_shaper_factor(fp, skip, f, n) * (f - fp.alpha(n)) % fp.q for f in fs]
     assert [n for n, row in enumerate(rows, start=1) if not any(row)] == sorted(skip)
     assert all(all(row) for n, row in enumerate(rows, start=1) if n not in skip)
     assert not factors.flags.writeable
@@ -185,11 +184,11 @@ class TestWriteRound:
             # skip sets of every size from 0 (or 1) up to N - 4
             for t_storage in range((n + 1) // 2, n - 1):
                 params = basic.BasicParams(n=n, t_storage=t_storage, t_query=1, t_update=1)
-                check_write_factors(fp, True, fp.fs[: params.ell], params.skip_set)
-            # random: non-affine cells; odd N, case 2 skips the last database
-            check_write_factors(fp, False, fp.fs[: n // 2], (n,) if n % 2 else ())
-            # top-r: affine cells, no skip set
-            check_write_factors(fp, True, fp.fs[: n // 2 - 1], ())
+                check_write_factors(fp, fp.fs[: params.ell], params.skip_set)
+            # random: odd N, case 2 skips the last database
+            check_write_factors(fp, fp.fs[: n // 2], (n,) if n % 2 else ())
+            # top-r: no skip set
+            check_write_factors(fp, fp.fs[: n // 2 - 1], ())
 
     @pytest.mark.parametrize("q", [127, 2**61 - 1])
     def test_wrong_length_delta_vector_rejected(self, q):

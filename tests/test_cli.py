@@ -115,18 +115,27 @@ class TestRun:
         assert err == f"config error: {where}{message}\n"
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--scheme", "topr")])
-    def test_config_key_flags_are_gone(self, basic_cfg, capsys, flag, value):
-        # seed and scheme are config keys; the config file is the one place to set them
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--scheme", "topr"], ["--disable-noise"]],
+                             ids="-".join)
+    def test_config_key_flags_are_gone(self, basic_cfg, capsys, flags):
+        # seed, scheme and disable_noise are config keys; the config file is
+        # the one place to set them
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", basic_cfg, flag, value])
+            main(["run", "--config", basic_cfg, *flags])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert flags[0] in capsys.readouterr().err
 
-    def test_insecure_banner(self, basic_cfg, tmp_path, capsys):
-        out = tmp_path / "out.json"
-        main(["run", "--config", basic_cfg, "--out", str(out), "--disable-noise"])
+    def test_insecure_banner(self, tmp_path, capsys):
+        cfg, out = tmp_path / "off.cfg", tmp_path / "out.json"
+        cfg.write_text(BASIC_CFG + "disable_noise=true\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert "INSECURE" in capsys.readouterr().err
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("scheme=basic\nn=4\nn=10\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: line 3: key 'n' is set twice\n"
 
     def test_frame_trace_env(self, basic_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv("PRUW_LOG", "frames")
@@ -307,6 +316,9 @@ class TestSweepRefusals:
         ("scheme=basic n=10 t1=0", "all noise-term counts must be >= 1"),
         ("scheme=random n=3", "the scheme needs at least 4 databases"),
         ("scheme=topr n=9", "case 1 needs N = 4*ell + 2; N=9 does not fit"),
+        ("scheme=basic n=4 n=10", "key 'n' is set twice"),
+        # the repeat is refused before its value is read
+        ("scheme=basic n=4 n=ten", "key 'n' is set twice"),
     ])
     def test_refusal_names_its_line(self, tmp_path, capsys, line, message):
         spec = tmp_path / "sweep.txt"

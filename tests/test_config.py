@@ -52,6 +52,10 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("n=ten\n")
 
+    def test_repeated_key_names_the_second_line(self):
+        with pytest.raises(ConfigError, match=r"^line 3: key 'n' is set twice$"):
+            parse_config_text("scheme=basic\nn=4\nn=10\n")
+
 
 class TestValidation:
     def test_unknown_scheme(self):

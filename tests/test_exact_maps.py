@@ -127,17 +127,13 @@ class TestOneEinsumPerCall:
 
 # ---- the oracle's integer rows against the Lagrange-basis map
 
-def lagrange_oracle_map(fp, layout, j):
+def lagrange_oracle_map(fp, t, j):
     """The oracle map from the Lagrange basis over the database constants:
     the weights evaluate the interpolant at f_j and the parity rows are its
-    coefficients above the mask degree."""
-    q, f_j = fp.q, fp.fs[j]
+    coefficients above the mask degree t."""
     cols = lagrange_basis(fp.field, fp.alphas)
-    if not layout.affine_mask:
-        cols = [[c * (f_j - alpha) % q for c in col] for alpha, col in zip(fp.alphas, cols)]
-    weights = tuple(fp.field.poly_eval(col, f_j) for col in cols)
-    parity = tuple(tuple(col[k] for col in cols)
-                   for k in range(layout.noise_terms + 1, fp.n_databases))
+    weights = tuple(fp.field.poly_eval(col, fp.fs[j]) for col in cols)
+    parity = tuple(tuple(col[k] for col in cols) for k in range(t + 1, fp.n_databases))
     return weights, parity
 
 
@@ -163,17 +159,17 @@ def layouts(n):
     """(name, Layout) for basic, top-r cases 1 and 2 where N fits them, and
     both random cases over three bit constants."""
     params = basic.optimal_params(n)
-    out = [("basic", Layout("basic", params.ell, params.t_storage, True, params.ell))]
+    out = [("basic", Layout("basic", params.ell, params.t_storage, params.ell))]
     for case in (1, 2):
         try:
             ell = topr_subpacketization(n, case)
         except pruw.errors.ConfigError:
             continue
         terms = (2 * ell if case == 1 else ell + 1) + 1
-        out.append((f"topr-{case}", Layout("topr", ell, terms, True, ell)))
+        out.append((f"topr-{case}", Layout("topr", ell, terms, ell)))
     half = n // 2
-    out.append(("random-1", Layout("random", 3, half, False, 6)))
-    out.append(("random-2", Layout("random", 3, n - half, False, 6)))
+    out.append(("random-1", Layout("random", 3, half, 6)))
+    out.append(("random-2", Layout("random", 3, n - half, 6)))
     return out
 
 
@@ -185,8 +181,8 @@ class TestOracleRows:
             fp = allocate_eval_points(n, layout.width, q)
             want = n - layout.noise_terms - 1
             for j in range(layout.width):
-                _, parity = storage._oracle_map(fp, layout, j)
-                _, ref = lagrange_oracle_map(fp, layout, j)
+                _, parity = storage._oracle_map(fp, layout.noise_terms, j)
+                _, ref = lagrange_oracle_map(fp, layout.noise_terms, j)
                 assert len(parity) == len(ref) == want, name
                 assert rank_mod(q, parity) == rank_mod(q, ref) == want, name
                 assert rank_mod(q, parity + ref) == want, name
@@ -196,16 +192,12 @@ class TestOracleRows:
         for name, layout in layouts(n):
             fp = allocate_eval_points(n, layout.width, q)
             for j in range(layout.width):
-                weights, parity = storage._oracle_map(fp, layout, j)
-                f_j = fp.fs[j]
+                weights, parity = storage._oracle_map(fp, layout.noise_terms, j)
                 for _ in range(3):
                     g = [rng.randrange(q) for _ in range(layout.noise_terms + 1)]
                     cells = [fp.field.poly_eval(g, alpha) for alpha in fp.alphas]
-                    if not layout.affine_mask:
-                        cells = [c * pow(f_j - alpha, -1, q) % q
-                                 for c, alpha in zip(cells, fp.alphas)]
                     assert sum(w * c for w, c in zip(weights, cells)) % q == \
-                        fp.field.poly_eval(g, f_j), name
+                        fp.field.poly_eval(g, fp.fs[j]), name
                     assert all(sum(p * c for p, c in zip(row, cells)) % q == 0
                                for row in parity), name
 
@@ -220,7 +212,7 @@ class TestOracleRows:
 
         rng = random.Random(n + q)
         for name, states in storages(n, q):
-            fp, layout, first = states[0].fp, states[0].layout, states[0]
+            layout, first = states[0].layout, states[0]
             got, want = both()
             assert np.array_equal(got, want), name
             i = rng.randrange(n)
@@ -231,9 +223,7 @@ class TestOracleRows:
                 # one replica's padding cell set nonzero, and a consistent
                 # nonzero padding symbol: every replica's share of w = 1
                 corruptions.append([(i, (s, j, 0), 1)])
-                corruptions.append([(k, (s, j, 0), 1 if layout.affine_mask
-                                     else pow(fp.fs[j] - fp.alphas[k], -1, q))
-                                    for k in range(n)])
+                corruptions.append([(k, (s, j, 0), 1) for k in range(n)])
             for corruption in corruptions:
                 saved = [st.cells.copy() for st in states]
                 for k, at, delta in corruption:
@@ -272,6 +262,5 @@ def storages(n, q):
 def test_oracle_needs_consecutive_constants():
     fp = allocate_eval_points(6, 2, 127)
     gapped = FieldParams(field=PrimeField(127), fs=fp.fs, alphas=fp.alphas[:-1] + (40,))
-    layout = Layout("basic", 2, 3, True, 2)
     with pytest.raises(DomainError, match="consecutive"):
-        storage._oracle_map.__wrapped__(gapped, layout, 0)
+        storage._oracle_map.__wrapped__(gapped, 3, 0)

@@ -331,9 +331,7 @@ def shift_plain(states, s, j, m):
     """Add one to the plain symbol of cell (s, j, m) consistently in every
     replica, so the storage stays well formed but holds a wrong value."""
     for st in states:
-        fp = st.fp
-        step = 1 if st.layout.affine_mask else fp.field.inv(fp.fs[j] - fp.alpha(st.db_index))
-        st.cells[s][j][m] = (st.cells[s][j][m] + step) % fp.q
+        st.cells[s][j][m] = (st.cells[s][j][m] + 1) % st.fp.q
 
 
 class TestFailureDetail:

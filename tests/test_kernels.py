@@ -110,7 +110,7 @@ class TestAllMaxResidues:
             st.cells[...] = q - 1
         want = np.zeros((M, length), dtype=kernel_dtype(q))
         for j in range(params.ell):
-            weights, parity = _oracle_map(fp, states[0].layout, j)
+            weights, parity = _oracle_map(fp, states[0].layout.noise_terms, j)
             assert all(sum(c * (q - 1) for c in row) % q == 0 for row in parity)
             value = sum(w * (q - 1) for w in weights) % q
             for s in range(S):

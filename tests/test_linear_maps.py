@@ -39,12 +39,7 @@ def reference_reconstruct(states):
         for j in range(width):
             f_j, pos = fp.fs[j], s * width + j
             for m in range(first.m_count):
-                ys = []
-                for st_ in states:
-                    v = st_.cells[s][j][m]
-                    if not layout.affine_mask:
-                        v = v * (f_j - fp.alpha(st_.db_index)) % q
-                    ys.append(v % q)
+                ys = [st_.cells[s][j][m] % q for st_ in states]
                 coeffs = lagrange_interpolate(fp.field, list(fp.alphas), ys)
                 if poly_degree(coeffs) > layout.noise_terms:
                     raise IntegrityError(f"cell (s={s}, j={j}, m={m}) inconsistent across databases")
@@ -130,8 +125,7 @@ class TestOracleMap:
         m = rng.randrange(first.m_count)
         for st_ in states:  # consistently, so only the padding check can fire
             fp = st_.fp
-            step = 1 if st_.layout.affine_mask else fp.field.inv(fp.fs[j] - fp.alpha(st_.db_index))
-            st_.cells[s][j][m] = (st_.cells[s][j][m] + step) % fp.q
+            st_.cells[s][j][m] = (st_.cells[s][j][m] + 1) % fp.q
         for fn in (reconstruct_plain, reference_reconstruct):
             with pytest.raises(IntegrityError, match="padding"):
                 fn(states)
@@ -286,9 +280,8 @@ class TestMapBuilders:
         fp = allocate_eval_points(10, 4, 127)
         monkeypatch.setattr(poly, "_eliminate", forbidden)
         monkeypatch.setattr(PrimeField, "inv", forbidden)
-        for affine in (True, False):
-            for j in range(4):
-                storage._oracle_map.__wrapped__(fp, storage.Layout("x", 4, 3, affine, 4), j)
+        for j in range(4):
+            storage._oracle_map.__wrapped__(fp, 3, j)
         monkeypatch.undo()
         for name in ("lagrange_basis", "lagrange_interpolate"):
             monkeypatch.setattr(poly, name, forbidden)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pruw.errors import ConfigError, IntegrityError
-from pruw.field import CounterNoise, PrimeField, ZeroNoise, allocate_eval_points, kernel_dtype
+from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.storage import (
     DRAW_CHUNK,
     draw_model,
@@ -42,9 +42,8 @@ def subpacket_stream(noise, q, layout, m_count, s):
 
 
 def reference_cells(model, fp, layout, seed, noise_off):
-    """Every database's cells, one cell at a time from the layout's formula:
-    W + (f_j - alpha) * mask on the affine layouts, W / (f_j - alpha) + mask
-    on the random one; with the noise off, W or W / (f_j - alpha).  The
+    """Every database's cells, one cell at a time from the formula
+    W + (f_j - alpha) * mask, every layout's; with the noise off, W.  The
     model is zero-padded to whole layout periods."""
     q, width, (m_count, length), values = fp.q, layout.width, model.shape, model.tolist()
     noise = CounterNoise(seed)
@@ -62,10 +61,7 @@ def reference_cells(model, fp, layout, seed, noise_off):
                     w = values[m][pos] if pos < length else 0
                     mask = 0 if noise_off else mask_value(
                         streams[s], q, j, m, m_count, layout.noise_terms, alpha)
-                    if layout.affine_mask:
-                        col.append((w + (f_j - alpha) * mask) % q)
-                    else:
-                        col.append((w * pow(f_j - alpha, -1, q) + mask) % q)
+                    col.append((w + (f_j - alpha) * mask) % q)
                 block.append(col)
             cells.append(block)
         out.append(cells)
@@ -295,25 +291,22 @@ class TestSharedDraw:
     """One stream per draw chunk serves every database."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = Counter()
+    def streams(self, monkeypatch):
+        """(count, tag) of every CounterNoise.symbol call."""
         streams = []
-        for cls, name in ((CounterNoise, "symbol"), (PrimeField, "inv")):
-            def counting(self, *args, _real=getattr(cls, name), _name=name):
-                counts[_name] += 1
-                if _name == "symbol":
-                    streams.append((args[1], args[2:]))
-                return _real(self, *args)
 
-            monkeypatch.setattr(cls, name, counting)
-        return counts, streams
+        def recording(self, q, count, *tag, _real=CounterNoise.symbol):
+            streams.append((count, tag))
+            return _real(self, q, count, *tag)
+
+        monkeypatch.setattr(CounterNoise, "symbol", recording)
+        return streams
 
     @pytest.mark.parametrize("layout, n", [
         ("basic", 4), ("basic", 9), ("topr-1", 6), ("topr-1", 10), ("topr-2", 8),
         ("random-1", 7), ("random-1", 8), ("random-2", 9), ("random-2", 10),
     ])
-    def test_draws_once_per_coefficient(self, calls, layout, n):
-        counts, streams = calls
+    def test_draws_once_per_coefficient(self, streams, layout, n):
         # two full chunks and a partial one
         model = draw_model(2, (2 * DRAW_CHUNK + 3) * 4, 127, 1)
         streams.clear()
@@ -324,8 +317,6 @@ class TestSharedDraw:
         assert streams == [(min(DRAW_CHUNK, subpackets - lo) * per_subpacket,
                             (lay.kind, lo // DRAW_CHUNK))
                            for lo in range(0, subpackets, DRAW_CHUNK)]
-        if not lay.affine_mask:
-            assert counts["inv"] <= lay.width * n
 
     @given(
         layout=st.sampled_from(LAYOUTS),

@@ -276,7 +276,7 @@ class TestAllDatabases:
     def test_folds_match_reference(self, case, q):
         fp, _, states, setup = build_session(case, q=q, perm=None, seed=8)
         query = build_query(case, 1, fp, setup.ell, 3, CounterNoise(9))
-        factors = write_factors(fp, True, fp.fs[: setup.ell], ())
+        factors = write_factors(fp, fp.fs[: setup.ell], ())
         rng = random.Random(case + q)
         for positions in self.v_sets(setup.p_subpackets, rng):
             symbols = CounterNoise(len(positions)).symbol(
