@@ -1,10 +1,11 @@
 """Polynomial kernels shared by all scheme variants.
 
 Every scheme's query comes from :func:`build_query`: at the wanted submodel
-the reciprocal ``1/(f_k - alpha_n)``, or the indicator 1 (top-r case 2
-only), plus a mask polynomial in ``alpha_n`` whose coefficients all
-databases share.  The indicator query is the reciprocal query scaled by
-``(f_k - alpha_n)``.  The database side of every scheme is two array
+the reciprocal ``1/(f_k - alpha_n)``, plus a mask polynomial in ``alpha_n``
+whose coefficients all databases share.  The paper's indicator queries
+(random sparsification, top-r case 2) are this query times the public
+``(f_k - alpha_n)``; the schemes absorb that factor into storage or the
+reversal instead.  The database side of every scheme is two array
 kernels in :mod:`pruw.storage` over the cells: ``answer`` (the masked
 inner products a read returns) and ``fold`` (a write's scaled copy of the
 cached query, added in place).
@@ -94,18 +95,15 @@ def build_query(
     fs,
     m_count: int,
     noise,
-    reciprocal: bool = True,
     terms: int = 1,
     selected=None,
     tag=(),
 ) -> list[list[list[int]]]:
     """Masked query blocks ``[n-1][k][m]`` for the bit constants ``fs``.
 
-    Reciprocal form at database n, bit k: ``1/(f_k - alpha_n)`` at
-    ``m = theta`` plus the mask ``sum_i mask_k[i] alpha_n^i`` with ``terms``
-    coefficient vectors per bit, shared across databases.  The indicator
-    form is the reciprocal form times ``(f_k - alpha_n)``: 1 at theta plus
-    ``(f_k - alpha_n)`` times the mask.  The theta entry sits only on the
+    At database n, bit k: ``1/(f_k - alpha_n)`` at ``m = theta`` plus the
+    mask ``sum_i mask_k[i] alpha_n^i`` with ``terms`` coefficient vectors
+    per bit, shared across databases.  The theta entry sits only on the
     bits in ``selected`` (1-based; all bits when None).  All masks are one
     ``noise.symbol(q, len(fs) * m_count * terms, "mask", *tag)`` draw, a
     list or an array: bit k's masks are its k-th run of ``m_count * terms``
@@ -131,11 +129,8 @@ def build_query(
             vec = mask[size - m_count:]
             for lo in range(size - 2 * m_count, -1, -m_count):
                 vec = [(v * alpha + c) % q for v, c in zip(vec, mask[lo:lo + m_count])]
-            if not reciprocal:
-                scale = f - alpha
-                vec = [v * scale % q for v in vec]
             if k in hits:
-                vec[t] = (vec[t] + (fp.field.inv(f - alpha) if reciprocal else 1)) % q
+                vec[t] = (vec[t] + fp.field.inv(f - alpha)) % q
             block.append(vec)
         blocks.append(block)
     return blocks

@@ -132,7 +132,9 @@ def answer(q: int, rows, qvecs):
     rows give S answers."""
     import numpy as np
 
-    return np.sum(row_products(q, rows, qvecs), axis=-1) % q
+    out = np.sum(row_products(q, rows, qvecs), axis=-1)
+    out -= out // q * q
+    return out
 
 
 def fold(q: int, rows, qvecs, factors) -> None:
@@ -140,13 +142,14 @@ def fold(q: int, rows, qvecs, factors) -> None:
     mod q, in place.  ``rows`` is a ``(..., K, M)`` view of the cells,
     ``qvecs`` is ``(K, M)`` and ``factors`` is ``(..., K)``.  Each cell adds
     one unreduced product, which stays below q^2 - q < 2^63 on int64, and is
-    reduced once, straight into ``rows``."""
+    reduced once, straight into ``rows``, as x - (x // q) * q like
+    :func:`~pruw.field.mod_einsum`."""
     import numpy as np
 
     dtype = rows.dtype
     step = np.multiply(np.asarray(factors, dtype=dtype)[..., None], np.asarray(qvecs, dtype=dtype))
     step += rows
-    np.remainder(step, q, out=rows)
+    np.subtract(step, step // q * q, out=rows)
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,11 +11,15 @@ shared by all databases, and a database only ever applies column v of it
 built: the setup holds that noise once, reduced to those columns
 (:meth:`PermutationSetup.reversing_matrix`), as an array of
 :func:`~pruw.field.kernel_dtype` drawn from one counter stream per block
-column.  Since the noise is shared, a phase applies it to every database at
-once: one contraction of the noise columns with the ``(N, P * ell)`` row
-products (read) or the ``(V, N)`` write symbols (write), each database's
-constant as a scale (case 1) and the sparse base term at perm(v) added
-after.  No database ever builds its own ``(V, P * ell)`` weights.
+column.  Both cases read with the reciprocal query: the paper's case 2
+indicator query is it times D_n = diag(f_j - alpha_n), so the paper's R_n,
+whose base carries (f_j - alpha_n)^-1, becomes D_n R_n, a base of ones plus
+D_n Z, with the same answers and increments and no field inverse.  Since Z
+is shared, a phase applies it to every database at once: one contraction of
+the noise columns with the row products (read) or the ``(V, N)`` write
+symbols (write), scaled by each database's prod_j (f_j - alpha_n) (case 1)
+or per bit (case 2), and the base term at perm(v) added after.  No database
+ever builds its own ``(V, P * ell)`` weights.
 
 Position symbols are charged as ceil(log_q P) field symbols by the meter;
 the closed-form costs keep the fractional logarithm and both are reported.
@@ -55,25 +59,14 @@ def position_symbols(p_subpackets: int, q: int) -> int:
     return c
 
 
-@functools.lru_cache(maxsize=64)
-def _reversing_constants(fp: FieldParams, ell: int, case: int) -> tuple:
-    """Database n's constant in its reversing matrix, at index n-1: case 1's
-    noise scale prod_j (f_j - alpha_n) mod q, or case 2's diagonal
-    ((f_j - alpha_n)^-1 for j < ell).  Built once per (field, shape)."""
-    fs = fp.fs[:ell]
-    if case == 1:
-        return tuple(math.prod(f - a for f in fs) % fp.q for a in fp.alphas)
-    return tuple(tuple(fp.field.inv(f - a) for f in fs) for a in fp.alphas)
-
-
 @dataclass
 class PermutationSetup:
     """The coordinator's secret permutation plus the shared reversing noise.
 
     ``perm[i-1]`` is the true index assigned to permuted slot i.  Database
-    n's reversing matrix has a 1 (case 1) or a reciprocal block (case 2) at
+    n's reversing matrix has a 1 (case 1) or an identity block (case 2) at
     (perm(i), i), plus the noise matrix Z that all databases share: scaled
-    by prod_j (f_j - alpha_n) in case 1, added as is in case 2.  Neither
+    by prod_j (f_j - alpha_n) in case 1, by D_n in case 2 (D_n R_n).  Neither
     the dense matrices nor Z itself are kept: :meth:`reversing_matrix` is Z
     reduced to the columns the databases apply, drawn at first use from
     ``noise``, the source the permutation came from, and
@@ -153,35 +146,39 @@ def build_query_case1(theta, fp, ell, m_count, noise):
 
 
 def build_query_case2(theta, fp, ell, m_count, noise):
-    """Indicator query blocks masked by (f_k - alpha) times a shared vector."""
-    return build_query(theta, fp, fp.fs[:ell], m_count, noise, reciprocal=False)
+    """Case 1's reciprocal query: the paper's indicator query over (f_k - alpha)."""
+    return build_query(theta, fp, fp.fs[:ell], m_count, noise)
 
 
 def _reversal(states: list[DatabaseState], setup: PermutationSetup, indices):
     """What un-permuting the permuted indices ``indices`` (1-based) needs at
     every database in ``states``: the base rows perm(v) - 1, the shared
-    noise's columns v - 1 and each database's constant (case 1's noise
-    scale, case 2's diagonal), in ``states`` order."""
+    noise's columns v - 1, the (f_j - alpha_n) rows of
+    :func:`~pruw.storage.write_factors` and the noise scale (their products
+    mod q, one column, in case 1; the rows in case 2), in ``states`` order."""
     import numpy as np
 
+    fp = states[0].fp
     cols = np.asarray(indices, dtype=np.intp) - 1
     rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
-    consts = _reversing_constants(states[0].fp, setup.ell, setup.case)
-    consts = np.array([consts[st.db_index - 1] for st in states], dtype=states[0].cells.dtype)
-    return rows, setup.reversing_matrix()[:, cols], consts
+    factors = write_factors(fp, fp.fs[:setup.ell], ())[[st.db_index - 1 for st in states]]
+    scale = factors if setup.case == 2 else np.array(
+        [[math.prod(row) % fp.q] for row in factors.tolist()], dtype=factors.dtype)
+    return rows, setup.reversing_matrix()[:, cols], factors, scale
 
 
 def answer_sparse(states: list[DatabaseState], setup: PermutationSetup, query_blocks, v_tilde):
     """Every database's answers, an ``(N, V)`` array: row i holds database
     ``states[i]``'s answer for each permuted subpacket index in ``v_tilde``.
 
-    Database n's answer at v is its row products with its query
+    Database n's answer at v is its row products with its reciprocal query
     (:func:`~pruw.storage.row_products`), weighted by column v of its
     reversing matrix (repeated over the bits, case 1) or by the sums over
-    its block column v (case 2).  The shared noise meets all databases'
-    products in one contraction, scaled by prod_j (f_j - alpha_n) in case 1,
-    and the base term adds the products at perm(v): summed over the bits
-    (case 1) or weighted by (f_j - alpha_n)^-1 (case 2).
+    its block column v (case 2), as D_n R_n: the paper's answers.  The
+    shared noise meets all databases' products in one contraction, scaled
+    by prod_j (f_j - alpha_n) (case 1) or by (f_j - alpha_n) per bit
+    (case 2), and the base term adds the products at perm(v), summed over
+    the bits.
     """
     import numpy as np
 
@@ -189,14 +186,13 @@ def answer_sparse(states: list[DatabaseState], setup: PermutationSetup, query_bl
     # prods[i, s, j]: the inner product of cells[s, j] with query row j
     prods = np.stack([row_products(q, st.cells, query_blocks[st.db_index - 1])
                       for st in states])
-    rows, noise, consts = _reversal(states, setup, v_tilde)
+    rows, noise, _, scale = _reversal(states, setup, v_tilde)
     if setup.case == 1:
-        sums = prods.sum(axis=2) % q
-        out = consts[:, None] * mod_einsum(q, "nk,vk->nv", sums, noise.T)
-        out += sums[:, rows]
+        out = scale * mod_einsum(q, "nk,vk->nv", prods.sum(axis=2) % q, noise.T)
     else:
-        out = mod_einsum(q, "nk,vk->nv", prods.reshape(len(states), -1), noise.T)
-        out += mod_einsum(q, "nj,nvj->nv", consts, prods[:, rows])
+        scaled = prods * scale[:, None, :] % q
+        out = mod_einsum(q, "nk,vk->nv", scaled.reshape(len(states), -1), noise.T)
+    out += prods[:, rows].sum(axis=2) % q
     return out % q
 
 
@@ -293,10 +289,10 @@ def apply_sparse_write(
     Each database rebuilds its permuted update vector, un-permutes it with
     its noisy reversing matrix and adds the per-subpacket increments.  The
     shared noise's columns meet the ``(V, N)`` symbols in one contraction,
-    scaled by prod_j (f_j - alpha_n) in case 1; the base term adds each
-    symbol at its perm(v), times (f_j - alpha_n)^-1 at bit j in case 2.
-    Each database then folds its increments times its
-    :func:`~pruw.storage.write_factors` row.
+    scaled by prod_j (f_j - alpha_n) in case 1 and per bit by D_n in case
+    2; the base term adds each symbol at its perm(v), on every bit.  Each
+    database then folds its increments times its
+    :func:`~pruw.storage.write_factors` row: the paper form's cells.
     """
     import numpy as np
 
@@ -311,18 +307,15 @@ def apply_sparse_write(
     sym = np.asarray(symbols, dtype=dtype)
     if sym.shape != (len(positions), len(states)):
         raise ProtocolError("write payload needs one symbol per position and database")
-    rows, noise, consts = _reversal(states, setup, positions)
+    rows, noise, factors, scale = _reversal(states, setup, positions)
     # t[i, k] = sum_v noise[k, v] * sym[v, i], before each database's base term
     t = mod_einsum(q, "nv,kv->nk", sym.T, noise)
     if setup.case == 1:
-        t *= consts[:, None]
-        t[:, rows] += sym.T
-        t = t[:, :, None]  # one increment for every bit of a subpacket
+        t = (t * scale)[:, :, None]  # one increment for every bit of a subpacket
     else:
-        t = t.reshape(len(states), -1, ell)
-        t[:, rows] += consts[:, None, :] * sym.T[:, :, None]
-    factors = write_factors(fp, fp.fs[:ell], ())
-    steps = t % q * factors[[st.db_index - 1 for st in states]][:, None, :] % q
+        t = t.reshape(len(states), -1, ell) * scale[:, None, :]
+    t[:, rows] += sym.T[:, :, None]
+    steps = t % q * factors[:, None, :] % q
     for st, step in zip(states, steps):
         fold(q, st.cells, query_blocks[st.db_index - 1], step)
 

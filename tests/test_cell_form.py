@@ -28,6 +28,7 @@ from pruw.storage import (
     reconstruct_plain,
 )
 
+from paper_forms import indicator_query
 from plans import fixture_plan
 
 M = 2
@@ -118,8 +119,9 @@ class TestRandomAgainstPaperForm:
         want = []
         for t in range(1, spec.read_patterns + 1):
             fs = rs._pattern_fs(fp, t, spec.ell_r, spec.y)
-            query = build_query(1, fp, fs, M, noise, reciprocal=False,
-                                selected=region.j_read[t - 1], tag=(*tag, "read", t))
+            query = indicator_query(fp, fs, build_query(1, fp, fs, M, noise,
+                                                        selected=region.j_read[t - 1],
+                                                        tag=(*tag, "read", t)))
             for db in rs.read_databases(n, case):
                 paper = as_state(states[db - 1], paper_cells(fp, states[db - 1]))
                 rows = rs._pattern_rows(paper, spec.ell_r, spec.read_patterns, t).tolist()

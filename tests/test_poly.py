@@ -112,15 +112,15 @@ class TestCombineUpdate:
 
 class TestBuildQuery:
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
-           st.booleans(), st.booleans())
+           st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matches_entry_formula(self, seed, m_count, ell, terms, reciprocal, subset):
+    def test_matches_entry_formula(self, seed, m_count, ell, terms, subset):
         fp = allocate_eval_points(4, 4, 31)
         fs = fp.fs[4 - ell:]
         theta = seed % m_count + 1
         selected = tuple(k for k in range(1, ell + 1) if k % 2) if subset else None
-        blocks = build_query(theta, fp, fs, m_count, CounterNoise(seed), reciprocal=reciprocal,
-                             terms=terms, selected=selected)
+        blocks = build_query(theta, fp, fs, m_count, CounterNoise(seed), terms=terms,
+                             selected=selected)
         # all masks are one "mask" draw; bit k's are its k-th run of
         # m_count * terms symbols, term-major
         size = m_count * terms
@@ -131,20 +131,16 @@ class TestBuildQuery:
                 for m in range(m_count):
                     mask = sum(masks[k][i * m_count + m] * alpha**i for i in range(terms))
                     hit = m + 1 == theta and (selected is None or k + 1 in selected)
-                    if reciprocal:
-                        want = (hit * fp.field.inv(f - alpha) + mask) % 31
-                    else:
-                        want = (hit + (f - alpha) * mask) % 31
+                    want = (hit * fp.field.inv(f - alpha) + mask) % 31
                     assert blocks[n][k][m] == want
 
     def test_zero_noise_gives_bare_query(self):
         # the noise-off source zeroes every mask: only the theta entries,
-        # 1/(f_k - alpha_n) in the reciprocal form and 1 in the indicator form
+        # 1/(f_k - alpha_n)
         fp = allocate_eval_points(3, 2, 31)
-        for reciprocal in (True, False):
-            blocks = build_query(2, fp, fp.fs, 3, ZeroNoise(), reciprocal=reciprocal, terms=2)
-            assert blocks == [[[0, fp.field.inv(f - alpha) if reciprocal else 1, 0]
-                               for f in fp.fs] for alpha in fp.alphas]
+        blocks = build_query(2, fp, fp.fs, 3, ZeroNoise(), terms=2)
+        assert blocks == [[[0, fp.field.inv(f - alpha), 0] for f in fp.fs]
+                          for alpha in fp.alphas]
 
     def test_theta_out_of_range(self):
         fp = allocate_eval_points(3, 2, 31)

@@ -1,4 +1,13 @@
-"""Top-r sparsification: permutation setup, sparse reads/writes, costs."""
+"""Top-r sparsification: permutation setup, sparse reads/writes, costs.
+
+The paper reads case 2 with the indicator query and un-permutes with R_n,
+whose block diagonals carry (f_j - alpha_n)^-1.  The code reads both cases
+with the reciprocal query, the indicator one divided by D_n =
+diag(f_j - alpha_n), and applies D_n R_n: a base of ones plus D_n Z.  The
+reference here is the paper's form (:func:`reference_reversing`,
+:func:`weights`, :func:`paper_query`), and the sessions' answers and cells
+must equal it exactly.
+"""
 
 import dataclasses
 import math
@@ -12,10 +21,12 @@ import pytest
 from pruw import topr
 from pruw.config import ExperimentConfig
 from pruw.errors import ConfigError, DomainError, ProtocolError
-from pruw.field import CounterNoise, ZeroNoise, allocate_eval_points, kernel_dtype
+from pruw.field import CounterNoise, PrimeField, ZeroNoise, allocate_eval_points, kernel_dtype
 from pruw.harness import Session
 from pruw.poly import apply_rows
 from pruw.storage import answer, draw_model, fold, init_topr, reconstruct_plain, write_factors
+
+from paper_forms import indicator_query
 
 PERM_FIXTURE = (2, 5, 1, 3, 4)
 
@@ -59,29 +70,29 @@ def base_pattern(setup, n):
 
 
 def weights(setup, n, v_perm):
-    """Database n's un-permuting weights for the permuted indices ``v_perm``
-    (any order), a (len(v_perm), P * ell) array with one column per
-    (subpacket, bit) in storage order: the per-database reference for the
-    sessions' all-database contractions.
+    """Database n's un-permuting weights in the paper's form, for the
+    permuted indices ``v_perm`` (any order): a (len(v_perm), P * ell) array
+    with one column per (subpacket, bit) in storage order, the per-database
+    reference for the sessions' all-database contractions.
 
-    Row k is column v = v_perm[k] of the reversing matrix repeated over the
-    bits (case 1), or the sums over its block column v (case 2): the shared
-    noise's column v-1 times prod_j (f_j - alpha_n) plus a 1 at row
-    perm(v)-1 (case 1), or the column as is plus (f_j - alpha_n)^-1 at row
+    Row k is column v = v_perm[k] of R_n repeated over the bits (case 1),
+    or the sums over its block column v (case 2): the shared noise's
+    column v-1 times prod_j (f_j - alpha_n) plus a 1 at row perm(v)-1
+    (case 1), or the column as is plus (f_j - alpha_n)^-1 at row
     (perm(v)-1) * ell + j (case 2).
     """
-    q, ell = setup.fp.q, setup.ell
-    const = topr._reversing_constants(setup.fp, ell, setup.case)[n - 1]
+    fp, q, ell = setup.fp, setup.fp.q, setup.ell
+    alpha = fp.alpha(n)
     cols = np.asarray(v_perm, dtype=np.intp) - 1
     at = np.arange(len(cols))
     rows = np.asarray(setup.perm, dtype=np.intp)[cols] - 1
     z = setup.reversing_matrix()[:, cols]
     if setup.case == 1:
-        z *= const
+        z *= math.prod(f - alpha for f in fp.fs[:ell]) % q
         z[rows, at] += 1
         z %= q
         return z.repeat(ell, axis=0).T
-    gamma = np.array(const, dtype=z.dtype)
+    gamma = np.array([pow(f - alpha, -1, q) for f in fp.fs[:ell]], dtype=z.dtype)
     rows = rows[:, None] * ell + np.arange(ell)
     z[rows, at[:, None]] = (z[rows, at[:, None]] + gamma) % q
     return z.T
@@ -91,6 +102,12 @@ def build_query(case, theta, fp, ell, m_count, noise):
     if case == 1:
         return topr.build_query_case1(theta, fp, ell, m_count, noise)
     return topr.build_query_case2(theta, fp, ell, m_count, noise)
+
+
+def paper_query(case, fp, ell, query):
+    """The paper's query behind the code's reciprocal ``query``: the same in
+    case 1, the indicator query in case 2."""
+    return query if case == 1 else indicator_query(fp, fp.fs[:ell], query)
 
 
 class TestCoordinatorSetup:
@@ -240,9 +257,10 @@ class TestWeights:
 
 class TestAllDatabases:
     """A phase un-permutes for every database in one shared-noise
-    contraction; its answers and folds must equal the per-database
-    reference: the row products weighted by :func:`weights`, and the fold
-    of the weighted symbols."""
+    contraction with the reciprocal query; its answers and folds must equal
+    the paper's per-database form: the row products with :func:`paper_query`
+    weighted by :func:`weights`, and the fold of the weighted symbols into
+    :func:`paper_query`."""
 
     @staticmethod
     def v_sets(p, rng):
@@ -256,12 +274,13 @@ class TestAllDatabases:
     def test_answers_match_reference(self, case, q):
         fp, _, states, setup = build_session(case, q=q, perm=None, seed=6)
         query = build_query(case, 2, fp, setup.ell, 3, CounterNoise(7))
+        paper = paper_query(case, fp, setup.ell, query)
         for v in self.v_sets(setup.p_subpackets, random.Random(case * q)):
             got = topr.answer_sparse(states, setup, query, v)
             want = []
             for st in states:
                 # the per-bit row products, in storage order, weighted in Python ints
-                prods = [answer(q, st.cells[:, j : j + 1], query[st.db_index - 1][j : j + 1])
+                prods = [answer(q, st.cells[:, j : j + 1], paper[st.db_index - 1][j : j + 1])
                          for j in range(setup.ell)]
                 prods = [int(x) for x in np.stack(prods, axis=1).ravel()]
                 want.append([sum(int(w) * x for w, x in zip(row, prods)) % q
@@ -276,7 +295,7 @@ class TestAllDatabases:
     def test_folds_match_reference(self, case, q):
         fp, _, states, setup = build_session(case, q=q, perm=None, seed=8)
         query = build_query(case, 1, fp, setup.ell, 3, CounterNoise(9))
-        factors = write_factors(fp, fp.fs[: setup.ell], ())
+        paper = paper_query(case, fp, setup.ell, query)
         rng = random.Random(case + q)
         for positions in self.v_sets(setup.p_subpackets, rng):
             symbols = CounterNoise(len(positions)).symbol(
@@ -287,11 +306,30 @@ class TestAllDatabases:
                     n = st.db_index
                     t = apply_rows(q, (symbols[:, n - 1],), weights(setup, n, positions))[0]
                     t = t.reshape(st.subpackets, setup.ell)
-                    fold(q, cells, query[n - 1], t * factors[n - 1] % q)
+                    d = np.array([(f - fp.alpha(n)) % q for f in fp.fs[: setup.ell]],
+                                 dtype=t.dtype)
+                    fold(q, cells, paper[n - 1], t * d % q)
             topr.apply_sparse_write(states, setup, query, positions, symbols)
             for st, cells in zip(states, want):
                 assert st.cells.dtype == cells.dtype
                 assert st.cells.tolist() == cells.tolist()
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_no_field_inverse(self, case, monkeypatch):
+        # a modulus no other test uses, so no cache holds an inverse for it
+        q = 1009
+        fp, _, states, setup = build_session(case, q=q, perm=None, seed=10)
+        query = build_query(case, 1, fp, setup.ell, 3, CounterNoise(11))
+        write_factors(fp, fp.fs[: setup.ell], ())
+
+        def forbidden(self, a):
+            raise AssertionError(f"field inverse of {a} in a top-r phase")
+
+        monkeypatch.setattr(PrimeField, "inv", forbidden)
+        topr.answer_sparse(states, setup, query, [1, 3])
+        symbols = CounterNoise(12).symbol(q, 2 * fp.n_databases, "symbols")
+        topr.apply_sparse_write(states, setup, query, [2, 4],
+                                symbols.reshape(2, fp.n_databases))
 
     @pytest.mark.parametrize("n", [6, 10])
     @pytest.mark.parametrize("case", [1, 2])
